@@ -10,7 +10,6 @@
 //	tgbench -json                    # machine-readable results
 //	tgbench -list                    # list experiment ids and titles
 //	tgbench -shards 4                # run the suite on 4 simulation shards
-//	tgbench -permsg                  # legacy per-message barrier delivery
 //	tgbench -pdes -out BENCH.json    # PDES node×shard scaling sweep
 //	                                 # (also records BENCH.floor, the CI
 //	                                 # throughput gate scripts/check.sh uses)
@@ -43,7 +42,6 @@ func main() {
 	asJSON := flag.Bool("json", false, "emit results as JSON")
 	seed := flag.Int64("seed", 1, "deterministic base seed (same seed → bit-identical output)")
 	shards := flag.Int("shards", 1, "simulation shards (results are invariant to this; only wall time changes)")
-	perMsg := flag.Bool("permsg", false, "legacy per-message barrier delivery instead of batched hand-off (results are invariant; only wall time changes)")
 	pdes := flag.Bool("pdes", false, "run the PDES node×shard scaling sweep instead of the experiments")
 	collScale := flag.Bool("collscale", false, "run the paper-scale E15 barrier sweep (host-side vs in-fabric, 64-1024 nodes) instead of the experiments")
 	topo := flag.Bool("topo", false, "run the E16 topology-zoo sweep (fabrics × 16/64/256 nodes × 1/4 cores) instead of the experiments")
@@ -53,7 +51,6 @@ func main() {
 
 	experiments.SetSeed(*seed)
 	experiments.SetShards(*shards)
-	experiments.SetPerMessageDelivery(*perMsg)
 	experiments.SetTraceWindow(*traceWindow)
 
 	if *collScale {

@@ -12,7 +12,6 @@
 //	tgchaos -clean             # fault-free control sweep
 //	tgchaos -broken            # sanity: the broken protocol must be caught
 //	tgchaos -shards 2          # sharded engine (hashes match -shards 1)
-//	tgchaos -permsg            # legacy per-message barrier delivery
 //	tgchaos -window 512        # trace ring capacity per node (bounded memory)
 //	tgchaos -checkpoint        # checkpoint/restore the trace state mid-run
 //	                           # and require the same final hash as an
@@ -40,7 +39,6 @@ func main() {
 	stop := flag.Bool("stop-on-fail", false, "stop at the first failing seed")
 	verbose := flag.Bool("v", false, "print every scenario, not just failures")
 	shards := flag.Int("shards", 1, "simulation shards (trace hashes are invariant to this)")
-	perMsg := flag.Bool("permsg", false, "legacy per-message barrier delivery (trace hashes are invariant to this)")
 	window := flag.Int("window", 0, "per-node trace ring capacity (0 = trace.DefaultWindow); memory stays O(window), not O(events)")
 	checkpoint := flag.Bool("checkpoint", false, "encode/decode/swap the trace state at a barrier mid-run and require the final hash to match an uninterrupted run")
 	opsPerNode := flag.Int("ops", 0, "override the per-node op count of every scenario (0 = scenario default)")
@@ -62,8 +60,7 @@ func main() {
 	for seed := lo; seed < hi; seed++ {
 		opts := simtest.Options{
 			NoFaults: *clean, BreakCoherence: *broken,
-			Shards: *shards, PerMessageDelivery: *perMsg,
-			TraceWindow: *window, OpsPerNode: *opsPerNode,
+			Shards: *shards, TraceWindow: *window, OpsPerNode: *opsPerNode,
 		}
 		if *spill != "" {
 			opts.SpillPath = *spill

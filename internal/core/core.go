@@ -79,7 +79,6 @@ func New(cfg params.Config) *Cluster {
 		shards = cfg.Nodes
 	}
 	g := sim.NewGroup(cfg.Seed, shards)
-	g.SetPerMessageDelivery(cfg.PerMessageDelivery)
 	nodeEng := func(i int) *sim.Engine { return g.Shard(i * shards / cfg.Nodes) }
 	// A switch runs on the shard of its first attached node (the star's
 	// single switch lands on shard 0).

@@ -42,8 +42,7 @@ func TestExperimentsDeterministic(t *testing.T) {
 }
 
 // TestExperimentsShardInvariant runs the full pipeline on 1, 2, 4, and 8
-// simulation shards, with batched and per-message barrier delivery, and
-// requires bit-identical serialized results: the sharded engine may only
+// simulation shards and requires bit-identical serialized results: the sharded engine may only
 // change wall-clock time, never a measurement. Run it with -cpu 1,4
 // (scripts/check.sh does) to also prove the results do not depend on how
 // many OS threads the shard workers share.
@@ -51,13 +50,9 @@ func TestExperimentsShardInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full experiment suite many times")
 	}
-	run := func(shards int, perMsg bool) []byte {
+	run := func(shards int) []byte {
 		SetShards(shards)
-		SetPerMessageDelivery(perMsg)
-		defer func() {
-			SetShards(1)
-			SetPerMessageDelivery(false)
-		}()
+		defer SetShards(1)
 		var buf bytes.Buffer
 		if err := WriteJSON(&buf, RunAll()); err != nil {
 			t.Fatalf("WriteJSON: %v", err)
@@ -65,14 +60,12 @@ func TestExperimentsShardInvariant(t *testing.T) {
 		return buf.Bytes()
 	}
 	SetSeed(1)
-	base := run(1, false)
+	base := run(1)
 	for _, shards := range []int{2, 4, 8} {
-		for _, perMsg := range []bool{false, true} {
-			got := run(shards, perMsg)
-			if !bytes.Equal(got, base) {
-				t.Fatalf("shards=%d permsg=%v diverges from shards=1:\nshards=1: %d bytes\nvariant: %d bytes\nfirst divergence at byte %d",
-					shards, perMsg, len(base), len(got), firstDiff(base, got))
-			}
+		got := run(shards)
+		if !bytes.Equal(got, base) {
+			t.Fatalf("shards=%d diverges from shards=1:\nshards=1: %d bytes\nvariant: %d bytes\nfirst divergence at byte %d",
+				shards, len(base), len(got), firstDiff(base, got))
 		}
 	}
 }

@@ -21,7 +21,6 @@ func collCluster(n int) *core.Cluster {
 	cfg.Topology = "tree"
 	cfg.Sizing.MemBytes = 1 << 16
 	cfg.Shards = shardCount
-	cfg.PerMessageDelivery = perMessage
 	return core.New(cfg)
 }
 

@@ -32,7 +32,6 @@ func topoCluster(topo string, n, cores int) *core.Cluster {
 	cfg.CoresPerNode = cores
 	cfg.Sizing.MemBytes = 1 << 23 // room for one shared page per node
 	cfg.Shards = shardCount
-	cfg.PerMessageDelivery = perMessage
 	return core.New(cfg)
 }
 

@@ -18,7 +18,6 @@ func lightCluster(n int) *core.Cluster {
 	cfg.Seed = baseSeed
 	cfg.Sizing.MemBytes = 1 << 21
 	cfg.Shards = shardCount
-	cfg.PerMessageDelivery = perMessage
 	return core.New(cfg)
 }
 

@@ -27,7 +27,6 @@ func lightClusterWithCAM(n, cam int) *core.Cluster {
 	cfg.Sizing.MemBytes = 1 << 21
 	cfg.Sizing.CounterCacheSize = cam
 	cfg.Shards = shardCount
-	cfg.PerMessageDelivery = perMessage
 	return core.New(cfg)
 }
 
@@ -130,7 +129,6 @@ func E10RemotePaging() *Result {
 			cfg.Sizing.MemBytes = 1 << 21
 			cfg.Sizing.PageSize = 4096
 			cfg.Shards = shardCount
-			cfg.PerMessageDelivery = perMessage
 			c := core.New(cfg)
 			res, err := paging.Run(c, 0, paging.Config{LocalFrames: frames, Backend: b, Server: 1}, refs)
 			if err != nil {
@@ -221,7 +219,6 @@ func E11Substrates() *Result {
 		cfg.Sizing.MemBytes = 1 << 21
 		cfg.Placement = params.SharedInMain
 		cfg.Shards = shardCount
-		cfg.PerMessageDelivery = perMessage
 		c := core.New(cfg)
 		ch := msg.NewChannel(c, 1, 2*words)
 		c.Spawn(0, "p", func(ctx *cpu.Ctx) {
@@ -307,7 +304,6 @@ func E12UpdateVsInvalidate() *Result {
 		cfg.Seed = baseSeed
 		cfg.Sizing.MemBytes = 1 << 21
 		cfg.Shards = shardCount
-		cfg.PerMessageDelivery = perMessage
 		if proto != "update" {
 			// The invalidate baseline models its directory as centralized
 			// hardware state, which only a single-shard cluster can host.

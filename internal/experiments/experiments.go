@@ -42,18 +42,6 @@ func SetShards(n int) {
 // Shards reports the experiments' current shard count.
 func Shards() int { return shardCount }
 
-// perMessage selects legacy per-message barrier delivery instead of
-// batched slice hand-off. Results are bit-identical either way (the
-// invariance tests prove it); only wall-clock time changes.
-var perMessage = false
-
-// SetPerMessageDelivery overrides the barrier delivery mode used by
-// every experiment cluster.
-func SetPerMessageDelivery(on bool) { perMessage = on }
-
-// PerMessageDelivery reports the current barrier delivery mode.
-func PerMessageDelivery() bool { return perMessage }
-
 // traceWindow, when positive, attaches the streaming trace pipeline
 // (trace.WindowedLog with this per-node ring capacity) to the PDES sweep
 // clusters, so the sweep also measures recording overhead, the

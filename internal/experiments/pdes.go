@@ -79,7 +79,6 @@ func pdesCluster(nodes, shards int) *core.Cluster {
 	cfg.ChainPerSwitch = 4
 	cfg.Link.PropDelay = 1 * sim.Microsecond
 	cfg.Shards = shards
-	cfg.PerMessageDelivery = perMessage
 	return core.New(cfg)
 }
 

@@ -127,11 +127,6 @@ type Config struct {
 	// bit-identical across shard counts; shards only change wall-clock
 	// speed.
 	Shards int
-	// PerMessageDelivery switches the shard barrier from batched slice
-	// hand-off (the default) to legacy per-message inbox pushes. Both
-	// modes execute the identical order; the knob exists so invariance
-	// tests and benchmarks can prove and measure that.
-	PerMessageDelivery bool
 }
 
 // DefaultTiming returns the calibrated timing constants.

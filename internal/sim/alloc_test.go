@@ -104,39 +104,32 @@ func TestChanSendSameShardAllocs(t *testing.T) {
 // and heap rebuild on the destination — a ping-pong between two shards
 // so every round crosses the barrier in both directions.
 func TestChanSendCrossShardAllocs(t *testing.T) {
-	for _, perMsg := range []bool{false, true} {
-		g := NewGroup(1, 2)
-		g.SetPerMessageDelivery(perMsg)
-		a, b := g.Shard(0), g.Shard(1)
-		ab := NewChan(a, b, 1)
-		ba := NewChan(b, a, 1)
-		rounds := 0
-		var ping, pong func()
-		ping = func() {
-			if rounds == 0 {
-				return
-			}
-			rounds--
-			ab.Send(1, pong)
+	g := NewGroup(1, 2)
+	a, b := g.Shard(0), g.Shard(1)
+	ab := NewChan(a, b, 1)
+	ba := NewChan(b, a, 1)
+	rounds := 0
+	var ping, pong func()
+	ping = func() {
+		if rounds == 0 {
+			return
 		}
-		pong = func() { ba.Send(1, ping) }
-		// Warm-up: the staging buffers, inboxes, and the group's round
-		// scratch all reach steady-state capacity.
-		rounds = 256
+		rounds--
+		ab.Send(1, pong)
+	}
+	pong = func() { ba.Send(1, ping) }
+	// Warm-up: the staging buffers, inboxes, and the group's round
+	// scratch all reach steady-state capacity.
+	rounds = 256
+	ab.Send(1, pong)
+	if err := g.Run(); err != nil {
+		t.Fatal(err)
+	}
+	measureAllocs(t, "chan send cross-shard", func() {
+		rounds = 64
 		ab.Send(1, pong)
 		if err := g.Run(); err != nil {
 			t.Fatal(err)
 		}
-		name := "chan send cross-shard batched"
-		if perMsg {
-			name = "chan send cross-shard per-message"
-		}
-		measureAllocs(t, name, func() {
-			rounds = 64
-			ab.Send(1, pong)
-			if err := g.Run(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+	})
 }

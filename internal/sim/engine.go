@@ -21,6 +21,7 @@ type Event struct {
 
 // Live reports whether the handle still refers to a pending event: not
 // yet fired, not canceled, not recycled.
+//
 //tgvet:noalloc
 func (ev Event) Live() bool { return ev.slot != nil && ev.slot.gen == ev.gen }
 
@@ -31,6 +32,7 @@ func (ev Event) Live() bool { return ev.slot != nil && ev.slot.gen == ev.gen }
 // queue lazily; when more than half the queue is dead weight the engine
 // compacts it, so long-running simulations that cancel many timers
 // (e.g. ARQ retransmission guards) do not leak.
+//
 //tgvet:noalloc
 func (ev Event) Cancel() {
 	s := ev.slot
@@ -46,6 +48,7 @@ func (ev Event) Cancel() {
 
 // When reports the simulated time at which the event is scheduled to
 // fire, or 0 if the handle is no longer live.
+//
 //tgvet:noalloc
 func (ev Event) When() Time {
 	if !ev.Live() {
@@ -98,7 +101,7 @@ var ErrStalled = errors.New("sim: event queue empty but non-daemon processes sti
 // closure per process.
 type Engine struct {
 	now        Time
-	events     eventQueue
+	events     *heap4
 	pool       eventPool
 	seq        uint64
 	inbox      msgQueue
@@ -141,6 +144,7 @@ func NewEngine(seed int64) *Engine {
 }
 
 // Now reports the current simulated time.
+//
 //tgvet:noalloc
 func (e *Engine) Now() Time { return e.now }
 
@@ -177,6 +181,7 @@ func (e *Engine) checkSameShard(p *Proc) {
 // Schedule arranges for fn to run delay nanoseconds from now.
 // A negative delay is treated as zero. Events scheduled for the same
 // instant fire in scheduling order.
+//
 //tgvet:noalloc
 func (e *Engine) Schedule(delay Time, fn func()) Event {
 	if delay < 0 {
@@ -186,6 +191,7 @@ func (e *Engine) Schedule(delay Time, fn func()) Event {
 }
 
 // At arranges for fn to run at absolute time t (clamped to now).
+//
 //tgvet:noalloc
 func (e *Engine) At(t Time, fn func()) Event {
 	if t < e.now {
@@ -205,6 +211,7 @@ func (e *Engine) Stop() { e.stopped = true }
 
 // Pending reports the number of live queued events and undelivered inbox
 // messages. Canceled events are not counted.
+//
 //tgvet:noalloc
 func (e *Engine) Pending() int { return e.events.len() - e.deadEvents + e.inbox.len() }
 
@@ -213,17 +220,19 @@ func (e *Engine) Alive() int { return e.alive }
 
 // maybeCompact rebuilds the event queue without canceled events once they
 // outnumber the live ones (and are numerous enough to matter).
+//
 //tgvet:noalloc
 func (e *Engine) maybeCompact() {
 	if e.deadEvents < 64 || e.deadEvents*2 <= e.events.len() {
 		return
 	}
-	e.events.compact(e.pool.put) //tgvet:allow noalloc(one method-value closure per compaction, which is already O(queue) work and amortized away)
+	e.events.compact(&e.pool)
 	e.deadEvents = 0
 }
 
 // peekEvent discards canceled events at the head of the queue and reports
 // the time of the next live event.
+//
 //tgvet:noalloc
 func (e *Engine) peekEvent() (Time, bool) {
 	for {
@@ -243,6 +252,7 @@ func (e *Engine) peekEvent() (Time, bool) {
 
 // nextTime reports the timestamp of the engine's earliest pending work
 // (event or inbox message).
+//
 //tgvet:noalloc
 func (e *Engine) nextTime() (Time, bool) {
 	et, eok := e.peekEvent()

@@ -5,13 +5,13 @@ package sim
 // Events live in pooled slots (see pool.go); the queue itself stores
 // compact value entries carrying the (when, seq) ordering key inline, so
 // a sift compares keys without chasing the slot pointer — the comparison
-// path stays in the queue's own backing array. The default implementation
-// is a 4-ary heap: against a binary heap it halves the tree depth, and
-// the four-child minimum scan runs over adjacent entries in one or two
-// cache lines, which is exactly the trade that pays on pop-heavy
-// discrete-event load. A container/heap-backed reference implementation
-// lives in equeue_ref_test.go; the differential test proves both produce
-// the identical pop sequence, including seq tie-breaks.
+// path stays in the queue's own backing array. The queue is a 4-ary
+// heap: against a binary heap it halves the tree depth, and the
+// four-child minimum scan runs over adjacent entries in one or two cache
+// lines, which is exactly the trade that pays on pop-heavy discrete-event
+// load. A container/heap-backed reference lives in equeue_ref_test.go;
+// the differential tests prove both produce the identical pop sequence,
+// including seq tie-breaks.
 
 // eqEnt is one queue entry: the ordering key plus the event's slot.
 type eqEnt struct {
@@ -31,24 +31,10 @@ func (a eqEnt) before(b eqEnt) bool {
 	return a.seq < b.seq
 }
 
-// eventQueue is the engine's priority-queue contract: pop order is
-// exactly (when, seq) ascending. Canceled events are the engine's
-// business — it checks slots at peek/pop and calls compact when dead
-// entries accumulate.
-type eventQueue interface {
-	push(eqEnt)
-	// pop removes and returns the minimum entry; it must only be called
-	// on a non-empty queue.
-	pop() eqEnt
-	// peek returns the minimum entry without removing it.
-	peek() (eqEnt, bool)
-	len() int
-	// compact removes every entry whose slot was canceled, handing each
-	// dead slot to free for recycling.
-	compact(free func(*eventSlot))
-}
-
-// heap4 is the default event queue: a 4-ary min-heap of value entries.
+// heap4 is the engine's event queue: a 4-ary min-heap of value entries.
+// Pop order is exactly (when, seq) ascending. Canceled events are the
+// engine's business — it checks slots at peek/pop and calls compact when
+// dead entries accumulate.
 type heap4 struct {
 	a []eqEnt
 }
@@ -64,6 +50,8 @@ func (h *heap4) push(e eqEnt) {
 	h.up(len(h.a) - 1)
 }
 
+// peek returns the minimum entry without removing it.
+//
 //tgvet:noalloc
 func (h *heap4) peek() (eqEnt, bool) {
 	if len(h.a) == 0 {
@@ -72,6 +60,8 @@ func (h *heap4) peek() (eqEnt, bool) {
 	return h.a[0], true
 }
 
+// pop removes and returns the minimum entry; the queue must be non-empty.
+//
 //tgvet:noalloc
 func (h *heap4) pop() eqEnt {
 	a := h.a
@@ -131,12 +121,15 @@ func (h *heap4) down(i int) {
 	a[i] = e
 }
 
+// compact removes every entry whose slot was canceled, recycling each
+// dead slot into pool.
+//
 //tgvet:noalloc
-func (h *heap4) compact(free func(*eventSlot)) {
+func (h *heap4) compact(pool *eventPool) {
 	live := h.a[:0]
 	for _, e := range h.a {
 		if e.slot.canceled {
-			free(e.slot) //tgvet:allow noalloc(free is the engine's pool.put bound at the single maybeCompact call site; see engine.go)
+			pool.put(e.slot)
 		} else {
 			live = append(live, e) //tgvet:allow noalloc(append into h.a's own prefix; capacity is already there by construction)
 		}

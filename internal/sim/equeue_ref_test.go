@@ -1,13 +1,14 @@
 package sim
 
 // The event queue's differential oracle: a container/heap-backed
-// reference implementation of the eventQueue contract, plus tests that
-// drive it and heap4 with identical operation sequences — random,
-// adversarial ties, cancel-heavy — and demand the identical pop order,
-// including (when, seq) tie-breaks and post-compaction order.
+// reference event queue, plus tests that drive it and heap4 with
+// identical operation sequences — random, adversarial ties,
+// cancel-heavy — and demand the identical pop order, including
+// (when, seq) tie-breaks and post-compaction order.
 
 import (
 	"container/heap"
+	"sort"
 	"testing"
 )
 
@@ -27,7 +28,7 @@ func (h *refEntries) Pop() interface{} {
 	return e
 }
 
-// refQueue is the reference eventQueue: correct by construction via the
+// refQueue is the reference event queue: correct by construction via the
 // standard library's binary heap.
 type refQueue struct {
 	h refEntries
@@ -42,6 +43,11 @@ func (q *refQueue) peek() (eqEnt, bool) {
 	return q.h[0], true
 }
 func (q *refQueue) len() int { return len(q.h) }
+
+// compact mirrors heap4.compact but hands each dead slot to free without
+// touching it. The differentials compact the reference first: heap4
+// recycles dead slots into a pool, which clears the canceled flag both
+// queues read from their shared slots.
 func (q *refQueue) compact(free func(*eventSlot)) {
 	live := q.h[:0]
 	for _, e := range q.h {
@@ -58,12 +64,9 @@ func (q *refQueue) compact(free func(*eventSlot)) {
 	heap.Init(&q.h)
 }
 
-var _ eventQueue = (*refQueue)(nil)
-var _ eventQueue = (*heap4)(nil)
-
 // drainEqual pops both queues dry and fails on the first divergence.
 // Entries are compared by key (when, seq) and slot identity.
-func drainEqual(t *testing.T, name string, a, b eventQueue) {
+func drainEqual(t *testing.T, name string, a *heap4, b *refQueue) {
 	t.Helper()
 	if a.len() != b.len() {
 		t.Fatalf("%s: len %d vs %d", name, a.len(), b.len())
@@ -152,9 +155,14 @@ func TestEventQueueDifferentialRandom(t *testing.T) {
 					live[rng.Intn(len(live))].slot.canceled = true
 				}
 			default: // compact both; freed slots must match as sets
-				freedA, freedB := map[*eventSlot]bool{}, map[*eventSlot]bool{}
-				h4.compact(func(s *eventSlot) { freedA[s] = true })
+				freedB := map[*eventSlot]bool{}
 				ref.compact(func(s *eventSlot) { freedB[s] = true })
+				var pool eventPool
+				h4.compact(&pool)
+				freedA := map[*eventSlot]bool{}
+				for _, s := range pool.free {
+					freedA[s] = true
+				}
 				if len(freedA) != len(freedB) {
 					t.Fatalf("seed %d op %d: compact freed %d vs %d slots", seed, op, len(freedA), len(freedB))
 				}
@@ -203,8 +211,8 @@ func FuzzEventQueueDifferential(f *testing.F) {
 				}
 			case 3:
 				if b&0x4 != 0 { // compact
-					h4.compact(func(*eventSlot) {})
 					ref.compact(func(*eventSlot) {})
+					h4.compact(&eventPool{})
 				} else if len(live) > 0 { // cancel
 					live[int(b>>3)%len(live)].slot.canceled = true
 				}
@@ -222,32 +230,33 @@ func FuzzEventQueueDifferential(f *testing.F) {
 	})
 }
 
-// TestEngineOnRefQueue swaps the reference queue into a live engine and
-// requires the identical firing order heap4 produces — the eventQueue
-// interface contract, checked end to end.
+// TestEngineOnRefQueue checks the live engine's firing order against an
+// independent oracle: events fire in (delay, schedule order) ascending,
+// which is the scheduled (delay, index) pairs stable-sorted by delay.
+// Delays come from a tiny range, so most events tie with others.
 func TestEngineOnRefQueue(t *testing.T) {
-	runWith := func(q eventQueue) []int {
-		e := NewEngine(7)
-		e.events = q
-		rng := NewRNG(99)
-		var order []int
-		for i := 0; i < 200; i++ {
-			i := i
-			e.Schedule(Time(rng.Intn(16)), func() { order = append(order, i) })
-		}
-		if err := e.Run(); err != nil {
-			t.Fatalf("run: %v", err)
-		}
-		return order
+	e := NewEngine(7)
+	rng := NewRNG(99)
+	delays := make([]Time, 200)
+	var fired []int
+	for i := range delays {
+		delays[i] = Time(rng.Intn(16))
+		e.Schedule(delays[i], func() { fired = append(fired, i) })
 	}
-	a := runWith(newHeap4())
-	b := runWith(&refQueue{})
-	if len(a) != len(b) {
-		t.Fatalf("fired %d events on heap4 vs %d on ref", len(a), len(b))
+	if err := e.Run(); err != nil {
+		t.Fatalf("run: %v", err)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("firing order diverged at %d: %d vs %d", i, a[i], b[i])
+	want := make([]int, len(delays))
+	for i := range want {
+		want[i] = i
+	}
+	sort.SliceStable(want, func(a, b int) bool { return delays[want[a]] < delays[want[b]] })
+	if len(fired) != len(want) {
+		t.Fatalf("fired %d events, scheduled %d", len(fired), len(want))
+	}
+	for i := range want {
+		if fired[i] != want[i] {
+			t.Fatalf("firing order diverged at %d: event %d fired, oracle says %d", i, fired[i], want[i])
 		}
 	}
 }

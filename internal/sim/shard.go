@@ -27,8 +27,8 @@
 // (time, channel id, channel sequence) — build-time identities — and at
 // equal timestamps every engine runs inbox messages before heap events.
 // A group of one shard executes the exact same order with no goroutines,
-// and batched delivery feeds the same (time, chid, seq)-keyed heap as
-// per-message delivery, so both modes execute the identical order.
+// and an absorbed batch pops in the same order as messages pushed one at
+// a time (mqueue_test.go), so the hand-off cannot reorder delivery.
 package sim
 
 import (
@@ -42,13 +42,6 @@ type Group struct {
 	chans      []*Chan
 	incoming   [][]*Chan // per shard: cross-shard chans delivering to it
 	nextChanID uint64
-
-	// perMessage disables batched barrier delivery: staged messages are
-	// pushed into destination inboxes one heap push at a time, the way
-	// the pre-batching engine worked. Both paths feed the same
-	// (time, chid, seq)-ordered heap, so execution is identical; the
-	// toggle exists so the invariance tests can prove that.
-	perMessage bool
 
 	// dist[j][i] is the minimum accumulated channel delay over any path of
 	// one or more channels from shard j to shard i (infTime when no path
@@ -114,11 +107,6 @@ func NewGroup(seed int64, shards int) *Group {
 	}
 	return g
 }
-
-// SetPerMessageDelivery switches the barrier between batched slice
-// hand-off (the default, false) and legacy per-message heap pushes.
-// Both produce identical execution order; see the Group doc.
-func (g *Group) SetPerMessageDelivery(on bool) { g.perMessage = on }
 
 // SetRoundHook installs a safe-watermark hook: fn fires with a bound
 // safe such that every already-recorded event with timestamp < safe is
@@ -414,10 +402,10 @@ func (g *Group) rebuildDist() {
 }
 
 // flush moves every staged cross-shard message into its destination
-// inbox — one slice absorb per (source, destination) shard pair in the
-// default batched mode. Called only between rounds, when no shard is
-// executing. The staging buffers are retained and reused, so a warmed-up
-// barrier allocates nothing.
+// inbox — one slice absorb per (source, destination) shard pair. Called
+// only between rounds, when no shard is executing. The staging buffers
+// are retained and reused, so a warmed-up barrier allocates nothing.
+//
 //tgvet:noalloc
 func (g *Group) flush() {
 	for _, e := range g.engines {
@@ -425,14 +413,7 @@ func (g *Group) flush() {
 			if len(batch) == 0 {
 				continue
 			}
-			dst := g.engines[d]
-			if g.perMessage {
-				for _, m := range batch {
-					dst.inbox.push(m)
-				}
-			} else {
-				dst.inbox.absorb(batch)
-			}
+			g.engines[d].inbox.absorb(batch)
 			for i := range batch {
 				batch[i] = xmsg{} // release callback closures
 			}
@@ -519,6 +500,7 @@ func (ch *Chan) MinDelay() Time { return ch.minDelay }
 // cross-shard sends are staged in the source engine's per-destination
 // buffer and handed over at the next barrier. Neither path allocates in
 // steady state.
+//
 //tgvet:noalloc
 func (ch *Chan) Send(delay Time, fn func()) {
 	if delay < ch.minDelay {

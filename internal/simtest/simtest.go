@@ -52,10 +52,6 @@ type Options struct {
 	Shards int
 	// NoFaults disables the link fault plan (clean-network control runs).
 	NoFaults bool
-	// PerMessageDelivery selects legacy per-message barrier delivery
-	// instead of batched slice hand-off. Trace hashes are invariant to
-	// this knob — the property TestShardInvariantTraceHash proves.
-	PerMessageDelivery bool
 	// BreakCoherence installs the deliberately broken protocol variant
 	// (coherence.(*Update).BreakSkipReflectTo on a non-owner replica) so
 	// tests can prove the invariant checkers actually catch corruption.

@@ -87,8 +87,7 @@ func TestSimDeterminism(t *testing.T) {
 // TestShardInvariantTraceHash is the sharded engine's core determinism
 // claim: the same seed produces a byte-identical trace fingerprint (and
 // event count, and final simulated time) whether the cluster runs on 1,
-// 2, 4, or 8 shards, with batched or per-message barrier delivery — with
-// link faults on and off. Run it with -cpu 1,4 to also vary GOMAXPROCS
+// 2, 4, or 8 shards, with link faults on and off. Run it with -cpu 1,4 to also vary GOMAXPROCS
 // (scripts/check.sh does).
 func TestShardInvariantTraceHash(t *testing.T) {
 	for _, seed := range []int64{0, 1, 2, 3, 7, 11} {
@@ -101,22 +100,20 @@ func TestShardInvariantTraceHash(t *testing.T) {
 				t.Fatalf("seed %d faults=%v shards=1 violated invariants: %v", seed, faults, base.Violations)
 			}
 			for _, shards := range []int{2, 4, 8} {
-				for _, perMsg := range []bool{false, true} {
-					res, err := Run(seed, Options{NoFaults: !faults, Shards: shards, PerMessageDelivery: perMsg})
-					if err != nil {
-						t.Fatalf("seed %d faults=%v shards=%d permsg=%v: %v", seed, faults, shards, perMsg, err)
-					}
-					if res.Failed() {
-						t.Errorf("seed %d faults=%v shards=%d permsg=%v violated invariants: %v", seed, faults, shards, perMsg, res.Violations)
-					}
-					if res.TraceHash != base.TraceHash || res.Events != base.Events || res.SimTime != base.SimTime {
-						t.Errorf("seed %d faults=%v: shards=%d permsg=%v diverged: (hash %#x, %d events, %v) vs shards=1 (hash %#x, %d events, %v)",
-							seed, faults, shards, perMsg, res.TraceHash, res.Events, res.SimTime, base.TraceHash, base.Events, base.SimTime)
-					}
-					if res.FaultStats != base.FaultStats {
-						t.Errorf("seed %d faults=%v: shards=%d permsg=%v fault stats %+v diverged from shards=1 %+v (per-link RNG streams must be shard-invariant)",
-							seed, faults, shards, perMsg, res.FaultStats, base.FaultStats)
-					}
+				res, err := Run(seed, Options{NoFaults: !faults, Shards: shards})
+				if err != nil {
+					t.Fatalf("seed %d faults=%v shards=%d: %v", seed, faults, shards, err)
+				}
+				if res.Failed() {
+					t.Errorf("seed %d faults=%v shards=%d violated invariants: %v", seed, faults, shards, res.Violations)
+				}
+				if res.TraceHash != base.TraceHash || res.Events != base.Events || res.SimTime != base.SimTime {
+					t.Errorf("seed %d faults=%v: shards=%d diverged: (hash %#x, %d events, %v) vs shards=1 (hash %#x, %d events, %v)",
+						seed, faults, shards, res.TraceHash, res.Events, res.SimTime, base.TraceHash, base.Events, base.SimTime)
+				}
+				if res.FaultStats != base.FaultStats {
+					t.Errorf("seed %d faults=%v: shards=%d fault stats %+v diverged from shards=1 %+v (per-link RNG streams must be shard-invariant)",
+						seed, faults, shards, res.FaultStats, base.FaultStats)
 				}
 			}
 		}
@@ -149,16 +146,14 @@ func TestBrokenCoherenceCaught(t *testing.T) {
 // ShardedLog tee enabled, the streaming merge must reproduce the batch
 // merge's fingerprint and event count, and the online linearizability
 // and fence verdicts must agree with the batch checkers — across shard
-// counts and both barrier delivery modes (any disagreement surfaces as
-// a stream-equivalence violation inside runSeed).
+// counts (any disagreement surfaces as a stream-equivalence violation
+// inside runSeed).
 func TestStreamMatchesBatch(t *testing.T) {
 	for _, seed := range []int64{0, 1, 2, 3, 5} {
 		for _, shards := range []int{1, 2, 4, 8} {
-			for _, perMsg := range []bool{false, true} {
-				runSeed(t, seed, Options{Shards: shards, PerMessageDelivery: perMsg, BatchTee: true})
-				if t.Failed() {
-					t.Fatalf("seed %d shards=%d permsg=%v diverged", seed, shards, perMsg)
-				}
+			runSeed(t, seed, Options{Shards: shards, BatchTee: true})
+			if t.Failed() {
+				t.Fatalf("seed %d shards=%d diverged", seed, shards)
 			}
 		}
 	}

@@ -90,7 +90,6 @@ func build(sc Scenario, opts Options) *harness {
 	cfg.Sizing.MemBytes = 1 << 20 // scenarios need a handful of pages
 	cfg.Link.Faults = sc.Faults
 	cfg.Shards = opts.Shards
-	cfg.PerMessageDelivery = opts.PerMessageDelivery
 
 	h := &harness{
 		sc:        sc,

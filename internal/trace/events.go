@@ -183,41 +183,24 @@ func FoldHash(h uint64, e Event) uint64 {
 	return h
 }
 
-// maxKindSlot bounds the per-kind counter array (kinds are small consts).
-const maxKindSlot = int(EvOpArg) + 1
-
 // EventLog accumulates events in simulation order. It must only be used
 // from inside one engine's event/process context (the engine's hand-off
-// discipline already serializes appends). The fingerprint and the
-// per-node/per-kind counters are maintained on append, so Hash,
-// CountKind and CountNode are O(1) and ForNode is O(answer).
+// discipline already serializes appends). The fingerprint is folded on
+// append, so Hash is O(1).
 type EventLog struct {
 	events []Event
 	hash   uint64
-	byKind [maxKindSlot]int
-	byNode map[int]*nodeIndex
 }
 
-// nodeIndex is one node's posting list into an EventLog.
-type nodeIndex struct{ at []int32 }
-
 // NewEventLog returns an empty log.
-func NewEventLog() *EventLog { return &EventLog{hash: HashInit, byNode: make(map[int]*nodeIndex)} }
+func NewEventLog() *EventLog { return &EventLog{} }
 
 // Append records one event.
 func (l *EventLog) Append(e Event) {
-	if l.byNode == nil { // zero-value logs stay usable
+	// The first fold starts from the FNV basis, so zero-value logs stay
+	// usable.
+	if len(l.events) == 0 {
 		l.hash = HashInit
-		l.byNode = make(map[int]*nodeIndex)
-	}
-	idx := l.byNode[e.Node]
-	if idx == nil {
-		idx = &nodeIndex{}
-		l.byNode[e.Node] = idx
-	}
-	idx.at = append(idx.at, int32(len(l.events)))
-	if k := int(e.Kind); k < maxKindSlot {
-		l.byKind[k]++
 	}
 	l.hash = FoldHash(l.hash, e)
 	l.events = append(l.events, e)
@@ -229,55 +212,20 @@ func (l *EventLog) Len() int { return len(l.events) }
 // Events exposes the recorded stream (callers must not mutate it).
 func (l *EventLog) Events() []Event { return l.events }
 
-// ForNode returns the subsequence of events on one node.
-func (l *EventLog) ForNode(node int) []Event {
-	idx := l.byNode[node]
-	if idx == nil {
-		return nil
-	}
-	out := make([]Event, len(idx.at))
-	for i, j := range idx.at {
-		out[i] = l.events[j]
-	}
-	return out
-}
-
-// CountNode reports the number of events on one node.
-func (l *EventLog) CountNode(node int) int {
-	idx := l.byNode[node]
-	if idx == nil {
-		return 0
-	}
-	return len(idx.at)
-}
-
-// CountKind reports the number of events of one kind.
-func (l *EventLog) CountKind(k EventKind) int {
-	if int(k) < maxKindSlot {
-		return l.byKind[k]
-	}
-	n := 0
-	for _, e := range l.events {
-		if e.Kind == k {
-			n++
-		}
-	}
-	return n
-}
-
 // Hash returns the FNV-1a fingerprint of the full stream: every field of
 // every event, in order, in a fixed little-endian encoding. Two runs of
 // the same seed must produce identical hashes (the determinism
 // invariant); any divergence in timing, ordering, or values changes it.
 // The value is folded incrementally on Append, so this is O(1).
 func (l *EventLog) Hash() uint64 {
-	if l.byNode == nil && len(l.events) == 0 {
+	if len(l.events) == 0 {
 		return HashInit
 	}
 	return l.hash
 }
 
 // put64 stores v little-endian.
+//
 //tgvet:noalloc
 func put64(b []byte, v uint64) {
 	_ = b[7]

@@ -60,11 +60,7 @@ func (s *ShardedLog) Len() int {
 // copy. The differential test pins the equivalence against a
 // sort.SliceStable reference.
 func (s *ShardedLog) Merge() *EventLog {
-	merged := &EventLog{
-		events: make([]Event, 0, s.Len()),
-		hash:   HashInit,
-		byNode: make(map[int]*nodeIndex, len(s.logs)),
-	}
+	merged := &EventLog{events: make([]Event, 0, s.Len())}
 	cur := make([]int, len(s.logs))
 	heap := make([]int32, 0, len(s.logs))
 	head := func(n int32) Event { return s.logs[n].events[cur[n]] }

@@ -229,62 +229,27 @@ func TestWindowedResidencyBounded(t *testing.T) {
 	}
 }
 
-// TestEventLogCountersAgreeWithRescan is the satellite regression test:
-// the O(1) counters must agree with a full rescan.
-func TestEventLogCountersAgreeWithRescan(t *testing.T) {
-	rng := sim.ForkRNG(17, "test/counters")
-	l := NewEventLog()
-	for i := 0; i < 5000; i++ {
-		l.Append(Event{
-			At:   int64(i),
-			Node: rng.Intn(12),
-			Kind: EventKind(1 + rng.Intn(int(EvOpArg))),
-			Addr: rng.Uint64(),
-		})
-	}
-	for k := EventKind(1); k <= EvOpArg; k++ {
-		n := 0
-		for _, e := range l.Events() {
-			if e.Kind == k {
-				n++
-			}
-		}
-		if got := l.CountKind(k); got != n {
-			t.Fatalf("CountKind(%v) = %d, rescan says %d", k, got, n)
-		}
-	}
-	for node := 0; node < 12; node++ {
-		var want []Event
-		for _, e := range l.Events() {
-			if e.Node == node {
-				want = append(want, e)
-			}
-		}
-		if got := l.CountNode(node); got != len(want) {
-			t.Fatalf("CountNode(%d) = %d, rescan says %d", node, got, len(want))
-		}
-		if !eventsEqual(l.ForNode(node), want) {
-			t.Fatalf("ForNode(%d) diverges from rescan", node)
-		}
-	}
-	if l.Hash() != refHash(l.Events()) {
-		t.Fatalf("incremental hash diverges from batch fnv")
-	}
-}
-
 // TestZeroValueEventLog keeps the zero value usable (some tests build
-// logs by literal).
+// logs by literal): empty, it reports no events and the FNV basis; after
+// appends, its length, stream and incremental hash match the batch view.
 func TestZeroValueEventLog(t *testing.T) {
 	var l EventLog
-	if l.Hash() != HashInit {
-		t.Fatalf("empty hash %#x != HashInit", l.Hash())
+	if l.Len() != 0 || len(l.Events()) != 0 || l.Hash() != HashInit {
+		t.Fatalf("empty log: len %d, %d events, hash %#x; want 0, 0, HashInit", l.Len(), len(l.Events()), l.Hash())
 	}
-	l.Append(Event{At: 1, Node: 0, Kind: EvIssue})
-	if l.Hash() != refHash(l.Events()) {
-		t.Fatalf("zero-value log hash diverges")
+	want := []Event{
+		{At: 1, Node: 0, Kind: EvIssue, Addr: 0x40},
+		{At: 1, Node: 3, Kind: EvWriteApply, Addr: 0x40, Val: 7},
+		{At: 9, Node: 1, Kind: EvOpArg, Aux: 2},
 	}
-	if l.CountKind(EvIssue) != 1 || l.CountNode(0) != 1 {
-		t.Fatalf("zero-value log counters wrong")
+	for _, e := range want {
+		l.Append(e)
+	}
+	if l.Len() != len(want) || !eventsEqual(l.Events(), want) {
+		t.Fatalf("zero-value log recorded %v, want %v", l.Events(), want)
+	}
+	if l.Hash() != refHash(want) {
+		t.Fatalf("zero-value log hash %#x diverges from batch fnv %#x", l.Hash(), refHash(want))
 	}
 }
 
