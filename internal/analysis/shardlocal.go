@@ -19,9 +19,10 @@ import (
 //  2. Raw `go` statements are forbidden in simulation code: all
 //     concurrency must come from Engine.Spawn / the Group's round
 //     scheduler, or determinism and the one-runner-at-a-time discipline
-//     are gone. The sim core's own two launch sites carry
-//     //tgvet:allow shardlocal(...) annotations naming why they are the
-//     discipline rather than a violation of it.
+//     are gone. The sim core's one launch site, the Group's round
+//     worker, carries a //tgvet:allow shardlocal(...) annotation naming
+//     why it is the discipline rather than a violation of it. (Processes
+//     are iter.Pull coroutines and need no go statement.)
 var AnalyzerShardLocal = &Analyzer{
 	Name: "shardlocal",
 	Doc:  "blocking primitives stay in process context; goroutines stay inside the engine",

@@ -2,7 +2,6 @@ package hib
 
 import (
 	"errors"
-	"fmt"
 
 	"telegraphos/internal/addrspace"
 	"telegraphos/internal/osmodel"
@@ -298,7 +297,7 @@ func (h *HIB) launchCopy(p *sim.Proc, id int) {
 	}
 	if src.Node() == h.node {
 		// Source is local: the board's DMA engine streams directly.
-		h.eng.SpawnDaemon(fmt.Sprintf("%v.hib.dma", h.node), func(dp *sim.Proc) {
+		h.eng.SpawnDaemon(h.dmaName, func(dp *sim.Proc) {
 			h.streamCopy(dp, req)
 		})
 		return

@@ -1,8 +1,6 @@
 package hib
 
 import (
-	"fmt"
-
 	"telegraphos/internal/addrspace"
 	"telegraphos/internal/packet"
 	"telegraphos/internal/sim"
@@ -81,7 +79,7 @@ func (h *HIB) deliverLocal(pkt *packet.Packet) {
 		if h.serviceFast(pkt, nil) {
 			return
 		}
-		h.eng.SpawnDaemon(fmt.Sprintf("%v.hib.loop", h.node), func(p *sim.Proc) {
+		h.eng.SpawnDaemon(h.loopName, func(p *sim.Proc) {
 			if pkt.Class() == packet.VCRequest {
 				h.handleRequest(p, pkt)
 			} else {

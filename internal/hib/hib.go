@@ -96,6 +96,10 @@ type HIB struct {
 	rxSvcFn [packet.NumVCs]func()
 	rxDonFn [packet.NumVCs]func()
 
+	// Names of the transient processes spawned per packet or copy,
+	// formatted once in start instead of on every spawn.
+	rxName, loopName, dmaName string
+
 	// Pending WriteReq memory applies, in MPM order: every apply is
 	// scheduled MPMWrite ahead, and events fire in schedule order at equal
 	// deltas, so a FIFO plus one prebound handler services the board's
@@ -268,6 +272,9 @@ func (h *HIB) start() {
 		h.net.SetNotify(h.node, vc, func() { h.rxPump(vc) })
 	}
 	h.applyFn = h.applyWrite
+	h.rxName = fmt.Sprintf("%v.hib.rx", h.node)
+	h.loopName = fmt.Sprintf("%v.hib.loop", h.node)
+	h.dmaName = fmt.Sprintf("%v.hib.dma", h.node)
 }
 
 // applyWrite completes the oldest in-flight WriteReq: the MPM write lands,
@@ -340,7 +347,7 @@ func (h *HIB) rxService(vc packet.VC) {
 	if h.serviceFast(pkt, h.rxDonFn[vc]) {
 		return
 	}
-	h.eng.SpawnDaemon(fmt.Sprintf("%v.hib.rx", h.node), func(p *sim.Proc) {
+	h.eng.SpawnDaemon(h.rxName, func(p *sim.Proc) {
 		if pkt.Class() == packet.VCRequest {
 			h.handleRequest(p, pkt)
 		} else {

@@ -60,6 +60,13 @@ type FaultHandler func(p *sim.Proc, f *mmu.Fault) bool
 // IntrHandler services an interrupt; it runs in a fresh kernel process.
 type IntrHandler func(p *sim.Proc, arg uint64)
 
+// intrHandler is an installed handler with the name of the kernel
+// processes it runs in, formatted once at installation.
+type intrHandler struct {
+	fn   IntrHandler
+	name string
+}
+
 // OS is one node's operating system model.
 type OS struct {
 	eng    *sim.Engine
@@ -67,7 +74,7 @@ type OS struct {
 	timing params.Timing
 
 	faultHandler FaultHandler
-	intrHandlers map[Interrupt]IntrHandler
+	intrHandlers map[Interrupt]intrHandler
 	Counters     *stats.CounterSet
 }
 
@@ -77,7 +84,7 @@ func New(eng *sim.Engine, node addrspace.NodeID, timing params.Timing) *OS {
 		eng:          eng,
 		node:         node,
 		timing:       timing,
-		intrHandlers: make(map[Interrupt]IntrHandler),
+		intrHandlers: make(map[Interrupt]intrHandler),
 		Counters:     stats.NewCounterSet(),
 	}
 }
@@ -117,7 +124,7 @@ func (o *OS) HandleFault(p *sim.Proc, f *mmu.Fault) bool {
 
 // SetInterruptHandler installs the handler for an interrupt source.
 func (o *OS) SetInterruptHandler(kind Interrupt, fn IntrHandler) {
-	o.intrHandlers[kind] = fn
+	o.intrHandlers[kind] = intrHandler{fn: fn, name: fmt.Sprintf("%v.intr.%v", o.node, kind)}
 }
 
 // RaiseInterrupt delivers an interrupt: a fresh kernel process pays the
@@ -126,13 +133,13 @@ func (o *OS) SetInterruptHandler(kind Interrupt, fn IntrHandler) {
 // dropped.
 func (o *OS) RaiseInterrupt(kind Interrupt, arg uint64) {
 	o.Counters.Inc("intr-" + kind.String())
-	fn := o.intrHandlers[kind]
-	if fn == nil {
+	h := o.intrHandlers[kind]
+	if h.fn == nil {
 		o.Counters.Inc("intr-unhandled")
 		return
 	}
-	o.eng.SpawnDaemon(fmt.Sprintf("%v.intr.%v", o.node, kind), func(p *sim.Proc) {
+	o.eng.SpawnDaemon(h.name, func(p *sim.Proc) {
 		p.Sleep(o.timing.Interrupt)
-		fn(p, arg)
+		h.fn(p, arg)
 	})
 }

@@ -133,3 +133,54 @@ func TestChanSendCrossShardAllocs(t *testing.T) {
 		}
 	})
 }
+
+// TestProcSwitchAllocs gates process hand-off: a warmed process in a
+// Sleep loop parks and is woken again with no allocation per switch.
+func TestProcSwitchAllocs(t *testing.T) {
+	e := NewEngine(1)
+	stop, switches := false, 0
+	e.Spawn("sleeper", func(p *Proc) {
+		for !stop {
+			p.Sleep(1)
+			switches++
+		}
+	})
+	if err := e.RunUntil(1024); err != nil {
+		t.Fatal(err)
+	}
+	measureAllocs(t, "proc switch", func() {
+		if err := e.RunUntil(e.Now() + 256); err != nil {
+			t.Fatal(err)
+		}
+	})
+	stop = true
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if switches < 1024+100*256 {
+		t.Fatalf("%d switches, want at least %d", switches, 1024+100*256)
+	}
+}
+
+// spawnAllocs is the allocation count of one process from Spawn to
+// return: the Proc, its prebound wake closure, the coroutine iter.Pull
+// builds around the body, and the body closure. Lower it when a change
+// lowers the count; raising it needs a reason.
+const spawnAllocs = 14
+
+// TestSpawnAllocs pins the allocations of one spawn-to-finish cycle, so
+// that the per-process cost cannot grow unnoticed.
+func TestSpawnAllocs(t *testing.T) {
+	e := NewEngine(1)
+	body := func(p *Proc) { p.Sleep(1) }
+	cycle := func() {
+		e.Spawn("p", body)
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle() // warm the slot pool and the event heap
+	if avg := testing.AllocsPerRun(100, cycle); avg != spawnAllocs {
+		t.Errorf("spawn-to-finish: %.2f allocs/run, want %d", avg, spawnAllocs)
+	}
+}

@@ -109,7 +109,6 @@ type Engine struct {
 	alive      int // non-daemon procs not yet finished
 	stopped    bool
 	failure    error
-	current    *Proc  // proc currently executing, if any
 	deadEvents int    // canceled events still sitting in the queue
 	executed   uint64 // events + messages executed
 	nextChanID uint64 // chan ids for standalone (group-less) engines

@@ -1,11 +1,21 @@
+//go:build go1.23
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// Proc is a coroutine-style simulation process: a goroutine that runs under
-// the engine's strict hand-off discipline. At most one process (or the
-// engine loop) executes at a time, so process code may freely touch shared
-// simulation state without locks, and every run is deterministic.
+// Proc is a simulation process: a coroutine (iter.Pull) that runs under
+// the engine's strict hand-off discipline. Waking a process resumes its
+// coroutine on whichever goroutine is running its shard's window — the
+// engine's caller, or a round worker of a multi-shard Group — and that
+// goroutine blocks until the process parks again or returns. The switch
+// is a direct goroutine hand-off on the current thread, with no scheduler
+// wake-up. At most one process (or the engine loop) of a shard executes
+// at a time, so process code may freely touch its shard's simulation
+// state without locks, and every run is deterministic.
 //
 // Process bodies receive their *Proc and may call the blocking primitives
 // Sleep, Hold and the waiting methods on Future, Queue, Semaphore, etc.
@@ -13,9 +23,9 @@ import "fmt"
 type Proc struct {
 	eng    *Engine
 	name   string
-	run    chan struct{} // engine -> proc: resume
-	back   chan struct{} // proc -> engine: parked or finished
-	wakeFn func()        // prebound p.wake: one closure per process, not per wakeup
+	resume func() (struct{}, bool) // engine -> proc: run until the next park or return
+	yield  func(struct{}) bool     // proc -> engine: park; set when the body starts
+	wakeFn func()                  // prebound p.wake: one closure per process, not per wakeup
 	daemon bool
 	done   bool
 }
@@ -35,32 +45,32 @@ func (e *Engine) SpawnDaemon(name string, fn func(*Proc)) *Proc {
 }
 
 func (e *Engine) spawn(name string, fn func(*Proc), daemon bool) *Proc {
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		run:    make(chan struct{}),
-		back:   make(chan struct{}),
-		daemon: daemon,
-	}
+	p := &Proc{eng: e, name: name, daemon: daemon}
 	p.wakeFn = p.wake
 	if !daemon {
 		e.alive++
 	}
-	//tgvet:allow shardlocal(this launch IS the hand-off discipline: the goroutine parks on p.run until wake() lends it the engine's thread)
-	go func() {
-		<-p.run // wait for the first resume
+	p.resume, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		returned := false
 		defer func() {
 			if r := recover(); r != nil {
 				e.fail(p.name, r)
+			} else if !returned {
+				// runtime.Goexit (t.FailNow, say): iter.Pull re-raises it
+				// in the goroutine that resumed the process, which may be
+				// a round worker whose window it cuts short. Record it so
+				// the run reports the process instead of ending quietly.
+				e.fail(p.name, "runtime.Goexit in process body")
 			}
 			p.done = true
 			if !p.daemon {
 				e.alive--
 			}
-			p.back <- struct{}{} // return control to the engine
 		}()
 		fn(p)
-	}()
+		returned = true
+	})
 	e.Schedule(0, p.wakeFn)
 	return p
 }
@@ -77,21 +87,19 @@ func (p *Proc) Now() Time { return p.eng.now }
 // Done reports whether the process body has returned.
 func (p *Proc) Done() bool { return p.done }
 
-// wake transfers control from the engine loop to the process and blocks
-// until the process parks again or finishes. It runs as an event callback.
+// wake transfers control from the engine loop to the process and returns
+// when the process parks again or finishes. It runs as an event callback.
 func (p *Proc) wake() {
 	if p.done {
 		return
 	}
-	p.run <- struct{}{}
-	<-p.back
+	p.resume()
 }
 
-// park returns control to the engine loop and blocks until the next wake.
-// It must be called from the process's own goroutine.
+// park returns control to the engine loop until the next wake. It must be
+// called from the process's own body.
 func (p *Proc) park() {
-	p.back <- struct{}{}
-	<-p.run
+	p.yield(struct{}{})
 }
 
 // Sleep suspends the process for d nanoseconds of simulated time.

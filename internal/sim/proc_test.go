@@ -1,0 +1,169 @@
+package sim
+
+import (
+	"fmt"
+	"runtime"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// Process hand-off on a multi-shard Group. Once a round's heaviest shard
+// executes seqRoundWork items or more, the next round runs every window
+// but the last on a fresh worker goroutine, so a process on shard 0 is
+// resumed from a different goroutine in every such round. These tests
+// drive rounds that heavy and check that the hand-off still gives the
+// 1-shard schedule and still reports a process that dies.
+
+// goid returns the id of the calling goroutine, from the header line of
+// its stack dump ("goroutine 7 [running]:").
+func goid() string {
+	var buf [64]byte
+	n := runtime.Stack(buf[:], false)
+	return strings.Fields(string(buf[:n]))[1]
+}
+
+// workerLoad builds, on g, four stations of 16 sleeping processes each,
+// with a ring of cross-station channels. Station i lives on shard
+// i*shards/4. Every process logs each step with its station's message
+// count, so the log depends on how process steps and message deliveries
+// interleave. The message handlers of station 0 record which goroutines
+// ran shard 0's windows in seen.
+type workerLoad struct {
+	engs []*Engine
+	logs [][]logLine
+	seen map[string]bool
+}
+
+// logLine is one process step: its time and what the process saw.
+type logLine struct {
+	at   Time
+	text string
+}
+
+func newWorkerLoad(g *Group) *workerLoad {
+	const stations, procs, steps = 4, 16, 400
+	w := &workerLoad{
+		engs: make([]*Engine, stations),
+		logs: make([][]logLine, stations),
+		seen: map[string]bool{},
+	}
+	for i := range w.engs {
+		w.engs[i] = g.Shard(i * g.Shards() / stations)
+	}
+	recv := make([]int, stations)
+	chans := make([]*Chan, stations)
+	for i := range chans {
+		chans[i] = NewChan(w.engs[i], w.engs[(i+1)%stations], 50)
+	}
+	for i := range w.engs {
+		i, dst := i, (i+1)%stations
+		deliver := func() {
+			recv[dst]++
+			if dst == 0 {
+				w.seen[goid()] = true
+			}
+		}
+		for j := 0; j < procs; j++ {
+			j := j
+			w.engs[i].Spawn(fmt.Sprintf("s%d.p%d", i, j), func(p *Proc) {
+				for k := 0; k < steps; k++ {
+					p.Sleep(Time(1 + (i+j+k)%4))
+					w.logs[i] = append(w.logs[i], logLine{p.Now(), fmt.Sprintf("s%d.p%d.%d r%d", i, j, k, recv[i])})
+					if k%8 == j%8 {
+						chans[i].Send(50, deliver)
+					}
+				}
+			})
+		}
+	}
+	return w
+}
+
+// trace merges the per-station logs into one canonical stream ordered by
+// time, then station.
+func (w *workerLoad) trace() []logLine {
+	var merged []logLine
+	for _, l := range w.logs {
+		merged = append(merged, l...)
+	}
+	sort.SliceStable(merged, func(a, b int) bool { return merged[a].at < merged[b].at })
+	return merged
+}
+
+// TestProcWorkerRoundsMatchOneShard: processes resumed from round
+// workers produce the 1-shard schedule exactly.
+func TestProcWorkerRoundsMatchOneShard(t *testing.T) {
+	one := newWorkerLoad(NewGroup(5, 1))
+	if err := one.engs[0].Run(); err != nil {
+		t.Fatal(err)
+	}
+	g := NewGroup(5, 2)
+	two := newWorkerLoad(g)
+	if err := g.Run(); err != nil {
+		t.Fatal(err)
+	}
+	delete(two.seen, goid())
+	if len(two.seen) < 2 {
+		t.Fatalf("shard 0 ran on %d worker goroutines, want several: rounds never went parallel", len(two.seen))
+	}
+	want, got := one.trace(), two.trace()
+	if len(got) != len(want) {
+		t.Fatalf("2-shard run logged %d steps, 1-shard run %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("step %d differs: 2 shards %v, 1 shard %v", i, got[i], want[i])
+		}
+	}
+}
+
+// runVictim adds to the load a process on shard 0 that dies by die once
+// an event finds shard 0's window running on a worker goroutine, and
+// returns the group's Run error.
+func runVictim(t *testing.T, die func()) error {
+	t.Helper()
+	g := NewGroup(5, 2)
+	w := newWorkerLoad(g)
+	e0 := w.engs[0]
+	armed := NewCompletion(e0)
+	e0.Spawn("victim", func(p *Proc) {
+		armed.Wait(p) // woken at the arming instant, in the same window
+		die()
+	})
+	self := goid()
+	var tick func()
+	tick = func() {
+		if goid() != self {
+			armed.Complete()
+			return
+		}
+		e0.Schedule(1, tick)
+	}
+	e0.Schedule(1, tick)
+	err := g.Run()
+	if !armed.Done() {
+		t.Fatal("shard 0 never ran on a worker goroutine")
+	}
+	return err
+}
+
+// TestProcPanicOnWorkerShard: a panic in a process resumed by a round
+// worker fails the run with an error naming the process.
+func TestProcPanicOnWorkerShard(t *testing.T) {
+	err := runVictim(t, func() { panic("boom") })
+	if err == nil || !strings.Contains(err.Error(), `"victim"`) || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("Run() = %v, want the victim's panic", err)
+	}
+}
+
+// TestProcGoexitOnWorkerShard: runtime.Goexit in a process (t.FailNow,
+// say) resurfaces in the goroutine that resumed it. On a round worker
+// that ends the worker's window early, so the run must still fail with
+// an error naming the process.
+func TestProcGoexitOnWorkerShard(t *testing.T) {
+	err := runVictim(t, runtime.Goexit)
+	if err == nil || !strings.Contains(err.Error(), `"victim"`) || !strings.Contains(err.Error(), "Goexit") {
+		t.Fatalf("Run() = %v, want the victim's Goexit", err)
+	}
+}

@@ -1,11 +1,11 @@
 // Package sim provides a deterministic discrete-event simulation engine
-// with coroutine-style processes.
+// with coroutine processes.
 //
 // The engine owns a virtual clock and a priority queue of events. Processes
-// (see Proc) are goroutines that run under a strict hand-off discipline:
-// exactly one goroutine — either the engine loop or a single process — is
-// runnable at any instant, so simulations are fully deterministic and
-// race-free without locks.
+// (see Proc) are coroutines that run under a strict hand-off discipline:
+// per engine, exactly one of the engine loop or a single process runs at
+// any instant, so simulations are fully deterministic and race-free
+// without locks.
 //
 // All Telegraphos hardware models (buses, links, switches, the HIB) and all
 // workload programs are built on this package.
