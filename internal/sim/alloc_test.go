@@ -134,6 +134,51 @@ func TestChanSendCrossShardAllocs(t *testing.T) {
 	})
 }
 
+// TestGroupParallelRoundAllocs gates the round workers: a 2-shard run
+// whose every round runs more than seqRoundWork items per shard, and so
+// goes to the workers, must allocate as much per Run at 512 rounds as at
+// 64. Starting the workers costs a few allocations per RunUntil, O(shards);
+// a round costs none.
+func TestGroupParallelRoundAllocs(t *testing.T) {
+	const window = 100 // the lookahead each way, in ns: one round's width
+	g := NewGroup(1, 2)
+	NewChan(g.Shard(0), g.Shard(1), window)
+	NewChan(g.Shard(1), g.Shard(0), window)
+	// Each shard ticks every nanosecond, so a round runs window items
+	// on each shard.
+	left := make([]Time, 2)
+	ticks := make([]func(), 2)
+	for i := range ticks {
+		e := g.Shard(i)
+		ticks[i] = func() {
+			if left[i]--; left[i] > 0 {
+				e.Schedule(1, ticks[i])
+			}
+		}
+	}
+	run := func(rounds int) func() {
+		return func() {
+			for i, f := range ticks {
+				left[i] = Time(rounds * window)
+				g.Shard(i).Schedule(1, f)
+			}
+			if err := g.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run(512)() // warm the slot pools, the heaps and the worker slots
+	crit := g.CritPath()
+	short := testing.AllocsPerRun(20, run(64))
+	if g.CritPath()-crit < 20*64*window {
+		t.Fatalf("critical path grew %d items over 20 runs of 64 rounds: rounds did not go parallel", g.CritPath()-crit)
+	}
+	long := testing.AllocsPerRun(20, run(512))
+	if short != long {
+		t.Errorf("%.0f allocs per run at 64 rounds, %.0f at 512: a parallel round allocates", short, long)
+	}
+}
+
 // TestProcSwitchAllocs gates process hand-off: a warmed process in a
 // Sleep loop parks and is woken again with no allocation per switch.
 func TestProcSwitchAllocs(t *testing.T) {

@@ -10,10 +10,11 @@ import (
 
 // Process hand-off on a multi-shard Group. Once a round's heaviest shard
 // executes seqRoundWork items or more, the next round runs every window
-// but the last on a fresh worker goroutine, so a process on shard 0 is
-// resumed from a different goroutine in every such round. These tests
-// drive rounds that heavy and check that the hand-off still gives the
-// 1-shard schedule and still reports a process that dies.
+// but the last on the persistent round worker bound to its shard, so a
+// process on shard 0 is resumed from that worker's goroutine, not the
+// one that called Run. These tests drive rounds that heavy and check
+// that the hand-off still gives the 1-shard schedule and still reports a
+// process that dies.
 
 // goid returns the id of the calling goroutine, from the header line of
 // its stack dump ("goroutine 7 [running]:").
@@ -27,12 +28,12 @@ func goid() string {
 // with a ring of cross-station channels. Station i lives on shard
 // i*shards/4. Every process logs each step with its station's message
 // count, so the log depends on how process steps and message deliveries
-// interleave. The message handlers of station 0 record which goroutines
-// ran shard 0's windows in seen.
+// interleave. The message handlers of station 0 record in rounds which
+// goroutines ran shard 0's windows, and in which barrier epochs.
 type workerLoad struct {
-	engs []*Engine
-	logs [][]logLine
-	seen map[string]bool
+	engs   []*Engine
+	logs   [][]logLine
+	rounds map[string]map[uint64]bool
 }
 
 // logLine is one process step: its time and what the process saw.
@@ -44,9 +45,9 @@ type logLine struct {
 func newWorkerLoad(g *Group) *workerLoad {
 	const stations, procs, steps = 4, 16, 400
 	w := &workerLoad{
-		engs: make([]*Engine, stations),
-		logs: make([][]logLine, stations),
-		seen: map[string]bool{},
+		engs:   make([]*Engine, stations),
+		logs:   make([][]logLine, stations),
+		rounds: map[string]map[uint64]bool{},
 	}
 	for i := range w.engs {
 		w.engs[i] = g.Shard(i * g.Shards() / stations)
@@ -61,7 +62,11 @@ func newWorkerLoad(g *Group) *workerLoad {
 		deliver := func() {
 			recv[dst]++
 			if dst == 0 {
-				w.seen[goid()] = true
+				id := goid()
+				if w.rounds[id] == nil {
+					w.rounds[id] = map[uint64]bool{}
+				}
+				w.rounds[id][g.bar.epoch.Load()] = true
 			}
 		}
 		for j := 0; j < procs; j++ {
@@ -91,37 +96,39 @@ func (w *workerLoad) trace() []logLine {
 	return merged
 }
 
-// TestProcWorkerRoundsMatchOneShard: processes resumed from round
-// workers produce the 1-shard schedule exactly.
+// TestProcWorkerRoundsMatchOneShard: processes resumed from a round
+// worker produce the 1-shard schedule exactly, and shard 0's windows in
+// parallel rounds all ran on the one persistent worker bound to it.
 func TestProcWorkerRoundsMatchOneShard(t *testing.T) {
-	one := newWorkerLoad(NewGroup(5, 1))
-	if err := one.engs[0].Run(); err != nil {
-		t.Fatal(err)
-	}
+	want := oneShardTrace(t)
 	g := NewGroup(5, 2)
 	two := newWorkerLoad(g)
 	if err := g.Run(); err != nil {
 		t.Fatal(err)
 	}
-	delete(two.seen, goid())
-	if len(two.seen) < 2 {
-		t.Fatalf("shard 0 ran on %d worker goroutines, want several: rounds never went parallel", len(two.seen))
+	delete(two.rounds, goid())
+	if len(two.rounds) != 1 {
+		t.Fatalf("shard 0 ran on %d goroutines besides the scheduler, want its one round worker", len(two.rounds))
 	}
-	want, got := one.trace(), two.trace()
-	if len(got) != len(want) {
-		t.Fatalf("2-shard run logged %d steps, 1-shard run %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("step %d differs: 2 shards %v, 1 shard %v", i, got[i], want[i])
+	for _, epochs := range two.rounds {
+		if len(epochs) < 2 {
+			t.Fatalf("shard 0 ran on its worker in %d rounds, want several: rounds never went parallel", len(epochs))
 		}
 	}
+	sameTrace(t, two.trace(), want)
 }
 
 // runVictim adds to the load a process on shard 0 that dies by die once
 // an event finds shard 0's window running on a worker goroutine, and
 // returns the group's Run error.
 func runVictim(t *testing.T, die func()) error {
+	t.Helper()
+	_, err := victimGroup(t, die)
+	return err
+}
+
+// victimGroup is runVictim that also returns the group.
+func victimGroup(t *testing.T, die func()) (*Group, error) {
 	t.Helper()
 	g := NewGroup(5, 2)
 	w := newWorkerLoad(g)
@@ -145,7 +152,7 @@ func runVictim(t *testing.T, die func()) error {
 	if !armed.Done() {
 		t.Fatal("shard 0 never ran on a worker goroutine")
 	}
-	return err
+	return g, err
 }
 
 // TestProcPanicOnWorkerShard: a panic in a process resumed by a round

@@ -11,17 +11,29 @@
 //
 // because any message a source generates in its own window carries a
 // timestamp >= next(src) + minDelay. Shards run their windows
-// concurrently on goroutines, then meet at a barrier where staged
-// messages are flushed into destination inboxes and the next round's
-// caps are computed (a YAWNS/LBTS-style synchronization).
+// concurrently, then meet at a barrier where staged messages are flushed
+// into destination inboxes and the next round's caps are computed (a
+// YAWNS/LBTS-style synchronization).
+//
+// Parallel rounds run on persistent round workers, one goroutine bound
+// to each shard but the last, while the scheduler goroutine runs the
+// round's last window itself. The barrier is a sense-reversing one with
+// an epoch counter instead of a sense bit: the scheduler publishes each
+// worker's window, bumps the epoch, runs its own window, and waits for
+// an atomic pending count to reach zero. Waiting workers spin on the
+// epoch for a short while, then park on a wake channel, so consecutive
+// heavy rounds cost no OS-thread sleep or wake-up while a long stretch
+// of light rounds keeps no core busy. Workers start at the first
+// parallel round of a RunUntil and stop before it returns, on every
+// path, so no goroutine outlives the call.
 //
 // Cross-shard sends are staged per (source, destination) shard pair and
 // handed over as whole slices at the barrier — one inbox absorb per pair
 // per round instead of a heap push per message — mirroring how the
 // paper's NIC-based barriers amortize synchronization over many
-// operations. Rounds that execute little work skip the worker-goroutine
-// spawn entirely and run their windows inline, so fine-grained phases do
-// not pay scheduler overhead per round.
+// operations. Rounds that execute little work skip the workers entirely
+// and run their windows inline on the scheduler goroutine, so
+// fine-grained phases do not pay a barrier hand-off per round.
 //
 // Determinism does not depend on the schedule: messages are ordered by
 // (time, channel id, channel sequence) — build-time identities — and at
@@ -33,7 +45,8 @@ package sim
 
 import (
 	"fmt"
-	"sync"
+	"runtime"
+	"sync/atomic"
 )
 
 // Group is a set of engines (shards) advancing one simulation together.
@@ -54,12 +67,9 @@ type Group struct {
 	distDirty bool
 
 	// Per-round scratch, reused across rounds to keep the barrier loop
-	// allocation-free. The WaitGroup lives here rather than on RunUntil's
-	// stack because the worker closures capture it, which would otherwise
-	// heap-allocate it once per RunUntil call.
+	// allocation-free.
 	next     []Time
 	runnable []window
-	wg       sync.WaitGroup
 
 	// critPath accumulates, over all barrier rounds, the largest number
 	// of work items any single shard executed in that round: the length
@@ -73,7 +83,65 @@ type Group struct {
 	// flush, with no shard executing — with safe = the round's global
 	// lower bound on remaining work (see SetRoundHook).
 	roundHook func(safe Time)
+
+	// workers[i] runs shard i's window in parallel rounds; the scheduler
+	// goroutine runs the round's last window. The slots are built once;
+	// their goroutines run only while workersUp, from the first parallel
+	// round of a RunUntil until it returns.
+	workers   []roundWorker
+	workersUp bool
+
+	// bar is the round barrier, padded off the fields above: the
+	// scheduler writes critPath and the round scratch every round, and
+	// spinning workers must not see those writes as barrier traffic.
+	bar roundBarrier
 }
+
+// cacheLinePad fills a cache line, so the words on either side of it
+// never share one.
+type cacheLinePad struct{ _ [64]byte }
+
+// roundBarrier is the parallel rounds' sense-reversing barrier. The
+// scheduler bumps epoch to release the workers into a round (or to stop
+// them) and waits until pending, the number of released workers not yet
+// done, reaches zero. Each word sits alone on its cache line: workers
+// poll epoch while the scheduler polls pending.
+type roundBarrier struct {
+	_       cacheLinePad
+	epoch   atomic.Uint64
+	_       cacheLinePad
+	pending atomic.Int64
+	_       cacheLinePad
+}
+
+// roundWorker is one round worker's slot. The scheduler writes cap and
+// deadline, then stores the round's epoch in task; the worker reads
+// them only after it sees task equal the epoch it was released at, and
+// the scheduler writes them again only after the worker's pending
+// decrement.
+type roundWorker struct {
+	e             *Engine
+	cap, deadline Time
+	task          atomic.Uint64 // epoch of the worker's latest round, or stopTask
+	parked        atomic.Bool   // the worker is blocked, or about to block, on wake
+	wake          chan struct{} // one token per park; capacity 1
+	exited        bool          // the goroutine unwound; set before its last pending decrement
+	_             cacheLinePad
+}
+
+// stopTask in a worker's task word tells it to exit.
+const stopTask = ^uint64(0)
+
+// A barrier wait polls its word, handing the thread to other goroutines
+// every spinYield polls so that GOMAXPROCS=1 still makes progress. A
+// worker that has polled spinPark times without a new round parks on
+// its wake channel: long enough to span the scheduler's barrier work
+// between back-to-back heavy rounds, short enough that a stretch of
+// light inline rounds does not keep a core spinning.
+const (
+	spinYield = 32
+	spinPark  = 1 << 12
+)
 
 // infTime is an effectively infinite timestamp (far beyond any workload,
 // still safe to add channel delays to without overflow).
@@ -81,10 +149,13 @@ const infTime = Time(1) << 60
 
 // seqRoundWork is the adaptive-round threshold: when the previous round's
 // heaviest shard executed fewer work items than this, the next round runs
-// its windows inline on the scheduler goroutine instead of spawning
-// workers. Spawning plus barrier wake-ups costs a few microseconds; a
-// round this light finishes faster than the spawn, and fine-grained
-// phases (lockstep barriers, drain tails) hit this continuously.
+// its windows inline on the scheduler goroutine instead of releasing the
+// round workers. Even with workers already spinning, a hand-off costs
+// cache-line transfers both ways and often a wake-up; a round this light
+// finishes faster than that, and fine-grained phases (lockstep barriers,
+// drain tails) hit this continuously. Releasing the workers for every
+// round instead roughly halved 2-shard torus-rpc throughput (EXPERIMENTS.md,
+// "Persistent round workers").
 const seqRoundWork = 64
 
 // NewGroup returns a group of `shards` engines. Shard i's random source
@@ -204,6 +275,7 @@ func (g *Group) RunUntil(deadline Time) error {
 	for _, e := range g.engines {
 		e.stopped = false
 	}
+	defer g.stopWorkers()
 	if g.distDirty || g.dist == nil {
 		g.rebuildDist()
 	}
@@ -276,24 +348,7 @@ func (g *Group) RunUntil(deadline Time) error {
 				g.runShielded(w.e, w.cap, deadline)
 			}
 		} else {
-			// Run all but one window on worker goroutines and the last on
-			// this goroutine: it saves a spawn.
-			for _, w := range runnable[:len(runnable)-1] {
-				g.wg.Add(1)
-				//tgvet:allow shardlocal(the round scheduler itself: workers run disjoint shards and join at the barrier before any state is shared)
-				go func(e *Engine, cap Time) {
-					defer g.wg.Done()
-					defer func() {
-						if r := recover(); r != nil {
-							e.fail("event", r)
-						}
-					}()
-					e.runWindow(cap, deadline)
-				}(w.e, w.cap)
-			}
-			last := runnable[len(runnable)-1]
-			g.runShielded(last.e, last.cap, deadline)
-			g.wg.Wait()
+			g.runParallel(runnable, deadline)
 		}
 		var maxDelta uint64
 		for _, w := range runnable {
@@ -327,8 +382,148 @@ func (g *Group) RunUntil(deadline Time) error {
 	return nil
 }
 
-// runShielded runs one shard's window on the scheduler goroutine with the
-// same panic-to-failure conversion the worker goroutines apply.
+// runParallel runs one round's windows in parallel: every window but
+// the last on its shard's round worker, the last on this goroutine.
+func (g *Group) runParallel(runnable []window, deadline Time) {
+	if !g.workersUp {
+		g.startWorkers()
+	}
+	par, last := runnable[:len(runnable)-1], runnable[len(runnable)-1]
+	ep := g.bar.epoch.Load() + 1
+	g.bar.pending.Store(int64(len(par)))
+	for _, w := range par {
+		wk := &g.workers[w.e.shard]
+		wk.cap, wk.deadline = w.cap, deadline
+		wk.task.Store(ep)
+	}
+	g.bar.epoch.Store(ep)
+	for _, w := range par {
+		g.unpark(&g.workers[w.e.shard])
+	}
+	g.runShielded(last.e, last.cap, deadline)
+	g.awaitWorkers()
+}
+
+// startWorkers launches one round worker per shard but the last.
+func (g *Group) startWorkers() {
+	if g.workers == nil {
+		g.workers = make([]roundWorker, len(g.engines)-1)
+		for i := range g.workers {
+			g.workers[i].e = g.engines[i]
+			g.workers[i].wake = make(chan struct{}, 1)
+		}
+	}
+	seen := g.bar.epoch.Load()
+	for i := range g.workers {
+		w := &g.workers[i]
+		w.exited = false
+		w.task.Store(0) // clear the last call's stopTask; epochs start above 0
+		//tgvet:allow shardlocal(the round worker: it runs only its own shard's windows, each between two barrier epochs, so no two runners share state)
+		go g.work(w, seen)
+	}
+	g.workersUp = true
+}
+
+// stopWorkers ends the round workers, if running, before RunUntil
+// returns. It first waits out a round still in flight (runtime.Goexit
+// can unwind the scheduler out of its own window), then hands every
+// live worker the stop task and waits until each has exited. A worker
+// that runtime.Goexit already unwound is not waited for.
+func (g *Group) stopWorkers() {
+	if !g.workersUp {
+		return
+	}
+	g.awaitWorkers()
+	live := 0
+	for i := range g.workers {
+		if w := &g.workers[i]; !w.exited {
+			w.task.Store(stopTask)
+			live++
+		}
+	}
+	g.bar.pending.Store(int64(live))
+	g.bar.epoch.Add(1)
+	for i := range g.workers {
+		g.unpark(&g.workers[i])
+	}
+	g.awaitWorkers()
+	g.workersUp = false
+}
+
+// work is a round worker's loop: wait for the epoch to move, run the
+// shard's window if the new round has one for it, report done, repeat
+// until the stop task. A runtime.Goexit from the window (say, t.FailNow
+// in a process) unwinds the goroutine; the deferred handler records it
+// as the shard's failure, so the run ends at this barrier, and still
+// reports the window done.
+func (g *Group) work(w *roundWorker, seen uint64) {
+	stopped := false
+	defer func() {
+		if !stopped {
+			w.e.fail("event", "runtime.Goexit on a round worker")
+		}
+		w.exited = true
+		g.bar.pending.Add(-1)
+	}()
+	for {
+		seen = g.awaitEpoch(w, seen)
+		switch w.task.Load() {
+		case stopTask:
+			stopped = true
+			return
+		case seen:
+			g.runShielded(w.e, w.cap, w.deadline)
+			g.bar.pending.Add(-1)
+		}
+	}
+}
+
+// awaitEpoch returns the barrier epoch once it differs from seen:
+// polling first, then parked on w.wake. The park is a flag handshake
+// with unpark that loses no wake-up: the worker sets parked before its
+// last look at the epoch, and the scheduler bumps the epoch before it
+// looks at parked, so at least one of them sees the other's write. A
+// wake-up can be late: a scheduler descheduled between its look at
+// parked and its claim can claim the worker's next park, after the
+// worker has run the round by itself. So a wake-up only ends the park,
+// and the loop looks at the epoch again.
+func (g *Group) awaitEpoch(w *roundWorker, seen uint64) uint64 {
+	for i := 1; ; i++ {
+		if ep := g.bar.epoch.Load(); ep != seen {
+			return ep
+		}
+		if i%spinYield == 0 {
+			runtime.Gosched()
+		}
+		if i%spinPark == 0 {
+			w.parked.Store(true)
+			// Block unless the epoch has already moved and the
+			// scheduler has not claimed the park (and sent a token).
+			if g.bar.epoch.Load() == seen || !w.parked.CompareAndSwap(true, false) {
+				<-w.wake
+			}
+		}
+	}
+}
+
+// unpark wakes w if it is parked. Call it after bumping the epoch.
+func (g *Group) unpark(w *roundWorker) {
+	if w.parked.Load() && w.parked.CompareAndSwap(true, false) {
+		w.wake <- struct{}{}
+	}
+}
+
+// awaitWorkers polls until every released worker has reported done.
+func (g *Group) awaitWorkers() {
+	for i := 1; g.bar.pending.Load() != 0; i++ {
+		if i%spinYield == 0 {
+			runtime.Gosched()
+		}
+	}
+}
+
+// runShielded runs one shard's window, turning a panic into the shard's
+// recorded failure.
 func (g *Group) runShielded(e *Engine, cap, deadline Time) {
 	defer func() {
 		if r := recover(); r != nil {

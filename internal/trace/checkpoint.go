@@ -110,7 +110,14 @@ func (c *Checkpoint) Encode(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadCheckpoint decodes a TGC1 checkpoint.
+// ckptPrealloc caps the capacity ReadCheckpoint reserves from a count
+// the input declares: the slices grow past it only as records actually
+// arrive, so a corrupt count cannot make the reader allocate more than
+// the input's own size warrants.
+const ckptPrealloc = 1 << 10
+
+// ReadCheckpoint decodes a TGC1 checkpoint. The input must end where the
+// checkpoint does: trailing bytes are an error.
 func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	br := bufio.NewReader(r)
 	var m [4]byte
@@ -133,11 +140,11 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 		Merged:  get64(hdr[8:]),
 		LastAt:  int64(get64(hdr[16:])),
 		Spilled: get64(hdr[24:]),
-		Windows: make([][]Event, nodes),
+		Windows: make([][]Event, 0, min(nodes, ckptPrealloc)),
 	}
 	var cnt [8]byte
 	var rec [spillRecSize]byte
-	for i := range c.Windows {
+	for i := uint64(0); i < nodes; i++ {
 		if _, err := io.ReadFull(br, cnt[:]); err != nil {
 			return nil, fmt.Errorf("trace: checkpoint: truncated window count (node %d)", i)
 		}
@@ -145,14 +152,20 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 		if n > 1<<32 {
 			return nil, fmt.Errorf("trace: checkpoint: implausible window length %d (node %d)", n, i)
 		}
-		evs := make([]Event, 0, n)
+		evs := make([]Event, 0, min(n, ckptPrealloc))
 		for j := uint64(0); j < n; j++ {
 			if _, err := io.ReadFull(br, rec[:]); err != nil {
 				return nil, fmt.Errorf("trace: checkpoint: truncated record (node %d)", i)
 			}
 			evs = append(evs, decodeEvent(rec[:]))
 		}
-		c.Windows[i] = evs
+		c.Windows = append(c.Windows, evs)
+	}
+	switch _, err := br.ReadByte(); {
+	case err == nil:
+		return nil, fmt.Errorf("trace: checkpoint: trailing data after %d windows", nodes)
+	case err != io.EOF:
+		return nil, fmt.Errorf("trace: checkpoint: %w", err)
 	}
 	return c, nil
 }

@@ -255,6 +255,53 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzCheckpoint fuzzes the TGC1 decoder: arbitrary input must never
+// panic or allocate what a declared count asks for before the records
+// arrive, and any checkpoint that decodes cleanly must re-encode
+// byte-identically (the format has no redundancy).
+func FuzzCheckpoint(f *testing.F) {
+	w := NewWindowedLog(3, 8)
+	for n, s := range genStreams(sim.ForkRNG(2, "fuzz/checkpoint-seed"), 3, 6) {
+		rec := w.Recorder(n)
+		for _, e := range s {
+			rec(e)
+		}
+	}
+	if _, err := w.Drain(5); err != nil {
+		f.Fatal(err)
+	}
+	var seed bytes.Buffer
+	if err := w.Checkpoint().Encode(&seed); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes())
+	f.Add([]byte{})
+	f.Add([]byte("TGC1"))
+	f.Add(append([]byte("TGC1"), make([]byte, 40)...))
+	// A header that declares 2^20 nodes, and one node declaring a 2^32-record
+	// window, with no records behind either count.
+	huge := append([]byte("TGC1"), make([]byte, 40)...)
+	huge[4+32+2] = 0x10
+	f.Add(huge)
+	one := append([]byte("TGC1"), make([]byte, 48)...)
+	one[4+32] = 1
+	one[4+40+4] = 1
+	f.Add(one)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := ReadCheckpoint(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := c.Encode(&out); err != nil {
+			t.Fatalf("clean decode re-encode rejected: %v", err)
+		}
+		if !bytes.Equal(out.Bytes(), data) {
+			t.Fatalf("re-encode of %d windows is not byte-identical", len(c.Windows))
+		}
+	})
+}
+
 func TestCheckpointRejectsCorrupt(t *testing.T) {
 	if _, err := ReadCheckpoint(bytes.NewReader([]byte("XXXX"))); err == nil {
 		t.Fatal("bad magic accepted")
@@ -271,5 +318,8 @@ func TestCheckpointRejectsCorrupt(t *testing.T) {
 		if _, err := ReadCheckpoint(bytes.NewReader(buf.Bytes()[:cut])); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
+	}
+	if _, err := ReadCheckpoint(bytes.NewReader(append(buf.Bytes(), 0))); err == nil {
+		t.Fatal("trailing byte accepted")
 	}
 }

@@ -34,6 +34,9 @@ go test -race ./...
 echo '== shard determinism (-cpu 1,4)'
 go test ./internal/simtest -run TestShardInvariantTraceHash -cpu 1,4 -count 1
 go test ./internal/experiments -run TestExperimentsShardInvariant -cpu 1,4 -count 1
+# The round workers' spin-then-park barrier and their lifecycle, with
+# every worker packed onto one OS thread and spread across four.
+go test ./internal/sim -run 'TestProc|TestGroup' -cpu 1,4 -count 1
 
 # Hot-path allocation budgets: schedule/fire/recycle and Chan.Send must
 # stay at zero allocations per event in steady state, and so must the
