@@ -54,9 +54,13 @@ bench:
 	$(GO) run ./cmd/tgbench
 	$(GO) run ./cmd/tgbench -pdes -out BENCH_pdes.json
 
-# Short fuzz pass over the wire-format, trace-file and address-space targets.
+# Short fuzz pass over the wire-format, trace-file and address-space
+# targets; FuzzSpill (TGE1 reader) and FuzzDecode (packet decoder) take
+# untrusted bytes.
 fuzz:
+	$(GO) test ./internal/trace -fuzz FuzzSpill -fuzztime 10s
 	$(GO) test ./internal/trace -fuzz FuzzCheckpoint -fuzztime 10s
+	$(GO) test ./internal/packet -fuzz FuzzDecode -fuzztime 10s
 	$(GO) test ./internal/packet -fuzz FuzzEncodeDecode -fuzztime 10s
 	$(GO) test ./internal/addrspace -fuzz FuzzAddrRoundTrips -fuzztime 10s
 	$(GO) test ./internal/linearize -fuzz FuzzLinearize -fuzztime 15s

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 
 	"telegraphos/internal/addrspace"
 	"telegraphos/internal/coherence"
@@ -63,15 +64,26 @@ func events(args []string) {
 		fatal(err)
 	}
 	defer f.Close()
-	sr, err := trace.NewSpillReader(f)
+	if err := dumpEvents(os.Stdout, f, *n); err != nil {
+		fatal(fmt.Errorf("%s: %w", fs.Arg(0), err))
+	}
+}
+
+// dumpEvents reads a TGE1 stream from r and writes the events summary
+// to out: the first n records, the event count and time span, the
+// fingerprint, and one line per event kind and per node present, each
+// table sorted by key.
+func dumpEvents(out io.Writer, r io.Reader, n int) error {
+	sr, err := trace.NewSpillReader(r)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	var (
 		total   int
 		hash    = trace.HashInit
-		byKind  = make(map[trace.EventKind]int)
+		byKind  [256]int // EventKind is a byte
 		byNode  = make(map[int]int)
+		nodes   []int // keys of byNode
 		lastAt  int64
 		firstAt int64
 	)
@@ -81,33 +93,34 @@ func events(args []string) {
 			break
 		}
 		if err != nil {
-			fatal(fmt.Errorf("%s: record %d: %w", fs.Arg(0), total, err))
+			return fmt.Errorf("record %d: %w", total, err)
 		}
 		if total == 0 {
 			firstAt = e.At
 		}
-		if *n > 0 && total < *n {
-			fmt.Println(e.String())
+		if total < n {
+			fmt.Fprintln(out, e.String())
 		}
 		hash = trace.FoldHash(hash, e)
 		byKind[e.Kind]++
+		if byNode[e.Node] == 0 {
+			nodes = append(nodes, e.Node)
+		}
 		byNode[e.Node]++
 		lastAt = e.At
 		total++
 	}
-	fmt.Printf("events:  %d (t=%d..%d)\nhash:    %#016x\n", total, firstAt, lastAt, hash)
-	for k := trace.EventKind(0); k < 64; k++ {
-		if byKind[k] > 0 {
-			fmt.Printf("  %-18s %d\n", k.String(), byKind[k])
+	fmt.Fprintf(out, "events:  %d (t=%d..%d)\nhash:    %#016x\n", total, firstAt, lastAt, hash)
+	for k, c := range byKind {
+		if c > 0 {
+			fmt.Fprintf(out, "  %-18s %d\n", trace.EventKind(k).String(), c)
 		}
 	}
-	printed := 0
-	for node := 0; printed < len(byNode) && node < 1<<20; node++ {
-		if c, ok := byNode[node]; ok {
-			fmt.Printf("  node%-14d %d\n", node, c)
-			printed++
-		}
+	sort.Ints(nodes)
+	for _, node := range nodes {
+		fmt.Fprintf(out, "  node%-14d %d\n", node, byNode[node])
 	}
+	return nil
 }
 
 func gen(args []string) {

@@ -16,10 +16,6 @@ func installWindowed(h *hib.HIB, w *trace.WindowedLog, i int) {
 	h.SetRecorder(w.Recorder(i))
 }
 
-func installSharded(h *hib.HIB, s *trace.ShardedLog, i int) {
-	h.SetRecorder(s.Recorder(i))
-}
-
 // An ad-hoc closure: events it swallows never reach the merged stream.
 func installRaw(h *hib.HIB) {
 	h.SetRecorder(func(trace.Event) {}) // want "not built from a trace recorder"
@@ -31,9 +27,9 @@ func installNil(h *hib.HIB) {
 }
 
 // A tee is legitimate when declared.
-func installTee(h *hib.HIB, w *trace.WindowedLog, s *trace.ShardedLog, i int) {
-	stream, tee := w.Recorder(i), s.Recorder(i)
-	//tgvet:allow tracesink(differential tee: forwards every event to both the streaming ring and the legacy log)
+func installTee(h *hib.HIB, w, w2 *trace.WindowedLog, i int) {
+	stream, tee := w.Recorder(i), w2.Recorder(i)
+	//tgvet:allow tracesink(declared tee: forwards every event to two recorders)
 	h.SetRecorder(func(e trace.Event) { stream(e); tee(e) })
 }
 

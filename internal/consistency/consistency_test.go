@@ -154,3 +154,82 @@ func TestInterleavedDuplicatesAcrossNodes(t *testing.T) {
 		t.Fatalf("kind = %q, want duplicate-apply", v.Kind)
 	}
 }
+
+// TestCheckCoherentShapes pins the checker and the brute-force oracle
+// on canonical shapes, including the two that need the transitive
+// closure of adjacent-pair edges: a sparse history over a long chain
+// (consistent) and a cycle through a diamond (inconsistent).
+func TestCheckCoherentShapes(t *testing.T) {
+	cases := []struct {
+		name string
+		h    map[string][]uint64
+		want bool
+	}{
+		{"empty", map[string][]uint64{}, true},
+		{"single", map[string][]uint64{"a": {1, 2, 3}}, true},
+		{"subsequences", map[string][]uint64{"a": {1, 2, 3}, "b": {1, 3}, "c": {2, 3}}, true},
+		{"two-cycle", map[string][]uint64{"a": {1, 2}, "b": {2, 1}}, false},
+		{"aba", map[string][]uint64{"a": {1, 2, 1}}, false},
+		{"three-cycle", map[string][]uint64{"a": {1, 2}, "b": {2, 3}, "c": {3, 1}}, false},
+		{"long-chain", map[string][]uint64{"a": {1, 2, 3, 4, 5}, "b": {2, 4}, "c": {1, 5}}, true},
+		{"diamond-cycle", map[string][]uint64{"a": {1, 2, 4}, "b": {1, 3, 4}, "c": {4, 1}}, false},
+		{"repeated-edges", map[string][]uint64{"a": {1, 2, 3}, "b": {1, 2, 3}, "c": {1, 2, 3}, "d": {2, 3}}, true},
+	}
+	for _, tc := range cases {
+		if got := CheckCoherent(tc.h) == nil; got != tc.want {
+			t.Errorf("%s: CheckCoherent = %v, want %v", tc.name, got, tc.want)
+		}
+		if got := BruteCheckCoherent(tc.h); got != tc.want {
+			t.Errorf("%s: brute = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestCheckCoherentDeterministicDetail: the violation text must not
+// depend on map iteration order — the chaos tools print it, and two
+// runs of the same seed must print the same thing.
+func TestCheckCoherentDeterministicDetail(t *testing.T) {
+	for _, h := range []map[string][]uint64{
+		{"node0": {1, 2, 3, 4, 5, 6}, "node1": {6, 5, 4, 3, 2, 1}},
+		{"node2": {7, 1, 7}, "node0": {3, 4, 3}, "node1": {5, 6, 5}},
+		{"c": {3, 1}, "a": {1, 2}, "b": {2, 3}, "d": {9, 8}, "e": {8, 9}},
+	} {
+		msgs := make(map[string]bool)
+		for i := 0; i < 200; i++ {
+			err := CheckCoherent(h)
+			if err == nil {
+				t.Fatalf("%v accepted", h)
+			}
+			msgs[err.Error()] = true
+		}
+		if len(msgs) != 1 {
+			t.Errorf("%v: %d distinct violation messages in 200 calls, want 1", h, len(msgs))
+		}
+	}
+	err := CheckCoherent(map[string][]uint64{"node0": {1, 2, 3, 4, 5, 6}, "node1": {6, 5, 4, 3, 2, 1}})
+	want := "coherence violation (ordering-cycle): values [5 6] admit no total order (each is observed before the next, and 6 before 5)"
+	if err.Error() != want {
+		t.Errorf("got %q\nwant %q", err, want)
+	}
+}
+
+// TestCheckCoherentLongHistories: histories far past the brute-force
+// range stay cheap (adjacent-pair edges, not all pairs) and a single
+// inverted pair deep inside them is still found.
+func TestCheckCoherentLongHistories(t *testing.T) {
+	const n = 20000
+	a := make([]uint64, n)
+	for i := range a {
+		a[i] = uint64(i + 1)
+	}
+	b := append([]uint64(nil), a...)
+	if err := CheckCoherent(map[string][]uint64{"a": a, "b": b}); err != nil {
+		t.Fatalf("identical long histories rejected: %v", err)
+	}
+	b[n/2], b[n/2+1] = b[n/2+1], b[n/2]
+	err := CheckCoherent(map[string][]uint64{"a": a, "b": b})
+	var v *Violation
+	if !errors.As(err, &v) || v.Kind != "ordering-cycle" {
+		t.Fatalf("inverted pair in long histories: got %v", err)
+	}
+}

@@ -195,10 +195,10 @@ func TestNonSharedFaultStaysFatal(t *testing.T) {
 // that the history builder keeps them out of the linearizable history.
 func TestPageInBoundaryEvents(t *testing.T) {
 	c, d := setup(2)
-	slog := trace.NewShardedLog(2)
-	for i, n := range c.Nodes {
-		n.HIB.SetRecorder(slog.Recorder(i))
-	}
+	w := trace.NewWindowedLog(2, 0)
+	log := trace.NewEventLog()
+	w.AddSink(log)
+	c.AttachTrace(w)
 	x := c.AllocShared(0, 8)
 	c.Nodes[0].Mem.WriteWord(c.SharedOffset(x), 5)
 	d.SharePage(x)
@@ -209,7 +209,8 @@ func TestPageInBoundaryEvents(t *testing.T) {
 	if err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
-	events := slog.Merge().Events()
+	w.DrainAll()
+	events := log.Events()
 	invokes, returns := 0, 0
 	for _, e := range events {
 		if e.Kind != trace.EvOpInvoke && e.Kind != trace.EvOpReturn {

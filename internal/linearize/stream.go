@@ -3,6 +3,7 @@ package linearize
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"telegraphos/internal/trace"
 )
@@ -198,6 +199,30 @@ func (o *Online) Err() error {
 		return o.fences.vios[0]
 	}
 	return nil
+}
+
+// AgreesWithBatch is the differential oracle for the online checker:
+// it rebuilds the history from events — the complete stream this
+// checker consumed, in canonical order — runs the batch checkers
+// (FromTrace, then CheckLocs under the same location restriction, and
+// CheckFences), and returns an error naming each verdict that differs
+// from this checker's, nil if both verdicts agree. Call after Finish.
+// It costs O(history), so tests use it, not production runs.
+func (o *Online) AgreesWithBatch(events []trace.Event) error {
+	h := FromTrace(events)
+	var diffs []string
+	if lin := CheckLocs(h, o.restrict); (lin == nil) != (len(o.vios) == 0) {
+		diffs = append(diffs, fmt.Sprintf("online linearizability verdict (%d violations) disagrees with batch (%v)",
+			len(o.vios), lin))
+	}
+	if fence := CheckFences(h); (fence == nil) != (len(o.fences.vios) == 0) {
+		diffs = append(diffs, fmt.Sprintf("online fence verdict (%d violations) disagrees with batch (%v)",
+			len(o.fences.vios), fence))
+	}
+	if len(diffs) == 0 {
+		return nil
+	}
+	return fmt.Errorf("linearize: %s", strings.Join(diffs, "; "))
 }
 
 // OnlineStats is a snapshot of the checker's workload counters.

@@ -109,30 +109,15 @@ func feedOnline(evs []trace.Event, cadence int, locs map[uint64]bool) *Online {
 	return o
 }
 
-// batchVerdicts runs the legacy pipeline over the same stream.
-func batchVerdicts(evs []trace.Event, locs map[uint64]bool) (linOK, fenceOK bool) {
-	h := FromTrace(evs)
-	return CheckLocs(h, locs) == nil, CheckFences(h) == nil
-}
-
 // requireAgreement feeds the stream at several drain cadences and
-// demands every online verdict match the batch checker's.
+// demands every online verdict match the batch checkers'.
 func requireAgreement(t *testing.T, evs []trace.Event, locs map[uint64]bool, label string) {
 	t.Helper()
-	wantLin, wantFence := batchVerdicts(evs, locs)
 	for _, cadence := range []int{0, 1, 3, 16, 128} {
 		o := feedOnline(evs, cadence, locs)
-		if gotLin := len(o.Violations()) == 0; gotLin != wantLin {
-			t.Errorf("%s cadence=%d: online linearizability %v, batch %v\nonline: %v",
-				label, cadence, gotLin, wantLin, o.Violations())
-		}
-		if gotFence := len(o.FenceViolations()) == 0; gotFence != wantFence {
-			t.Errorf("%s cadence=%d: online fence verdict %v, batch %v\nonline: %v",
-				label, cadence, gotFence, wantFence, o.FenceViolations())
-		}
-		if (o.Err() == nil) != (wantLin && wantFence) {
-			t.Errorf("%s cadence=%d: Err()=%v inconsistent with batch (%v, %v)",
-				label, cadence, o.Err(), wantLin, wantFence)
+		if err := o.AgreesWithBatch(evs); err != nil {
+			t.Errorf("%s cadence=%d: %v\nonline: %v %v",
+				label, cadence, err, o.Violations(), o.FenceViolations())
 		}
 	}
 }

@@ -21,14 +21,12 @@ func TestDbgDump(t *testing.T) {
 	}
 	proto, _ := strconv.Atoi(os.Getenv("LITMUS_DBG_PROTO"))
 	variant, _ := strconv.Atoi(os.Getenv("LITMUS_DBG_VARIANT"))
-	debugEvents = func(evs []trace.Event) {
-		for _, e := range evs {
-			fmt.Printf("%8d n%d %-16v addr=%#x val=%#x aux=%#x\n", e.At, e.Node, e.Kind, e.Addr, e.Val, e.Aux)
-		}
-	}
-	defer func() { debugEvents = nil }()
 	lt := findTest(t, name)
-	rr := Run(lt, Config{Protocol: Protocol(proto), Shards: 1, Seed: 11, Variant: variant})
+	log := trace.NewEventLog()
+	rr, _ := run(lt, Config{Protocol: Protocol(proto), Shards: 1, Seed: 11, Variant: variant}, log)
+	for _, e := range log.Events() {
+		fmt.Printf("%8d n%d %-16v addr=%#x val=%#x aux=%#x\n", e.At, e.Node, e.Kind, e.Addr, e.Val, e.Aux)
+	}
 	fmt.Printf("outcome: [%v]  forbidden=%v witnessed=%v\nviolations: %v\n",
 		rr.Outcome, rr.Forbidden, rr.Witnessed, rr.Violations)
 }

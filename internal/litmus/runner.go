@@ -76,11 +76,6 @@ type Config struct {
 	// big fabric instead of adjacent host ports. Zero keeps the minimal
 	// machine.
 	Nodes int
-	// Compare additionally records the legacy batch trace and runs the
-	// batch checkers, appending a violation on any disagreement with the
-	// streaming pipeline — fingerprint, event count, linearizability or
-	// fence verdict (the differential oracle; costs O(events) memory).
-	Compare bool
 }
 
 // RunResult is one run's verdict.
@@ -109,6 +104,13 @@ const ldIters = 400
 
 // Run executes one litmus test under cfg.
 func Run(t *Test, cfg Config) *RunResult {
+	res, _ := run(t, cfg, nil)
+	return res
+}
+
+// run is Run with one extra sink, tap (nil for none), attached to the
+// merged stream beside the online checker, which it also returns.
+func run(t *Test, cfg Config, tap trace.Sink) (*RunResult, *linearize.Online) {
 	nThreads := len(t.Threads)
 	homeRole := nThreads // first passive role (plain homes / coherent owner)
 	nRoles := nThreads
@@ -149,27 +151,14 @@ func Run(t *Test, cfg Config) *RunResult {
 	}
 
 	// Streaming trace pipeline: per-node rings drained at every safe
-	// watermark into the online checker; with Compare (or a debug tap)
-	// the legacy ShardedLog records alongside as the batch oracle.
+	// watermark into the online checker (and the tap).
 	w := trace.NewWindowedLog(nNodes, 0)
 	olz := linearize.NewOnline()
 	w.AddSink(olz)
-	var slog *trace.ShardedLog
-	if cfg.Compare || debugEvents != nil {
-		slog = trace.NewShardedLog(nNodes)
+	if tap != nil {
+		w.AddSink(tap)
 	}
-	for i, n := range c.Nodes {
-		rec := w.Recorder(i)
-		if slog != nil {
-			stream, tee := rec, slog.Recorder(i)
-			rec = func(e trace.Event) { stream(e); tee(e) }
-		}
-		//tgvet:allow tracesink(rec is the windowed ring recorder, optionally teed into the legacy log for the batch oracle)
-		n.HIB.SetRecorder(rec)
-	}
-	c.Group.SetRoundHook(core.DefaultDrainEvery, func(safe sim.Time) {
-		w.Drain(int64(safe))
-	})
+	c.AttachTrace(w)
 
 	// Locations. Plain: one word on its own passive home each (distinct
 	// homes keep store paths independent — the relaxations the tests
@@ -309,24 +298,17 @@ func Run(t *Test, cfg Config) *RunResult {
 	err := c.RunUntil(budget)
 	w.DrainAll()
 	olz.Finish()
-	var merged *trace.EventLog
-	if slog != nil {
-		merged = slog.Merge()
-		if debugEvents != nil {
-			debugEvents(merged.Events())
-		}
-	}
 	res.TraceHash = w.Hash()
 	res.Events = int(w.Merged())
 
 	switch {
 	case err != nil:
 		res.Violations = append(res.Violations, fmt.Sprintf("quiescence: engine error: %v", err))
-		return res
+		return res, olz
 	case c.Group.Pending() > 0 || c.Group.Alive() > 0:
 		res.Violations = append(res.Violations,
 			fmt.Sprintf("quiescence: still active at the %v budget", budget))
-		return res
+		return res, olz
 	}
 
 	// Outcome: registers, authoritative final values, watched sequence.
@@ -358,9 +340,6 @@ func Run(t *Test, cfg Config) *RunResult {
 	for _, v := range olz.FenceViolations() {
 		res.Violations = append(res.Violations, v.Error())
 	}
-	if cfg.Compare {
-		res.Violations = append(res.Violations, compareBatch(w, olz, merged, locs)...)
-	}
 	if t.Region == Coherent && upd != nil {
 		res.Violations = append(res.Violations, checkCoherentPage(t, c, upd, locVA, homeNode)...)
 	}
@@ -368,34 +347,7 @@ func Run(t *Test, cfg Config) *RunResult {
 		res.Violations = append(res.Violations,
 			fmt.Sprintf("forbidden outcome under %v: %v", cfg.Protocol, res.Outcome))
 	}
-	return res
-}
-
-// compareBatch is the Config.Compare oracle: the retained legacy trace,
-// pushed through the batch pipeline (merge → FromTrace → CheckLocs →
-// CheckFences), must agree with the streaming pipeline on fingerprint,
-// event count, and both verdicts.
-func compareBatch(w *trace.WindowedLog, olz *linearize.Online, merged *trace.EventLog, locs map[uint64]bool) []string {
-	var out []string
-	if merged.Hash() != w.Hash() || merged.Len() != int(w.Merged()) {
-		out = append(out, fmt.Sprintf(
-			"stream-equivalence: streaming merge (hash %#x, %d events) != batch merge (hash %#x, %d events)",
-			w.Hash(), w.Merged(), merged.Hash(), merged.Len()))
-	}
-	hist := linearize.FromTrace(merged.Events())
-	batchLin := linearize.CheckLocs(hist, locs)
-	if (batchLin == nil) != (len(olz.Violations()) == 0) {
-		out = append(out, fmt.Sprintf(
-			"stream-equivalence: online linearizability verdict (%d violations) disagrees with batch (%v)",
-			len(olz.Violations()), batchLin))
-	}
-	batchFence := linearize.CheckFences(hist)
-	if (batchFence == nil) != (len(olz.FenceViolations()) == 0) {
-		out = append(out, fmt.Sprintf(
-			"stream-equivalence: online fence verdict (%d violations) disagrees with batch (%v)",
-			len(olz.FenceViolations()), batchFence))
-	}
-	return out
+	return res, olz
 }
 
 // checkCoherentPage validates the update protocol's page after
@@ -413,27 +365,13 @@ func checkCoherentPage(t *Test, c *core.Cluster, upd *coherence.Update,
 					"coherence-convergence: loc %d replica on node %d holds %#x, owner holds %#x", l, i, v, ownerV))
 			}
 		}
-		// Stream the per-node applied-value histories through the online
-		// constraint-graph checker, round-robin, as the applies landed.
-		oc := consistency.NewOnline()
-		for depth := 0; ; depth++ {
-			progressed := false
-			for i := range c.Nodes {
-				if vals := upd.Mgr(i).AppliedValues(off); depth < len(vals) {
-					oc.Observe(fmt.Sprintf("node%d", i), vals[depth])
-					progressed = true
-				}
-			}
-			if !progressed {
-				break
-			}
+		hists := make(map[string][]uint64, len(c.Nodes))
+		for i := range c.Nodes {
+			hists[fmt.Sprintf("node%d", i)] = upd.Mgr(i).AppliedValues(off)
 		}
-		if err := oc.Err(); err != nil {
+		if err := consistency.CheckCoherent(hists); err != nil {
 			out = append(out, fmt.Sprintf("coherence-order: loc %d: %v", l, err))
 		}
 	}
 	return out
 }
-
-// debugEvents, when set by a test, receives each run's merged trace.
-var debugEvents func([]trace.Event)

@@ -154,7 +154,7 @@ func TestGroupRelayLookahead(t *testing.T) {
 // four stations ping-ponging timestamped work — produces the same
 // canonical event stream on 1, 2, and 4 shards. Each station logs only
 // from its own shard; the per-station streams are merged by (time,
-// station), mirroring how trace.ShardedLog defines the canonical order.
+// station), mirroring the canonical (At, Node) order of trace.WindowedLog.
 func TestGroupDeterministicAcrossShardCounts(t *testing.T) {
 	type entry struct {
 		at      int64

@@ -5,7 +5,6 @@ import (
 
 	"telegraphos/internal/addrspace"
 	"telegraphos/internal/consistency"
-	"telegraphos/internal/linearize"
 	"telegraphos/internal/trace"
 )
 
@@ -125,32 +124,6 @@ func (h *harness) checkLinearizable(vs *[]Violation) {
 	}
 }
 
-// checkAgainstBatch is the differential oracle (Options.BatchTee): the
-// legacy batch pipeline — ShardedLog merge, FromTrace, CheckLocs,
-// CheckFences over the retained trace — must agree with the streaming
-// pipeline on the fingerprint, the event count, and both verdicts.
-func (h *harness) checkAgainstBatch(vs *[]Violation) {
-	legacy := h.slog.Merge()
-	if legacy.Hash() != h.w.Hash() || legacy.Len() != int(h.w.Merged()) {
-		checkOne(vs, "stream-equivalence",
-			"streaming merge (hash %#x, %d events) != legacy batch merge (hash %#x, %d events)",
-			h.w.Hash(), h.w.Merged(), legacy.Hash(), legacy.Len())
-	}
-	hist := linearize.FromTrace(legacy.Events())
-	batchLin := linearize.CheckLocs(hist, h.locs)
-	if (batchLin == nil) != (len(h.olz.Violations()) == 0) {
-		checkOne(vs, "stream-equivalence",
-			"online linearizability verdict (%d violations) disagrees with batch (%v)",
-			len(h.olz.Violations()), batchLin)
-	}
-	batchFence := linearize.CheckFences(hist)
-	if (batchFence == nil) != (len(h.olz.FenceViolations()) == 0) {
-		checkOne(vs, "stream-equivalence",
-			"online fence verdict (%d violations) disagrees with batch (%v)",
-			len(h.olz.FenceViolations()), batchFence)
-	}
-}
-
 // checkDrain: after quiescence nothing may remain in flight — no
 // outstanding remote operations, no live pending-write counters, no
 // unacknowledged ARQ frames, no queued packets.
@@ -196,24 +169,11 @@ func (h *harness) checkCoherence(vs *[]Violation) {
 				"word %d: owner holds %#x but the last serialized write was %#x", w, ownerV, want)
 		}
 
-		// Incremental coherence: stream each replica's applied-value
-		// history through the online constraint-graph checker
-		// (verdict-equivalent to the batch CheckCoherent; the round-robin
-		// interleaving mirrors how applies actually land).
-		oc := consistency.NewOnline()
-		for i := 0; ; i++ {
-			progressed := false
-			for _, n := range h.sc.Copies {
-				if hist := h.u.Mgr(n).AppliedValues(off); i < len(hist) {
-					oc.Observe(fmt.Sprintf("node%d", n), hist[i])
-					progressed = true
-				}
-			}
-			if !progressed {
-				break
-			}
+		hists := make(map[string][]uint64, len(h.sc.Copies))
+		for _, n := range h.sc.Copies {
+			hists[fmt.Sprintf("node%d", n)] = h.u.Mgr(n).AppliedValues(off)
 		}
-		if err := oc.Err(); err != nil {
+		if err := consistency.CheckCoherent(hists); err != nil {
 			checkOne(vs, "coherence-order", "word %d: %v", w, err)
 		}
 	}

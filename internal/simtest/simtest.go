@@ -73,11 +73,6 @@ type Options struct {
 	// SpillPath, when non-empty, pages the canonical merged stream to this
 	// TGE1 file as the windows drain (offline replay via `tgtrace events`).
 	SpillPath string
-	// BatchTee additionally records into the legacy ShardedLog and runs
-	// the batch checkers at the end, comparing the streaming pipeline's
-	// hash, event count, and verdicts against them (the differential
-	// oracle; costs O(events) memory, so off by default).
-	BatchTee bool
 }
 
 // Scenario is the full derived description of one chaos run.
@@ -232,11 +227,19 @@ func Reproducer(seed int64) string {
 // invariant. The returned error is reserved for harness-level failures
 // (a process panic); semantic failures land in Result.Violations.
 func Run(seed int64, opts Options) (*Result, error) {
+	res, _ := run(seed, opts, nil)
+	return res, nil
+}
+
+// run is Run with one extra sink, tap (nil for none), attached to the
+// merged stream alongside the harness's own; it also returns the built
+// harness, so tests can inspect its online checker after the run.
+func run(seed int64, opts Options, tap trace.Sink) (*Result, *harness) {
 	sc := ScenarioFor(seed, opts)
 	if opts.OpsPerNode > 0 {
 		sc.OpsPerNode = opts.OpsPerNode
 	}
-	h := build(sc, opts)
+	h := build(sc, opts, tap)
 	res := &Result{Scenario: sc}
 
 	budget := opts.SimBudget
@@ -274,9 +277,6 @@ func Run(seed int64, opts Options) (*Result, error) {
 		// Only a quiesced run has meaningful final state to check.
 		res.Violations = append(res.Violations, h.checkInvariants()...)
 	}
-	if opts.BatchTee {
-		h.checkAgainstBatch(&res.Violations)
-	}
 
 	res.TraceHash = h.w.Hash()
 	res.Events = int(h.w.Merged())
@@ -291,7 +291,7 @@ func Run(seed int64, opts Options) (*Result, error) {
 	res.PeakResident = h.w.MaxResident()
 	res.PeakWindow = h.olz.Stats().PeakWindow
 	res.Checkpointed = h.checkpointed
-	return res, nil
+	return res, h
 }
 
 // harness is one built scenario: cluster, regions, and bookkeeping.
@@ -304,7 +304,7 @@ type harness struct {
 	acc  *streamAcc         // invariant accumulator (a trace.Sink)
 	olz  *linearize.Online  // windowed linearizability + fence checker
 	locs map[uint64]bool    // single-copy words the checker is limited to
-	slog *trace.ShardedLog  // legacy tee, only under Options.BatchTee
+	tap  trace.Sink         // extra sink from run, or nil
 	sp   *trace.SpillWriter // TGE1 spill, only under Options.SpillPath
 
 	checkpointed bool
@@ -343,16 +343,16 @@ type viewVA struct {
 const drainEvery = 1024
 
 // attachStream wires the streaming trace pipeline into the built
-// cluster: per-node ring recorders, the invariant accumulator and the
-// online checker as sinks on the merged stream, and a round hook that
-// drains at every safe watermark. Called once at the end of build.
+// cluster: per-node ring recorders, the invariant accumulator, the
+// online checker and the tap (if any) as sinks on the merged stream,
+// and a round hook that drains at every safe watermark. Called once at
+// the end of build.
 func (h *harness) attachStream() {
 	h.w = trace.NewWindowedLog(h.sc.Nodes, h.opts.TraceWindow)
 	h.acc = newStreamAcc(h)
 	h.olz = linearize.NewOnline()
 	h.olz.RestrictLocs(h.locs)
-	h.w.AddSink(h.acc)
-	h.w.AddSink(h.olz)
+	h.addSinks(h.w)
 	if h.opts.SpillPath != "" {
 		sp, err := trace.NewFileSpill(h.opts.SpillPath)
 		if err != nil {
@@ -363,9 +363,6 @@ func (h *harness) attachStream() {
 			h.w.SetSpill(sp)
 		}
 	}
-	if h.opts.BatchTee {
-		h.slog = trace.NewShardedLog(h.sc.Nodes)
-	}
 	h.installRecorders()
 	h.c.Group.SetRoundHook(drainEvery, func(safe sim.Time) {
 		h.w.Drain(int64(safe))
@@ -375,17 +372,20 @@ func (h *harness) attachStream() {
 	})
 }
 
+// addSinks attaches the harness's sinks to w, in a fixed order.
+func (h *harness) addSinks(w *trace.WindowedLog) {
+	w.AddSink(h.acc)
+	w.AddSink(h.olz)
+	if h.tap != nil {
+		w.AddSink(h.tap)
+	}
+}
+
 // installRecorders (re)points every HIB at the current windowed log —
 // called again after a checkpoint restore swaps the log out.
 func (h *harness) installRecorders() {
 	for i, n := range h.c.Nodes {
-		rec := h.w.Recorder(i)
-		if h.slog != nil {
-			stream, tee := rec, h.slog.Recorder(i)
-			rec = func(e trace.Event) { stream(e); tee(e) }
-		}
-		//tgvet:allow tracesink(rec is the windowed ring recorder, optionally teed into the legacy log under Options.BatchTee)
-		n.HIB.SetRecorder(rec)
+		n.HIB.SetRecorder(h.w.Recorder(i))
 	}
 }
 
@@ -409,8 +409,7 @@ func (h *harness) exerciseCheckpoint() {
 		return
 	}
 	w2 := trace.RestoreWindowedLog(cp, h.opts.TraceWindow)
-	w2.AddSink(h.acc)
-	w2.AddSink(h.olz)
+	h.addSinks(w2)
 	if h.sp != nil {
 		w2.SetSpill(h.sp) // the spill file continues where it left off
 	}

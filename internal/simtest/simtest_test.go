@@ -4,6 +4,8 @@ import (
 	"flag"
 	"strings"
 	"testing"
+
+	"telegraphos/internal/trace"
 )
 
 // seedFlag replays one specific scenario: the reproducer printed for any
@@ -142,16 +144,35 @@ func TestBrokenCoherenceCaught(t *testing.T) {
 	}
 }
 
-// TestStreamMatchesBatch is the pipeline differential: with the legacy
-// ShardedLog tee enabled, the streaming merge must reproduce the batch
-// merge's fingerprint and event count, and the online linearizability
-// and fence verdicts must agree with the batch checkers — across shard
-// counts (any disagreement surfaces as a stream-equivalence violation
-// inside runSeed).
+// TestStreamMatchesBatch is the pipeline differential: a retained
+// EventLog tapped onto the merged stream must be in canonical order —
+// nondecreasing in (At, Node); the rings are FIFO, so per-node order
+// holds by construction — must carry the result's fingerprint and event
+// count, and must drive the batch checkers to the online checker's
+// linearizability and fence verdicts, across shard counts.
 func TestStreamMatchesBatch(t *testing.T) {
 	for _, seed := range []int64{0, 1, 2, 3, 5} {
 		for _, shards := range []int{1, 2, 4, 8} {
-			runSeed(t, seed, Options{Shards: shards, BatchTee: true})
+			log := trace.NewEventLog()
+			res, h := run(seed, Options{Shards: shards}, log)
+			if res.Failed() {
+				t.Errorf("violated invariants: %v", res.Violations)
+			}
+			evs := log.Events()
+			for i := 1; i < len(evs); i++ {
+				a, b := evs[i-1], evs[i]
+				if a.At > b.At || (a.At == b.At && a.Node > b.Node) {
+					t.Errorf("event %d (%v) precedes event %d (%v) out of (At, Node) order", i-1, a, i, b)
+					break
+				}
+			}
+			if log.Hash() != res.TraceHash || log.Len() != res.Events {
+				t.Errorf("tapped stream (hash %#x, %d events) != result (hash %#x, %d events)",
+					log.Hash(), log.Len(), res.TraceHash, res.Events)
+			}
+			if err := h.olz.AgreesWithBatch(evs); err != nil {
+				t.Error(err)
+			}
 			if t.Failed() {
 				t.Fatalf("seed %d shards=%d diverged", seed, shards)
 			}
@@ -170,6 +191,12 @@ func TestCheckpointRestore(t *testing.T) {
 			// before quiescence on every seed.
 			base := runSeed(t, seed, Options{Shards: shards, OpsPerNode: 150})
 			cp := runSeed(t, seed, Options{Shards: shards, OpsPerNode: 150, Checkpoint: true})
+			// A tap must follow the swap to the restored log.
+			log := trace.NewEventLog()
+			if tapped, _ := run(seed, Options{Shards: shards, OpsPerNode: 150, Checkpoint: true}, log); log.Hash() != tapped.TraceHash || log.Len() != tapped.Events {
+				t.Errorf("seed %d shards=%d: tap across the checkpoint saw (hash %#x, %d events), run (hash %#x, %d events)",
+					seed, shards, log.Hash(), log.Len(), tapped.TraceHash, tapped.Events)
+			}
 			if !cp.Checkpointed {
 				t.Errorf("seed %d shards=%d: checkpoint exercise never ran (no drain boundary with output?)", seed, shards)
 			}

@@ -11,6 +11,7 @@ import (
 	"telegraphos/internal/params"
 	"telegraphos/internal/sim"
 	"telegraphos/internal/switchfab"
+	"telegraphos/internal/trace"
 	"telegraphos/internal/tsync"
 )
 
@@ -80,8 +81,9 @@ type nodeState struct {
 	violations []Violation // provenance violations observed while running
 }
 
-// build constructs the cluster, regions, and per-node programs for sc.
-func build(sc Scenario, opts Options) *harness {
+// build constructs the cluster, regions, and per-node programs for sc;
+// tap, if not nil, is attached to the merged stream as an extra sink.
+func build(sc Scenario, opts Options, tap trace.Sink) *harness {
 	cfg := params.Default(sc.Nodes)
 	cfg.Seed = sc.Seed
 	cfg.Topology = sc.Topology
@@ -94,6 +96,7 @@ func build(sc Scenario, opts Options) *harness {
 	h := &harness{
 		sc:        sc,
 		opts:      opts,
+		tap:       tap,
 		c:         core.New(cfg),
 		incTotals: make([]int, sc.Nodes),
 		copied:    make([]int, sc.Nodes),

@@ -1,10 +1,11 @@
 // Event streams: a timestamped record of the simulation's observable
 // memory actions (remote-write applications, atomic applications, owner
-// serializations, reflected-write applications, fences). The simulation
-// test harness (internal/simtest) attaches an EventLog to every HIB and
-// walks the stream to check fence and coherence invariants; the log's
-// Hash gives a canonical fingerprint of an execution, so two runs of the
-// same seed can be compared byte-for-byte.
+// serializations, reflected-write applications, fences). Every HIB
+// records into its node's ring of a WindowedLog, which drains the rings
+// into one canonical stream, ordered by (At, Node, per-node append
+// order), for the checkers attached as Sinks; the stream's Hash gives a
+// canonical fingerprint of an execution, so two runs of the same seed
+// can be compared byte-for-byte.
 package trace
 
 import "fmt"

@@ -2,13 +2,13 @@ package trace
 
 // Sink consumes the canonical merged event stream one event at a time.
 // The streaming trace pipeline (WindowedLog) feeds each drained event to
-// every attached sink in canonical (At, Node, per-node order) order —
-// exactly the order the legacy batch ShardedLog.Merge produced — so a
-// sink sees the same stream a batch checker would have walked, without
-// the run ever materializing it.
+// every attached sink in canonical order: by time At, ties broken by
+// Node, and each node's events in the order it appended them. A sink
+// thus sees the whole run's stream in that order without the run ever
+// materializing it.
 //
-// *EventLog implements Sink; attaching one retains the full stream (the
-// legacy behaviour) for debugging or batch cross-checks.
+// *EventLog implements Sink; attaching one retains the full stream for
+// debugging or for cross-checking the online checkers in tests.
 type Sink interface {
 	Append(Event)
 }
@@ -21,9 +21,3 @@ type Sink interface {
 type Advancer interface {
 	Advance(safe int64)
 }
-
-// SinkFunc adapts a function to the Sink interface.
-type SinkFunc func(Event)
-
-// Append implements Sink.
-func (f SinkFunc) Append(e Event) { f(e) }

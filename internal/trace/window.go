@@ -58,22 +58,23 @@ func (w *nodeWindow) pop() Event {
 	return e
 }
 
-// WindowedLog is the streaming replacement for ShardedLog + Merge: a
-// fixed-capacity per-node ring buffer family whose contents are drained
-// incrementally through a k-way merge into attached Sinks, with the
-// FNV-1a fingerprint folded as events stream past. Steady state (rings
-// at capacity, drains keeping up) allocates nothing per event.
+// WindowedLog is the trace pipeline: a fixed-capacity per-node ring
+// buffer family whose contents are drained incrementally through a
+// k-way merge into attached Sinks, with the FNV-1a fingerprint folded
+// as events stream past. Steady state (rings at capacity, drains
+// keeping up) allocates nothing per event.
 //
-// Canonical order. Each node's recorder appends events in nondecreasing
-// At order (engine time is monotone per node). Drain(safe) merges the
-// ring heads by (front.At, node), which reproduces exactly the
-// (At, Node, per-node order) stream that concatenating the full
-// per-node logs in node order and stable-sorting by At would yield —
-// restricted to events with At < safe. The watermark contract (no node
-// will ever append an event with At < safe after Drain(safe) is called)
-// makes the concatenation of successive drains equal to the canonical
-// merge of the whole run, so the running fingerprint is independent of
-// drain cadence and bit-identical to the legacy batch Hash().
+// Canonical order is (At, Node, per-node append order): by time, ties
+// broken by node rank, and each node's events in the order it recorded
+// them. Each node's recorder appends events in nondecreasing At order
+// (engine time is monotone per node) and its ring is FIFO, so
+// Drain(safe) produces that order over the events with At < safe by
+// merging the ring heads by (front.At, node). The watermark contract (no
+// node will ever append an event with At < safe after Drain(safe) is
+// called) makes the concatenation of successive drains the canonical
+// order of the whole run, so the stream — and its running fingerprint —
+// depends only on what each node did and when: never on drain cadence,
+// shard count, or how the Go scheduler interleaved the shards.
 //
 // Appends are per-node (one shard each, no locks); Drain must only be
 // called when no shard is executing (a barrier boundary, or after
@@ -139,6 +140,7 @@ func (w *WindowedLog) SetSpill(s *SpillWriter) { w.spill = s }
 func (w *WindowedLog) SpillErr() error { return w.sErr }
 
 // Resident reports the number of currently buffered (undrained) events.
+//
 //tgvet:noalloc
 func (w *WindowedLog) Resident() int {
 	n := 0
@@ -160,7 +162,8 @@ func (w *WindowedLog) Merged() uint64 { return w.merged }
 func (w *WindowedLog) LastAt() int64 { return w.lastAt }
 
 // Hash returns the running FNV-1a fingerprint of the drained stream.
-// After DrainAll it equals the legacy batch ShardedLog.Merge().Hash().
+// After DrainAll it equals the Hash of an EventLog that retained the
+// whole canonical stream.
 func (w *WindowedLog) Hash() uint64 { return w.hash }
 
 // less orders merge-heap entries by (front.At, node).
@@ -197,6 +200,7 @@ func (w *WindowedLog) siftDown(i int) {
 // sim layer derives safe from the barrier round's global bound).
 // It returns the number of events delivered and the first spill error
 // encountered, if any.
+//
 //tgvet:noalloc
 func (w *WindowedLog) Drain(safe int64) (int, error) {
 	if r := w.Resident(); r > w.maxRes {

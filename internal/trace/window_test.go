@@ -8,8 +8,8 @@ import (
 	"telegraphos/internal/sim"
 )
 
-// refHash is the legacy batch fingerprint, computed with hash/fnv (the
-// stdlib implementation) rather than FoldHash — an independent oracle.
+// refHash is the batch fingerprint, computed with hash/fnv (the stdlib
+// implementation) rather than FoldHash — an independent oracle.
 func refHash(events []Event) uint64 {
 	h := fnv.New64a()
 	var buf [8 * 5]byte
@@ -24,8 +24,8 @@ func refHash(events []Event) uint64 {
 	return h.Sum64()
 }
 
-// refMerge is the legacy batch merge: concatenate per-node streams in
-// node order, stable-sort by At.
+// refMerge is the batch definition of the canonical order: concatenate
+// per-node streams in node order, stable-sort by At.
 func refMerge(streams [][]Event) []Event {
 	var all []Event
 	for _, s := range streams {
@@ -69,35 +69,9 @@ func eventsEqual(a, b []Event) bool {
 	return true
 }
 
-// TestMergeMatchesStableSort pins the streaming k-way ShardedLog.Merge
-// and its incremental Hash against the legacy concatenate + stable-sort
-// merge and the stdlib FNV batch hash.
-func TestMergeMatchesStableSort(t *testing.T) {
-	rng := sim.ForkRNG(7, "test/merge-differential")
-	for trial := 0; trial < 200; trial++ {
-		nodes := 1 + rng.Intn(9)
-		streams := genStreams(rng, nodes, 40)
-		sl := NewShardedLog(nodes)
-		for n, s := range streams {
-			rec := sl.Recorder(n)
-			for _, e := range s {
-				rec(e)
-			}
-		}
-		merged := sl.Merge()
-		want := refMerge(streams)
-		if !eventsEqual(merged.Events(), want) {
-			t.Fatalf("trial %d: k-way merge diverges from stable sort (%d nodes, %d events)", trial, nodes, len(want))
-		}
-		if got, ref := merged.Hash(), refHash(want); got != ref {
-			t.Fatalf("trial %d: incremental hash %#x != batch fnv hash %#x", trial, got, ref)
-		}
-	}
-}
-
 // TestWindowedDrainMatchesBatch drains random streams through a
 // WindowedLog at random watermark cadences and checks the delivered
-// sequence, hash, and counts against the legacy batch path.
+// sequence, hash, and counts against the batch reference (refMerge, refHash).
 func TestWindowedDrainMatchesBatch(t *testing.T) {
 	rng := sim.ForkRNG(11, "test/windowed-differential")
 	for trial := 0; trial < 200; trial++ {
