@@ -56,8 +56,11 @@ bench:
 
 # Short fuzz pass over the wire-format, trace-file and address-space
 # targets; FuzzSpill (TGE1 reader) and FuzzDecode (packet decoder) take
-# untrusted bytes.
+# untrusted bytes. The two sim targets hunt for operation streams where
+# the engine's queue and its container/heap reference pop differently.
 fuzz:
+	$(GO) test ./internal/sim -fuzz FuzzMsgQueue -fuzztime 10s
+	$(GO) test ./internal/sim -fuzz FuzzEventQueueDifferential -fuzztime 10s
 	$(GO) test ./internal/trace -fuzz FuzzSpill -fuzztime 10s
 	$(GO) test ./internal/trace -fuzz FuzzCheckpoint -fuzztime 10s
 	$(GO) test ./internal/packet -fuzz FuzzDecode -fuzztime 10s

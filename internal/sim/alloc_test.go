@@ -9,7 +9,10 @@ package sim
 // a map in the hot path) fails CI rather than silently eroding the
 // benchmark numbers.
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // measureAllocs runs f under AllocsPerRun and fails the test if the
 // steady-state budget (exactly zero) is exceeded.
@@ -176,6 +179,54 @@ func TestGroupParallelRoundAllocs(t *testing.T) {
 	long := testing.AllocsPerRun(20, run(512))
 	if short != long {
 		t.Errorf("%.0f allocs per run at 64 rounds, %.0f at 512: a parallel round allocates", short, long)
+	}
+}
+
+// TestQueueRingAllocs gates the ring's bucket storage: with a queue
+// 610 deep (campus-write's mean depth) of events each rescheduling 1–2
+// µs ahead (the benchmark's queue driver), running across many ring
+// laps must allocate nothing per event, and the whole run's allocation
+// must stay O(depth). Buckets fill and empty every lap; their arrays
+// are recycled through the spare list, not kept one per bucket, which
+// would hold all 256 of them grown.
+func TestQueueRingAllocs(t *testing.T) {
+	const depth = 610
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	e := NewEngine(1)
+	rng := NewRNG(1)
+	delays := make([]Time, 1024)
+	for i := range delays {
+		delays[i] = Microsecond + Time(rng.Intn(1000))
+	}
+	fired := 0
+	var fire func()
+	fire = func() {
+		fired++
+		e.Schedule(delays[fired&1023], fire) //tgvet:allow eventdrop(the test's events always fire; nothing cancels them)
+	}
+	for i := 0; i < depth; i++ {
+		e.Schedule(delays[i], fire) //tgvet:allow eventdrop(the test's events always fire; nothing cancels them)
+	}
+	lap := func() {
+		if err := e.RunUntil(e.Now() + ringSpan); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		lap()
+	}
+	measureAllocs(t, "ring lap", lap)
+	runtime.ReadMemStats(&after)
+	if got := e.Pending(); got != depth {
+		t.Fatalf("queue depth %d, want %d", got, depth)
+	}
+	if fired < 100*depth {
+		t.Fatalf("%d events fired, want at least %d", fired, 100*depth)
+	}
+	if total := after.TotalAlloc - before.TotalAlloc; total >= 256<<10 {
+		t.Errorf("run allocated %d bytes in total, want under 256 KiB at depth %d", total, depth)
 	}
 }
 

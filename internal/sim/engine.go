@@ -57,22 +57,10 @@ func (ev Event) When() Time {
 	return ev.slot.when
 }
 
-// xmsg is a timestamped cross-entity message delivered through a Chan.
-// Messages are ordered by (time, channel id, per-channel sequence): the
-// key depends only on build-time channel identity, never on which shard
-// ran the sender, which is what makes execution order — and therefore
-// trace hashes — invariant to the shard count. The channel id and
-// sequence are packed into one word (id<<msgSeqBits | seq) so the inbox
-// heap compares and moves two words per entry instead of three; Chan
-// enforces both fields' ranges.
-type xmsg struct {
-	at  Time
-	key uint64 // chid << msgSeqBits | per-channel seq
-	fn  func()
-}
-
-// msgSeqBits is the width of the per-channel sequence field in xmsg.key:
-// 2^40 messages per channel, with 2^24 channels per destination engine.
+// msgSeqBits is the width of the per-channel sequence field in a
+// message key (see eqEnt): 2^40 messages per channel. The channel id
+// takes the bits above it but the top one, which marks event keys:
+// 2^23 channels per Group (or standalone engine).
 const msgSeqBits = 40
 
 // ErrStalled is returned by Run when the event queue drains while
@@ -88,23 +76,22 @@ var ErrStalled = errors.New("sim: event queue empty but non-daemon processes sti
 // used from its own event/process context once Run has been called; it is
 // not safe for concurrent use from outside.
 //
-// The engine consumes two work sources: its event queue, ordered by
-// (time, schedule sequence), and its inbox of cross-entity messages,
+// The engine runs its work from one queue holding both raw events,
+// ordered by (time, schedule sequence), and cross-entity Chan messages,
 // ordered by (time, channel id, channel sequence). At equal timestamps
-// inbox messages run before queued events; the rule is the same whether
-// the engine runs solo or as one shard of many, which keeps execution
-// order identical across shard counts.
+// messages run before events; the rule is the same whether the engine
+// runs solo or as one shard of many, which keeps execution order
+// identical across shard counts.
 //
 // The hot path is allocation-free in steady state: events are drawn from
-// a per-engine slot pool (pool.go), the event queue and inbox are value
-// heaps (equeue.go, mqueue.go), and process wakeups reuse one prebound
-// closure per process.
+// a per-engine slot pool (pool.go), the queue is a ring of time buckets
+// that recycles its bucket arrays, over a far-tier heap (mqueue.go,
+// equeue.go), and process wakeups reuse one prebound closure per process.
 type Engine struct {
 	now        Time
-	events     *heap4
+	queue      msgQueue
 	pool       eventPool
 	seq        uint64
-	inbox      msgQueue
 	rng        *RNG
 	alive      int // non-daemon procs not yet finished
 	stopped    bool
@@ -117,7 +104,7 @@ type Engine struct {
 	// window, batched per destination shard; the group barrier hands each
 	// non-empty slice to its destination in one operation (see
 	// Group.flush). nil for standalone engines.
-	stage [][]xmsg
+	stage [][]eqEnt
 
 	// roundHook, when set, fires between work items every hookEvery
 	// executed items with the current safe watermark (see SetRoundHook).
@@ -139,7 +126,7 @@ type Engine struct {
 // Go version — the determinism contract tgvet's globalrand analyzer
 // enforces across the whole module.
 func NewEngine(seed int64) *Engine {
-	return &Engine{rng: NewRNG(uint64(seed)), events: newHeap4()}
+	return &Engine{rng: NewRNG(uint64(seed)), queue: newMsgQueue()}
 }
 
 // Now reports the current simulated time.
@@ -198,8 +185,8 @@ func (e *Engine) At(t Time, fn func()) Event {
 	}
 	e.seq++
 	s := e.pool.get(e)
-	s.when, s.seq, s.fn = t, e.seq, fn
-	e.events.push(eqEnt{when: t, seq: e.seq, slot: s})
+	s.when, s.fn = t, fn
+	e.queue.push(eqEnt{at: t, key: eventKey | e.seq, slot: s})
 	return Event{slot: s, gen: s.gen}
 }
 
@@ -208,79 +195,62 @@ func (e *Engine) At(t Time, fn func()) Event {
 // whole Group at the end of the current round.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Pending reports the number of live queued events and undelivered inbox
+// Pending reports the number of live queued events and undelivered
 // messages. Canceled events are not counted.
 //
 //tgvet:noalloc
-func (e *Engine) Pending() int { return e.events.len() - e.deadEvents + e.inbox.len() }
+func (e *Engine) Pending() int { return e.queue.len() - e.deadEvents }
 
 // Alive reports the number of non-daemon processes that have not finished.
 func (e *Engine) Alive() int { return e.alive }
 
-// maybeCompact rebuilds the event queue without canceled events once they
-// outnumber the live ones (and are numerous enough to matter).
+// maybeCompact rebuilds the queue without canceled events once they
+// outnumber the live entries (and are numerous enough to matter).
 //
 //tgvet:noalloc
 func (e *Engine) maybeCompact() {
-	if e.deadEvents < 64 || e.deadEvents*2 <= e.events.len() {
+	if e.deadEvents < 64 || e.deadEvents*2 <= e.queue.len() {
 		return
 	}
-	e.events.compact(&e.pool)
+	e.queue.compact(&e.pool)
 	e.deadEvents = 0
 }
 
-// peekEvent discards canceled events at the head of the queue and reports
-// the time of the next live event.
+// peekEvent discards canceled events at the head of the queue and
+// returns the next live entry, event or message.
 //
 //tgvet:noalloc
-func (e *Engine) peekEvent() (Time, bool) {
+func (e *Engine) peekEvent() (eqEnt, bool) {
 	for {
-		ent, ok := e.events.peek()
-		if !ok {
-			return 0, false
+		ent, ok := e.queue.peek()
+		if !ok || ent.slot == nil || !ent.slot.canceled {
+			return ent, ok
 		}
-		if ent.slot.canceled {
-			e.events.pop()
-			e.deadEvents--
-			e.pool.put(ent.slot)
-			continue
-		}
-		return ent.when, true
+		e.queue.pop() // never moves the ring: see msgQueue
+		e.deadEvents--
+		e.pool.put(ent.slot)
 	}
 }
 
-// nextTime reports the timestamp of the engine's earliest pending work
-// (event or inbox message).
+// nextTime reports the timestamp of the engine's earliest pending work.
 //
 //tgvet:noalloc
 func (e *Engine) nextTime() (Time, bool) {
-	et, eok := e.peekEvent()
-	if m, ok := e.inbox.peek(); ok {
-		if !eok || m.at < et {
-			return m.at, true
-		}
-	}
-	return et, eok
+	ent, ok := e.peekEvent()
+	return ent.at, ok
 }
 
 // runWindow executes all work with timestamp < horizon (horizon < 0 means
-// unbounded) and <= deadline (deadline < 0 means unbounded). Inbox
-// messages run before queued events scheduled for the same instant. It
-// stops early on Stop or a recorded failure.
+// unbounded) and <= deadline (deadline < 0 means unbounded), in queue
+// order: messages before events scheduled for the same instant. It stops
+// early on Stop or a recorded failure.
 func (e *Engine) runWindow(horizon, deadline Time) {
 	for !e.stopped && e.failure == nil {
-		et, eok := e.peekEvent()
-		m, mok := e.inbox.peek()
-		if !eok && !mok {
+		ent, ok := e.peekEvent()
+		if !ok {
 			return
 		}
-		var t Time
-		isMsg := mok && (!eok || m.at <= et)
-		if isMsg {
-			t = m.at
-		} else {
-			t = et
-		}
+		t := ent.at
 		if horizon >= 0 && t >= horizon {
 			return
 		}
@@ -295,11 +265,12 @@ func (e *Engine) runWindow(horizon, deadline Time) {
 		}
 		e.now = t
 		e.executed++
-		if isMsg {
-			m := e.inbox.pop()
-			m.fn()
+		// The one place the ring advances: to the time now takes.
+		e.queue.advance(t)
+		e.queue.pop()
+		if ent.slot == nil {
+			ent.fn()
 		} else {
-			ent := e.events.pop()
 			// Recycle before firing: the callback may schedule new work
 			// into the freed slot, which is exactly the steady-state
 			// zero-allocation cycle. The generation bump in put makes

@@ -1,40 +1,51 @@
 package sim
 
-// The engine's event priority queue.
+// Queue entries, their order, and the queue's far tier.
 //
-// Events live in pooled slots (see pool.go); the queue itself stores
-// compact value entries carrying the (when, seq) ordering key inline, so
-// a sift compares keys without chasing the slot pointer — the comparison
-// path stays in the queue's own backing array. The queue is a 4-ary
-// heap: against a binary heap it halves the tree depth, and the
-// four-child minimum scan runs over adjacent entries in one or two cache
-// lines, which is exactly the trade that pays on pop-heavy discrete-event
-// load. A container/heap-backed reference lives in equeue_ref_test.go;
-// the differential tests prove both produce the identical pop sequence,
-// including seq tie-breaks.
+// Events and Chan messages share one entry type and one order, so the
+// engine's queue (mqueue.go) pops both from a single structure. An
+// entry carries its ordering key inline — comparisons never chase the
+// slot pointer. A container/heap-backed reference lives in
+// equeue_ref_test.go; the differential tests prove the queue produces
+// the identical pop sequence, including key tie-breaks.
 
-// eqEnt is one queue entry: the ordering key plus the event's slot.
+// eqEnt is one queue entry: a Chan message (fn set, slot nil) or a
+// scheduled event (slot set; the callback lives in the slot, so Cancel
+// can release it). Entries are ordered by (at, key):
+//
+//   - a message's key is chid<<msgSeqBits | seq: build-time channel
+//     identity and per-channel sequence, never which shard ran the
+//     sender, which keeps execution order invariant to the shard count;
+//   - an event's key is eventKey | seq, the engine's schedule sequence.
+//
+// Chan ids stay below 2^(63-msgSeqBits), so every message key is below
+// eventKey: at equal timestamps messages run before events, and events
+// run in schedule order.
 type eqEnt struct {
-	when Time
-	seq  uint64
+	at   Time
+	key  uint64
+	fn   func()
 	slot *eventSlot
 }
 
-// before reports whether a orders strictly ahead of b: earlier time,
-// FIFO (schedule sequence) among simultaneous events.
+// eventKey is the key bit that marks an event entry.
+const eventKey = uint64(1) << 63
+
+// msgBefore reports whether a orders strictly ahead of b: earlier time,
+// then smaller key. It is the queue's one ordering function.
 //
 //tgvet:noalloc
-func (a eqEnt) before(b eqEnt) bool {
-	if a.when != b.when {
-		return a.when < b.when
+func msgBefore(a, b eqEnt) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return a.seq < b.seq
+	return a.key < b.key
 }
 
-// heap4 is the engine's event queue: a 4-ary min-heap of value entries.
-// Pop order is exactly (when, seq) ascending. Canceled events are the
-// engine's business — it checks slots at peek/pop and calls compact when
-// dead entries accumulate.
+// heap4 is the queue's far tier: a 4-ary min-heap of entries too far
+// ahead for the ring (mqueue.go). Pop order is exactly (at, key)
+// ascending. The four-child minimum scan runs over adjacent entries in
+// one or two cache lines.
 type heap4 struct {
 	a []eqEnt
 }
@@ -60,7 +71,7 @@ func (h *heap4) peek() (eqEnt, bool) {
 	return h.a[0], true
 }
 
-// pop removes and returns the minimum entry; the queue must be non-empty.
+// pop removes and returns the minimum entry; the heap must be non-empty.
 //
 //tgvet:noalloc
 func (h *heap4) pop() eqEnt {
@@ -68,7 +79,7 @@ func (h *heap4) pop() eqEnt {
 	top := a[0]
 	n := len(a) - 1
 	a[0] = a[n]
-	a[n] = eqEnt{} // release the slot pointer
+	a[n] = eqEnt{} // release the slot and callback pointers
 	h.a = a[:n]
 	if n > 1 {
 		h.down(0)
@@ -82,7 +93,7 @@ func (h *heap4) up(i int) {
 	e := a[i]
 	for i > 0 {
 		p := (i - 1) / 4
-		if !e.before(a[p]) {
+		if !msgBefore(e, a[p]) {
 			break
 		}
 		a[i] = a[p]
@@ -108,11 +119,11 @@ func (h *heap4) down(i int) {
 			end = n
 		}
 		for j := c + 1; j < end; j++ {
-			if a[j].before(a[m]) {
+			if msgBefore(a[j], a[m]) {
 				m = j
 			}
 		}
-		if !a[m].before(e) {
+		if !msgBefore(a[m], e) {
 			break
 		}
 		a[i] = a[m]
@@ -121,27 +132,25 @@ func (h *heap4) down(i int) {
 	a[i] = e
 }
 
-// compact removes every entry whose slot was canceled, recycling each
-// dead slot into pool.
+// compact removes every canceled event, recycling each dead slot into
+// pool.
 //
 //tgvet:noalloc
 func (h *heap4) compact(pool *eventPool) {
 	live := h.a[:0]
 	for _, e := range h.a {
-		if e.slot.canceled {
+		if e.slot != nil && e.slot.canceled {
 			pool.put(e.slot)
 		} else {
 			live = append(live, e) //tgvet:allow noalloc(append into h.a's own prefix; capacity is already there by construction)
 		}
 	}
-	for i := len(live); i < len(h.a); i++ {
-		h.a[i] = eqEnt{}
-	}
+	clear(h.a[len(live):])
 	h.a = live
 	// Re-establish the heap property bottom-up: O(n), cheaper than n
 	// pushes and identical in outcome (pop order depends only on keys).
 	// The n>1 guard matters: (0-2)/4 is 0 in Go (truncation toward
-	// zero), so an emptied queue would otherwise sift a phantom root.
+	// zero), so an emptied heap would otherwise sift a phantom root.
 	if len(h.a) > 1 {
 		for i := (len(h.a) - 2) / 4; i >= 0; i-- {
 			h.down(i)

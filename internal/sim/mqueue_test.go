@@ -1,48 +1,61 @@
 package sim
 
-// The inbox's delivery differential: batched barrier hand-off (absorb,
-// then one heap rebuild at the next push/peek/pop) must pop messages in
-// exactly the order one-at-a-time pushes give. Same-shard Chan sends use
-// push; cross-shard batches use absorb; this is the proof that the two
+// The queue's barrier-delivery differential: messages handed over in
+// batches through absorb, the way Group.flush delivers them, must pop in
+// exactly the order of the reference queue (equeue_ref_test.go), which
+// receives every message through a plain push. Same-shard Chan sends
+// push; cross-shard batches absorb; this is the proof that the two
 // paths cannot reorder delivery.
 
 import "testing"
 
-// runMsgQueueOps interprets ops as an operation stream against two
-// inboxes: got receives batches through absorb, the way Group.flush
-// delivers them, and want receives every message through push. Single
-// pushes, pops and peeks go to both, so they land right after absorbs
-// and exercise the dirty-rebuild path. Per op byte b, by b&3:
+// msgDelays are the delays an op byte picks from: ties at small
+// delays, a bucket's width, and both sides of the ring-span boundary
+// and the far tier beyond it.
+var msgDelays = [8]Time{0, 1, 2, 3, ringWidth, ringSpan - 1, ringSpan, 3 * ringSpan}
+
+// runMsgQueueOps interprets ops as an operation stream: got receives
+// batches through absorb, the reference receives every message through
+// push. Single pushes, pops and peeks go to both, so they land right
+// after absorbs. Per op byte b, by b&3:
 //
 //	0: absorb a batch of b>>2 messages (0 = an empty batch); each
 //	   message's fields come from the next op byte
 //	1: push one message, its fields from the next op byte
-//	2: pop both and compare
+//	2: pop both and compare; the clock takes the message's time and
+//	   the ring advances to it, as in runWindow
 //	3: peek both and compare
 //
-// A message byte m carries at = m&7 (so ties are common) and channel
+// A message byte m carries at = now + msgDelays[m&7] and channel
 // m>>3&3; per-channel sequence numbers keep every key unique, as Chan
 // does.
 func runMsgQueueOps(t *testing.T, ops []byte) {
 	t.Helper()
-	var got, want msgQueue
+	got, want := newMsgQueue(), &refQueue{}
+	var now Time
 	var seq [4]uint64
-	msg := func(m byte) xmsg {
+	msg := func(m byte) eqEnt {
 		ch := uint64(m >> 3 & 3)
 		seq[ch]++
-		return xmsg{at: Time(m & 7), key: ch<<msgSeqBits | seq[ch]}
+		return eqEnt{at: now + msgDelays[m&7], key: ch<<msgSeqBits | seq[ch]}
 	}
-	same := func(op int, what string, a, b xmsg) {
+	same := func(op int, what string, a, b eqEnt) {
 		if a.at != b.at || a.key != b.key {
-			t.Fatalf("op %d: %s diverged: absorb (at=%d key=%#x) vs push (at=%d key=%#x)",
+			t.Fatalf("op %d: %s diverged: absorb (at=%d key=%#x) vs reference (at=%d key=%#x)",
 				op, what, a.at, a.key, b.at, b.key)
 		}
+	}
+	pop := func(op int, what string) {
+		m, _ := want.peek()
+		now = m.at
+		got.advance(now)
+		same(op, what, got.pop(), want.pop())
 	}
 	for i := 0; i < len(ops); i++ {
 		op := i
 		switch b := ops[i]; b & 3 {
 		case 0:
-			var batch []xmsg
+			var batch []eqEnt
 			for n := int(b >> 2); n > 0 && i+1 < len(ops); n-- {
 				i++
 				m := msg(ops[i])
@@ -59,7 +72,7 @@ func runMsgQueueOps(t *testing.T, ops []byte) {
 			}
 		case 2:
 			if want.len() > 0 {
-				same(op, "pop", got.pop(), want.pop())
+				pop(op, "pop")
 			}
 		case 3:
 			a, oka := got.peek()
@@ -74,17 +87,17 @@ func runMsgQueueOps(t *testing.T, ops []byte) {
 		}
 	}
 	for i := 0; want.len() > 0; i++ {
-		same(len(ops)+i, "drain", got.pop(), want.pop())
+		pop(len(ops)+i, "drain")
 	}
 	if got.len() != 0 {
-		t.Fatalf("absorbing inbox still holds %d messages", got.len())
+		t.Fatalf("absorbing queue still holds %d messages", got.len())
 	}
 }
 
 // TestMsgQueueAbsorbMatchesPush runs seeded random operation streams:
-// batches of up to 63 messages with eight distinct timestamps, empty
-// batches, runs of absorbs before the rebuild, and pushes, pops and
-// peeks right after an absorb.
+// batches of up to 63 messages dense with equal timestamps and reaching
+// into the far tier, empty batches, runs of absorbs, and pushes, pops
+// and peeks right after an absorb.
 func TestMsgQueueAbsorbMatchesPush(t *testing.T) {
 	for seed := uint64(0); seed < 20; seed++ {
 		rng := NewRNG(seed)
@@ -97,7 +110,7 @@ func TestMsgQueueAbsorbMatchesPush(t *testing.T) {
 }
 
 // FuzzMsgQueue lets the fuzzer hunt for an operation stream where the
-// absorbing inbox and the pushing inbox pop in different orders.
+// absorbing queue and the reference pop in different orders.
 func FuzzMsgQueue(f *testing.F) {
 	f.Add([]byte{0x0c, 0x01, 0x09, 0x02, 0x00, 0x08, 0x0a, 0x11, 0x04, 0x03, 0x02, 0x02})
 	f.Add([]byte{0x10, 0x00, 0x00, 0x08, 0x08, 0x00, 0x14, 0x07, 0x0f, 0x01, 0x01, 0x00, 0x03, 0x02, 0x02, 0x02})

@@ -18,7 +18,6 @@ package sim
 type eventSlot struct {
 	eng      *Engine
 	when     Time
-	seq      uint64
 	fn       func()
 	gen      uint32
 	canceled bool

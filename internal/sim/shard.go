@@ -1,7 +1,7 @@
 // Sharded conservative parallel discrete-event simulation.
 //
 // A Group partitions the simulation into shards — one Engine each, with
-// its own event heap, sequence counter, and inbox. All cross-shard (and,
+// its own work queue and sequence counter. All cross-shard (and,
 // by convention, all cross-entity) interactions travel through Chans:
 // timestamped messages with a per-channel minimum delay. The group-wide
 // minimum of those delays is the lookahead of classic conservative PDES:
@@ -12,7 +12,7 @@
 // because any message a source generates in its own window carries a
 // timestamp >= next(src) + minDelay. Shards run their windows
 // concurrently, then meet at a barrier where staged messages are flushed
-// into destination inboxes and the next round's caps are computed (a
+// into destination queues and the next round's caps are computed (a
 // YAWNS/LBTS-style synchronization).
 //
 // Parallel rounds run on persistent round workers, one goroutine bound
@@ -28,19 +28,19 @@
 // path, so no goroutine outlives the call.
 //
 // Cross-shard sends are staged per (source, destination) shard pair and
-// handed over as whole slices at the barrier — one inbox absorb per pair
-// per round instead of a heap push per message — mirroring how the
-// paper's NIC-based barriers amortize synchronization over many
+// handed over as whole slices at the barrier, where each message drops
+// into its time bucket — one hand-off per pair per round, mirroring how
+// the paper's NIC-based barriers amortize synchronization over many
 // operations. Rounds that execute little work skip the workers entirely
 // and run their windows inline on the scheduler goroutine, so
 // fine-grained phases do not pay a barrier hand-off per round.
 //
 // Determinism does not depend on the schedule: messages are ordered by
 // (time, channel id, channel sequence) — build-time identities — and at
-// equal timestamps every engine runs inbox messages before heap events.
-// A group of one shard executes the exact same order with no goroutines,
-// and an absorbed batch pops in the same order as messages pushed one at
-// a time (mqueue_test.go), so the hand-off cannot reorder delivery.
+// equal timestamps every engine runs messages before events. A group of
+// one shard executes the exact same order with no goroutines, and an
+// absorbed batch pops in the same order as the reference queue
+// (mqueue_test.go), so the hand-off cannot reorder delivery.
 package sim
 
 import (
@@ -173,7 +173,7 @@ func NewGroup(seed int64, shards int) *Group {
 		e := NewEngine(seed + int64(i))
 		e.group = g
 		e.shard = i
-		e.stage = make([][]xmsg, shards)
+		e.stage = make([][]eqEnt, shards)
 		g.engines[i] = e
 	}
 	return g
@@ -215,7 +215,7 @@ func (g *Group) Now() Time {
 	return t
 }
 
-// Pending reports live queued events plus undelivered messages (inboxes
+// Pending reports live queued events plus undelivered messages (queued
 // and staged cross-shard sends) across all shards.
 func (g *Group) Pending() int {
 	n := 0
@@ -597,7 +597,7 @@ func (g *Group) rebuildDist() {
 }
 
 // flush moves every staged cross-shard message into its destination
-// inbox — one slice absorb per (source, destination) shard pair. Called
+// queue — one slice absorb per (source, destination) shard pair. Called
 // only between rounds, when no shard is executing. The staging buffers
 // are retained and reused, so a warmed-up barrier allocates nothing.
 //
@@ -608,10 +608,8 @@ func (g *Group) flush() {
 			if len(batch) == 0 {
 				continue
 			}
-			g.engines[d].inbox.absorb(batch)
-			for i := range batch {
-				batch[i] = xmsg{} // release callback closures
-			}
+			g.engines[d].queue.absorb(batch)
+			clear(batch) // release callback closures
 			e.stage[d] = batch[:0]
 		}
 	}
@@ -677,7 +675,9 @@ func NewChan(src, dst *Engine, minDelay Time) *Chan {
 		ch.id = src.nextChanID
 		src.nextChanID++
 	}
-	if ch.id >= 1<<(64-msgSeqBits) {
+	// Message keys must stay below eventKey, or a message would lose its
+	// place ahead of same-instant events.
+	if ch.id >= 1<<(63-msgSeqBits) {
 		panic("sim: too many channels for the packed message key")
 	}
 	return ch
@@ -691,7 +691,7 @@ func (ch *Chan) MinDelay() Time { return ch.minDelay }
 // minimum delay). It must be called from the source engine's context —
 // an event, message, or process running on it — or during build.
 //
-// Same-shard sends go straight into the destination inbox heap;
+// Same-shard sends go straight into the destination queue;
 // cross-shard sends are staged in the source engine's per-destination
 // buffer and handed over at the next barrier. Neither path allocates in
 // steady state.
@@ -704,10 +704,10 @@ func (ch *Chan) Send(delay Time, fn func()) {
 	if ch.seq >= 1<<msgSeqBits {
 		panic("sim: per-channel sequence overflowed the packed message key")
 	}
-	m := xmsg{at: ch.src.now + delay, key: ch.id<<msgSeqBits | ch.seq, fn: fn}
+	m := eqEnt{at: ch.src.now + delay, key: ch.id<<msgSeqBits | ch.seq, fn: fn}
 	ch.seq++
 	if ch.src.shard == ch.dst.shard || ch.src.group == nil {
-		ch.dst.inbox.push(m)
+		ch.dst.queue.push(m)
 	} else {
 		src := ch.src
 		src.stage[ch.dst.shard] = append(src.stage[ch.dst.shard], m) //tgvet:allow noalloc(staging buffers grow to the high-water mark once and are reused every barrier)

@@ -8,7 +8,7 @@ import (
 
 // TestCancelCompaction proves canceled events are reclaimed: after
 // canceling well over half of a large batch, Pending must report only
-// live events and the internal heap must have shed the dead ones.
+// live events and the queue must have shed the dead ones.
 func TestCancelCompaction(t *testing.T) {
 	e := NewEngine(1)
 	var evs []Event
@@ -21,8 +21,8 @@ func TestCancelCompaction(t *testing.T) {
 	if got := e.Pending(); got != 100 {
 		t.Fatalf("Pending after cancels = %d, want 100 (live events only)", got)
 	}
-	if e.events.len() >= 1000 {
-		t.Fatalf("heap holds %d entries after canceling 900 of 1000; compaction never ran", e.events.len())
+	if e.queue.len() >= 1000 {
+		t.Fatalf("queue holds %d entries after canceling 900 of 1000; compaction never ran", e.queue.len())
 	}
 	ran := 0
 	e.At(2000, func() { ran++ })
@@ -233,4 +233,66 @@ func TestGroupStallDetection(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected ErrStalled, got nil")
 	}
+}
+
+// TestCanceledFarHeadKeepsRing is the canceled-head trap. Shard 0
+// discards a canceled timer far past the round's horizon from the head
+// of its queue while shard 1 stages messages to it for earlier times.
+// The discard must not move shard 0's ring past its clock: the messages
+// flushed at the next barrier would land a lap behind.
+func TestCanceledFarHeadKeepsRing(t *testing.T) {
+	g := NewGroup(1, 2)
+	e0, e1 := g.Shard(0), g.Shard(1)
+	ch := NewChan(e1, e0, 50)
+	timer := e0.At(100*ringSpan, func() { t.Error("canceled timer fired") })
+	e0.At(100, func() { timer.Cancel() })
+	var got []Time
+	recv := func() {
+		if e0.queue.cur > e0.Now() {
+			t.Errorf("ring at %d, ahead of shard 0's clock %d", e0.queue.cur, e0.Now())
+		}
+		got = append(got, e0.Now())
+	}
+	e1.At(150, func() {
+		for i := Time(0); i < 3; i++ {
+			ch.Send(50+i*ringSpan/2, recv)
+		}
+	})
+	if err := g.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []Time{200, 200 + ringSpan/2, 200 + ringSpan}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("messages ran at %v, want %v", got, want)
+	}
+}
+
+// TestNewChanIDBound: a channel id must stay below 2^(63-msgSeqBits),
+// so that every message key sorts below eventKey and messages keep
+// running before same-instant events. NewChan panics at exactly that
+// bound, in a group and on a standalone engine.
+func TestNewChanIDBound(t *testing.T) {
+	const bound = 1 << (63 - msgSeqBits)
+	if last := uint64(bound-1)<<msgSeqBits | (1<<msgSeqBits - 1); last >= eventKey {
+		t.Fatalf("largest message key %#x is not below eventKey", last)
+	}
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: NewChan at id %d did not panic", what, bound)
+			}
+		}()
+		f()
+	}
+	g := NewGroup(1, 2)
+	g.nextChanID = bound - 1
+	if ch := NewChan(g.Shard(0), g.Shard(1), 1); ch.id != bound-1 {
+		t.Fatalf("group chan id %d, want %d", ch.id, bound-1)
+	}
+	mustPanic("group", func() { NewChan(g.Shard(1), g.Shard(0), 1) })
+	e := NewEngine(1)
+	e.nextChanID = bound - 1
+	NewChan(e, e, 1)
+	mustPanic("standalone", func() { NewChan(e, e, 1) })
 }
