@@ -17,14 +17,13 @@
 //	                           # 16–64 nodes × protocol × shard count
 //
 // Exit status 1 on any conformance violation or if a required anomaly
-// witness never appeared.
+// witness never appeared; 2 on a bad flag or an unknown -tests name.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"telegraphos/internal/litmus"
 )
@@ -39,10 +38,12 @@ func main() {
 
 	opts := litmus.SweepOptions{Quick: *quick, Seed: *seed, Verbose: *verbose, Out: os.Stdout}
 	if *tests != "" {
-		opts.Tests = make(map[string]bool)
-		for _, name := range strings.Split(*tests, ",") {
-			opts.Tests[strings.TrimSpace(name)] = true
+		sel, err := litmus.SelectTests(*tests)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "tglitmus: -tests: %v\n", err)
+			os.Exit(2)
 		}
+		opts.Tests = sel
 	}
 
 	var res *litmus.SweepResult

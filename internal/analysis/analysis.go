@@ -9,15 +9,21 @@
 // runtime panics. Each analyzer here turns one of those obligations
 // into a static check over the module's source:
 //
-//   - walltime: no wall-clock time in simulation code (sim.Time only);
-//   - globalrand: no global math/rand (per-shard sim.RNG streams only);
+//   - taint: no wall-clock time (sim.Time only), global math/rand
+//     (per-shard sim.RNG streams only), environment or host-identity
+//     reads in simulation code, directly or through any call chain;
+//     direct uses are reported under the rule tags walltime, globalrand
+//     and taint;
 //   - maporder: no order-sensitive effects inside map iteration;
 //   - shardlocal: no blocking primitives in event callbacks and no raw
 //     goroutines outside the engine's hand-off discipline;
 //   - eventdrop: no discarded *sim.Event timer handles;
 //   - tracesink: HIB recorders built from trace recorders only, and no
 //     host filesystem access in the trace pipeline outside the spill
-//     writer.
+//     writer;
+//   - noalloc: //tgvet:noalloc functions proven allocation-free,
+//     transitively;
+//   - handle: pooled *sim.Event handles used within their lifetime.
 //
 // Legitimate exceptions are declared in the source with an escape
 // hatch:
@@ -60,8 +66,6 @@ type Analyzer struct {
 // Analyzers returns the full suite in stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		AnalyzerWalltime,
-		AnalyzerGlobalRand,
 		AnalyzerMapOrder,
 		AnalyzerShardLocal,
 		AnalyzerEventDrop,
@@ -72,22 +76,14 @@ func Analyzers() []*Analyzer {
 	}
 }
 
-// AnalyzerByName returns the named analyzer, or nil.
-func AnalyzerByName(name string) *Analyzer {
-	for _, a := range Analyzers() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}
-
-// analyzerNames is filled by init rather than referencing Analyzers()
-// directly from parseAnnotations: the interprocedural analyzers consult
-// annotations from their Run functions, and a static reference from
-// annotation parsing back to the registry would close an initialization
-// cycle.
-var analyzerNames = make(map[string]bool)
+// analyzerNames are the names a //tgvet:allow annotation may carry:
+// every analyzer's, plus the rule tags taint reports its direct
+// wall-clock and math/rand findings under. The analyzers are added by
+// init rather than referencing Analyzers() directly from
+// parseAnnotations: the interprocedural analyzers consult annotations
+// from their Run functions, and a static reference from annotation
+// parsing back to the registry would close an initialization cycle.
+var analyzerNames = map[string]bool{ruleWalltime: true, ruleGlobalRand: true}
 
 func init() {
 	for _, a := range Analyzers() {
@@ -97,8 +93,9 @@ func init() {
 
 // A Diagnostic is one finding, positioned in the analyzed source.
 type Diagnostic struct {
-	// Analyzer is the reporting analyzer's name ("tgvet" for problems
-	// with the annotations themselves).
+	// Analyzer is the reporting analyzer's name, the rule tag of a
+	// taint direct finding (walltime, globalrand), or "tgvet" for
+	// problems with the annotations themselves.
 	Analyzer string `json:"analyzer"`
 	// File is the path of the offending file (as loaded).
 	File string `json:"file"`
@@ -126,13 +123,19 @@ type Pass struct {
 
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
+	p.report(p.Analyzer.Name, pos, fmt.Sprintf(format, args...))
+}
+
+// report records a diagnostic at pos under the given rule tag, which
+// an analyzer may use instead of its own name (taint's direct findings).
+func (p *Pass) report(rule string, pos token.Pos, msg string) {
 	position := p.Pkg.Fset.Position(pos)
 	p.diags = append(p.diags, Diagnostic{
-		Analyzer: p.Analyzer.Name,
+		Analyzer: rule,
 		File:     position.Filename,
 		Line:     position.Line,
 		Col:      position.Column,
-		Message:  fmt.Sprintf(format, args...),
+		Message:  msg,
 	})
 }
 

@@ -117,11 +117,11 @@ func parseWants(t *testing.T, pkg *analysis.Package) []*expectation {
 }
 
 // RunSuite applies Run for every (dir, analyzer) pair, with subtests
-// named after the analyzers.
+// named after the directories.
 func RunSuite(t *testing.T, root string, pairs map[string]*analysis.Analyzer) {
 	t.Helper()
 	for sub, a := range pairs {
-		t.Run(a.Name, func(t *testing.T) {
+		t.Run(sub, func(t *testing.T) {
 			Run(t, fmt.Sprintf("%s/%s", root, sub), a)
 		})
 	}

@@ -106,6 +106,24 @@ func f() {}
 	}
 }
 
+func TestTaintAllowOnSourceStopsOnlyTheChain(t *testing.T) {
+	// An allow naming taint on a wall-clock line kills the chain above
+	// it, but the direct finding carries the walltime tag and survives.
+	diags := checkModule(t, `package p
+
+import "time"
+
+func stamp() int64 {
+	return time.Now().UnixNano() //tgvet:allow taint(callers may read it)
+}
+
+func step() int64 { return stamp() }
+`)
+	if len(diags) != 1 || diags[0].Analyzer != "walltime" || diags[0].Line != 6 {
+		t.Fatalf("want only the walltime diagnostic on line 6, got %v", diags)
+	}
+}
+
 func TestAnnotationAboveDoesNotLeakFurther(t *testing.T) {
 	// A standalone annotation covers only the first code line below it.
 	diags := checkModule(t, `package p
@@ -125,15 +143,6 @@ func TestDiagnosticString(t *testing.T) {
 	d := Diagnostic{Analyzer: "walltime", File: "p/p.go", Line: 3, Col: 9, Message: "m"}
 	if got := d.String(); got != "p/p.go:3:9: walltime: m" {
 		t.Fatalf("String() = %q", got)
-	}
-}
-
-func TestAnalyzerByName(t *testing.T) {
-	if AnalyzerByName("maporder") == nil {
-		t.Error("maporder not registered")
-	}
-	if AnalyzerByName("nope") != nil {
-		t.Error("unknown name resolved")
 	}
 }
 

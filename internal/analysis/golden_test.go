@@ -1,7 +1,6 @@
 package analysis_test
 
 import (
-	"strings"
 	"testing"
 
 	"telegraphos/internal/analysis"
@@ -9,11 +8,13 @@ import (
 )
 
 // TestGolden runs every analyzer over its testdata package: each
-// // want comment must be reported, and nothing else may be.
+// // want comment must be reported, and nothing else may be. The
+// walltime and globalrand packages hold taint's direct wall-clock and
+// math/rand findings, reported under those rule tags.
 func TestGolden(t *testing.T) {
 	analysistest.RunSuite(t, "testdata/src", map[string]*analysis.Analyzer{
-		"walltime":   analysis.AnalyzerWalltime,
-		"globalrand": analysis.AnalyzerGlobalRand,
+		"walltime":   analysis.AnalyzerTaint,
+		"globalrand": analysis.AnalyzerTaint,
 		"maporder":   analysis.AnalyzerMapOrder,
 		"shardlocal": analysis.AnalyzerShardLocal,
 		"eventdrop":  analysis.AnalyzerEventDrop,
@@ -22,45 +23,4 @@ func TestGolden(t *testing.T) {
 		"noalloc":    analysis.AnalyzerNoalloc,
 		"handle":     analysis.AnalyzerHandle,
 	})
-}
-
-// TestTaintCatchesWrappedWalltime pins down the blind spot that
-// motivates the interprocedural pass: the taint testdata wraps
-// time.Now one helper deep, and the old walltime analyzer — which only
-// looks at selector expressions inside each function body — never
-// reports the callers, while taint reports every one of them with a
-// witness chain.
-func TestTaintCatchesWrappedWalltime(t *testing.T) {
-	loader, err := analysis.NewLoader("testdata/src/taint")
-	if err != nil {
-		t.Fatalf("loader: %v", err)
-	}
-	pkg, err := loader.LoadDir("testdata/src/taint")
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
-
-	callerLines := map[int]bool{}
-	taintDiags := analysis.Check(pkg, analysis.AnalyzerTaint)
-	for _, d := range taintDiags {
-		if strings.Contains(d.Message, "transitively reaches") {
-			callerLines[d.Line] = true
-		}
-	}
-	if len(callerLines) == 0 {
-		t.Fatalf("taint reported no transitively tainted call sites in testdata/src/taint")
-	}
-
-	for _, d := range analysis.Check(pkg, analysis.AnalyzerWalltime) {
-		if callerLines[d.Line] {
-			t.Errorf("walltime unexpectedly reported wrapped call site at line %d: %s", d.Line, d.Message)
-		}
-	}
-	// And the direct source itself stays walltime's finding: taint must
-	// not double-report covered sources.
-	for _, d := range taintDiags {
-		if strings.Contains(d.Message, "time.Now in simulation code") {
-			t.Errorf("taint double-reported a walltime-covered direct source: %s", d)
-		}
-	}
 }

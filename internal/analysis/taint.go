@@ -6,43 +6,118 @@ import (
 	"go/token"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
-// AnalyzerTaint proves the determinism contract interprocedurally:
-// no function in simulation code may reach a nondeterminism source —
-// wall-clock reads, global math/rand, environment reads, or
-// goroutine/host identity — through any chain of calls. The walltime
-// and globalrand analyzers flag direct uses; this one closes their
-// blind spot behind wrappers: a helper that calls time.Now() taints
-// every function that (transitively) calls the helper, and each
-// tainted call site is reported with the full chain down to the source.
+// AnalyzerTaint proves the determinism contract: simulation code never
+// reads a nondeterminism source — the host wall clock, global
+// math/rand, the environment, or goroutine/host identity — directly or
+// through any chain of calls. All time inside the model flows from
+// sim.Time and all randomness from per-shard sim.RNG streams, which is
+// what makes a run a pure function of its seed.
 //
-// Sanctioning is at the source, not the symptom: a //tgvet:allow
-// walltime/globalrand/taint annotation on the source line declares the
-// nondeterminism genuine (host-side benchmarking, CI calibration) and
-// kills the entire chain above it — callers of a sanctioned source are
-// not tainted. An //tgvet:allow taint(reason) on a call site stops
-// propagation through that edge alone.
+// Every file is scanned whole against one table of sources, and each
+// direct use is reported under its source's rule tag: walltime,
+// globalrand, or taint for environment and host-identity reads. A use
+// inside a declared function's body also taints the function, and every
+// call site that transitively reaches it is reported under taint with
+// the full chain down to the source.
+//
+// Sanctioning is at the source, not the symptom: a //tgvet:allow naming
+// the source's rule declares the use genuine (host-side benchmarking,
+// CI calibration), and an allow naming that rule or taint on the source
+// line kills the entire chain above it. An //tgvet:allow taint(reason)
+// on a call site stops propagation through that edge alone.
 var AnalyzerTaint = &Analyzer{
-	Name: "taint",
-	Doc:  "no call chain from simulation code may reach wall-clock, global rand, env, or host-identity sources",
+	Name: ruleTaint,
+	Doc:  "simulation code may not reach wall-clock, global rand, env, or host-identity sources, directly or through any call chain",
 	Run:  runTaint,
 }
 
-// taintExtraFuncs are nondeterminism sources with no dedicated
-// analyzer of their own: taint reports direct calls to these itself.
-var taintExtraFuncs = map[string]map[string]bool{
+// The rule tags direct findings are reported (and sanctioned) under;
+// the first two are also accepted as //tgvet:allow names.
+const (
+	ruleWalltime   = "walltime"
+	ruleGlobalRand = "globalrand"
+	ruleTaint      = "taint"
+)
+
+// walltimeFuncs are the package time functions that read or act on the
+// host's wall clock. Pure conversions and types (time.Duration,
+// time.Millisecond) are not flagged: they carry no hidden clock.
+var walltimeFuncs = map[string]bool{
+	"Now": true, "Since": true, "Until": true, "Sleep": true,
+	"After": true, "AfterFunc": true, "Tick": true,
+	"NewTimer": true, "NewTicker": true,
+}
+
+// envFuncs are the host environment and identity reads.
+var envFuncs = map[string]map[string]bool{
 	"os":      {"Getenv": true, "LookupEnv": true, "Environ": true, "Hostname": true, "Getpid": true, "Getppid": true},
 	"runtime": {"NumGoroutine": true, "NumCPU": true, "GOMAXPROCS": true},
 }
 
-// directSource is one unsanctioned nondeterminism source call inside a
-// function body.
+func isMathRand(path string) bool {
+	return path == "math/rand" || path == "math/rand/v2"
+}
+
+// rngExemptFile in rngExemptPkg is the one file allowed to touch
+// math/rand: the home of the simulator's own RNG, which documents the
+// splitmix64 stream the rest of the simulator forks from.
+const (
+	rngExemptFile = "rng.go"
+	rngExemptPkg  = "telegraphos/internal/sim"
+)
+
+// classifySource reports whether member name of the package at path is
+// a nondeterminism source: its rule tag ("" when it is none), its
+// witness-chain label, and the message of its direct finding.
+func classifySource(path, name string) (rule, desc, msg string) {
+	switch {
+	case path == "time" && walltimeFuncs[name]:
+		desc = "time." + name
+		return ruleWalltime, desc, fmt.Sprintf("wall-clock %s in simulation code: simulated time must come from sim.Time (Engine.Now/Proc.Now); for genuine host-side measurement annotate //tgvet:allow walltime(reason)", desc)
+	case isMathRand(path):
+		return ruleGlobalRand, fmt.Sprintf("math/rand (rand.%s)", name),
+			fmt.Sprintf("global math/rand use (rand.%s): randomness must flow through per-shard sim.RNG streams (sim.NewRNG / RNG.Fork) so runs stay a pure function of their seed", name)
+	case envFuncs[path][name]:
+		desc = path + "." + name
+		return ruleTaint, desc, fmt.Sprintf("nondeterministic source %s in simulation code: a run must be a pure function of its seed and config, and host environment/identity reads break bit-identical traces across shard counts — plumb the value through params, or annotate //tgvet:allow taint(reason)", desc)
+	}
+	return "", "", ""
+}
+
+// classifyImport reports an import that binds no qualifier to a source
+// package, whose uses would escape the selector scan: a blank or dot
+// import of math/rand, or a dot import of time, os or runtime (the
+// loader fakes the standard library, so an unqualified Now() cannot be
+// resolved — the import itself is the finding).
+func classifyImport(imp *ast.ImportSpec) (rule, msg string) {
+	path, err := strconv.Unquote(imp.Path.Value)
+	if err != nil || imp.Name == nil {
+		return "", ""
+	}
+	name := imp.Name.Name
+	switch {
+	case isMathRand(path) && (name == "_" || name == "."):
+		return ruleGlobalRand, fmt.Sprintf("%s import of %s: randomness must flow through per-shard sim.RNG streams (sim.NewRNG / RNG.Fork)", name, path)
+	case name != ".":
+		return "", ""
+	case path == "time":
+		return ruleWalltime, ". import of time: unqualified wall-clock reads (Now, Since, Sleep, …) hide from tgvet; import time by name — simulated time must come from sim.Time (Engine.Now/Proc.Now)"
+	case envFuncs[path] != nil:
+		return ruleTaint, fmt.Sprintf(". import of %s: unqualified host environment/identity reads hide from tgvet; import %s by name and keep such reads out of simulation code", path, path)
+	}
+	return "", ""
+}
+
+// directSource is one use of a nondeterminism source.
 type directSource struct {
-	desc    string // e.g. "time.Now", "math/rand (rand.Intn)"
-	pos     token.Pos
-	covered bool // a dedicated analyzer (walltime/globalrand) reports it
+	rule string // tag of the direct finding: walltime, globalrand or taint
+	desc string // chain label, e.g. "time.Now", "math/rand (rand.Intn)"
+	msg  string // message of the direct finding
+	pos  token.Pos
 }
 
 // taintStep is one hop of a function's witness chain toward a source.
@@ -51,10 +126,11 @@ type taintStep struct {
 	pos    token.Pos // call site inside the tainted function
 }
 
-// taintFacts is the module-wide fixed point: which functions reach a
-// source, and a shortest witness hop for each.
+// taintFacts is the module-wide fixed point: every direct source use,
+// which functions reach a source, and a shortest witness hop for each.
 type taintFacts struct {
-	direct map[string][]directSource
+	uses   map[*Package][]directSource // every direct use, by package
+	direct map[string][]directSource   // propagation seeds, by function key
 	steps  map[string]taintStep
 }
 
@@ -65,8 +141,12 @@ func (m *Module) taintFacts() *taintFacts {
 	}
 	g := m.Graph()
 	facts := &taintFacts{
+		uses:   make(map[*Package][]directSource),
 		direct: make(map[string][]directSource),
 		steps:  make(map[string]taintStep),
+	}
+	for _, pkg := range m.pkgs {
+		facts.scan(m, g, pkg)
 	}
 
 	keys := make([]string, 0, len(g.Funcs))
@@ -79,10 +159,7 @@ func (m *Module) taintFacts() *taintFacts {
 	// Seed: functions whose own bodies contain an unsanctioned source.
 	var queue []string
 	for _, k := range keys {
-		node := g.Funcs[k]
-		srcs := directSourcesIn(m, node)
-		if len(srcs) > 0 {
-			facts.direct[k] = srcs
+		if len(facts.direct[k]) > 0 {
 			queue = append(queue, k)
 		}
 	}
@@ -100,7 +177,7 @@ func (m *Module) taintFacts() *taintFacts {
 				continue
 			}
 			pos := node.Pkg.Fset.Position(e.Pos)
-			if m.allowedAt(node.Pkg, pos.Filename, pos.Line, "taint") {
+			if m.allowedAt(node.Pkg, pos.Filename, pos.Line, ruleTaint) {
 				continue
 			}
 			reverse[e.Callee] = append(reverse[e.Callee], struct {
@@ -129,53 +206,51 @@ func (m *Module) taintFacts() *taintFacts {
 	return facts
 }
 
-// directSourcesIn scans one function body for unsanctioned
-// nondeterminism sources.
-func directSourcesIn(m *Module, node *FuncNode) []directSource {
-	pkg := node.Pkg
-	info := pkg.Info
-	filename := pkg.Fset.Position(node.Decl.Pos()).Filename
-	// The simulator's own RNG is the sanctioned home of raw entropy
-	// plumbing, same exemption the globalrand analyzer applies.
-	if filepath.Base(filename) == globalrandExemptFile && pkg.ImportPath == globalrandExemptPkg {
-		return nil
+// scan walks every file of pkg whole and records each source use. A use
+// inside a declared function's body also seeds that function, unless an
+// allow naming the source's rule or taint sanctions its line.
+func (facts *taintFacts) scan(m *Module, g *CallGraph, pkg *Package) {
+	for _, f := range pkg.Files {
+		filename := pkg.Fset.Position(f.Pos()).Filename
+		rngHome := filepath.Base(filename) == rngExemptFile && pkg.ImportPath == rngExemptPkg
+		for _, imp := range f.Imports {
+			if rule, msg := classifyImport(imp); rule != "" && !(rngHome && rule == ruleGlobalRand) {
+				facts.uses[pkg] = append(facts.uses[pkg], directSource{rule: rule, msg: msg, pos: imp.Pos()})
+			}
+		}
+		for _, decl := range f.Decls {
+			var seed string // function key the body's sources taint
+			var body ast.Node
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				if node := g.Funcs[funcKey(pkg, fd)]; node != nil && node.Decl == fd {
+					seed, body = node.Key, fd.Body
+				}
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				rule, desc, msg := classifySource(importedPath(pkg.Info, sel.X), sel.Sel.Name)
+				if rule == "" || rngHome && rule == ruleGlobalRand {
+					return true
+				}
+				s := directSource{rule: rule, desc: desc, msg: msg, pos: sel.Pos()}
+				facts.uses[pkg] = append(facts.uses[pkg], s)
+				pos := pkg.Fset.Position(s.pos)
+				if seed != "" && body.Pos() <= s.pos && s.pos < body.End() &&
+					!m.allowedAt(pkg, pos.Filename, pos.Line, rule, ruleTaint) {
+					facts.direct[seed] = append(facts.direct[seed], s)
+				}
+				return true
+			})
+		}
 	}
-	var srcs []directSource
-	ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		path := importedPath(info, sel.X)
-		var desc string
-		var covered bool
-		var sanctions []string
-		switch {
-		case path == "time" && walltimeFuncs[sel.Sel.Name]:
-			desc, covered = "time."+sel.Sel.Name, true
-			sanctions = []string{"walltime", "taint"}
-		case isMathRand(path):
-			desc, covered = fmt.Sprintf("math/rand (rand.%s)", sel.Sel.Name), true
-			sanctions = []string{"globalrand", "taint"}
-		case taintExtraFuncs[path] != nil && taintExtraFuncs[path][sel.Sel.Name]:
-			desc, covered = path+"."+sel.Sel.Name, false
-			sanctions = []string{"taint"}
-		default:
-			return true
-		}
-		pos := pkg.Fset.Position(sel.Pos())
-		if m.allowedAt(pkg, pos.Filename, pos.Line, sanctions...) {
-			return true // sanctioned at the source: the chain dies here
-		}
-		srcs = append(srcs, directSource{desc: desc, pos: sel.Pos(), covered: covered})
-		return true
-	})
-	return srcs
 }
 
 // chainTo renders the witness chain from key down to its source, e.g.
 // "stepClock → hostStamp → time.Now at clock.go:12".
-func (facts *taintFacts) chainTo(m *Module, g *CallGraph, key string) string {
+func (facts *taintFacts) chainTo(g *CallGraph, key string) string {
 	modPath := ""
 	if node := g.Funcs[key]; node != nil {
 		modPath = modulePathOf(node.Pkg)
@@ -215,6 +290,12 @@ func runTaint(pass *Pass) {
 	facts := pass.Mod.taintFacts()
 	g := pass.Mod.Graph()
 
+	// Direct uses go out under their source's rule tag, so the allows
+	// naming that rule suppress them.
+	for _, s := range facts.uses[pass.Pkg] {
+		pass.report(s.rule, s.pos, s.msg)
+	}
+
 	keys := make([]string, 0, len(g.Funcs))
 	//tgvet:allow maporder(keys are sorted immediately below before any report is emitted)
 	for k := range g.Funcs {
@@ -227,24 +308,11 @@ func runTaint(pass *Pass) {
 		if node.Pkg != pass.Pkg {
 			continue
 		}
-		if srcs, isSource := facts.direct[k]; isSource {
-			// Direct wall-clock/rand calls are the walltime/globalrand
-			// analyzers' findings; taint owns only the sources that have
-			// no dedicated analyzer.
-			for _, s := range srcs {
-				if !s.covered {
-					pass.Reportf(s.pos,
-						"nondeterministic source %s in simulation code: a run must be a pure function of its seed and config, and host environment/identity reads break bit-identical traces across shard counts — plumb the value through params, or annotate //tgvet:allow taint(reason)",
-						s.desc)
-				}
-			}
-			continue
-		}
 		if step, tainted := facts.steps[k]; tainted {
 			modPath := modulePathOf(node.Pkg)
 			pass.Reportf(step.pos,
 				"call to %s transitively reaches nondeterministic source (%s): the determinism contract is transitive, and the walltime/globalrand analyzers cannot see through wrappers — fix or sanction the source line itself (its //tgvet:allow kills this whole chain), or annotate this call //tgvet:allow taint(reason)",
-				shortKey(modPath, step.callee), facts.chainTo(pass.Mod, g, k))
+				shortKey(modPath, step.callee), facts.chainTo(g, k))
 		}
 	}
 }

@@ -1,4 +1,4 @@
-// Package globalrand is golden testdata for the globalrand analyzer:
+// Package globalrand is golden testdata for taint's globalrand rule:
 // all randomness must flow through per-shard sim.RNG streams.
 package globalrand
 

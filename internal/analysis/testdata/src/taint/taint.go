@@ -1,7 +1,7 @@
 // Package taint is golden testdata for the taint analyzer: the
 // determinism contract is transitive, so a wall-clock or global-rand
-// read one helper deep taints every caller — the blind spot the
-// intraprocedural walltime/globalrand analyzers cannot see past.
+// read one helper deep taints every caller — the blind spot a check of
+// one function body at a time cannot see past.
 package taint
 
 import (
@@ -11,12 +11,12 @@ import (
 	"time"
 )
 
-// hostStamp wraps the wall clock one call deep. The time.Now line is
-// the walltime analyzer's finding, not taint's — taint owns the chains
-// above it. (TestTaintCatchesWrappedWalltime pins down that walltime
-// provably misses every caller of this function.)
+// hostStamp wraps the wall clock one call deep. The time.Now line is a
+// direct finding under the walltime rule tag, reported once; every
+// caller of hostStamp is a chain finding under taint, with the witness
+// chain down to this line.
 func hostStamp() int64 {
-	return time.Now().UnixNano()
+	return time.Now().UnixNano() // want `^wall-clock time\.Now in simulation code`
 }
 
 func stepClock() int64 {
@@ -27,16 +27,16 @@ func twoDeep() int64 {
 	return stepClock() // want `transitively reaches nondeterministic source \(.*taint\.twoDeep → .*taint\.stepClock → .*taint\.hostStamp → time\.Now at taint\.go:19\)`
 }
 
-// rollHost wraps the process-global RNG: globalrand's finding.
+// rollHost wraps the process-global RNG: a globalrand direct finding.
 func rollHost() int {
-	return rand.Intn(6)
+	return rand.Intn(6) // want `^global math/rand use \(rand\.Intn\)`
 }
 
 func shuffle() int {
 	return rollHost() // want `transitively reaches nondeterministic source`
 }
 
-// Sources with no dedicated analyzer are taint's own direct findings.
+// Environment and host-identity reads are direct findings under taint.
 func readEnv() string {
 	return os.Getenv("TG_SEED") // want `nondeterministic source os.Getenv in simulation code`
 }

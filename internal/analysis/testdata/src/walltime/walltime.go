@@ -1,4 +1,4 @@
-// Package walltime is golden testdata for the walltime analyzer: the
+// Package walltime is golden testdata for taint's walltime rule: the
 // sim-time contract says simulation code never reads the host clock.
 package walltime
 

@@ -1,6 +1,7 @@
 package litmus
 
 import (
+	"strings"
 	"testing"
 
 	"telegraphos/internal/sim"
@@ -160,6 +161,21 @@ func TestQuickSweepPasses(t *testing.T) {
 	}
 	if res.Runs == 0 {
 		t.Fatal("sweep ran nothing")
+	}
+}
+
+// TestSelectTests pins the -tests filter: known names select, and an
+// unknown or blank name is an error naming the catalog rather than a
+// silently empty (and passing) sweep.
+func TestSelectTests(t *testing.T) {
+	sel, err := SelectTests("SB, MP+fence")
+	if err != nil || len(sel) != 2 || !sel["SB"] || !sel["MP+fence"] {
+		t.Fatalf("SelectTests(SB, MP+fence) = %v, %v", sel, err)
+	}
+	for _, bad := range []string{"NOPE", "SB, ", "SB,,MP"} {
+		if _, err := SelectTests(bad); err == nil || !strings.Contains(err.Error(), "known: SB") {
+			t.Errorf("SelectTests(%q): want an error listing the catalog, got %v", bad, err)
+		}
 	}
 }
 

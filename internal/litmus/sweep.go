@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 
 	"telegraphos/internal/link"
 	"telegraphos/internal/sim"
@@ -47,6 +48,27 @@ type SweepOptions struct {
 	Verbose bool
 	// Out receives the report (nil discards it).
 	Out io.Writer
+}
+
+// SelectTests parses a comma-separated list of catalog test names into
+// a SweepOptions.Tests filter. An unknown or empty name is an error
+// that lists the catalog.
+func SelectTests(list string) (map[string]bool, error) {
+	known := make(map[string]bool)
+	var names []string
+	for _, t := range Tests() {
+		known[t.Name] = true
+		names = append(names, t.Name)
+	}
+	sel := make(map[string]bool)
+	for _, name := range strings.Split(list, ",") {
+		name = strings.TrimSpace(name)
+		if !known[name] {
+			return nil, fmt.Errorf("unknown test %q (known: %s)", name, strings.Join(names, ", "))
+		}
+		sel[name] = true
+	}
+	return sel, nil
 }
 
 // CellKey identifies one histogram cell.
@@ -102,16 +124,53 @@ func (r *SweepResult) Failed() bool {
 }
 
 // Sweep runs the full litmus matrix: every test × protocol × shard
-// count × fault schedule × timing variant. Invalidate's centralized
-// directory restricts it to single-shard runs.
+// count × fault schedule × timing variant, with an in-switch combining
+// arm for the fetch&increment tests, on the minimal star machine. Every
+// test's expected anomaly must show. Invalidate's centralized directory
+// restricts it to single-shard runs.
 func Sweep(opts SweepOptions) *SweepResult {
-	shardCounts := []int{1, 2, 4}
 	variants := 5
 	if opts.Quick {
-		shardCounts = []int{1, 2}
 		variants = 3
 	}
-	faultLevels := FaultLevels(opts.Quick)
+	return sweep(opts, sweepPlan{
+		levels:    []TopoLevel{{}},
+		faults:    FaultLevels(opts.Quick),
+		variants:  variants,
+		combining: true,
+		witnesses: true,
+	})
+}
+
+// sweepPlan is what the star sweep and the topology sweep differ in.
+type sweepPlan struct {
+	levels    []TopoLevel // outer axis; the zero level is the star machine
+	faults    []FaultLevel
+	variants  int
+	combining bool // add a combining arm for tests that issue fetch&inc
+	witnesses bool // fail when a test's expected anomaly never shows
+}
+
+// armLabel renders the fields that name a run's topology level and
+// combining arm in verdict and violation lines.
+func (p *sweepPlan) armLabel(tl TopoLevel, comb bool) (where, arm string) {
+	if tl.Topo != "" {
+		where = fmt.Sprintf("topo=%s/%d ", tl.Topo, tl.Nodes)
+	}
+	if p.combining {
+		arm = fmt.Sprintf("comb=%v ", comb)
+	}
+	return where, arm
+}
+
+// sweep runs every (selected) test × topology level × protocol × shard
+// count × fault schedule × combining arm × timing variant of plan, and
+// checks that trace hashes do not depend on the shard count.
+func sweep(opts SweepOptions, plan sweepPlan) *SweepResult {
+	shardCounts := []int{1, 2, 4}
+	if opts.Quick {
+		shardCounts = []int{1, 2}
+	}
 	protocols := []Protocol{Update, Invalidate, Galactica}
 
 	res := &SweepResult{Cells: make(map[CellKey]*Cell)}
@@ -120,6 +179,7 @@ func Sweep(opts SweepOptions) *SweepResult {
 	// shard-invariance check.
 	type hashKey struct {
 		test     string
+		level    TopoLevel
 		protocol Protocol
 		faults   string
 		variant  int
@@ -131,68 +191,74 @@ func Sweep(opts SweepOptions) *SweepResult {
 		if opts.Tests != nil && !opts.Tests[t.Name] {
 			continue
 		}
-		for _, proto := range protocols {
-			if !t.runsUnder(proto) {
-				continue
-			}
-			if t.needsWitness(proto) {
-				witnessNeeded[t.Name+"/"+proto.String()] = true
-			}
-			for _, shards := range shardCounts {
-				if proto == Invalidate && shards > 1 {
+		combModes := []bool{false}
+		if plan.combining && usesFAI(t) {
+			combModes = append(combModes, true)
+		}
+		for _, tl := range plan.levels {
+			for _, proto := range protocols {
+				if !t.runsUnder(proto) {
 					continue
 				}
-				combModes := []bool{false}
-				if usesFAI(t) {
-					combModes = append(combModes, true)
+				if plan.witnesses && t.needsWitness(proto) {
+					witnessNeeded[t.Name+"/"+proto.String()] = true
 				}
-				for _, fl := range faultLevels {
-					for _, comb := range combModes {
-						key := CellKey{Test: t.Name, Protocol: proto, Shards: shards, Faults: fl.Name, Comb: comb}
-						cell := res.Cells[key]
-						if cell == nil {
-							cell = &Cell{Outcomes: make(map[string]int)}
-							res.Cells[key] = cell
-						}
-						for v := 0; v < variants; v++ {
-							seed := opts.Seed + int64(v)*7919
-							var plan *link.FaultPlan
-							if fl.Plan != nil {
-								p := *fl.Plan
-								p.Seed = seed
-								plan = &p
+				for _, shards := range shardCounts {
+					if proto == Invalidate && shards > 1 {
+						continue
+					}
+					for _, fl := range plan.faults {
+						for _, comb := range combModes {
+							key := CellKey{Test: t.Name, Protocol: proto, Shards: shards, Faults: fl.Name,
+								Comb: comb, Topo: tl.Topo, Nodes: tl.Nodes}
+							cell := res.Cells[key]
+							if cell == nil {
+								cell = &Cell{Outcomes: make(map[string]int)}
+								res.Cells[key] = cell
 							}
-							rr := Run(t, Config{
-								Protocol:  proto,
-								Shards:    shards,
-								Faults:    plan,
-								Combining: comb,
-								Variant:   v,
-								Seed:      seed,
-							})
-							res.Runs++
-							cell.Runs++
-							cell.Outcomes[rr.Outcome.String()]++
-							if rr.Forbidden {
-								cell.Forbidden++
-							}
-							if rr.Witnessed {
-								cell.Witnessed++
-								delete(witnessNeeded, t.Name+"/"+proto.String())
-							}
-							for _, viol := range rr.Violations {
-								res.Violations = append(res.Violations,
-									fmt.Sprintf("%s proto=%v shards=%d faults=%s comb=%v variant=%d: %s",
-										t.Name, proto, shards, fl.Name, comb, v, viol))
-							}
-							hk := hashKey{t.Name, proto, fl.Name, v, comb}
-							if hashes[hk] == nil {
-								hashes[hk] = make(map[int]uint64)
-							}
-							hashes[hk][shards] = rr.TraceHash
-							if opts.Verbose && opts.Out != nil {
-								fmt.Fprintf(opts.Out, "  %-14s proto=%-10v shards=%d faults=%-5s comb=%v v=%d → %v\n",
-									t.Name, proto, shards, fl.Name, comb, v, rr.Outcome)
+							where, arm := plan.armLabel(tl, comb)
+							for v := 0; v < plan.variants; v++ {
+								seed := opts.Seed + int64(v)*7919
+								var faults *link.FaultPlan
+								if fl.Plan != nil {
+									p := *fl.Plan
+									p.Seed = seed
+									faults = &p
+								}
+								rr := Run(t, Config{
+									Protocol:  proto,
+									Shards:    shards,
+									Faults:    faults,
+									Combining: comb,
+									Variant:   v,
+									Seed:      seed,
+									Topology:  tl.Topo,
+									Nodes:     tl.Nodes,
+								})
+								res.Runs++
+								cell.Runs++
+								cell.Outcomes[rr.Outcome.String()]++
+								if rr.Forbidden {
+									cell.Forbidden++
+								}
+								if rr.Witnessed {
+									cell.Witnessed++
+									delete(witnessNeeded, t.Name+"/"+proto.String())
+								}
+								for _, viol := range rr.Violations {
+									res.Violations = append(res.Violations,
+										fmt.Sprintf("%s %sproto=%v shards=%d faults=%s %svariant=%d: %s",
+											t.Name, where, proto, shards, fl.Name, arm, v, viol))
+								}
+								hk := hashKey{t.Name, tl, proto, fl.Name, v, comb}
+								if hashes[hk] == nil {
+									hashes[hk] = make(map[int]uint64)
+								}
+								hashes[hk][shards] = rr.TraceHash
+								if opts.Verbose && opts.Out != nil {
+									fmt.Fprintf(opts.Out, "  %-14s %sproto=%-10v shards=%d faults=%-5s %sv=%d → %v\n",
+										t.Name, where, proto, shards, fl.Name, arm, v, rr.Outcome)
+								}
 							}
 						}
 					}
@@ -212,6 +278,12 @@ func Sweep(opts SweepOptions) *SweepResult {
 		a, b := hkeys[i], hkeys[j]
 		if a.test != b.test {
 			return a.test < b.test
+		}
+		if a.level.Topo != b.level.Topo {
+			return a.level.Topo < b.level.Topo
+		}
+		if a.level.Nodes != b.level.Nodes {
+			return a.level.Nodes < b.level.Nodes
 		}
 		if a.protocol != b.protocol {
 			return a.protocol < b.protocol
@@ -238,9 +310,10 @@ func Sweep(opts SweepOptions) *SweepResult {
 				continue
 			}
 			if h != want {
+				where, arm := plan.armLabel(hk.level, hk.comb)
 				res.Violations = append(res.Violations, fmt.Sprintf(
-					"shard-variance: %s proto=%v faults=%s comb=%v variant=%d: trace hash differs across shard counts",
-					hk.test, hk.protocol, hk.faults, hk.comb, hk.variant))
+					"shard-variance: %s %sproto=%v faults=%s %svariant=%d: trace hash differs across shard counts",
+					hk.test, where, hk.protocol, hk.faults, arm, hk.variant))
 				break
 			}
 		}

@@ -10,13 +10,13 @@ go build ./...
 echo '== go vet ./...'
 go vet ./...
 
-# Determinism & shard-safety lints: no wall clock or global math/rand in
-# sim-facing code, no effectful map-range iteration, no blocking calls in
-# event callbacks, no dropped event handles, no HIB recorders that bypass
-# the trace pipeline, no filesystem access outside the spill writer — and
-# the interprocedural suite: taint (no call chain reaching wall-clock,
-# rand, env, or host identity), noalloc (//tgvet:noalloc hot paths proven
-# allocation-free, transitively), and handle (pooled event-handle
+# Determinism & shard-safety lints: no effectful map-range iteration, no
+# blocking calls in event callbacks, no dropped event handles, no HIB
+# recorders that bypass the trace pipeline, no filesystem access outside
+# the spill writer — and the interprocedural suite: taint (no wall clock,
+# global math/rand, env, or host-identity read in sim-facing code,
+# directly or through any call chain), noalloc (//tgvet:noalloc hot paths
+# proven allocation-free, transitively), and handle (pooled event-handle
 # lifetime). Must exit clean before the test phases run; `make
 # lint-fix-audit` lists every //tgvet:allow escape hatch with its reason.
 echo '== tgvet ./...'
