@@ -58,6 +58,7 @@ bench:
 # targets; FuzzSpill (TGE1 reader) and FuzzDecode (packet decoder) take
 # untrusted bytes. The two sim targets hunt for operation streams where
 # the engine's queue and its container/heap reference pop differently.
+# FuzzAllowAnnot feeds arbitrary //tgvet:allow comments to tgvet.
 fuzz:
 	$(GO) test ./internal/sim -fuzz FuzzMsgQueue -fuzztime 10s
 	$(GO) test ./internal/sim -fuzz FuzzEventQueueDifferential -fuzztime 10s
@@ -70,3 +71,4 @@ fuzz:
 	$(GO) test ./internal/consistency -fuzz FuzzCoherent -fuzztime 15s
 	$(GO) test ./internal/switchfab -fuzz FuzzMergeSplit -fuzztime 10s
 	$(GO) test ./internal/topology -fuzz FuzzRoute -fuzztime 15s
+	$(GO) test ./internal/analysis -fuzz FuzzAllowAnnot -fuzztime 10s

@@ -38,6 +38,11 @@ func main() {
 	configPath := flag.String("config", "", "JSON machine description (overrides other machine flags)")
 	flag.Parse()
 
+	if *placement != "hib" && *placement != "main" {
+		fmt.Fprintf(os.Stderr, "tgsim: unknown placement %q (want hib or main)\n", *placement)
+		os.Exit(2)
+	}
+
 	var cfg params.Config
 	if *configPath != "" {
 		var err error

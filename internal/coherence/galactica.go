@@ -123,7 +123,7 @@ func (m *GalacticaMgr) LocalSharedWrite(p *sim.Proc, offset uint64, v uint64) bo
 	m.record(offset, v)
 	m.pending[offset] = true
 	m.Counters.Inc("ring-write")
-	m.h.Post(p, &packet.Packet{
+	m.h.Post(&packet.Packet{
 		Type:   packet.RingUpdate,
 		Dst:    st.next,
 		Addr:   addrspace.NewGAddr(st.next, offset),
@@ -168,7 +168,7 @@ func (m *GalacticaMgr) IncomingPacket(p *sim.Proc, pkt *packet.Packet) bool {
 	if pkt.Val2 != galCorrective && m.pending[offset] && pkt.Origin < m.node {
 		m.pending[offset] = false
 		m.Counters.Inc("ring-backoff")
-		m.h.Post(p, &packet.Packet{
+		m.h.Post(&packet.Packet{
 			Type:   packet.RingUpdate,
 			Dst:    st.next,
 			Addr:   addrspace.NewGAddr(st.next, offset),
@@ -182,6 +182,6 @@ func (m *GalacticaMgr) IncomingPacket(p *sim.Proc, pkt *packet.Packet) bool {
 	fwd := *pkt
 	fwd.Dst = st.next
 	fwd.Addr = addrspace.NewGAddr(st.next, offset)
-	m.h.Post(p, &fwd)
+	m.h.Post(&fwd)
 	return true
 }

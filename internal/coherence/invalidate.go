@@ -150,7 +150,7 @@ func (m *InvalidateMgr) fetchPage(p *sim.Proc, pn addrspace.PageNum, dir *invDir
 	base := addrspace.PageBase(pn, m.h.Mem().PageSize())
 	words := m.h.Mem().WordsPerPage()
 	m.h.AddOutstanding(1)
-	m.h.Post(p, &packet.Packet{
+	m.h.Post(&packet.Packet{
 		Type:   packet.CopyReq,
 		Dst:    src,
 		Addr:   addrspace.NewGAddr(src, base),
@@ -186,7 +186,7 @@ func (m *InvalidateMgr) acquireExclusive(p *sim.Proc, pn addrspace.PageNum, dir 
 		}
 		m.Counters.Inc("invalidations")
 		m.h.AddOutstanding(1)
-		m.h.Post(p, &packet.Packet{
+		m.h.Post(&packet.Packet{
 			Type: packet.InvReq,
 			Dst:  holder,
 			Addr: addrspace.NewGAddr(holder, base),
@@ -205,7 +205,7 @@ func (m *InvalidateMgr) IncomingPacket(p *sim.Proc, pkt *packet.Packet) bool {
 		pn := addrspace.PageOf(pkt.Addr.Offset(), m.h.Mem().PageSize())
 		m.valid[pn] = false
 		m.Counters.Inc("invalidated")
-		m.h.Post(p, &packet.Packet{Type: packet.InvAck, Dst: pkt.Src})
+		m.h.Post(&packet.Packet{Type: packet.InvAck, Dst: pkt.Src})
 		return true
 	case packet.InvAck:
 		m.h.AddOutstanding(-1)

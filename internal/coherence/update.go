@@ -221,7 +221,7 @@ func (m *UpdateMgr) LocalSharedWrite(p *sim.Proc, offset uint64, v uint64) bool 
 		m.Counters.Inc("owner-write")
 		// The owner's own store is its serialization point.
 		m.h.Emit(trace.EvUpdateSerialize, offset, v, uint64(m.node))
-		m.reflect(p, st, offset, v, m.node)
+		m.reflect(st, offset, v, m.node)
 		return true
 	}
 	m.Counters.Inc("copy-write")
@@ -230,7 +230,7 @@ func (m *UpdateMgr) LocalSharedWrite(p *sim.Proc, offset uint64, v uint64) bool 
 		p.Sleep(m.h.Timing().CounterOverhead)
 	}
 	m.h.AddOutstanding(1)
-	m.h.Post(p, &packet.Packet{
+	m.h.Post(&packet.Packet{
 		Type:   packet.UpdateFwd,
 		Dst:    st.owner,
 		Addr:   addrspace.NewGAddr(st.owner, offset),
@@ -250,7 +250,7 @@ func (m *UpdateMgr) LocalSharedRead(p *sim.Proc, offset uint64) (uint64, bool) {
 // replica except the owner itself (§2.3.1 "reflected writes"). The owner
 // tracks each reflection as an outstanding operation; replicas
 // acknowledge, so the owner's FENCE covers global visibility.
-func (m *UpdateMgr) reflect(p *sim.Proc, st *upage, offset uint64, v uint64, origin addrspace.NodeID) {
+func (m *UpdateMgr) reflect(st *upage, offset uint64, v uint64, origin addrspace.NodeID) {
 	for _, dst := range st.copies {
 		if dst == m.node {
 			continue
@@ -260,7 +260,7 @@ func (m *UpdateMgr) reflect(p *sim.Proc, st *upage, offset uint64, v uint64, ori
 		}
 		m.Counters.Inc("reflect")
 		m.h.AddOutstanding(1)
-		m.h.Post(p, &packet.Packet{
+		m.h.Post(&packet.Packet{
 			Type:   packet.ReflectedWrite,
 			Dst:    dst,
 			Addr:   addrspace.NewGAddr(dst, offset),
@@ -309,9 +309,9 @@ func (m *UpdateMgr) ownerSerialize(p *sim.Proc, pkt *packet.Packet, ack bool) bo
 	m.record(offset, pkt.Val)
 	m.Counters.Inc("owner-serialized")
 	m.h.Emit(trace.EvUpdateSerialize, offset, pkt.Val, uint64(origin))
-	m.reflect(p, st, offset, pkt.Val, origin)
+	m.reflect(st, offset, pkt.Val, origin)
 	if ack {
-		m.h.Post(p, &packet.Packet{Type: packet.WriteAck, Dst: pkt.Src})
+		m.h.Post(&packet.Packet{Type: packet.WriteAck, Dst: pkt.Src})
 	}
 	return true
 }
@@ -371,6 +371,6 @@ func (m *UpdateMgr) applyReflected(p *sim.Proc, pkt *packet.Packet) bool {
 		m.h.AddOutstanding(-1)
 	}
 	// Acknowledge the owner's reflection so its FENCE covers delivery.
-	m.h.Post(p, &packet.Packet{Type: packet.WriteAck, Dst: pkt.Src})
+	m.h.Post(&packet.Packet{Type: packet.WriteAck, Dst: pkt.Src})
 	return true
 }

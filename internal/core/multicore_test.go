@@ -92,7 +92,7 @@ func TestIntraNodeFastPathBypassesFabric(t *testing.T) {
 		got = append(got, pkt.Data...)
 	})
 	c.SpawnCore(1, 1, "self-send", func(ctx *cpu.Ctx) {
-		ctx.CPU.HIB.Post(ctx.P, &packet.Packet{
+		ctx.CPU.HIB.Post(&packet.Packet{
 			Type: packet.MsgData,
 			Dst:  1,
 			Len:  2,

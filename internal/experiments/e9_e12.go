@@ -54,7 +54,7 @@ func E9AlarmReplication() *Result {
 			base := off / uint64(ps) * uint64(ps)
 			words := ps / addrspace.WordSize
 			n1.HIB.AddOutstanding(1)
-			n1.HIB.Post(p, &packet.Packet{
+			n1.HIB.Post(&packet.Packet{
 				Type:   packet.CopyReq,
 				Dst:    0,
 				Addr:   addrspace.NewGAddr(0, base),

@@ -159,8 +159,7 @@ func (h *HIB) collAccumulate(g *collGroup, count int, val uint64, reduce bool, r
 }
 
 // collArrivePkt services a BarrierArrive/ReduceReq at the root board.
-// Pure counter work on the board — callable from both the event-chain
-// fast path and the blocking handler, with identical (zero) extra delay.
+// Pure counter work on the board: it adds no delay of its own.
 func (h *HIB) collArrivePkt(pkt *packet.Packet) {
 	g := h.collGroups[uint64(pkt.Addr)]
 	if g == nil {

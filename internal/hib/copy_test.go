@@ -12,7 +12,7 @@ import (
 func postCopy(r *rig, src, dst addrspace.GAddr, words int) {
 	r.eng.Spawn("copy", func(p *sim.Proc) {
 		r.h[0].AddOutstanding(1)
-		r.h[0].Post(p, &packet.Packet{
+		r.h[0].Post(&packet.Packet{
 			Type:   packet.CopyReq,
 			Dst:    src.Node(),
 			Addr:   src,
@@ -73,7 +73,7 @@ func TestConcurrentCopiesBothComplete(t *testing.T) {
 	// Node 0 pulls from node 1 while node 1 pulls from node 0.
 	r.eng.Spawn("c0", func(p *sim.Proc) {
 		r.h[0].AddOutstanding(1)
-		r.h[0].Post(p, &packet.Packet{
+		r.h[0].Post(&packet.Packet{
 			Type: packet.CopyReq, Dst: 1,
 			Addr:   addrspace.NewGAddr(1, 0),
 			Addr2:  addrspace.NewGAddr(0, 0x8000),
@@ -83,7 +83,7 @@ func TestConcurrentCopiesBothComplete(t *testing.T) {
 	})
 	r.eng.Spawn("c1", func(p *sim.Proc) {
 		r.h[1].AddOutstanding(1)
-		r.h[1].Post(p, &packet.Packet{
+		r.h[1].Post(&packet.Packet{
 			Type: packet.CopyReq, Dst: 0,
 			Addr:   addrspace.NewGAddr(0, 0x4000),
 			Addr2:  addrspace.NewGAddr(1, 0x8000),

@@ -88,9 +88,10 @@ type HIB struct {
 	// then the handler's memory timing — with the pump's busy flag
 	// providing the same one-at-a-time discipline the old receiver
 	// daemons enforced (the property that makes the home node a
-	// serialization point). Simple packets are serviced by chained
-	// events; coherence traffic and multi-step operations fall back to a
-	// transient process running the original blocking handlers.
+	// serialization point). Every packet type has one handler built from
+	// chained events (handle); a transient process runs first only where
+	// process context is needed: an installed coherence protocol's
+	// IncomingPacket hook, a CopyReq's copy stream, or a message sink.
 	rxBusy  [packet.NumVCs]bool
 	rxCur   [packet.NumVCs]*packet.Packet
 	rxSvcFn [packet.NumVCs]func()
@@ -184,8 +185,8 @@ func New(eng *sim.Engine, node addrspace.NodeID, net *topology.Network, bus *tch
 		}
 	}
 	for t := packet.Type(0); int(t) < packet.NumTypes; t++ {
-		h.rxCells[t] = h.Counters.Cell(rxLabel(t))
-		h.txCells[t] = h.Counters.Cell(txLabel(t))
+		h.rxCells[t] = h.Counters.Cell(rxLabels[t])
+		h.txCells[t] = h.Counters.Cell(txLabels[t])
 	}
 	h.cLocalSharedWrite = h.Counters.Cell("local-shared-write")
 	h.cLocalSharedRead = h.Counters.Cell("local-shared-read")
@@ -289,9 +290,7 @@ func (h *HIB) applyWrite() {
 	h.Emit(trace.EvWriteApply, uint64(pkt.Addr), pkt.Val, uint64(pkt.Src))
 	h.ack(pkt.Src)
 	h.freePacket(pkt)
-	if it.done != nil {
-		it.done()
-	}
+	it.done()
 }
 
 // txPump launches the oldest queued packet on vc's injection link; the
@@ -338,23 +337,13 @@ func (h *HIB) rxPump(vc packet.VC) {
 	h.eng.Schedule(h.timing.HIBService, h.rxSvcFn[vc]) //tgvet:allow eventdrop(rx service delay always fires; rxBusy stays held until it does)
 }
 
-// rxService runs HIBService after arrival: dispatch to the event-chain
-// fast path, or to a transient process for packets that need blocking
-// handler context (attached coherence protocol, copies, message sinks).
+// rxService runs HIBService after arrival: it hands the packet to
+// service, which releases the VC's pipeline through rxDone once the
+// packet is serviced.
 func (h *HIB) rxService(vc packet.VC) {
 	pkt := h.rxCur[vc]
 	h.rxCur[vc] = nil
-	if h.serviceFast(pkt, h.rxDonFn[vc]) {
-		return
-	}
-	h.eng.SpawnDaemon(h.rxName, func(p *sim.Proc) {
-		if pkt.Class() == packet.VCRequest {
-			h.handleRequest(p, pkt)
-		} else {
-			h.handleReply(p, pkt)
-		}
-		h.rxDone(vc)
-	})
+	h.service(h.rxName, pkt, h.rxDonFn[vc])
 }
 
 // rxDone releases the VC's service pipeline and pulls in the next packet.
@@ -380,7 +369,7 @@ func (h *HIB) post(pkt *packet.Packet) {
 
 // Post enqueues a protocol packet for transmission on behalf of an
 // attached coherence layer.
-func (h *HIB) Post(p *sim.Proc, pkt *packet.Packet) {
+func (h *HIB) Post(pkt *packet.Packet) {
 	pkt.Src = h.node
 	h.countTx(pkt.Type)
 	h.post(pkt)

@@ -405,7 +405,7 @@ func TestPageArgCodec(t *testing.T) {
 func TestOrphanReplyCounted(t *testing.T) {
 	r := newRig(t, nil)
 	r.eng.Spawn("x", func(p *sim.Proc) {
-		r.h[1].Post(p, &packet.Packet{Type: packet.ReadReply, Dst: 0, ReqID: 999})
+		r.h[1].Post(&packet.Packet{Type: packet.ReadReply, Dst: 0, ReqID: 999})
 	})
 	r.run(t)
 	if r.h[0].Counters.Get("orphan-reply") != 1 {
@@ -416,7 +416,7 @@ func TestOrphanReplyCounted(t *testing.T) {
 func TestUnhandledCoherencePacketCounted(t *testing.T) {
 	r := newRig(t, nil)
 	r.eng.Spawn("x", func(p *sim.Proc) {
-		r.h[1].Post(p, &packet.Packet{Type: packet.UpdateFwd, Dst: 0, Addr: addrspace.NewGAddr(0, 0)})
+		r.h[1].Post(&packet.Packet{Type: packet.UpdateFwd, Dst: 0, Addr: addrspace.NewGAddr(0, 0)})
 	})
 	r.run(t)
 	if r.h[0].Counters.Get("unhandled-UpdateFwd") != 1 {
@@ -427,11 +427,64 @@ func TestUnhandledCoherencePacketCounted(t *testing.T) {
 func TestMsgDataDroppedWithoutSink(t *testing.T) {
 	r := newRig(t, nil)
 	r.eng.Spawn("x", func(p *sim.Proc) {
-		r.h[1].Post(p, &packet.Packet{Type: packet.MsgData, Dst: 0, Data: []uint64{1}})
+		r.h[1].Post(&packet.Packet{Type: packet.MsgData, Dst: 0, Data: []uint64{1}})
 	})
 	r.run(t)
 	if r.h[0].Counters.Get("msg-dropped") != 1 {
 		t.Fatal("sink-less MsgData not counted")
+	}
+}
+
+// claimFirst is a coherence layer that claims the first packet of each
+// VC class, after a 1 ns stall, and declines everything else.
+type claimFirst struct {
+	claimed [packet.NumVCs]bool
+	seen    int
+}
+
+func (c *claimFirst) LocalSharedWrite(*sim.Proc, uint64, uint64) bool { return false }
+
+func (c *claimFirst) LocalSharedRead(*sim.Proc, uint64) (uint64, bool) { return 0, false }
+
+func (c *claimFirst) IncomingPacket(p *sim.Proc, pkt *packet.Packet) bool {
+	c.seen++
+	vc := pkt.Class()
+	if c.claimed[vc] {
+		return false
+	}
+	c.claimed[vc] = true
+	p.Sleep(1)
+	return true
+}
+
+// TestInterceptedPacketReleasesVC has a coherence layer claim the first
+// packet on each VC: the next packet on that VC must still be serviced,
+// by the default handler, so the claim released the receive pipeline.
+// Claimed packets are counted as received like any other.
+func TestInterceptedPacketReleasesVC(t *testing.T) {
+	r := newRig(t, nil)
+	c := &claimFirst{}
+	r.h[0].SetCoherence(c)
+	r.eng.Spawn("x", func(p *sim.Proc) {
+		r.h[1].Post(&packet.Packet{Type: packet.UpdateFwd, Dst: 0, Addr: addrspace.NewGAddr(0, 0)})
+		r.h[1].Post(&packet.Packet{Type: packet.UpdateFwd, Dst: 0, Addr: addrspace.NewGAddr(0, 8)})
+		r.h[1].Post(&packet.Packet{Type: packet.ReadReply, Dst: 0, ReqID: 998})
+		r.h[1].Post(&packet.Packet{Type: packet.ReadReply, Dst: 0, ReqID: 999})
+	})
+	r.run(t)
+	if c.seen != 4 {
+		t.Fatalf("coherence layer saw %d packets, want 4", c.seen)
+	}
+	cs := r.h[0].Counters
+	if got := cs.Get("unhandled-UpdateFwd"); got != 1 {
+		t.Fatalf("declined UpdateFwd counted %d times, want 1", got)
+	}
+	if got := cs.Get("orphan-reply"); got != 1 {
+		t.Fatalf("declined ReadReply counted %d orphan replies, want 1", got)
+	}
+	if cs.Get("rx-UpdateFwd") != 2 || cs.Get("rx-ReadReply") != 2 {
+		t.Fatalf("rx counters = %d UpdateFwd, %d ReadReply; want 2 each",
+			cs.Get("rx-UpdateFwd"), cs.Get("rx-ReadReply"))
 	}
 }
 

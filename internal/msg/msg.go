@@ -95,7 +95,7 @@ func (s *System) SendP(p *sim.Proc, src, dst addrspace.NodeID, port uint64, data
 		Len:   uint32(len(data)),
 		Data:  append([]uint64(nil), data...),
 	}
-	node.HIB.Post(p, pkt)
+	node.HIB.Post(pkt)
 }
 
 // Recv blocks until a message arrives at (the caller's node, port); the

@@ -144,7 +144,7 @@ func Run(c *core.Cluster, node int, cfg Config, refs []Ref) (Result, error) {
 				Origin: n.ID,
 				Len:    uint32(words),
 			}
-			h.Post(p, pkt)
+			h.Post(pkt)
 			h.Fence(p)
 		}
 	}

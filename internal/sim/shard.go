@@ -53,7 +53,6 @@ import (
 type Group struct {
 	engines    []*Engine
 	chans      []*Chan
-	incoming   [][]*Chan // per shard: cross-shard chans delivering to it
 	nextChanID uint64
 
 	// dist[j][i] is the minimum accumulated channel delay over any path of
@@ -166,8 +165,7 @@ func NewGroup(seed int64, shards int) *Group {
 		shards = 1
 	}
 	g := &Group{
-		engines:  make([]*Engine, shards),
-		incoming: make([][]*Chan, shards),
+		engines: make([]*Engine, shards),
 	}
 	for i := range g.engines {
 		e := NewEngine(seed + int64(i))
@@ -665,7 +663,6 @@ func NewChan(src, dst *Engine, minDelay Time) *Chan {
 		g.nextChanID++
 		g.chans = append(g.chans, ch)
 		if src != dst {
-			g.incoming[dst.shard] = append(g.incoming[dst.shard], ch)
 			g.distDirty = true
 		}
 	} else {
