@@ -12,12 +12,12 @@
 //	tgchaos -clean             # fault-free control sweep
 //	tgchaos -broken            # sanity: the broken protocol must be caught
 //	tgchaos -shards 2          # sharded engine (hashes match -shards 1)
-//	tgchaos -window 512        # trace ring capacity per node (bounded memory)
+//	tgchaos -window 512        # initial trace ring capacity per node
 //	tgchaos -checkpoint        # checkpoint/restore the trace state mid-run
 //	                           # and require the same final hash as an
 //	                           # uninterrupted run of the same seed
 //
-// Exit status 1 if any scenario violated an invariant.
+// Exit status 1 if any scenario violated an invariant, 2 on a bad flag.
 package main
 
 import (
@@ -39,11 +39,15 @@ func main() {
 	stop := flag.Bool("stop-on-fail", false, "stop at the first failing seed")
 	verbose := flag.Bool("v", false, "print every scenario, not just failures")
 	shards := flag.Int("shards", 1, "simulation shards (trace hashes are invariant to this)")
-	window := flag.Int("window", 0, "per-node trace ring capacity (0 = trace.DefaultWindow); memory stays O(window), not O(events)")
+	window := flag.Int("window", 0, "initial per-node ring capacity (0 = trace.DefaultWindow); rings double when a round outpaces it")
 	checkpoint := flag.Bool("checkpoint", false, "encode/decode/swap the trace state at a barrier mid-run and require the final hash to match an uninterrupted run")
 	opsPerNode := flag.Int("ops", 0, "override the per-node op count of every scenario (0 = scenario default)")
 	spill := flag.String("spill", "", "page the canonical merged stream to this TGE1 file (sweeps write <path>.<seed>); inspect with `tgtrace events`")
 	flag.Parse()
+	if err := checkCounts(*seeds, *window, *opsPerNode, *shards); err != nil {
+		fmt.Fprintf(os.Stderr, "tgchaos: %v\n", err)
+		os.Exit(2)
+	}
 
 	lo, hi := *start, *start+*seeds
 	if *one >= 0 {
@@ -134,4 +138,20 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("tgchaos: %d scenarios clean\n", hi-lo)
+}
+
+// checkCounts rejects the count flags no sweep can honour: a negative
+// -seeds, -window or -ops, or fewer than one shard.
+func checkCounts(seeds int64, window, ops, shards int) error {
+	switch {
+	case seeds < 0:
+		return fmt.Errorf("-seeds %d: want 0 or more", seeds)
+	case window < 0:
+		return fmt.Errorf("-window %d: want 0 (the default) or more", window)
+	case ops < 0:
+		return fmt.Errorf("-ops %d: want 0 (the scenario default) or more", ops)
+	case shards < 1:
+		return fmt.Errorf("-shards %d: want 1 or more", shards)
+	}
+	return nil
 }

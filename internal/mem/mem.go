@@ -11,11 +11,15 @@ import (
 	"telegraphos/internal/addrspace"
 )
 
-// chunkWords sizes the lazily-allocated backing chunks (64 KiB). A fresh
-// Memory allocates no data storage: chunks materialize on first write and
-// unwritten words read as zero, so building a large cluster costs neither
-// the allocation nor the zeroing of memory the workload never touches.
-const chunkWords = 1 << 13
+// chunkWords sizes the lazily-allocated backing chunks: 8 KiB, one
+// default page (addrspace.DefaultPageSize). A fresh Memory allocates no
+// data storage: chunks materialize on first write and unwritten words
+// read as zero, so building a large cluster costs neither the allocation
+// nor the zeroing of memory the workload never touches, and a one-word
+// touch costs one page. It stays a constant so that load and store index
+// by shift and mask; with another page size a chunk holds several pages,
+// or a page spans several chunks.
+const chunkWords = 1 << 10
 
 // Memory is a node-local physical memory of a fixed byte size.
 type Memory struct {

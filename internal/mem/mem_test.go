@@ -90,3 +90,55 @@ func TestCounters(t *testing.T) {
 		t.Fatalf("counters %d/%d", m.Reads(), m.Writes())
 	}
 }
+
+// TestOneWordTouchAllocatesOnePage: a write into a fresh memory
+// materializes exactly one chunk, one default 8 KiB page of words, and
+// leaves the rest of a 2 MB node unallocated.
+func TestOneWordTouchAllocatesOnePage(t *testing.T) {
+	m := New(2<<20, addrspace.DefaultPageSize)
+	if len(m.chunks) != 256 {
+		t.Fatalf("%d chunk slots for 2 MB, want 256", len(m.chunks))
+	}
+	m.WriteWord(3*addrspace.DefaultPageSize+40, 7)
+	var got []int
+	for i, c := range m.chunks {
+		if c != nil {
+			got = append(got, i)
+			if len(c) != 1024 {
+				t.Fatalf("chunk %d holds %d words, want 1024", i, len(c))
+			}
+		}
+	}
+	if len(got) != 1 || got[0] != 3 {
+		t.Fatalf("chunks %v materialized, want [3]", got)
+	}
+	if m.ReadWord(3*addrspace.DefaultPageSize+40) != 7 {
+		t.Fatal("word round trip failed")
+	}
+}
+
+// TestPageRoundTripAcrossChunks: whole-page writes and reads round-trip
+// when pages are smaller than a chunk (4 KiB: two pages share one) and
+// larger (16 KiB: one page spans two), written out of order.
+func TestPageRoundTripAcrossChunks(t *testing.T) {
+	for _, ps := range []int{4 << 10, 16 << 10} {
+		m := New(8*ps, ps)
+		pattern := func(pn, j int) uint64 { return uint64(pn)<<32 | uint64(j) + 1 }
+		order := []int{5, 0, 7, 2, 6, 1, 3, 4}
+		for _, pn := range order {
+			data := make([]uint64, m.WordsPerPage())
+			for j := range data {
+				data[j] = pattern(pn, j)
+			}
+			m.WritePage(addrspace.PageNum(pn), data)
+		}
+		for pn := 0; pn < m.NumPages(); pn++ {
+			got := m.ReadPage(addrspace.PageNum(pn))
+			for j, v := range got {
+				if v != pattern(pn, j) {
+					t.Fatalf("page size %d: page %d word %d = %#x, want %#x", ps, pn, j, v, pattern(pn, j))
+				}
+			}
+		}
+	}
+}

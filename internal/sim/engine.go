@@ -86,7 +86,9 @@ var ErrStalled = errors.New("sim: event queue empty but non-daemon processes sti
 // The hot path is allocation-free in steady state: events are drawn from
 // a per-engine slot pool (pool.go), the queue is a ring of time buckets
 // that recycles its bucket arrays, over a far-tier heap (mqueue.go,
-// equeue.go), and process wakeups reuse one prebound closure per process.
+// equeue.go), process wakeups reuse one prebound closure per process, and
+// a spawn reuses the coroutine of a process that finished earlier in the
+// run.
 type Engine struct {
 	now        Time
 	queue      msgQueue
@@ -99,6 +101,11 @@ type Engine struct {
 	deadEvents int    // canceled events still sitting in the queue
 	executed   uint64 // events + messages executed
 	nextChanID uint64 // chan ids for standalone (group-less) engines
+
+	// idle holds the coroutines of finished processes, parked until
+	// spawn hands one the next body (proc.go). RunUntil releases them
+	// when it returns.
+	idle []*coro
 
 	// stage holds cross-shard messages generated during this engine's
 	// window, batched per destination shard; the group barrier hands each
@@ -322,6 +329,7 @@ func (e *Engine) RunUntil(deadline Time) error {
 	if e.group != nil && len(e.group.engines) > 1 {
 		return e.group.RunUntil(deadline)
 	}
+	defer e.releaseIdle()
 	e.stopped = false
 	e.runWindow(-1, deadline)
 	if e.failure != nil {

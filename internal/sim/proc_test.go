@@ -174,3 +174,104 @@ func TestProcGoexitOnWorkerShard(t *testing.T) {
 		t.Fatalf("Run() = %v, want the victim's Goexit", err)
 	}
 }
+
+// Coroutine reuse. A finished process parks its coroutine on the
+// engine's idle list, the next spawn runs its body there, and RunUntil
+// stops the idle ones on its way out.
+
+// TestIdleCoroutinesReleased: a run that finishes processes leaves no
+// goroutine behind, on a standalone engine and on a 2-shard group.
+func TestIdleCoroutinesReleased(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEngine(1)
+	reused := false
+	e.Spawn("spawner", func(p *Proc) {
+		var last *coro
+		for i := 0; i < 8; i++ {
+			c := e.Spawn(fmt.Sprintf("child%d", i), func(p *Proc) { p.Sleep(1) })
+			reused = reused || c.co == last
+			last = c.co
+			p.Sleep(2)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !reused {
+		t.Fatal("no child ran on its predecessor's coroutine")
+	}
+	expectGoroutines(t, e, before)
+
+	before = runtime.NumGoroutine()
+	g := NewGroup(5, 2)
+	newWorkerLoad(g)
+	if err := g.Run(); err != nil {
+		t.Fatal(err)
+	}
+	expectGoroutines(t, g, before)
+}
+
+// TestPanicCoroutineNotReused: a body that panics on a reused coroutine
+// is reported under its own name, and its coroutine ends instead of
+// going to the next spawn.
+func TestPanicCoroutineNotReused(t *testing.T) {
+	e := NewEngine(1)
+	first := e.Spawn("first", func(p *Proc) {})
+	var bad, next *Proc
+	e.Schedule(1, func() {
+		bad = e.Spawn("bad", func(p *Proc) { panic("boom") })
+	})
+	// The hook runs right after the work item in which bad panicked,
+	// before the run stops.
+	e.SetRoundHook(1, func(Time) {
+		if next == nil && bad != nil && bad.Done() {
+			next = e.Spawn("next", func(p *Proc) {})
+		}
+	})
+	err := e.Run()
+	if err == nil || !strings.Contains(err.Error(), `"bad"`) || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("Run() = %v, want bad's panic", err)
+	}
+	if bad.co != first.co {
+		t.Fatal("bad did not run on first's coroutine")
+	}
+	if next == nil || next.co == bad.co {
+		t.Fatal("the spawn after the panic took the panicked coroutine")
+	}
+	if _, ok := bad.co.resume(); ok {
+		t.Fatal("the panicked coroutine is still running")
+	}
+	next.co.stop() // next never ran: the failure ended the run first
+}
+
+// TestStaleWakeOnReusedCoroutine: a finished Proc stays Done, and a wake
+// for it that arrives while its coroutine runs another body is inert:
+// the new body resumes only on its own wakes.
+func TestStaleWakeOnReusedCoroutine(t *testing.T) {
+	e := NewEngine(1)
+	old := e.Spawn("old", func(p *Proc) {})
+	var woke []Time
+	var young *Proc
+	e.Schedule(1, func() {
+		young = e.Spawn("young", func(p *Proc) {
+			e.Schedule(3, old.wakeFn) // the stale wake lands mid-sleep
+			p.Sleep(10)
+			woke = append(woke, p.Now())
+			if !old.Done() {
+				t.Error("old is not Done while its coroutine runs young")
+			}
+		})
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if young.co != old.co {
+		t.Fatal("young did not run on old's coroutine")
+	}
+	if len(woke) != 1 || woke[0] != 11 {
+		t.Fatalf("young woke at %v, want once at 11", woke)
+	}
+	if !old.Done() || !young.Done() {
+		t.Fatalf("Done: old %v, young %v; want both", old.Done(), young.Done())
+	}
+}

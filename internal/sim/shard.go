@@ -273,7 +273,12 @@ func (g *Group) RunUntil(deadline Time) error {
 	for _, e := range g.engines {
 		e.stopped = false
 	}
-	defer g.stopWorkers()
+	defer func() {
+		g.stopWorkers()
+		for _, e := range g.engines {
+			e.releaseIdle()
+		}
+	}()
 	if g.distDirty || g.dist == nil {
 		g.rebuildDist()
 	}

@@ -2,6 +2,7 @@ package simtest
 
 import (
 	"flag"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -224,4 +225,33 @@ func TestBoundedResidency(t *testing.T) {
 		t.Errorf("peak undecided window %d of %d events: the checker is not deciding incrementally", res.PeakWindow, res.Events)
 	}
 	t.Logf("events=%d peakResident=%d peakWindow=%d", res.Events, res.PeakResident, res.PeakWindow)
+}
+
+// chaosAllocBudget is the ceiling on heap bytes allocated per program op
+// over TestChaosAllocBudget's sweep. It is a ratchet: lower it when a
+// change lowers allocation, and never raise it to make a change pass.
+// The trace rings start small, node memory materializes a page at a
+// time, and finished processes hand their coroutines on; about 3.1 KB
+// per op remains (3.14 under -race), most of it the link fault
+// injector's per-frame state.
+const chaosAllocBudget = 4 << 10
+
+// TestChaosAllocBudget caps the allocation of a verification sweep —
+// seeds 0–9 at 60 ops per node on one shard, faults, trace rings and
+// online checkers on — at chaosAllocBudget bytes per program op.
+func TestChaosAllocBudget(t *testing.T) {
+	var before, after runtime.MemStats
+	ops := 0
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for seed := int64(0); seed < 10; seed++ {
+		res := runSeed(t, seed, Options{Shards: 1, OpsPerNode: 60})
+		ops += res.Scenario.Nodes * res.Scenario.OpsPerNode
+	}
+	runtime.ReadMemStats(&after)
+	perOp := float64(after.TotalAlloc-before.TotalAlloc) / float64(ops)
+	t.Logf("%d ops, %.0f bytes allocated per op", ops, perOp)
+	if perOp > chaosAllocBudget {
+		t.Errorf("%.0f bytes allocated per program op, want at most %d", perOp, chaosAllocBudget)
+	}
 }

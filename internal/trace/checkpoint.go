@@ -59,7 +59,7 @@ func (w *WindowedLog) Checkpoint() *Checkpoint {
 }
 
 // RestoreWindowedLog rebuilds a windowed log from a checkpoint, with
-// per-node ring capacity window (DefaultWindow if <= 0). Sinks and the
+// initial per-node ring capacity window (DefaultWindow if <= 0). Sinks and the
 // spill writer are not part of the checkpoint; the caller re-attaches
 // them (positioning the spill at c.Spilled records if resuming a file).
 func RestoreWindowedLog(c *Checkpoint, window int) *WindowedLog {

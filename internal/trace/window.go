@@ -2,10 +2,12 @@ package trace
 
 import "math"
 
-// DefaultWindow is the per-node ring capacity used when a caller does
-// not configure one. It is sized so a typical barrier round's worth of
-// events fits without growing.
-const DefaultWindow = 4096
+// DefaultWindow is the initial per-node ring capacity used when a
+// caller does not configure one. It is small on purpose: a drained
+// pipeline holds about a hundred events across all nodes, and a ring
+// doubles whenever a round outpaces it, so each node's ring settles at
+// its own high-water mark instead of preallocating one no run needs.
+const DefaultWindow = 16
 
 // nodeWindow is one node's private ring buffer of undrained events.
 // The recorder (running on the node's shard) appends at the tail; the
@@ -92,8 +94,8 @@ type WindowedLog struct {
 	sErr   error
 }
 
-// NewWindowedLog returns a windowed log for nodes nodes with per-node
-// ring capacity window (DefaultWindow if window <= 0).
+// NewWindowedLog returns a windowed log for nodes nodes with initial
+// per-node ring capacity window (DefaultWindow if window <= 0).
 func NewWindowedLog(nodes, window int) *WindowedLog {
 	if window <= 0 {
 		window = DefaultWindow

@@ -48,9 +48,11 @@ go test ./internal/trace -run 'Allocs$' -cpu 1,4 -count 1
 # Checkpoint/restore smoke through the CLI: a mid-run checkpoint/restore
 # with a small trace window must reproduce the uninterrupted run's final
 # trace hash (TestBoundedResidency and TestCheckpointRestore already ran
-# under `go test ./...`).
+# under `go test ./...`). The second run starts every ring at capacity
+# 1, so ring doubling and RestoreWindowedLog run from the smallest start.
 echo '== tgchaos checkpoint/restore smoke'
 go run ./cmd/tgchaos -seeds 5 -checkpoint -window 512
+go run ./cmd/tgchaos -seeds 5 -checkpoint -window 1
 
 # Throughput floor: a short single-shard PDES smoke must stay above the
 # floor recorded by `make bench` (BENCH_pdes.floor). The floor is scaled
