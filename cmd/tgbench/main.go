@@ -49,6 +49,10 @@ func main() {
 	traceWindow := flag.Int("trace-window", 0, "with -pdes: attach the streaming trace pipeline with this per-node ring capacity (0 = untraced); the report then includes the shard-invariant fingerprint and peak trace residency")
 	flag.Parse()
 
+	if err := checkCounts(*shards, *traceWindow); err != nil {
+		fmt.Fprintf(os.Stderr, "tgbench: %v\n", err)
+		os.Exit(2)
+	}
 	experiments.SetSeed(*seed)
 	experiments.SetShards(*shards)
 	experiments.SetTraceWindow(*traceWindow)
@@ -160,4 +164,16 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("RESULT: all %d experiments match the paper's shape\n", len(results))
+}
+
+// checkCounts rejects the count flags no run can honour: fewer than one
+// shard, or a negative -trace-window.
+func checkCounts(shards, traceWindow int) error {
+	switch {
+	case shards < 1:
+		return fmt.Errorf("-shards %d: want 1 or more", shards)
+	case traceWindow < 0:
+		return fmt.Errorf("-trace-window %d: want 0 (untraced) or more", traceWindow)
+	}
+	return nil
 }

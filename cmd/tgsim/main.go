@@ -38,6 +38,10 @@ func main() {
 	configPath := flag.String("config", "", "JSON machine description (overrides other machine flags)")
 	flag.Parse()
 
+	if err := checkCounts(*nodes, *perSwitch, *ops); err != nil {
+		fmt.Fprintf(os.Stderr, "tgsim: %v\n", err)
+		os.Exit(2)
+	}
 	if *placement != "hib" && *placement != "main" {
 		fmt.Fprintf(os.Stderr, "tgsim: unknown placement %q (want hib or main)\n", *placement)
 		os.Exit(2)
@@ -83,6 +87,20 @@ func main() {
 	}
 
 	fmt.Print(c.Snapshot().Format())
+}
+
+// checkCounts rejects the count flags no run can honour: fewer than one
+// node or one node per switch, or a negative -ops.
+func checkCounts(nodes, perSwitch, ops int) error {
+	switch {
+	case nodes < 1:
+		return fmt.Errorf("-nodes %d: want 1 or more", nodes)
+	case perSwitch < 1:
+		return fmt.Errorf("-per-switch %d: want 1 or more", perSwitch)
+	case ops < 0:
+		return fmt.Errorf("-ops %d: want 0 or more", ops)
+	}
+	return nil
 }
 
 func pingpong(c *core.Cluster, ops int) {

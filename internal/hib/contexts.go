@@ -233,16 +233,15 @@ func (h *HIB) launchAtomic(p *sim.Proc, id int) uint64 {
 	rid := h.nextReqID
 	fut := sim.NewFuture[uint64](h.eng)
 	h.pendingReads[rid] = fut
-	req := &packet.Packet{
-		Type:  packet.AtomicReq,
-		Src:   h.node,
-		Dst:   g.Node(),
-		Addr:  g,
-		Val:   c.operand1,
-		Val2:  c.operand2,
-		Op:    c.op,
-		ReqID: rid,
-	}
+	req := h.newPacket()
+	req.Type = packet.AtomicReq
+	req.Src = h.node
+	req.Dst = g.Node()
+	req.Addr = g
+	req.Val = c.operand1
+	req.Val2 = c.operand2
+	req.Op = c.op
+	req.ReqID = rid
 	if h.combining && c.op == packet.FetchAndInc {
 		// A remote fetch&increment travels as a combinable add of one so
 		// switches can merge concurrent hot-counter requests in flight;

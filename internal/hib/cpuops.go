@@ -168,13 +168,13 @@ func (h *HIB) remoteRead(p *sim.Proc, lead sim.Time, pa addrspace.PAddr) uint64 
 	id := h.nextReqID
 	fut := sim.NewFuture[uint64](h.eng)
 	h.pendingReads[id] = fut
-	h.postCPU(p, &packet.Packet{
-		Type:  packet.ReadReq,
-		Src:   h.node,
-		Dst:   g.Node(),
-		Addr:  g,
-		ReqID: id,
-	})
+	req := h.newPacket()
+	req.Type = packet.ReadReq
+	req.Src = h.node
+	req.Dst = g.Node()
+	req.Addr = g
+	req.ReqID = id
+	h.postCPU(p, req)
 	v := fut.Wait(p)
 	h.bus.Transact(p, h.timing.TCReadReply)
 	h.readSlots.Release()

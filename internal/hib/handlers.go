@@ -16,8 +16,12 @@ func (h *HIB) SetMsgSink(fn MsgSink) { h.msgSink = fn }
 
 // Precomputed telemetry labels, indexed by packet type: New resolves
 // the rx/tx ones to counter cells, and handle counts a dropped packet
-// without building "unhandled-"+Type.String() per packet.
-var rxLabels, txLabels, unhandledLabels [packet.NumTypes]string
+// without building "unhandled-"+Type.String() per packet. atomicLabels,
+// indexed by atomic opcode, does the same for applyAtomic.
+var (
+	rxLabels, txLabels, unhandledLabels [packet.NumTypes]string
+	atomicLabels                        [packet.CompareAndSwap + 1]string
+)
 
 func init() {
 	for t := 0; t < packet.NumTypes; t++ {
@@ -25,6 +29,9 @@ func init() {
 		rxLabels[t] = "rx-" + name
 		txLabels[t] = "tx-" + name
 		unhandledLabels[t] = "unhandled-" + name
+	}
+	for op := range atomicLabels {
+		atomicLabels[op] = "atomic-" + packet.AtomicOp(op).String()
 	}
 }
 
@@ -93,21 +100,12 @@ func (h *HIB) handle(pkt *packet.Packet, done func()) {
 		h.eng.Schedule(h.timing.MPMWrite, h.applyFn) //tgvet:allow eventdrop(memory-port apply delay always fires; no cancel path exists)
 
 	case packet.ReadReq:
-		//tgvet:allow eventdrop(memory-port read delay always fires; no cancel path exists)
-		h.eng.Schedule(h.timing.MPMRead, func() {
-			v := h.mem.ReadWord(pkt.Addr.Offset())
-			h.reply(&packet.Packet{Type: packet.ReadReply, Dst: pkt.Src, Val: v, ReqID: pkt.ReqID})
-			done()
-		})
+		h.readq = append(h.readq, applyItem{pkt: pkt, done: done})
+		h.eng.Schedule(h.timing.MPMRead, h.readFn) //tgvet:allow eventdrop(memory-port read delay always fires; no cancel path exists)
 
 	case packet.AtomicReq:
-		//tgvet:allow eventdrop(atomic read-modify-write delay always fires; no cancel path exists)
-		h.eng.Schedule(h.timing.MPMRead+h.timing.MPMWrite, func() {
-			old := h.applyAtomic(pkt.Op, pkt.Addr.Offset(), pkt.Val, pkt.Val2)
-			h.Emit(trace.EvAtomicApply, uint64(pkt.Addr), pkt.Val, uint64(pkt.Src))
-			h.reply(&packet.Packet{Type: packet.AtomicReply, Dst: pkt.Src, Val: old, ReqID: pkt.ReqID})
-			done()
-		})
+		h.atomq = append(h.atomq, applyItem{pkt: pkt, done: done})
+		h.eng.Schedule(h.timing.MPMRead+h.timing.MPMWrite, h.atomFn) //tgvet:allow eventdrop(atomic read-modify-write delay always fires; no cancel path exists)
 
 	case packet.CombAddReq:
 		//tgvet:allow eventdrop(atomic read-modify-write delay always fires; no cancel path exists)
@@ -140,6 +138,9 @@ func (h *HIB) handle(pkt *packet.Packet, done func()) {
 		} else {
 			delete(h.pendingReads, pkt.ReqID)
 			fut.Resolve(pkt.Val)
+		}
+		if pkt.Type != packet.CombAddReply { // switches split combined replies
+			h.freePacket(pkt)
 		}
 		done()
 
@@ -198,7 +199,11 @@ func (h *HIB) applyAtomic(op packet.AtomicOp, offset uint64, val, val2 uint64) u
 			h.mem.WriteWord(offset, val)
 		}
 	}
-	h.Counters.Inc("atomic-" + op.String())
+	if int(op) < len(atomicLabels) {
+		h.Counters.Inc(atomicLabels[op])
+	} else {
+		h.Counters.Inc("atomic-" + op.String())
+	}
 	return old
 }
 

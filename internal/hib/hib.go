@@ -56,10 +56,20 @@ type outItem struct {
 	fromCPU bool
 }
 
-// applyItem is one WriteReq whose MPM write is in flight (see HIB.applyq).
+// applyItem is one request whose memory access is in flight (see
+// HIB.applyq).
 type applyItem struct {
 	pkt  *packet.Packet
 	done func()
+}
+
+// popItem removes and returns the head of q.
+func popItem(q *[]applyItem) applyItem {
+	it := (*q)[0]
+	n := copy(*q, (*q)[1:])
+	(*q)[n] = applyItem{}
+	*q = (*q)[:n]
+	return it
 }
 
 // HIB is one node's host interface board.
@@ -101,19 +111,26 @@ type HIB struct {
 	// formatted once in start instead of on every spawn.
 	rxName, loopName, dmaName string
 
-	// Pending WriteReq memory applies, in MPM order: every apply is
-	// scheduled MPMWrite ahead, and events fire in schedule order at equal
-	// deltas, so a FIFO plus one prebound handler services the board's
-	// hottest packet type without a per-packet closure.
+	// Pending memory accesses of WriteReq (applyq), ReadReq (readq) and
+	// AtomicReq (atomq) packets, each in MPM order: every access of one
+	// kind is scheduled the same delay ahead, and events fire in schedule
+	// order at equal deltas, so a FIFO plus one prebound handler per kind
+	// services the board's request packets without a per-packet closure.
 	applyq  []applyItem
 	applyFn func()
+	readq   []applyItem
+	readFn  func()
+	atomq   []applyItem
+	atomFn  func()
 
-	// pktFree recycles consumed WriteReq/WriteAck packets. A packet is
-	// freed by the board that consumed it (always on that board's engine,
-	// so the list is race-free across shards) and reused for that board's
-	// own sends. Disabled (recycle=false) when any fabric link runs a
-	// fault plan: the ARQ sender retains packet pointers in its
-	// retransmission window, so recycling could corrupt a resend.
+	// pktFree recycles consumed packets: WriteReq/WriteAck, and the
+	// ReadReq/ReadReply and AtomicReq/AtomicReply pairs. A packet is freed
+	// by the board that consumed it (always on that board's engine, so the
+	// list is race-free across shards) and reused for that board's own
+	// sends. CombAddReq/CombAddReply are never freed: switches merge and
+	// split them. Disabled (recycle=false) when any fabric link runs a
+	// fault plan: the ARQ sender window holds packet pointers until the
+	// frame is acknowledged, so recycling could corrupt a resend.
 	pktFree []*packet.Packet
 	recycle bool
 
@@ -273,6 +290,8 @@ func (h *HIB) start() {
 		h.net.SetNotify(h.node, vc, func() { h.rxPump(vc) })
 	}
 	h.applyFn = h.applyWrite
+	h.readFn = h.serveRead
+	h.atomFn = h.serveAtomic
 	h.rxName = fmt.Sprintf("%v.hib.rx", h.node)
 	h.loopName = fmt.Sprintf("%v.hib.loop", h.node)
 	h.dmaName = fmt.Sprintf("%v.hib.dma", h.node)
@@ -281,15 +300,45 @@ func (h *HIB) start() {
 // applyWrite completes the oldest in-flight WriteReq: the MPM write lands,
 // the apply event is recorded, and the acknowledgement heads home.
 func (h *HIB) applyWrite() {
-	it := h.applyq[0]
-	copy(h.applyq, h.applyq[1:])
-	h.applyq[len(h.applyq)-1] = applyItem{}
-	h.applyq = h.applyq[:len(h.applyq)-1]
+	it := popItem(&h.applyq)
 	pkt := it.pkt
 	h.mem.WriteWord(pkt.Addr.Offset(), pkt.Val)
 	h.Emit(trace.EvWriteApply, uint64(pkt.Addr), pkt.Val, uint64(pkt.Src))
 	h.ack(pkt.Src)
 	h.freePacket(pkt)
+	it.done()
+}
+
+// serveRead completes the oldest in-flight ReadReq: the MPM word heads
+// home in a ReadReply.
+func (h *HIB) serveRead() {
+	it := popItem(&h.readq)
+	req := it.pkt
+	rep := h.newPacket()
+	rep.Type = packet.ReadReply
+	rep.Dst = req.Src
+	rep.Val = h.mem.ReadWord(req.Addr.Offset())
+	rep.ReqID = req.ReqID
+	h.freePacket(req)
+	h.reply(rep)
+	it.done()
+}
+
+// serveAtomic completes the oldest in-flight AtomicReq: the
+// read-modify-write lands and the old value heads home in an
+// AtomicReply.
+func (h *HIB) serveAtomic() {
+	it := popItem(&h.atomq)
+	req := it.pkt
+	old := h.applyAtomic(req.Op, req.Addr.Offset(), req.Val, req.Val2)
+	h.Emit(trace.EvAtomicApply, uint64(req.Addr), req.Val, uint64(req.Src))
+	rep := h.newPacket()
+	rep.Type = packet.AtomicReply
+	rep.Dst = req.Src
+	rep.Val = old
+	rep.ReqID = req.ReqID
+	h.freePacket(req)
+	h.reply(rep)
 	it.done()
 }
 

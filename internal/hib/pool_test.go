@@ -1,0 +1,102 @@
+package hib
+
+import (
+	"reflect"
+	"testing"
+
+	"telegraphos/internal/addrspace"
+	"telegraphos/internal/link"
+	"telegraphos/internal/packet"
+	"telegraphos/internal/params"
+	"telegraphos/internal/sim"
+)
+
+// remoteOpAllocs is the allocation count of one warmed remote load or
+// fetch&inc on a fault-free pair: the sim.Future the requester blocks on
+// and the waiter slot its Wait appends. Request and reply packets come
+// from the boards' pktFree lists, and every event on the datapath has a
+// prebound handler. Lower it when a change lowers it; raising it needs a
+// reason.
+const remoteOpAllocs = 2
+
+// TestRemoteOpAllocs pins the allocations of a warmed remote Load and
+// FetchAndInc, measured inside one long-lived requester process.
+func TestRemoteOpAllocs(t *testing.T) {
+	r := newRig(t, nil)
+	const key = 0x51
+	id, err := r.h[0].AllocContext(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := addrspace.NewGAddr(1, 0x200)
+	load := func(p *sim.Proc) { r.h[0].CPURead(p, addrspace.RemotePA(1, 0x80)) }
+	inc := func(p *sim.Proc) { launchSequence(p, r.h[0], id, key, packet.FetchAndInc, g, 0, 0) }
+	avg := map[string]float64{}
+	r.eng.Spawn("req", func(p *sim.Proc) {
+		for name, op := range map[string]func(*sim.Proc){"load": load, "fetch&inc": inc} {
+			for i := 0; i < 8; i++ { // warm the pools, queues and FIFOs
+				op(p)
+			}
+			avg[name] = testing.AllocsPerRun(100, func() { op(p) })
+		}
+	})
+	r.run(t)
+	for name, a := range avg {
+		if a != remoteOpAllocs {
+			t.Errorf("warmed remote %s: %.2f allocs/op, want %d", name, a, remoteOpAllocs)
+		}
+	}
+	if got := r.mem[1].ReadWord(0x200); got != 8+101 {
+		t.Fatalf("counter = %d after 109 fetch&incs", got)
+	}
+}
+
+// TestReadAtomicPacketsRecycled checks where the consumed packets of a
+// remote read and a remote fetch&inc end up. On a fault-free pair the
+// home frees each request and the requester each reply, so both boards'
+// pktFree lists fill. With any faulty link, the ARQ window may still
+// hold the packets, so both lists stay empty.
+func TestReadAtomicPacketsRecycled(t *testing.T) {
+	for _, faulty := range []bool{false, true} {
+		r := newRig(t, func(cfg *params.Config) {
+			if faulty {
+				cfg.Link.Faults = &link.FaultPlan{Seed: 3, DropProb: 0.1}
+			}
+		})
+		const key = 0x52
+		id, err := r.h[0].AllocContext(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.mem[1].WriteWord(0x80, 41)
+		var v, old uint64
+		r.eng.Spawn("req", func(p *sim.Proc) {
+			v = r.h[0].CPURead(p, addrspace.RemotePA(1, 0x80))
+			old = launchSequence(p, r.h[0], id, key, packet.FetchAndInc, addrspace.NewGAddr(1, 0x80), 0, 0)
+		})
+		r.run(t)
+		if v != 41 || old != 41 || r.mem[1].ReadWord(0x80) != 42 {
+			t.Fatalf("faulty=%v: read %d, fetched %d, counter %d", faulty, v, old, r.mem[1].ReadWord(0x80))
+		}
+		// A reply is taken from the home's list right after its request
+		// is freed, so the home keeps one packet and the requester gets
+		// one back per operation.
+		home, req := len(r.h[1].pktFree), len(r.h[0].pktFree)
+		if faulty {
+			if home != 0 || req != 0 {
+				t.Errorf("faulty link: pktFree home %d, requester %d; want both empty", home, req)
+			}
+			continue
+		}
+		if home == 0 || req == 0 {
+			t.Errorf("fault-free pair: pktFree home %d, requester %d; want both non-empty", home, req)
+		}
+		for _, h := range r.h {
+			for _, pkt := range h.pktFree {
+				if !reflect.DeepEqual(*pkt, packet.Packet{}) {
+					t.Errorf("node %v: recycled packet not zeroed: %+v", h.node, *pkt)
+				}
+			}
+		}
+	}
+}

@@ -77,6 +77,66 @@ type frame struct {
 	pkt *packet.Packet
 }
 
+// minWindow is the initial size of a sender window or reorder buffer.
+// Both are power-of-two rings indexed by seq & mask that double on
+// demand, so the size only bounds the first allocation.
+const minWindow = 8
+
+// arqSlot is one sender-window entry: the frame awaiting acknowledgement
+// and its retransmission timer. Its retransmit callback is bound once,
+// when the slot is made; the window reuses the slot for every sequence
+// number that maps to it, and keeps it (by pointer) when it doubles.
+type arqSlot struct {
+	f     frame
+	timer sim.Event
+	retx  func()
+}
+
+// sendWindow is one VC's ARQ sender state. The frames sent but not yet
+// cumulatively acknowledged are exactly [acked, nextSeq); frame seq
+// lives in slots[seq&mask], and the ring doubles when it is full.
+type sendWindow struct {
+	slots   []*arqSlot
+	mask    uint64
+	nextSeq uint64
+	acked   uint64 // all seq < acked are acknowledged
+}
+
+// reorderBuf is one VC's ARQ receiver state: the next expected sequence
+// number and the frames that arrived early. An early frame seq lies in
+// (expect, expect+len(held)) and is parked in held[seq&mask]; a frame
+// beyond that range doubles the ring first.
+type reorderBuf struct {
+	held   []*packet.Packet
+	mask   uint64
+	expect uint64
+}
+
+// ackItem is a cumulative acknowledgement in flight on a same-engine
+// link's reverse channel (see injector.ackq).
+type ackItem struct {
+	vc   packet.VC
+	upTo uint64
+}
+
+// xmit is one frame attempt in flight on a same-engine link. Its run
+// method value is bound once; after delivery the record returns to the
+// injector's free list. A duplicated frame takes two records.
+type xmit struct {
+	inj *injector
+	vc  packet.VC
+	f   frame
+	run func()
+}
+
+// fire delivers the frame to the receiver half and recycles the record.
+func (x *xmit) fire() {
+	inj, vc, f := x.inj, x.vc, x.f
+	x.f = frame{}
+	inj.xfree = append(inj.xfree, x)
+	inj.arrive(vc, f)
+}
+
 // injector is the per-link fault + ARQ state, split along the wire: the
 // sender half (sequence assignment, fault draws, retransmission timers)
 // runs on the link's sender engine, the receiver half (dedup, reorder
@@ -84,22 +144,26 @@ type frame struct {
 // link's forward channel and acks return on the reverse channel, so the
 // two halves never touch each other's state directly and the link may
 // span two shards.
+//
+// On a same-engine link the crossings are allocation-free: frames ride
+// recycled xmit records, and acks, which all travel PropDelay and so
+// arrive in send order, queue in ackq behind one prebound handler.
+// Credits share the reverse channel but never touch ackq. A cross-shard
+// link keeps a closure per crossing, because its two halves run
+// concurrently within a barrier round and could not share the records.
 type injector struct {
 	l       *Link
 	rng     *sim.RNG // sender-side: all fault draws happen at transmit
 	plan    FaultPlan
 	timeout sim.Time
+	same    bool // both halves on one engine: records and ackq in use
 
-	// Sender state, per VC: frames sent but not yet cumulatively acked.
-	nextSeq [packet.NumVCs]uint64
-	sent    [packet.NumVCs]map[uint64]*packet.Packet
-	timers  [packet.NumVCs]map[uint64]sim.Event
-	acked   [packet.NumVCs]uint64 // all seq < acked are acknowledged
+	win [packet.NumVCs]sendWindow // sender side
+	rx  [packet.NumVCs]reorderBuf // receiver side
 
-	// Receiver state, per VC: next expected sequence number and the
-	// reorder buffer of frames that arrived early.
-	expect [packet.NumVCs]uint64
-	held   [packet.NumVCs]map[uint64]*packet.Packet
+	xfree []*xmit       // idle frame records (same-engine only)
+	ackq  fifo[ackItem] // acks in flight (same-engine only)
+	ackFn func()        // prebound ack-arrival handler
 
 	sstats FaultStats // sender-side counters (drops, dups, reorders, retransmits)
 	rstats FaultStats // receiver-side counters (dedup, reorder buffering)
@@ -111,6 +175,7 @@ func newInjector(l *Link, plan FaultPlan) *injector {
 		l:    l,
 		rng:  sim.ForkRNG(uint64(plan.Seed), "link/"+l.name),
 		plan: plan,
+		same: l.eng == l.reng,
 	}
 	if inj.plan.ReorderDelay == 0 {
 		inj.plan.ReorderDelay = 2 * sim.Microsecond
@@ -123,11 +188,7 @@ func newInjector(l *Link, plan FaultPlan) *injector {
 		inj.timeout = 4*(l.cfg.PropDelay+inj.plan.JitterMax+inj.plan.ReorderDelay) +
 			128*l.cfg.WordTime + 10*sim.Microsecond
 	}
-	for vc := 0; vc < packet.NumVCs; vc++ {
-		inj.sent[vc] = make(map[uint64]*packet.Packet)
-		inj.timers[vc] = make(map[uint64]sim.Event)
-		inj.held[vc] = make(map[uint64]*packet.Packet)
-	}
+	inj.ackFn = inj.ackHead
 	return inj
 }
 
@@ -135,17 +196,42 @@ func newInjector(l *Link, plan FaultPlan) *injector {
 // it is assigned the next sequence number, transmitted through the faulty
 // channel, and guarded by a retransmission timer until acknowledged.
 func (inj *injector) send(vc packet.VC, pkt *packet.Packet) {
-	seq := inj.nextSeq[vc]
-	inj.nextSeq[vc]++
-	inj.sent[vc][seq] = pkt
-	inj.transmit(vc, frame{seq: seq, pkt: pkt})
+	w := &inj.win[vc]
+	if w.nextSeq-w.acked == uint64(len(w.slots)) {
+		inj.growWindow(vc)
+	}
+	s := w.slots[w.nextSeq&w.mask]
+	s.f = frame{seq: w.nextSeq, pkt: pkt}
+	w.nextSeq++
+	inj.transmit(vc, s)
 }
 
-// transmit pushes one frame attempt through the faulty channel and arms
-// the retransmission timer. It runs on the sender engine; deliveries
-// cross to the receiver on the link's forward channel (whose minimum
-// delay, the propagation delay, bounds every jittered arrival below).
-func (inj *injector) transmit(vc packet.VC, f frame) {
+// growWindow doubles vc's sender window, moving every live slot to its
+// place in the larger ring and making the slots that are new.
+func (inj *injector) growWindow(vc packet.VC) {
+	w := &inj.win[vc]
+	n := max(2*len(w.slots), minWindow)
+	slots := make([]*arqSlot, n)
+	mask := uint64(n - 1)
+	for seq := w.acked; seq < w.nextSeq; seq++ {
+		slots[seq&mask] = w.slots[seq&w.mask]
+	}
+	for i, s := range slots {
+		if s == nil {
+			s = &arqSlot{}
+			s.retx = func() { inj.retransmit(vc, s) }
+			slots[i] = s
+		}
+	}
+	w.slots, w.mask = slots, mask
+}
+
+// transmit pushes one attempt of slot s's frame through the faulty
+// channel and arms the retransmission timer. It runs on the sender
+// engine; deliveries cross to the receiver on the link's forward channel
+// (whose minimum delay, the propagation delay, bounds every jittered
+// arrival below).
+func (inj *injector) transmit(vc packet.VC, s *arqSlot) {
 	delay := inj.l.cfg.PropDelay + inj.rng.Duration(inj.plan.JitterMax)
 	switch {
 	case inj.rng.Bool(inj.plan.DropProb):
@@ -153,60 +239,107 @@ func (inj *injector) transmit(vc packet.VC, f frame) {
 		// The frame vanishes; only the retry timer will resurrect it.
 	case inj.rng.Bool(inj.plan.DupProb):
 		inj.sstats.Duplicated++
-		inj.l.fwd.Send(delay, func() { inj.arrive(vc, f) })
+		inj.forward(delay, vc, s.f)
 		extra := delay + inj.rng.Duration(inj.plan.JitterMax) + sim.Microsecond
-		inj.l.fwd.Send(extra, func() { inj.arrive(vc, f) })
+		inj.forward(extra, vc, s.f)
 	case inj.rng.Bool(inj.plan.ReorderProb):
 		inj.sstats.Reordered++
-		inj.l.fwd.Send(delay+inj.plan.ReorderDelay, func() { inj.arrive(vc, f) })
+		inj.forward(delay+inj.plan.ReorderDelay, vc, s.f)
 	default:
-		inj.l.fwd.Send(delay, func() { inj.arrive(vc, f) })
+		inj.forward(delay, vc, s.f)
 	}
-	inj.armTimer(vc, f)
+	inj.armTimer(s)
 }
 
-// armTimer schedules a retransmission for f unless it is acked first.
-func (inj *injector) armTimer(vc packet.VC, f frame) {
-	inj.timers[vc][f.seq].Cancel() // zero/stale handles are inert no-ops
-	inj.timers[vc][f.seq] = inj.l.eng.Schedule(inj.timeout, func() {
-		if _, live := inj.sent[vc][f.seq]; !live {
-			return // acked while the timer event was in flight
-		}
-		inj.sstats.Retransmits++
-		inj.transmit(vc, f)
-	})
+// forward sends one copy of f to the receiver half, delay from now.
+func (inj *injector) forward(delay sim.Time, vc packet.VC, f frame) {
+	if !inj.same {
+		inj.l.fwd.Send(delay, func() { inj.arrive(vc, f) })
+		return
+	}
+	var x *xmit
+	if n := len(inj.xfree); n > 0 {
+		x = inj.xfree[n-1]
+		inj.xfree = inj.xfree[:n-1]
+	} else {
+		x = &xmit{inj: inj}
+		x.run = x.fire
+	}
+	x.vc, x.f = vc, f
+	inj.l.fwd.Send(delay, x.run)
+}
+
+// armTimer schedules a retransmission of s's frame unless it is acked
+// first.
+func (inj *injector) armTimer(s *arqSlot) {
+	s.timer.Cancel() // fired or stale handles are inert no-ops
+	s.timer = inj.l.eng.Schedule(inj.timeout, s.retx)
+}
+
+// retransmit is slot s's timer callback.
+func (inj *injector) retransmit(vc packet.VC, s *arqSlot) {
+	if s.f.seq < inj.win[vc].acked {
+		return // acked while the timer event was in flight
+	}
+	inj.sstats.Retransmits++
+	inj.transmit(vc, s)
 }
 
 // arrive is the receiver side: deduplicate, restore order, deliver, ack.
 // It runs on the receiver engine as a forward-channel message.
 func (inj *injector) arrive(vc packet.VC, f frame) {
+	r := &inj.rx[vc]
 	switch {
-	case f.seq < inj.expect[vc]:
+	case f.seq < r.expect:
 		inj.rstats.Deduped++ // already delivered: a wire dup or a spurious retransmit
-	case f.seq > inj.expect[vc]:
-		if _, dup := inj.held[vc][f.seq]; dup {
+	case f.seq > r.expect:
+		if f.seq-r.expect >= uint64(len(r.held)) {
+			r.grow(f.seq)
+		}
+		if slot := &r.held[f.seq&r.mask]; *slot != nil {
 			inj.rstats.Deduped++
 		} else {
 			inj.rstats.Buffered++
-			inj.held[vc][f.seq] = f.pkt
+			*slot = f.pkt
 		}
 	default:
 		inj.deliver(vc, f.pkt)
-		inj.expect[vc]++
-		for {
-			pkt, ok := inj.held[vc][inj.expect[vc]]
-			if !ok {
+		r.expect++
+		for len(r.held) > 0 {
+			slot := &r.held[r.expect&r.mask]
+			pkt := *slot
+			if pkt == nil {
 				break
 			}
-			delete(inj.held[vc], inj.expect[vc])
+			*slot = nil
 			inj.deliver(vc, pkt)
-			inj.expect[vc]++
+			r.expect++
 		}
 	}
 	// Cumulative acknowledgement travels the reverse control channel,
 	// modeled as a reliable signal with the link's propagation delay.
-	upTo := inj.expect[vc]
+	upTo := r.expect
+	if inj.same {
+		inj.ackq.push(ackItem{vc: vc, upTo: upTo})
+		inj.l.rev.Send(inj.l.cfg.PropDelay, inj.ackFn)
+		return
+	}
 	inj.l.rev.Send(inj.l.cfg.PropDelay, func() { inj.ack(vc, upTo) })
+}
+
+// grow doubles the reorder buffer until early frame seq fits, moving
+// every parked frame to its place in the larger ring.
+func (r *reorderBuf) grow(seq uint64) {
+	n := max(2*len(r.held), minWindow)
+	for seq-r.expect >= uint64(n) {
+		n *= 2
+	}
+	held := make([]*packet.Packet, n)
+	mask := uint64(n - 1)
+	for s := r.expect + 1; s < r.expect+uint64(len(r.held)); s++ {
+		held[s&mask] = r.held[s&r.mask]
+	}
+	r.held, r.mask = held, mask
 }
 
 // deliver hands an in-order, exactly-once packet to the link's arrived
@@ -216,18 +349,24 @@ func (inj *injector) deliver(vc packet.VC, pkt *packet.Packet) {
 	inj.l.push(vc, pkt)
 }
 
+// ackHead processes the oldest acknowledgement in flight on a
+// same-engine link.
+func (inj *injector) ackHead() {
+	a := inj.ackq.pop()
+	inj.ack(a.vc, a.upTo)
+}
+
 // ack processes a cumulative acknowledgement: every frame below upTo is
 // released and its retransmission timer canceled.
 func (inj *injector) ack(vc packet.VC, upTo uint64) {
-	for seq := inj.acked[vc]; seq < upTo; seq++ {
-		delete(inj.sent[vc], seq)
-		if ev, ok := inj.timers[vc][seq]; ok {
-			ev.Cancel()
-			delete(inj.timers[vc], seq)
-		}
+	w := &inj.win[vc]
+	for seq := w.acked; seq < upTo; seq++ {
+		s := w.slots[seq&w.mask]
+		s.f.pkt = nil
+		s.timer.Cancel()
 	}
-	if upTo > inj.acked[vc] {
-		inj.acked[vc] = upTo
+	if upTo > w.acked {
+		w.acked = upTo
 	}
 }
 
@@ -235,8 +374,8 @@ func (inj *injector) ack(vc packet.VC, upTo uint64) {
 // and quiescence checking).
 func (inj *injector) unacked() int {
 	n := 0
-	for vc := 0; vc < packet.NumVCs; vc++ {
-		n += len(inj.sent[vc])
+	for vc := range inj.win {
+		n += int(inj.win[vc].nextSeq - inj.win[vc].acked)
 	}
 	return n
 }

@@ -71,6 +71,43 @@ type wireItem struct {
 	onClear func()
 }
 
+// fifo is a queue that reuses its backing array. pop advances a head
+// index instead of reslicing, and push compacts the live entries to the
+// front before append would grow a full array that has a popped prefix.
+// A queue whose occupancy stays bounded therefore stops allocating once
+// its array reaches that bound, even if it never drains.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+// len reports the number of queued entries.
+func (q *fifo[T]) len() int { return len(q.buf) - q.head }
+
+// push appends x at the tail.
+func (q *fifo[T]) push(x T) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf = q.buf[:n]
+		q.head = 0
+	}
+	q.buf = append(q.buf, x)
+}
+
+// pop removes and returns the head entry; the queue must not be empty.
+func (q *fifo[T]) pop() T {
+	x := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf = q.buf[:0]
+		q.head = 0
+	}
+	return x
+}
+
 // rxItem is a packet in flight on a fault-free, same-engine wire. Per
 // link, fwd-channel deliveries happen in send order (constant propagation
 // delay, FIFO channel), so the sender appends here and the prebound
@@ -79,7 +116,8 @@ type wireItem struct {
 // endpoints run concurrently within a barrier round, so those links keep
 // the per-packet closure (the packet travels inside the sim.Chan
 // message). Faulty links also bypass this queue: the ARQ injector
-// reorders frames and carries each in its own closure.
+// reorders frames, so each frame attempt travels in its own record
+// (xmit) or, across shards, its own closure.
 type rxItem struct {
 	vc  packet.VC
 	pkt *packet.Packet
@@ -104,22 +142,21 @@ type Link struct {
 	// which serializes transmissions in launch order exactly as the old
 	// wire mutex did, without a coroutine parked per packet.
 	credits  [packet.NumVCs]int
-	sendq    [packet.NumVCs][]pendingSend
+	sendq    [packet.NumVCs]fifo[pendingSend]
 	wireFree sim.Time
 	creditFn [packet.NumVCs]func() // prebound credit-arrival handlers
-	wireq    []wireItem            // reserved wire slots, in clear order
+	wireq    fifo[wireItem]        // reserved wire slots, in clear order
 	clearFn  func()                // prebound wire-clear handler
 
 	// In-flight packets on a fault-free wire (see rxItem). The sender
-	// appends at wireq head-pop time; the receiver-engine pushFn pops.
-	rxq    []rxItem
-	rxHead int
+	// pushes at wire-clear time; the receiver-engine pushFn pops.
+	rxq    fifo[rxItem]
 	pushFn func() // prebound arrival handler
 
 	// Receiver state: arrived-but-unconsumed packets per VC, plus either
 	// blocked Recv callers or an event-driven consumer's notify hook.
-	arrived [packet.NumVCs][]*packet.Packet
-	waiters [packet.NumVCs][]*sim.Completion
+	arrived [packet.NumVCs]fifo[*packet.Packet]
+	waiters [packet.NumVCs]fifo[*sim.Completion]
 	notify  [packet.NumVCs]func()
 
 	// Telemetry (sender side).
@@ -183,11 +220,11 @@ func (l *Link) transferTime(pkt *packet.Packet) sim.Time {
 // duplicates, and reordering on the wire.
 func (l *Link) SendEv(pkt *packet.Packet, onClear func()) {
 	vc := pkt.Channel()
-	if l.credits[vc] > 0 && len(l.sendq[vc]) == 0 {
+	if l.credits[vc] > 0 && l.sendq[vc].len() == 0 {
 		l.launch(vc, pkt, onClear)
 		return
 	}
-	l.sendq[vc] = append(l.sendq[vc], pendingSend{pkt: pkt, onClear: onClear})
+	l.sendq[vc].push(pendingSend{pkt: pkt, onClear: onClear})
 }
 
 // launch spends one credit and reserves the next wire slot for pkt.
@@ -202,7 +239,7 @@ func (l *Link) launch(vc packet.VC, pkt *packet.Packet, onClear func()) {
 	l.busy += t
 	l.sentPackets++
 	l.sentWords += int64((pkt.SizeBytes() + 7) / 8)
-	l.wireq = append(l.wireq, wireItem{vc: vc, pkt: pkt, onClear: onClear})
+	l.wireq.push(wireItem{vc: vc, pkt: pkt, onClear: onClear})
 	l.eng.At(l.wireFree, l.clearFn) //tgvet:allow eventdrop(wire-clear always fires; the queued wireItem is consumed by exactly this event)
 }
 
@@ -210,15 +247,12 @@ func (l *Link) launch(vc packet.VC, pkt *packet.Packet, onClear func()) {
 // serializing: the packet enters the wire proper (propagation), and the
 // sender's onClear chain fires.
 func (l *Link) wireClear() {
-	w := l.wireq[0]
-	copy(l.wireq, l.wireq[1:])
-	l.wireq[len(l.wireq)-1] = wireItem{}
-	l.wireq = l.wireq[:len(l.wireq)-1]
+	w := l.wireq.pop()
 	switch {
 	case l.inj != nil:
 		l.inj.send(w.vc, w.pkt)
 	case l.eng == l.reng:
-		l.rxq = append(l.rxq, rxItem{vc: w.vc, pkt: w.pkt})
+		l.rxq.push(rxItem{vc: w.vc, pkt: w.pkt})
 		l.fwd.Send(l.cfg.PropDelay, l.pushFn)
 	default:
 		vc, pkt := w.vc, w.pkt
@@ -231,13 +265,7 @@ func (l *Link) wireClear() {
 
 // pushHead delivers the oldest in-flight packet on the receiver engine.
 func (l *Link) pushHead() {
-	it := l.rxq[l.rxHead]
-	l.rxq[l.rxHead] = rxItem{}
-	l.rxHead++
-	if l.rxHead == len(l.rxq) {
-		l.rxq = l.rxq[:0]
-		l.rxHead = 0
-	}
+	it := l.rxq.pop()
 	l.push(it.vc, it.pkt)
 }
 
@@ -245,11 +273,8 @@ func (l *Link) pushHead() {
 // returns; it launches the oldest queued packet on the VC, if any.
 func (l *Link) creditArrive(vc packet.VC) {
 	l.credits[vc]++
-	if q := l.sendq[vc]; len(q) > 0 {
-		s := q[0]
-		copy(q, q[1:])
-		q[len(q)-1] = pendingSend{}
-		l.sendq[vc] = q[:len(q)-1]
+	if l.sendq[vc].len() > 0 {
+		s := l.sendq[vc].pop()
 		l.launch(vc, s.pkt, s.onClear)
 	}
 }
@@ -257,11 +282,9 @@ func (l *Link) creditArrive(vc packet.VC) {
 // push hands an arrived packet to the receiver side: it joins the VC's
 // arrival queue and wakes a blocked Recv caller or fires the notify hook.
 func (l *Link) push(vc packet.VC, pkt *packet.Packet) {
-	l.arrived[vc] = append(l.arrived[vc], pkt)
-	if ws := l.waiters[vc]; len(ws) > 0 {
-		c := ws[0]
-		l.waiters[vc] = ws[1:]
-		c.Complete()
+	l.arrived[vc].push(pkt)
+	if l.waiters[vc].len() > 0 {
+		l.waiters[vc].pop().Complete()
 		return
 	}
 	if fn := l.notify[vc]; fn != nil {
@@ -293,7 +316,7 @@ func (l *Link) Recv(p *sim.Proc, vc packet.VC) *packet.Packet {
 			return pkt
 		}
 		c := sim.NewCompletion(l.reng)
-		l.waiters[vc] = append(l.waiters[vc], c)
+		l.waiters[vc].push(c)
 		c.Wait(p)
 	}
 }
@@ -302,19 +325,16 @@ func (l *Link) Recv(p *sim.Proc, vc packet.VC) *packet.Packet {
 // consumed buffer's credit to the sender. It must be called from the
 // receiver engine's context.
 func (l *Link) TryRecv(vc packet.VC) (*packet.Packet, bool) {
-	q := l.arrived[vc]
-	if len(q) == 0 {
+	if l.arrived[vc].len() == 0 {
 		return nil, false
 	}
-	pkt := q[0]
-	q[0] = nil
-	l.arrived[vc] = q[1:]
+	pkt := l.arrived[vc].pop()
 	l.rev.Send(l.cfg.PropDelay, l.creditFn[vc])
 	return pkt, true
 }
 
 // Queued reports the number of arrived-but-unconsumed packets on vc.
-func (l *Link) Queued(vc packet.VC) int { return len(l.arrived[vc]) }
+func (l *Link) Queued(vc packet.VC) int { return l.arrived[vc].len() }
 
 // SentPackets reports the total packets transmitted.
 func (l *Link) SentPackets() int64 { return l.sentPackets }

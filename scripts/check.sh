@@ -40,10 +40,13 @@ go test ./internal/sim -run 'TestProc|TestGroup' -cpu 1,4 -count 1
 
 # Hot-path allocation budgets: schedule/fire/recycle and Chan.Send must
 # stay at zero allocations per event in steady state, and so must the
-# streaming trace pipeline's ring append + k-way drain + incremental hash.
+# streaming trace pipeline's ring append + k-way drain + incremental hash,
+# the link FIFOs and ARQ window per packet, and the HIB's remote read and
+# fetch&inc beyond the future the requester waits on.
 echo '== allocation budgets (-cpu 1,4)'
 go test ./internal/sim -run 'Allocs$' -cpu 1,4 -count 1
 go test ./internal/trace -run 'Allocs$' -cpu 1,4 -count 1
+go test ./internal/link ./internal/hib -run 'Allocs$' -cpu 1,4 -count 1
 
 # Checkpoint/restore smoke through the CLI: a mid-run checkpoint/restore
 # with a small trace window must reproduce the uninterrupted run's final
@@ -85,7 +88,7 @@ go run ./cmd/tglitmus -quick
 echo '== tglitmus torus smoke'
 go run ./cmd/tglitmus -topo -quick -tests SB,MP+fence >/dev/null
 
-# Coverage ratchet for the checker packages: raise the minimum when you
+# Coverage ratchet for the checker packages and the link layer: raise the minimum when you
 # raise the coverage, never lower it.
 echo '== checker coverage ratchet'
 check_cover() {
@@ -108,6 +111,7 @@ check_cover internal/consistency 90
 check_cover internal/analysis 85
 check_cover internal/collective 80
 check_cover internal/topology 90
+check_cover internal/link 85
 
 # The benchmark is a nested module, so the root `./...` phases skip it.
 # Its TestSimLayersMatchSource pins the internal/sim names the per-layer
