@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"telegraphos/internal/addrspace"
 	"telegraphos/internal/coherence"
@@ -29,7 +30,7 @@ import (
 
 func main() {
 	nodes := flag.Int("nodes", 2, "number of workstations")
-	topo := flag.String("topology", "star", "fabric: pair, star, chain")
+	topo := flag.String("topology", "star", "fabric: "+strings.Join(params.Topologies, ", "))
 	perSwitch := flag.Int("per-switch", 4, "nodes per switch (chain)")
 	placement := flag.String("placement", "hib", "shared-data placement: hib (Telegraphos I) or main (Telegraphos II)")
 	work := flag.String("workload", "pingpong", "pingpong, stream, allatomic, sharing")
@@ -42,6 +43,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tgsim: %v\n", err)
 		os.Exit(2)
 	}
+
 	if *placement != "hib" && *placement != "main" {
 		fmt.Fprintf(os.Stderr, "tgsim: unknown placement %q (want hib or main)\n", *placement)
 		os.Exit(2)
@@ -64,6 +66,10 @@ func main() {
 		if *placement == "main" {
 			cfg.Placement = params.SharedInMain
 		}
+	}
+	if err := params.CheckTopology(cfg.Topology, cfg.Nodes); err != nil {
+		fmt.Fprintf(os.Stderr, "tgsim: %v\n", err)
+		os.Exit(2)
 	}
 	c := core.New(cfg)
 

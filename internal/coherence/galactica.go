@@ -33,6 +33,7 @@ func NewGalactica(c *core.Cluster) *Galactica {
 	for _, n := range c.Nodes {
 		m := &GalacticaMgr{
 			node:     n.ID,
+			eng:      n.Eng,
 			h:        n.HIB,
 			pages:    make(map[addrspace.PageNum]*gpage),
 			pending:  make(map[uint64]bool),
@@ -72,6 +73,7 @@ type gpage struct {
 // GalacticaMgr is one node's ring protocol engine.
 type GalacticaMgr struct {
 	node    addrspace.NodeID
+	eng     *sim.Engine // the node's engine: delays on the receive side
 	h       *hib.HIB
 	pages   map[addrspace.PageNum]*gpage
 	pending map[uint64]bool // offsets with own update in flight
@@ -139,7 +141,7 @@ func (m *GalacticaMgr) LocalSharedRead(p *sim.Proc, offset uint64) (uint64, bool
 }
 
 // IncomingPacket processes a circulating ring update.
-func (m *GalacticaMgr) IncomingPacket(p *sim.Proc, pkt *packet.Packet) bool {
+func (m *GalacticaMgr) IncomingPacket(pkt *packet.Packet, done func()) bool {
 	if pkt.Type != packet.RingUpdate {
 		return false
 	}
@@ -147,16 +149,28 @@ func (m *GalacticaMgr) IncomingPacket(p *sim.Proc, pkt *packet.Packet) bool {
 	st := m.pageOf(offset)
 	if st == nil {
 		m.Counters.Inc("ring-misdelivered")
+		done()
 		return true
 	}
 	if pkt.Origin == m.node {
 		// Completed the circle: remove it.
 		m.pending[offset] = false
 		m.Counters.Inc("ring-completed")
+		done()
 		return true
 	}
-	// Apply in arrival order.
-	p.Sleep(m.h.Timing().MPMWrite)
+	// Apply in arrival order, after the MPM write time.
+	//tgvet:allow eventdrop(MPM write delay always fires; the receive pipeline waits on done)
+	m.eng.Schedule(m.h.Timing().MPMWrite, func() {
+		m.applyRing(st, pkt, offset)
+		done()
+	})
+	return true
+}
+
+// applyRing applies a circulating update at offset, backs off if it
+// beats our own update in flight, and forwards it around the ring.
+func (m *GalacticaMgr) applyRing(st *gpage, pkt *packet.Packet, offset uint64) {
 	m.h.Mem().WriteWord(offset, pkt.Val)
 	m.record(offset, pkt.Val)
 	m.Counters.Inc("ring-applied")
@@ -183,5 +197,4 @@ func (m *GalacticaMgr) IncomingPacket(p *sim.Proc, pkt *packet.Packet) bool {
 	fwd.Dst = st.next
 	fwd.Addr = addrspace.NewGAddr(st.next, offset)
 	m.h.Post(&fwd)
-	return true
 }

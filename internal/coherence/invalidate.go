@@ -198,19 +198,20 @@ func (m *InvalidateMgr) acquireExclusive(p *sim.Proc, pn addrspace.PageNum, dir 
 	m.valid[pn] = true
 }
 
-// IncomingPacket handles invalidation traffic.
-func (m *InvalidateMgr) IncomingPacket(p *sim.Proc, pkt *packet.Packet) bool {
+// IncomingPacket handles invalidation traffic; neither packet waits on
+// memory, so a claimed one is serviced at once.
+func (m *InvalidateMgr) IncomingPacket(pkt *packet.Packet, done func()) bool {
 	switch pkt.Type {
 	case packet.InvReq:
 		pn := addrspace.PageOf(pkt.Addr.Offset(), m.h.Mem().PageSize())
 		m.valid[pn] = false
 		m.Counters.Inc("invalidated")
 		m.h.Post(&packet.Packet{Type: packet.InvAck, Dst: pkt.Src})
-		return true
 	case packet.InvAck:
 		m.h.AddOutstanding(-1)
-		return true
 	default:
 		return false
 	}
+	done()
+	return true
 }

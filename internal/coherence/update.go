@@ -81,6 +81,7 @@ func NewUpdate(c *core.Cluster, mode CounterMode) *Update {
 		m := &UpdateMgr{
 			u:        u,
 			node:     n.ID,
+			eng:      n.Eng,
 			h:        n.HIB,
 			pages:    make(map[addrspace.PageNum]*upage),
 			cache:    NewCounterCache(n.Eng, capacity),
@@ -146,6 +147,7 @@ type upage struct {
 type UpdateMgr struct {
 	u     *Update
 	node  addrspace.NodeID
+	eng   *sim.Engine // the node's engine: delays on the receive side
 	h     *hib.HIB
 	pages map[addrspace.PageNum]*upage
 	cache *CounterCache
@@ -196,7 +198,7 @@ func (m *UpdateMgr) record(offset uint64, v uint64) {
 	if m.watched != nil && m.watched[offset] {
 		// Stamp with this node's shard clock: record runs in the node's
 		// own execution context, which may not be shard 0's.
-		at := m.u.c.Nodes[m.node].Eng.Now()
+		at := m.eng.Now()
 		m.log[offset] = append(m.log[offset], Applied{At: at, Val: v})
 	}
 }
@@ -271,10 +273,10 @@ func (m *UpdateMgr) reflect(st *upage, offset uint64, v uint64, origin addrspace
 }
 
 // IncomingPacket handles protocol traffic.
-func (m *UpdateMgr) IncomingPacket(p *sim.Proc, pkt *packet.Packet) bool {
+func (m *UpdateMgr) IncomingPacket(pkt *packet.Packet, done func()) bool {
 	switch pkt.Type {
 	case packet.UpdateFwd:
-		return m.ownerSerialize(p, pkt, false)
+		return m.ownerSerialize(pkt, false, done)
 	case packet.WriteReq:
 		// A write from a node with no replica, arriving at the owner of a
 		// replicated page, must be serialized and reflected like any
@@ -284,19 +286,19 @@ func (m *UpdateMgr) IncomingPacket(p *sim.Proc, pkt *packet.Packet) bool {
 			return false
 		}
 		pkt.Origin = pkt.Src
-		return m.ownerSerialize(p, pkt, true)
+		return m.ownerSerialize(pkt, true, done)
 	case packet.ReflectedWrite:
-		return m.applyReflected(p, pkt)
+		return m.applyReflected(pkt, done)
 	default:
 		return false
 	}
 }
 
-// ownerSerialize applies an update at the owner and multicasts the
-// reflections. ack selects whether the originating writer needs an
-// explicit WriteAck (it does when it holds no replica and thus receives
-// no reflection).
-func (m *UpdateMgr) ownerSerialize(p *sim.Proc, pkt *packet.Packet, ack bool) bool {
+// ownerSerialize applies an update at the owner, after the MPM write
+// time, multicasts the reflections and calls done. ack selects whether
+// the originating writer needs an explicit WriteAck (it does when it
+// holds no replica and thus receives no reflection).
+func (m *UpdateMgr) ownerSerialize(pkt *packet.Packet, ack bool, done func()) bool {
 	offset := pkt.Addr.Offset()
 	st := m.pageOf(offset)
 	if st == nil || st.owner != m.node {
@@ -304,15 +306,19 @@ func (m *UpdateMgr) ownerSerialize(p *sim.Proc, pkt *packet.Packet, ack bool) bo
 		return false
 	}
 	origin := pkt.Origin
-	p.Sleep(m.h.Timing().MPMWrite)
-	m.h.Mem().WriteWord(offset, pkt.Val)
-	m.record(offset, pkt.Val)
-	m.Counters.Inc("owner-serialized")
-	m.h.Emit(trace.EvUpdateSerialize, offset, pkt.Val, uint64(origin))
-	m.reflect(st, offset, pkt.Val, origin)
-	if ack {
-		m.h.Post(&packet.Packet{Type: packet.WriteAck, Dst: pkt.Src})
-	}
+	//tgvet:allow eventdrop(MPM write delay always fires; the receive pipeline waits on done)
+	m.eng.Schedule(m.h.Timing().MPMWrite, func() {
+		m.h.Mem().WriteWord(offset, pkt.Val)
+		m.record(offset, pkt.Val)
+		m.Counters.Inc("owner-serialized")
+		m.h.Emit(trace.EvUpdateSerialize, offset, pkt.Val, uint64(origin))
+		m.reflect(st, offset, pkt.Val, origin)
+		if ack {
+			//tgvet:allow shardlocal(HIB.Post takes no process: it queues on the board's event-driven transmit pump and never parks)
+			m.h.Post(&packet.Packet{Type: packet.WriteAck, Dst: pkt.Src})
+		}
+		done()
+	})
 	return true
 }
 
@@ -324,7 +330,7 @@ var debugReflect func(m *UpdateMgr, pkt *packet.Packet, own bool)
 // reflection is ignored while our counter is non-zero, applied otherwise.
 // With counters off (Telegraphos I) every reflection is applied — the
 // configuration whose anomalies experiment E5 demonstrates.
-func (m *UpdateMgr) applyReflected(p *sim.Proc, pkt *packet.Packet) bool {
+func (m *UpdateMgr) applyReflected(pkt *packet.Packet, done func()) bool {
 	offset := pkt.Addr.Offset()
 	st := m.pageOf(offset)
 	if st == nil || !st.hasCopy {
@@ -334,14 +340,25 @@ func (m *UpdateMgr) applyReflected(p *sim.Proc, pkt *packet.Packet) bool {
 	// Charge the board's service cost (the counter read-modify-write
 	// plus the conditional memory write) *before* deciding: in hardware
 	// the counter check and the write are a single atomic memory-side
-	// operation, so no local store may interleave between them. Sleeping
-	// between the check and the write would reopen exactly the §2.3.2
-	// overwrite window the counters exist to close — a bug the joint
-	// consistency checker caught in an earlier version of this model.
-	if m.u.mode != CountersOff {
-		p.Sleep(m.h.Timing().CounterOverhead)
+	// operation, so no local store may interleave between them. Deciding
+	// before the delays would reopen exactly the §2.3.2 overwrite window
+	// the counters exist to close — a bug the joint consistency checker
+	// caught in an earlier version of this model.
+	write := func() {
+		//tgvet:allow eventdrop(MPM write delay always fires; the receive pipeline waits on done)
+		m.eng.Schedule(m.h.Timing().MPMWrite, func() { m.decideReflected(pkt, offset); done() })
 	}
-	p.Sleep(m.h.Timing().MPMWrite)
+	if m.u.mode == CountersOff {
+		write()
+		return true
+	}
+	m.eng.Schedule(m.h.Timing().CounterOverhead, write) //tgvet:allow eventdrop(counter update delay always fires; the receive pipeline waits on done)
+	return true
+}
+
+// decideReflected applies or ignores a reflection once its service
+// delays have passed, and acknowledges it.
+func (m *UpdateMgr) decideReflected(pkt *packet.Packet, offset uint64) {
 	own := pkt.Origin == m.node
 	if debugReflect != nil {
 		debugReflect(m, pkt, own)
@@ -372,5 +389,4 @@ func (m *UpdateMgr) applyReflected(p *sim.Proc, pkt *packet.Packet) bool {
 	}
 	// Acknowledge the owner's reflection so its FENCE covers delivery.
 	m.h.Post(&packet.Packet{Type: packet.WriteAck, Dst: pkt.Src})
-	return true
 }

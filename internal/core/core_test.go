@@ -439,3 +439,33 @@ func TestChainClusterEndToEnd(t *testing.T) {
 		t.Fatalf("cross-chain access = %d", got)
 	}
 }
+
+// TestNewBuildsEveryTopology: every fabric params.Topologies names (the
+// list tgsim's -topology help and the config loader take) is one New
+// builds, and each one carries a remote store.
+func TestNewBuildsEveryTopology(t *testing.T) {
+	for _, name := range params.Topologies {
+		nodes := 8
+		if name == "pair" {
+			nodes = 2
+		}
+		if err := params.CheckTopology(name, nodes); err != nil {
+			t.Fatal(err)
+		}
+		cfg := params.Default(nodes)
+		cfg.Topology = name
+		cfg.Sizing.MemBytes = 1 << 20
+		c := New(cfg)
+		dst := c.AllocShared(addrspace.NodeID(nodes-1), 8)
+		c.Spawn(0, "store", func(ctx *cpu.Ctx) {
+			ctx.Store(dst, 7)
+			ctx.Fence()
+		})
+		if err := c.Run(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := c.Nodes[nodes-1].Mem.ReadWord(c.SharedOffset(dst)); got != 7 {
+			t.Errorf("%s: remote store landed %d, want 7", name, got)
+		}
+	}
+}

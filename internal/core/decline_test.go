@@ -20,13 +20,13 @@ func (declineAll) LocalSharedWrite(*sim.Proc, uint64, uint64) bool { return fals
 
 func (declineAll) LocalSharedRead(*sim.Proc, uint64) (uint64, bool) { return 0, false }
 
-func (declineAll) IncomingPacket(*sim.Proc, *packet.Packet) bool { return false }
+func (declineAll) IncomingPacket(*packet.Packet, func()) bool { return false }
 
 // TestDecliningCoherenceIsTimingNeutral pins the invariant the HIB's
 // single receive path rests on: with a coherence layer installed every
-// packet is serviced in a transient process that asks the layer first,
-// and a packet the layer declines must then be serviced with exactly
-// the timing it gets with no layer at all. An 8-node mix of remote
+// packet is offered to the layer first, and a packet the layer declines
+// must then be serviced with exactly the timing it gets with no layer
+// at all. An 8-node mix of remote
 // stores, loads, fetch&inc and remote copies must yield the same trace
 // hash and event count with and without a declining layer on every
 // board.

@@ -88,7 +88,7 @@ func TestIntraNodeFastPathBypassesFabric(t *testing.T) {
 	c := New(cfg)
 
 	var got []uint64
-	c.Nodes[1].HIB.SetMsgSink(func(p *sim.Proc, pkt *packet.Packet) {
+	c.Nodes[1].HIB.SetMsgSink(func(pkt *packet.Packet) {
 		got = append(got, pkt.Data...)
 	})
 	c.SpawnCore(1, 1, "self-send", func(ctx *cpu.Ctx) {

@@ -296,9 +296,7 @@ func (h *HIB) launchCopy(p *sim.Proc, id int) {
 	}
 	if src.Node() == h.node {
 		// Source is local: the board's DMA engine streams directly.
-		h.eng.SpawnDaemon(h.dmaName, func(dp *sim.Proc) {
-			h.streamCopy(dp, req)
-		})
+		h.streamCopy(req, nop)
 		return
 	}
 	h.postCPU(p, req)

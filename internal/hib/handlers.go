@@ -3,13 +3,12 @@ package hib
 import (
 	"telegraphos/internal/addrspace"
 	"telegraphos/internal/packet"
-	"telegraphos/internal/sim"
 	"telegraphos/internal/trace"
 )
 
 // MsgSink receives bulk MsgData packets (set by the message-passing
-// layer). It runs in the HIB receiver process.
-type MsgSink func(p *sim.Proc, pkt *packet.Packet)
+// layer). It runs in the board's receive pipeline and must not block.
+type MsgSink func(pkt *packet.Packet)
 
 // SetMsgSink installs the MsgData delivery callback.
 func (h *HIB) SetMsgSink(fn MsgSink) { h.msgSink = fn }
@@ -51,7 +50,7 @@ func nop() {}
 // servicing runs concurrently with the receive pumps.
 func (h *HIB) deliverLocal(pkt *packet.Packet) {
 	//tgvet:allow eventdrop(loopback service delay always fires; no cancel path exists)
-	h.eng.Schedule(h.timing.HIBService, func() { h.service(h.loopName, pkt, nop) })
+	h.eng.Schedule(h.timing.HIBService, func() { h.service(pkt, nop) })
 }
 
 // service counts an arrived packet and services it; done runs when
@@ -60,33 +59,23 @@ func (h *HIB) deliverLocal(pkt *packet.Packet) {
 // HIB's control logic — which is what makes the home node a
 // serialization point for atomic operations.
 //
-// Three kinds of packet need process context and run in a transient
-// process named name: every packet while a coherence protocol is
-// installed (its IncomingPacket hook may block), a CopyReq (the
-// multi-burst copy stream) and a MsgData bound for a message sink. A
-// packet the protocol declines then takes the same handle as any other.
-func (h *HIB) service(name string, pkt *packet.Packet, done func()) {
+// An installed coherence protocol sees every packet first; a packet it
+// declines, like every packet on a board without one, goes to the copy
+// engine (CopyReq), the message sink (MsgData) or handle.
+func (h *HIB) service(pkt *packet.Packet, done func()) {
 	h.countRx(pkt.Type)
-	sink := pkt.Type == packet.MsgData && h.msgSink != nil
-	if h.coherence == nil && pkt.Type != packet.CopyReq && !sink {
-		h.handle(pkt, done)
-		return
-	}
-	h.eng.SpawnDaemon(name, func(p *sim.Proc) {
-		switch {
-		case h.coherence != nil && h.coherence.IncomingPacket(p, pkt):
-			// claimed by the protocol
-		case pkt.Type == packet.CopyReq:
-			h.streamCopy(p, pkt)
-		case sink:
-			h.Emit(trace.EvMsgDeliver, uint64(pkt.Addr), uint64(pkt.Len), uint64(pkt.Src))
-			h.msgSink(p, pkt)
-		default:
-			h.handle(pkt, done)
-			return
-		}
+	switch {
+	case h.coherence != nil && h.coherence.IncomingPacket(pkt, done):
+		// claimed: the protocol calls done
+	case pkt.Type == packet.CopyReq:
+		h.streamCopy(pkt, done)
+	case pkt.Type == packet.MsgData && h.msgSink != nil:
+		h.Emit(trace.EvMsgDeliver, uint64(pkt.Addr), uint64(pkt.Len), uint64(pkt.Src))
+		h.msgSink(pkt)
 		done()
-	})
+	default:
+		h.handle(pkt, done)
+	}
 }
 
 // handle services one packet with chained events: each memory access
@@ -214,34 +203,39 @@ const copyChunkWords = 64
 
 // streamCopy services a CopyReq: it reads Len words starting at the
 // request's source address (homed here) and streams them as chunked
-// CopyData packets to the destination node. Each burst pays one memory
-// access setup (page-mode DRAM). The final packet carries Last so the
-// destination can signal completion to the origin.
-func (h *HIB) streamCopy(p *sim.Proc, pkt *packet.Packet) {
-	words := uint64(pkt.Len)
-	for i := uint64(0); i < words; i += copyChunkWords {
+// CopyData packets to the destination node, then calls done. Each burst
+// pays one memory access setup (page-mode DRAM), an event chained from
+// the previous burst. The final packet carries Last so the destination
+// can signal completion to the origin.
+func (h *HIB) streamCopy(pkt *packet.Packet, done func()) {
+	words, i := uint64(pkt.Len), uint64(0)
+	var burst func()
+	next := func() {
+		if i < words {
+			h.eng.Schedule(h.timing.MPMRead, burst) //tgvet:allow eventdrop(burst setup delay always fires; no cancel path exists)
+		} else {
+			done()
+		}
+	}
+	burst = func() {
 		n := min(uint64(copyChunkWords), words-i)
-		p.Sleep(h.timing.MPMRead) // burst setup
 		data := make([]uint64, n)
 		for j := range data {
 			data[j] = h.mem.ReadWord(pkt.Addr.Offset() + 8*(i+uint64(j)))
 		}
-		out := &packet.Packet{
+		h.reply(&packet.Packet{
 			Type:   packet.CopyData,
-			Src:    h.node,
 			Dst:    pkt.Addr2.Node(),
 			Addr:   pkt.Addr2.Add(8 * i),
 			Data:   data,
 			Origin: pkt.Origin,
 			ReqID:  pkt.ReqID,
 			Last:   i+n == words,
-		}
-		if out.Dst == h.node {
-			h.deliverLocal(out)
-		} else {
-			h.post(out)
-		}
+		})
+		i += n
+		next()
 	}
+	next()
 }
 
 // reply enqueues a reply packet from this node.

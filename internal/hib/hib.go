@@ -13,13 +13,13 @@
 //   - outstanding-operation counters and a FENCE (§2.3.5);
 //   - eager-update multicast of local writes to mapped-out pages (§2.2.7).
 //
-// A coherence protocol (package coherence) can attach to the HIB through
-// the Coherence interface to intercept shared-memory traffic.
+// The board is a state machine, not a thread: it services every packet
+// with chained events and no process. A coherence protocol (package
+// coherence) can attach through the Coherence interface to intercept
+// shared-memory traffic.
 package hib
 
 import (
-	"fmt"
-
 	"telegraphos/internal/addrspace"
 	"telegraphos/internal/mem"
 	"telegraphos/internal/osmodel"
@@ -33,9 +33,9 @@ import (
 )
 
 // Coherence is the hook a memory-coherence protocol installs on the HIB.
-// Both methods run in simulation-process context and report whether they
-// fully handled the access (true) or whether the HIB's default behaviour
-// should proceed (false).
+// Each hook reports whether it fully handled the access (true) or
+// whether the HIB's default behaviour should proceed (false). The CPU
+// hooks run in the accessing process and may block it.
 type Coherence interface {
 	// LocalSharedWrite intercepts a CPU store to this node's shared
 	// region (a page that may be replicated).
@@ -45,8 +45,10 @@ type Coherence interface {
 	// counter protocol's rule 4: "the read proceeds normally").
 	LocalSharedRead(p *sim.Proc, offset uint64) (v uint64, handled bool)
 	// IncomingPacket intercepts a received packet before default
-	// handling.
-	IncomingPacket(p *sim.Proc, pkt *packet.Packet) bool
+	// handling. It must not block: a protocol claims the packet by
+	// returning true and calling done once it is serviced (after any
+	// delays it schedules), which frees the receive pipeline.
+	IncomingPacket(pkt *packet.Packet, done func()) bool
 }
 
 // outItem is one queued outgoing packet; fromCPU marks packets that hold a
@@ -98,18 +100,12 @@ type HIB struct {
 	// then the handler's memory timing — with the pump's busy flag
 	// providing the same one-at-a-time discipline the old receiver
 	// daemons enforced (the property that makes the home node a
-	// serialization point). Every packet type has one handler built from
-	// chained events (handle); a transient process runs first only where
-	// process context is needed: an installed coherence protocol's
-	// IncomingPacket hook, a CopyReq's copy stream, or a message sink.
+	// serialization point). Servicing is chained events throughout (see
+	// service).
 	rxBusy  [packet.NumVCs]bool
 	rxCur   [packet.NumVCs]*packet.Packet
 	rxSvcFn [packet.NumVCs]func()
 	rxDonFn [packet.NumVCs]func()
-
-	// Names of the transient processes spawned per packet or copy,
-	// formatted once in start instead of on every spawn.
-	rxName, loopName, dmaName string
 
 	// Pending memory accesses of WriteReq (applyq), ReadReq (readq) and
 	// AtomicReq (atomq) packets, each in MPM order: every access of one
@@ -173,7 +169,8 @@ type HIB struct {
 	cMulticastWrite   *int64
 }
 
-// New builds the HIB for node and starts its sender/receiver processes.
+// New builds the HIB for node and registers its transmit and receive
+// pumps with the network.
 func New(eng *sim.Engine, node addrspace.NodeID, net *topology.Network, bus *tchan.Bus,
 	m *mem.Memory, os *osmodel.OS, cfg params.Config) *HIB {
 	h := &HIB{
@@ -292,9 +289,6 @@ func (h *HIB) start() {
 	h.applyFn = h.applyWrite
 	h.readFn = h.serveRead
 	h.atomFn = h.serveAtomic
-	h.rxName = fmt.Sprintf("%v.hib.rx", h.node)
-	h.loopName = fmt.Sprintf("%v.hib.loop", h.node)
-	h.dmaName = fmt.Sprintf("%v.hib.dma", h.node)
 }
 
 // applyWrite completes the oldest in-flight WriteReq: the MPM write lands,
@@ -392,7 +386,7 @@ func (h *HIB) rxPump(vc packet.VC) {
 func (h *HIB) rxService(vc packet.VC) {
 	pkt := h.rxCur[vc]
 	h.rxCur[vc] = nil
-	h.service(h.rxName, pkt, h.rxDonFn[vc])
+	h.service(pkt, h.rxDonFn[vc])
 }
 
 // rxDone releases the VC's service pipeline and pulls in the next packet.

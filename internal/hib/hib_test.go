@@ -436,8 +436,9 @@ func TestMsgDataDroppedWithoutSink(t *testing.T) {
 }
 
 // claimFirst is a coherence layer that claims the first packet of each
-// VC class, after a 1 ns stall, and declines everything else.
+// VC class, servicing it in 1 ns, and declines everything else.
 type claimFirst struct {
+	eng     *sim.Engine
 	claimed [packet.NumVCs]bool
 	seen    int
 }
@@ -446,14 +447,14 @@ func (c *claimFirst) LocalSharedWrite(*sim.Proc, uint64, uint64) bool { return f
 
 func (c *claimFirst) LocalSharedRead(*sim.Proc, uint64) (uint64, bool) { return 0, false }
 
-func (c *claimFirst) IncomingPacket(p *sim.Proc, pkt *packet.Packet) bool {
+func (c *claimFirst) IncomingPacket(pkt *packet.Packet, done func()) bool {
 	c.seen++
 	vc := pkt.Class()
 	if c.claimed[vc] {
 		return false
 	}
 	c.claimed[vc] = true
-	p.Sleep(1)
+	c.eng.Schedule(1, done)
 	return true
 }
 
@@ -463,7 +464,7 @@ func (c *claimFirst) IncomingPacket(p *sim.Proc, pkt *packet.Packet) bool {
 // Claimed packets are counted as received like any other.
 func TestInterceptedPacketReleasesVC(t *testing.T) {
 	r := newRig(t, nil)
-	c := &claimFirst{}
+	c := &claimFirst{eng: r.eng}
 	r.h[0].SetCoherence(c)
 	r.eng.Spawn("x", func(p *sim.Proc) {
 		r.h[1].Post(&packet.Packet{Type: packet.UpdateFwd, Dst: 0, Addr: addrspace.NewGAddr(0, 0)})

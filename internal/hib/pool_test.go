@@ -51,6 +51,92 @@ func TestRemoteOpAllocs(t *testing.T) {
 	}
 }
 
+// coherenceRxAllocs is the allocation count the board adds for each
+// received packet it offers to an installed coherence protocol, whether
+// the protocol claims the packet or declines it: none, because the hook
+// runs on the receive pipeline's events. A process per packet would add
+// 14. Lower it when a change lowers it; raising it needs a reason.
+const coherenceRxAllocs = 0
+
+// claimReads is a coherence layer that claims every ReadReq when claim
+// is set, holds it 1 ns on a prebound event and then hands it to the
+// default handler, and declines every other packet.
+type claimReads struct {
+	h                 *HIB
+	claim             bool
+	held              []applyItem
+	fire              func()
+	claimed, declined int
+}
+
+func newClaimReads(h *HIB, claim bool) *claimReads {
+	c := &claimReads{h: h, claim: claim}
+	c.fire = func() {
+		it := popItem(&c.held)
+		c.h.handle(it.pkt, it.done)
+	}
+	return c
+}
+
+func (c *claimReads) LocalSharedWrite(*sim.Proc, uint64, uint64) bool { return false }
+
+func (c *claimReads) LocalSharedRead(*sim.Proc, uint64) (uint64, bool) { return 0, false }
+
+func (c *claimReads) IncomingPacket(pkt *packet.Packet, done func()) bool {
+	if !c.claim || pkt.Type != packet.ReadReq {
+		c.declined++
+		return false
+	}
+	c.claimed++
+	c.held = append(c.held, applyItem{pkt: pkt, done: done})
+	c.h.eng.Schedule(1, c.fire)
+	return true
+}
+
+// TestCoherenceRxAllocs pins what an installed coherence protocol costs
+// the receive path. A warmed remote load sends a ReadReq and gets a
+// ReadReply back, and each board offers the packet it receives to its
+// protocol. Whether the home's protocol claims the ReadReq or declines
+// it, the load must cost remoteOpAllocs plus coherenceRxAllocs per
+// offered packet, and give the right word.
+func TestCoherenceRxAllocs(t *testing.T) {
+	for _, claim := range []bool{false, true} {
+		r := newRig(t, nil)
+		req, home := newClaimReads(r.h[0], false), newClaimReads(r.h[1], claim)
+		r.h[0].SetCoherence(req)
+		r.h[1].SetCoherence(home)
+		r.mem[1].WriteWord(0x80, 41)
+		var avg float64
+		var v uint64
+		r.eng.Spawn("req", func(p *sim.Proc) {
+			load := func() { v = r.h[0].CPURead(p, addrspace.RemotePA(1, 0x80)) }
+			for i := 0; i < 8; i++ { // warm the pools, queues and FIFOs
+				load()
+			}
+			avg = testing.AllocsPerRun(100, load)
+		})
+		r.run(t)
+		if want := float64(remoteOpAllocs + 2*coherenceRxAllocs); avg != want {
+			t.Errorf("claim=%v: warmed remote load %.2f allocs/op, want %v", claim, avg, want)
+		}
+		if v != 41 {
+			t.Errorf("claim=%v: load returned %d, want 41", claim, v)
+		}
+		// 8 warm-up loads, one AllocsPerRun calibration run and 100
+		// measured runs.
+		const loads = 109
+		if claim && (home.claimed != loads || home.declined != 0) {
+			t.Errorf("home claimed %d and declined %d ReadReqs, want %d and 0", home.claimed, home.declined, loads)
+		}
+		if !claim && home.declined != loads {
+			t.Errorf("home declined %d ReadReqs, want %d", home.declined, loads)
+		}
+		if req.declined != loads {
+			t.Errorf("requester declined %d ReadReplies, want %d", req.declined, loads)
+		}
+	}
+}
+
 // TestReadAtomicPacketsRecycled checks where the consumed packets of a
 // remote read and a remote fetch&inc end up. On a fault-free pair the
 // home frees each request and the requester each reply, so both boards'

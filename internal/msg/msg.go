@@ -47,7 +47,7 @@ func NewSystem(c *core.Cluster) *System {
 	}
 	for _, n := range c.Nodes {
 		n := n
-		n.HIB.SetMsgSink(func(p *sim.Proc, pkt *packet.Packet) {
+		n.HIB.SetMsgSink(func(pkt *packet.Packet) {
 			// Hardware delivered the packet; the kernel's interrupt path
 			// copies it into the destination mailbox.
 			data := append([]uint64(nil), pkt.Data...)

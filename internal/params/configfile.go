@@ -51,12 +51,10 @@ func ReadConfig(r io.Reader) (Config, error) {
 		return Config{}, fmt.Errorf("params: unknown placement %q (hib|main)", fc.Placement)
 	}
 	if fc.Topology != "" {
-		switch fc.Topology {
-		case "pair", "star", "chain":
-			cfg.Topology = fc.Topology
-		default:
-			return Config{}, fmt.Errorf("params: unknown topology %q", fc.Topology)
+		if err := CheckTopology(fc.Topology, fc.Nodes); err != nil {
+			return Config{}, err
 		}
+		cfg.Topology = fc.Topology
 	}
 	if fc.ChainPerSwitch > 0 {
 		cfg.ChainPerSwitch = fc.ChainPerSwitch

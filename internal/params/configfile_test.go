@@ -1,6 +1,7 @@
 package params
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -55,6 +56,7 @@ func TestReadConfigErrors(t *testing.T) {
 		`{}`, // no nodes
 		`{"nodes": 2, "placement": "floppy"}`,
 		`{"nodes": 2, "topology": "torus"}`,
+		`{"nodes": 4, "topology": "pair"}`,
 		`{"nodes": 2, "bogus_field": 1}`, // unknown fields rejected
 		`{nodes: 2}`,                     // invalid JSON
 	}
@@ -68,5 +70,16 @@ func TestReadConfigErrors(t *testing.T) {
 func TestLoadConfigMissingFile(t *testing.T) {
 	if _, err := LoadConfig("/nonexistent/x.json"); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+// TestReadConfigTopologies: a config file may name every fabric in
+// Topologies.
+func TestReadConfigTopologies(t *testing.T) {
+	for _, name := range Topologies {
+		cfg, err := ReadConfig(strings.NewReader(fmt.Sprintf(`{"nodes": 2, "topology": %q}`, name)))
+		if err != nil || cfg.Topology != name {
+			t.Errorf("topology %q: got %q, %v", name, cfg.Topology, err)
+		}
 	}
 }

@@ -26,6 +26,10 @@
 package params
 
 import (
+	"fmt"
+	"slices"
+	"strings"
+
 	"telegraphos/internal/addrspace"
 	"telegraphos/internal/link"
 	"telegraphos/internal/sim"
@@ -107,11 +111,11 @@ type Config struct {
 	Sizing    Sizing
 	Link      link.Config
 	Switch    switchfab.Config
-	// Topology selects the fabric: "pair", "star", "chain", "tree", or
-	// one of the generated shapes — "torus2d", "torus3d" (k-ary n-cube
-	// with dimension-order routing and VC-dateline deadlock avoidance),
-	// "fattree" (up*/down*), "dragonfly" (minimal) or "dragonfly-val"
-	// (Valiant non-minimal).
+	// Topology selects the fabric, one of Topologies: "pair", "star",
+	// "chain", "tree", or one of the generated shapes — "torus2d",
+	// "torus3d" (k-ary n-cube with dimension-order routing and
+	// VC-dateline deadlock avoidance), "fattree" (up*/down*),
+	// "dragonfly" (minimal) or "dragonfly-val" (Valiant non-minimal).
 	Topology string
 	// ChainPerSwitch is the nodes-per-switch for the chain topology.
 	ChainPerSwitch int
@@ -127,6 +131,22 @@ type Config struct {
 	// bit-identical across shard counts; shards only change wall-clock
 	// speed.
 	Shards int
+}
+
+// Topologies names every fabric core.New builds, in the order help
+// texts list them.
+var Topologies = []string{"pair", "star", "chain", "tree", "torus2d", "torus3d", "fattree", "dragonfly", "dragonfly-val"}
+
+// CheckTopology rejects a fabric name that is not one of Topologies, and
+// the pair fabric for any node count but two.
+func CheckTopology(name string, nodes int) error {
+	if !slices.Contains(Topologies, name) {
+		return fmt.Errorf("params: unknown topology %q (want one of %s)", name, strings.Join(Topologies, ", "))
+	}
+	if name == "pair" && nodes != 2 {
+		return fmt.Errorf("params: the pair topology connects exactly 2 nodes, not %d", nodes)
+	}
+	return nil
 }
 
 // DefaultTiming returns the calibrated timing constants.

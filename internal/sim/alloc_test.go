@@ -258,27 +258,19 @@ func TestProcSwitchAllocs(t *testing.T) {
 	}
 }
 
-// spawnAllocs pins the allocations of one process from Spawn to return.
-// A cold spawn, with no idle coroutine to take, costs the Proc, its
-// prebound wake closure, the coro record, its iter.Pull function and the
-// coroutine iter.Pull builds around it. The coro record is the one
-// allocation more than a coroutine per process cost: it is what lets a
-// finished process's coroutine run the next body. A warm spawn, which
-// takes the coroutine of a process that finished earlier in the run,
-// costs the Proc and its wake closure. Lower a count when a change lowers
-// it; raising one needs a reason.
-const (
-	spawnAllocsCold = 15
-	spawnAllocsWarm = 2
-)
+// spawnAllocs pins the allocations of one process from Spawn to return:
+// the Proc, its prebound wake closure, its iter.Pull function and the
+// coroutine iter.Pull builds around it. A spawn costs the same inside a
+// running engine as on an idle one: no coroutine outlives its process.
+// Lower it when a change lowers it; raising it needs a reason.
+const spawnAllocs = 14
 
-// TestSpawnAllocs pins the allocations of one spawn-to-finish cycle, cold
-// and warm, so that the per-process cost cannot grow unnoticed.
+// TestSpawnAllocs pins the allocations of one spawn-to-finish cycle, so
+// that the per-process cost cannot grow unnoticed.
 func TestSpawnAllocs(t *testing.T) {
 	body := func(p *Proc) { p.Sleep(1) }
 	t.Run("cold", func(t *testing.T) {
-		// Every Run releases its idle coroutines on return, so each
-		// cycle's spawn builds a new one.
+		// Each cycle's spawn runs in a run of its own.
 		e := NewEngine(1)
 		cycle := func() {
 			e.Spawn("p", body)
@@ -286,15 +278,14 @@ func TestSpawnAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		cycle() // warm the slot pool and the event queue
-		if avg := testing.AllocsPerRun(100, cycle); avg != spawnAllocsCold {
-			t.Errorf("cold spawn-to-finish: %.2f allocs/run, want %d", avg, spawnAllocsCold)
+		cycle() // warm the slot pool, the event queue and the live list
+		if avg := testing.AllocsPerRun(100, cycle); avg != spawnAllocs {
+			t.Errorf("cold spawn-to-finish: %.2f allocs/run, want %d", avg, spawnAllocs)
 		}
 	})
 	t.Run("warm", func(t *testing.T) {
 		// A spawner process spawns a child and sleeps past its end, all
-		// inside one run, so each spawn takes the coroutine the previous
-		// child finished on.
+		// inside one run.
 		e := NewEngine(1)
 		avg := -1.0
 		e.Spawn("spawner", func(p *Proc) {
@@ -308,8 +299,8 @@ func TestSpawnAllocs(t *testing.T) {
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if avg != spawnAllocsWarm {
-			t.Errorf("warm spawn-to-finish: %.2f allocs/run, want %d", avg, spawnAllocsWarm)
+		if avg != spawnAllocs {
+			t.Errorf("warm spawn-to-finish: %.2f allocs/run, want %d", avg, spawnAllocs)
 		}
 	})
 }

@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 )
 
 // Event is a handle to a scheduled callback, returned by Engine.Schedule
@@ -63,8 +66,9 @@ func (ev Event) When() Time {
 // 2^23 channels per Group (or standalone engine).
 const msgSeqBits = 40
 
-// ErrStalled is returned by Run when the event queue drains while
-// non-daemon processes are still blocked: the simulation deadlocked.
+// ErrStalled is wrapped by the error Run returns when the event queue
+// drains while non-daemon processes are still blocked (the simulation
+// deadlocked); the error names them (see stalled).
 var ErrStalled = errors.New("sim: event queue empty but non-daemon processes still blocked")
 
 // Engine is a deterministic discrete-event simulation engine — one shard
@@ -86,26 +90,22 @@ var ErrStalled = errors.New("sim: event queue empty but non-daemon processes sti
 // The hot path is allocation-free in steady state: events are drawn from
 // a per-engine slot pool (pool.go), the queue is a ring of time buckets
 // that recycles its bucket arrays, over a far-tier heap (mqueue.go,
-// equeue.go), process wakeups reuse one prebound closure per process, and
-// a spawn reuses the coroutine of a process that finished earlier in the
-// run.
+// equeue.go), and process wakeups reuse one prebound closure per process.
 type Engine struct {
 	now        Time
 	queue      msgQueue
 	pool       eventPool
 	seq        uint64
 	rng        *RNG
-	alive      int // non-daemon procs not yet finished
 	stopped    bool
 	failure    error
 	deadEvents int    // canceled events still sitting in the queue
 	executed   uint64 // events + messages executed
 	nextChanID uint64 // chan ids for standalone (group-less) engines
 
-	// idle holds the coroutines of finished processes, parked until
-	// spawn hands one the next body (proc.go). RunUntil releases them
-	// when it returns.
-	idle []*coro
+	// live holds the unfinished non-daemon processes, in no particular
+	// order (see dropLive), for the stall report.
+	live []*Proc
 
 	// stage holds cross-shard messages generated during this engine's
 	// window, batched per destination shard; the group barrier hands each
@@ -209,7 +209,15 @@ func (e *Engine) Stop() { e.stopped = true }
 func (e *Engine) Pending() int { return e.queue.len() - e.deadEvents }
 
 // Alive reports the number of non-daemon processes that have not finished.
-func (e *Engine) Alive() int { return e.alive }
+func (e *Engine) Alive() int { return len(e.live) }
+
+// dropLive removes a finished non-daemon process from e.live by moving
+// the last entry into its place.
+func (e *Engine) dropLive(p *Proc) {
+	n := len(e.live) - 1
+	e.live[n].live, e.live[p.live] = p.live, e.live[n]
+	e.live[n], e.live = nil, e.live[:n]
+}
 
 // maybeCompact rebuilds the queue without canceled events once they
 // outnumber the live entries (and are numerous enough to matter).
@@ -329,7 +337,6 @@ func (e *Engine) RunUntil(deadline Time) error {
 	if e.group != nil && len(e.group.engines) > 1 {
 		return e.group.RunUntil(deadline)
 	}
-	defer e.releaseIdle()
 	e.stopped = false
 	e.runWindow(-1, deadline)
 	if e.failure != nil {
@@ -346,10 +353,26 @@ func (e *Engine) RunUntil(deadline Time) error {
 			return nil // stopped at the deadline, not drained
 		}
 	}
-	if e.alive > 0 {
-		return fmt.Errorf("%w (%d blocked)", ErrStalled, e.alive)
+	return stalled(e)
+}
+
+// stalled reports the engines' unfinished non-daemon processes, which a
+// drained queue leaves blocked, as ErrStalled: each one's name, shard and
+// park time, earliest first. It is nil if none is.
+func stalled(engines ...*Engine) error {
+	var ps []*Proc
+	for _, e := range engines {
+		ps = append(ps, e.live...)
 	}
-	return nil
+	if len(ps) == 0 {
+		return nil
+	}
+	slices.SortStableFunc(ps, func(a, b *Proc) int { return cmp.Compare(a.parkedAt, b.parkedAt) })
+	names := make([]string, len(ps))
+	for i, p := range ps {
+		names[i] = fmt.Sprintf("%q on shard %d parked at %dns", p.name, p.eng.shard, int64(p.parkedAt))
+	}
+	return fmt.Errorf("%w (%d blocked: %s)", ErrStalled, len(ps), strings.Join(names, ", "))
 }
 
 // fail records a process panic; the engine loop notices it and aborts.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -145,13 +146,23 @@ func TestProcInterleavingDeterministic(t *testing.T) {
 	}
 }
 
+// TestStalledDetection: a run that drains with non-daemon processes
+// blocked returns ErrStalled naming each of them, its shard and the time
+// it parked, and leaves out processes that finished and daemons.
 func TestStalledDetection(t *testing.T) {
 	e := NewEngine(1)
 	c := NewCompletion(e)
-	e.Spawn("blocked", func(p *Proc) { c.Wait(p) })
+	e.Spawn("done", func(p *Proc) { p.Sleep(3) })
+	e.Spawn("blocked", func(p *Proc) { p.Sleep(7); c.Wait(p) })
+	e.Spawn("early", func(p *Proc) { c.Wait(p) })
+	e.SpawnDaemon("server", func(p *Proc) { c.Wait(p) })
 	err := e.Run()
 	if !errors.Is(err, ErrStalled) {
 		t.Fatalf("Run() = %v, want ErrStalled", err)
+	}
+	want := `(2 blocked: "early" on shard 0 parked at 0ns, "blocked" on shard 0 parked at 7ns)`
+	if !strings.HasSuffix(err.Error(), want) {
+		t.Fatalf("Run() = %q, want it to end in %q", err, want)
 	}
 }
 

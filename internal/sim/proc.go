@@ -21,25 +21,14 @@ import (
 // Sleep, Hold and the waiting methods on Future, Queue, Semaphore, etc.
 // Those primitives must only be called from within the process's own body.
 type Proc struct {
-	eng    *Engine
-	name   string
-	co     *coro  // the coroutine running the body; another body's once done
-	wakeFn func() // prebound p.wake: one closure per process, not per wakeup
-	daemon bool
-	done   bool
-}
-
-// coro is a process coroutine, reusable across process bodies. Its
-// iter.Pull function loops: it runs the current process's body, and on a
-// normal return parks itself on its engine's idle list until spawn hands
-// it the next body, or the run's end stops it. A body that panics or
-// calls runtime.Goexit ends the coroutine, which is never reused.
-type coro struct {
-	resume func() (struct{}, bool) // engine -> proc: run until the next park or return
-	stop   func()                  // ends an idle coroutine's goroutine
-	yield  func(struct{}) bool     // proc -> engine: park
-	p      *Proc                   // the process whose body runs now
-	fn     func(*Proc)             // its body
+	eng      *Engine
+	name     string
+	resume   func() (struct{}, bool) // engine -> proc: run until the next park or return
+	yield    func(struct{}) bool     // proc -> engine: park; set when the body starts
+	wakeFn   func()                  // prebound p.wake: one closure per process, not per wakeup
+	parkedAt Time                    // when the process last parked (the stall report)
+	live     int                     // index in eng.live while a non-daemon process runs
+	done     bool
 }
 
 // Spawn starts fn as a new process at the current simulated time.
@@ -50,78 +39,45 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 }
 
 // SpawnDaemon starts a process whose permanent blocking does not count as a
-// stall — use it for server loops (HIB engines, switch ports) that park on
-// empty queues forever once the workload finishes.
+// stall — use it for server loops that park on empty queues forever once
+// the workload finishes.
 func (e *Engine) SpawnDaemon(name string, fn func(*Proc)) *Proc {
 	return e.spawn(name, fn, true)
 }
 
-// spawn builds a fresh Proc, so a finished one stays Done and its stale
-// wakes stay inert, and runs it on an idle coroutine when one is parked,
-// a new one otherwise.
+// spawn builds the process and its coroutine, and schedules its first
+// wake. The coroutine ends with the body, so a finished process leaves
+// no goroutine behind.
 func (e *Engine) spawn(name string, fn func(*Proc), daemon bool) *Proc {
-	p := &Proc{eng: e, name: name, daemon: daemon}
+	p := &Proc{eng: e, name: name}
 	p.wakeFn = p.wake
 	if !daemon {
-		e.alive++
+		p.live = len(e.live)
+		e.live = append(e.live, p)
 	}
-	if n := len(e.idle); n > 0 {
-		p.co = e.idle[n-1]
-		e.idle[n-1] = nil
-		e.idle = e.idle[:n-1]
-	} else {
-		c := &coro{}
-		c.resume, c.stop = iter.Pull(func(yield func(struct{}) bool) {
-			c.yield = yield
-			for c.p.run(c.fn) {
-				c.p, c.fn = nil, nil
-				e.idle = append(e.idle, c)
-				if !yield(struct{}{}) {
-					return // stopped at the run's end
-				}
-			}
-		})
-		p.co = c
-	}
-	p.co.p, p.co.fn = p, fn
-	e.Schedule(0, p.wakeFn)
-	return p
-}
-
-// run runs fn, the process's body, to its end and reports whether it
-// returned normally. A panic is recovered and recorded as the process's
-// failure; runtime.Goexit is recorded, then unwinds the coroutine.
-func (p *Proc) run(fn func(*Proc)) (returned bool) {
-	defer func() {
-		if !returned {
+	p.resume, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		returned := false
+		defer func() {
 			if r := recover(); r != nil {
-				p.eng.fail(p.name, r)
-			} else {
+				e.fail(p.name, r)
+			} else if !returned {
 				// runtime.Goexit (t.FailNow, say): iter.Pull re-raises it
 				// in the goroutine that resumed the process, which may be
 				// a round worker whose window it cuts short. Record it so
 				// the run reports the process instead of ending quietly.
-				p.eng.fail(p.name, "runtime.Goexit in process body")
+				e.fail(p.name, "runtime.Goexit in process body")
 			}
-		}
-		p.done = true
-		if !p.daemon {
-			p.eng.alive--
-		}
-	}()
-	fn(p)
-	return true
-}
-
-// releaseIdle ends every idle coroutine's goroutine. RunUntil calls it on
-// its way out, so no goroutine outlives a run; the next run builds its
-// coroutines afresh.
-func (e *Engine) releaseIdle() {
-	for i, c := range e.idle {
-		e.idle[i] = nil
-		c.stop()
-	}
-	e.idle = e.idle[:0]
+			p.done = true
+			if !daemon {
+				e.dropLive(p)
+			}
+		}()
+		fn(p)
+		returned = true
+	})
+	e.Schedule(0, p.wakeFn)
+	return p
 }
 
 // Engine returns the engine the process belongs to.
@@ -142,13 +98,14 @@ func (p *Proc) wake() {
 	if p.done {
 		return
 	}
-	p.co.resume()
+	p.resume()
 }
 
 // park returns control to the engine loop until the next wake. It must be
 // called from the process's own body.
 func (p *Proc) park() {
-	p.co.yield(struct{}{})
+	p.parkedAt = p.eng.now
+	p.yield(struct{}{})
 }
 
 // Sleep suspends the process for d nanoseconds of simulated time.

@@ -175,30 +175,23 @@ func TestProcGoexitOnWorkerShard(t *testing.T) {
 	}
 }
 
-// Coroutine reuse. A finished process parks its coroutine on the
-// engine's idle list, the next spawn runs its body there, and RunUntil
-// stops the idle ones on its way out.
+// Process lifecycle. Each process runs on its own coroutine, which ends
+// with the body.
 
-// TestIdleCoroutinesReleased: a run that finishes processes leaves no
-// goroutine behind, on a standalone engine and on a 2-shard group.
-func TestIdleCoroutinesReleased(t *testing.T) {
+// TestFinishedProcessesLeaveNoGoroutine: a run whose processes all
+// finish leaves no goroutine behind, on a standalone engine and on a
+// 2-shard group.
+func TestFinishedProcessesLeaveNoGoroutine(t *testing.T) {
 	before := runtime.NumGoroutine()
 	e := NewEngine(1)
-	reused := false
 	e.Spawn("spawner", func(p *Proc) {
-		var last *coro
 		for i := 0; i < 8; i++ {
-			c := e.Spawn(fmt.Sprintf("child%d", i), func(p *Proc) { p.Sleep(1) })
-			reused = reused || c.co == last
-			last = c.co
+			e.Spawn(fmt.Sprintf("child%d", i), func(p *Proc) { p.Sleep(1) })
 			p.Sleep(2)
 		}
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
-	}
-	if !reused {
-		t.Fatal("no child ran on its predecessor's coroutine")
 	}
 	expectGoroutines(t, e, before)
 
@@ -211,43 +204,24 @@ func TestIdleCoroutinesReleased(t *testing.T) {
 	expectGoroutines(t, g, before)
 }
 
-// TestPanicCoroutineNotReused: a body that panics on a reused coroutine
-// is reported under its own name, and its coroutine ends instead of
-// going to the next spawn.
-func TestPanicCoroutineNotReused(t *testing.T) {
+// TestPanicReportedByName: a body that panics after other processes
+// have finished is reported under its own name.
+func TestPanicReportedByName(t *testing.T) {
 	e := NewEngine(1)
-	first := e.Spawn("first", func(p *Proc) {})
-	var bad, next *Proc
+	e.Spawn("first", func(p *Proc) {})
 	e.Schedule(1, func() {
-		bad = e.Spawn("bad", func(p *Proc) { panic("boom") })
-	})
-	// The hook runs right after the work item in which bad panicked,
-	// before the run stops.
-	e.SetRoundHook(1, func(Time) {
-		if next == nil && bad != nil && bad.Done() {
-			next = e.Spawn("next", func(p *Proc) {})
-		}
+		e.Spawn("bad", func(p *Proc) { panic("boom") })
 	})
 	err := e.Run()
 	if err == nil || !strings.Contains(err.Error(), `"bad"`) || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("Run() = %v, want bad's panic", err)
 	}
-	if bad.co != first.co {
-		t.Fatal("bad did not run on first's coroutine")
-	}
-	if next == nil || next.co == bad.co {
-		t.Fatal("the spawn after the panic took the panicked coroutine")
-	}
-	if _, ok := bad.co.resume(); ok {
-		t.Fatal("the panicked coroutine is still running")
-	}
-	next.co.stop() // next never ran: the failure ended the run first
 }
 
-// TestStaleWakeOnReusedCoroutine: a finished Proc stays Done, and a wake
-// for it that arrives while its coroutine runs another body is inert:
-// the new body resumes only on its own wakes.
-func TestStaleWakeOnReusedCoroutine(t *testing.T) {
+// TestStaleWakeOnFinishedProc: a finished Proc stays Done, and a wake
+// for it that arrives while another process sleeps is inert: the
+// sleeper resumes only on its own wakes.
+func TestStaleWakeOnFinishedProc(t *testing.T) {
 	e := NewEngine(1)
 	old := e.Spawn("old", func(p *Proc) {})
 	var woke []Time
@@ -258,15 +232,12 @@ func TestStaleWakeOnReusedCoroutine(t *testing.T) {
 			p.Sleep(10)
 			woke = append(woke, p.Now())
 			if !old.Done() {
-				t.Error("old is not Done while its coroutine runs young")
+				t.Error("old is not Done while young runs")
 			}
 		})
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
-	}
-	if young.co != old.co {
-		t.Fatal("young did not run on old's coroutine")
 	}
 	if len(woke) != 1 || woke[0] != 11 {
 		t.Fatalf("young woke at %v, want once at 11", woke)

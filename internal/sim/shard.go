@@ -44,7 +44,6 @@
 package sim
 
 import (
-	"fmt"
 	"runtime"
 	"sync/atomic"
 )
@@ -230,7 +229,7 @@ func (g *Group) Pending() int {
 func (g *Group) Alive() int {
 	n := 0
 	for _, e := range g.engines {
-		n += e.alive
+		n += len(e.live)
 	}
 	return n
 }
@@ -273,12 +272,7 @@ func (g *Group) RunUntil(deadline Time) error {
 	for _, e := range g.engines {
 		e.stopped = false
 	}
-	defer func() {
-		g.stopWorkers()
-		for _, e := range g.engines {
-			e.releaseIdle()
-		}
-	}()
+	defer g.stopWorkers()
 	if g.distDirty || g.dist == nil {
 		g.rebuildDist()
 	}
@@ -379,10 +373,7 @@ func (g *Group) RunUntil(deadline Time) error {
 	if deadline >= 0 && g.Pending() > 0 {
 		return nil // stopped at the deadline, not drained
 	}
-	if n := g.Alive(); n > 0 {
-		return fmt.Errorf("%w (%d blocked)", ErrStalled, n)
-	}
-	return nil
+	return stalled(g.engines...)
 }
 
 // runParallel runs one round's windows in parallel: every window but

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -223,15 +225,21 @@ func TestCrossShardBlockingPanics(t *testing.T) {
 }
 
 // TestGroupStallDetection: a parked non-daemon process on any shard must
-// surface as ErrStalled once the group drains.
+// surface as ErrStalled once the group drains, and the report names
+// every blocked process with its shard and park time.
 func TestGroupStallDetection(t *testing.T) {
 	g := NewGroup(1, 2)
-	c := NewCompletion(g.Shard(1))
-	g.Shard(1).Spawn("waiter", func(p *Proc) { c.Wait(p) })
-	g.Shard(0).Schedule(5, func() {})
+	c0, c1 := NewCompletion(g.Shard(0)), NewCompletion(g.Shard(1))
+	g.Shard(1).Spawn("waiter", func(p *Proc) { c1.Wait(p) })
+	g.Shard(0).Spawn("late", func(p *Proc) { p.Sleep(5); c0.Wait(p) })
+	g.Shard(0).Schedule(9, func() {})
 	err := g.Run()
-	if err == nil {
-		t.Fatal("expected ErrStalled, got nil")
+	if !errors.Is(err, ErrStalled) {
+		t.Fatalf("Run() = %v, want ErrStalled", err)
+	}
+	want := `(2 blocked: "waiter" on shard 1 parked at 0ns, "late" on shard 0 parked at 5ns)`
+	if !strings.HasSuffix(err.Error(), want) {
+		t.Fatalf("Run() = %q, want it to end in %q", err, want)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // a coroutine, which the runtime counts as a goroutine. g is a Group or
 // a standalone Engine. A goroutine still counts for a moment after its
 // last deferred call returns, until the runtime reaps it, so the check
-// polls for a while; a leaked worker or idle coroutine never goes away.
+// polls for a while; a leaked worker or coroutine never goes away.
 // The count may end lower than before, when an earlier test's goroutine
 // was reaped in between.
 func expectGoroutines(t *testing.T, g interface{ Alive() int }, before int) {
@@ -28,7 +28,7 @@ func expectGoroutines(t *testing.T, g interface{ Alive() int }, before int) {
 		runtime.Gosched()
 	}
 	if n := runtime.NumGoroutine(); n > want {
-		t.Fatalf("%d goroutines after RunUntil, want %d: round workers or idle coroutines outlived the call", n, want)
+		t.Fatalf("%d goroutines after RunUntil, want %d: round workers or process coroutines outlived the call", n, want)
 	}
 }
 

@@ -231,13 +231,13 @@ func TestBoundedResidency(t *testing.T) {
 // over TestChaosAllocBudget's sweep. It is a ratchet: lower it when a
 // change lowers allocation, and never raise it to make a change pass.
 // The trace rings start small, node memory materializes a page at a
-// time, finished processes hand their coroutines on, and the link
-// FIFOs, ARQ windows and frame records reuse their storage; about
-// 2.36 KB per op remains (2.40 KB under -race). The largest shares are
-// node memory pages, the online history builder, process spawns and
-// per-run set-up; HIB packets are not recycled here, because the
-// sweep's links are faulty.
-const chaosAllocBudget = 2560
+// time, the HIB services every packet with chained events instead of a
+// process, and the link FIFOs, ARQ windows and frame records reuse their
+// storage; about 2.19 KB per op remains (2.22 KB under -race). The
+// largest shares are node memory pages, the online history builder and
+// per-run set-up; HIB packets are not recycled here, because the sweep's
+// links are faulty.
+const chaosAllocBudget = 2370
 
 // TestChaosAllocBudget caps the allocation of a verification sweep —
 // seeds 0–9 at 60 ops per node on one shard, faults, trace rings and

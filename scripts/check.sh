@@ -41,8 +41,9 @@ go test ./internal/sim -run 'TestProc|TestGroup' -cpu 1,4 -count 1
 # Hot-path allocation budgets: schedule/fire/recycle and Chan.Send must
 # stay at zero allocations per event in steady state, and so must the
 # streaming trace pipeline's ring append + k-way drain + incremental hash,
-# the link FIFOs and ARQ window per packet, and the HIB's remote read and
-# fetch&inc beyond the future the requester waits on.
+# the link FIFOs and ARQ window per packet, the HIB's remote read and
+# fetch&inc beyond the future the requester waits on, and the HIB's
+# offer of each received packet to an installed coherence protocol.
 echo '== allocation budgets (-cpu 1,4)'
 go test ./internal/sim -run 'Allocs$' -cpu 1,4 -count 1
 go test ./internal/trace -run 'Allocs$' -cpu 1,4 -count 1
@@ -88,8 +89,9 @@ go run ./cmd/tglitmus -quick
 echo '== tglitmus torus smoke'
 go run ./cmd/tglitmus -topo -quick -tests SB,MP+fence >/dev/null
 
-# Coverage ratchet for the checker packages and the link layer: raise the minimum when you
-# raise the coverage, never lower it.
+# Coverage ratchet for the checker packages, the link layer, the HIB and
+# the coherence protocols: raise the minimum when you raise the coverage,
+# never lower it.
 echo '== checker coverage ratchet'
 check_cover() {
 	pkg="$1"; min="$2"
@@ -112,6 +114,8 @@ check_cover internal/analysis 85
 check_cover internal/collective 80
 check_cover internal/topology 90
 check_cover internal/link 85
+check_cover internal/coherence 90
+check_cover internal/hib 70
 
 # The benchmark is a nested module, so the root `./...` phases skip it.
 # Its TestSimLayersMatchSource pins the internal/sim names the per-layer
