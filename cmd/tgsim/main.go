@@ -26,11 +26,12 @@ import (
 	"telegraphos/internal/cpu"
 	"telegraphos/internal/params"
 	"telegraphos/internal/sim"
+	"telegraphos/internal/topology"
 )
 
 func main() {
 	nodes := flag.Int("nodes", 2, "number of workstations")
-	topo := flag.String("topology", "star", "fabric: "+strings.Join(params.Topologies, ", "))
+	topo := flag.String("topology", "star", "fabric: "+strings.Join(topology.Kinds, ", "))
 	perSwitch := flag.Int("per-switch", 4, "nodes per switch (chain)")
 	placement := flag.String("placement", "hib", "shared-data placement: hib (Telegraphos I) or main (Telegraphos II)")
 	work := flag.String("workload", "pingpong", "pingpong, stream, allatomic, sharing")
@@ -67,7 +68,7 @@ func main() {
 			cfg.Placement = params.SharedInMain
 		}
 	}
-	if err := params.CheckTopology(cfg.Topology, cfg.Nodes); err != nil {
+	if err := cfg.Fabric().Check(); err != nil {
 		fmt.Fprintf(os.Stderr, "tgsim: %v\n", err)
 		os.Exit(2)
 	}

@@ -53,22 +53,22 @@ func Stamp() time.Time { return time.Now() }
 
 func TestRunPatternForms(t *testing.T) {
 	root := writeModule(t, map[string]string{
-		"go.mod":      tinyGoMod,
-		"a/a.go":      "package a\n\nimport \"time\"\n\nvar T = time.Now()\n",
-		"b/b.go":      "package b\n",
-		"b/sub/s.go":  "package sub\n\nimport \"time\"\n\nvar T = time.Now()\n",
+		"go.mod":        tinyGoMod,
+		"a/a.go":        "package a\n\nimport \"time\"\n\nvar T = time.Now()\n",
+		"b/b.go":        "package b\n",
+		"b/sub/s.go":    "package sub\n\nimport \"time\"\n\nvar T = time.Now()\n",
 		"testdata/x.go": "package x\n\nimport \"time\"\n\nvar T = time.Now()\n",
 	})
 	cases := []struct {
 		patterns []string
 		want     int
 	}{
-		{nil, 2},                     // default ./... — and testdata is skipped
-		{[]string{"./..."}, 2},       //
-		{[]string{"./a"}, 1},         // explicit directory
-		{[]string{"a"}, 1},           // without ./
-		{[]string{"./b/..."}, 1},     // subtree pattern
-		{[]string{"./a", "./a"}, 1},  // deduplicated
+		{nil, 2},                    // default ./... — and testdata is skipped
+		{[]string{"./..."}, 2},      //
+		{[]string{"./a"}, 1},        // explicit directory
+		{[]string{"a"}, 1},          // without ./
+		{[]string{"./b/..."}, 1},    // subtree pattern
+		{[]string{"./a", "./a"}, 1}, // deduplicated
 	}
 	for _, c := range cases {
 		diags, err := Run(root, c.patterns)
@@ -86,8 +86,8 @@ func TestRunPatternForms(t *testing.T) {
 
 func TestRunRejectsUnparseableSource(t *testing.T) {
 	root := writeModule(t, map[string]string{
-		"go.mod":      tinyGoMod,
-		"bad/bad.go":  "package bad\n\nfunc {",
+		"go.mod":     tinyGoMod,
+		"bad/bad.go": "package bad\n\nfunc {",
 	})
 	if _, err := Run(root, nil); err == nil {
 		t.Fatal("want parse error, got nil")
@@ -142,9 +142,9 @@ func chdir(t *testing.T, dir string) {
 
 func TestMainExitCodes(t *testing.T) {
 	root := writeModule(t, map[string]string{
-		"go.mod":       tinyGoMod,
-		"dirty/d.go":   "package dirty\n\nimport \"time\"\n\nvar T = time.Now()\n",
-		"clean/c.go":   "package clean\n\nfunc Fine() {}\n",
+		"go.mod":     tinyGoMod,
+		"dirty/d.go": "package dirty\n\nimport \"time\"\n\nvar T = time.Now()\n",
+		"clean/c.go": "package clean\n\nfunc Fine() {}\n",
 	})
 	chdir(t, root)
 	var out, errb bytes.Buffer

@@ -38,8 +38,8 @@ var maporderSimEffects = map[string]string{
 // maporderEffects maps fully-qualified callees outside sim to what they
 // perturb.
 var maporderEffects = map[string]string{
-	"telegraphos/internal/hib.HIB.Post":   "emits a packet",
-	"telegraphos/internal/hib.HIB.Emit":   "emits a trace event",
+	"telegraphos/internal/hib.HIB.Post":          "emits a packet",
+	"telegraphos/internal/hib.HIB.Emit":          "emits a trace event",
 	"telegraphos/internal/trace.EventLog.Append": "appends a trace event",
 	"telegraphos/internal/stats.Tally.Add":       "accumulates an order-sensitive tally",
 	"telegraphos/internal/stats.Series.Add":      "appends a series point",

@@ -314,7 +314,6 @@ func (m *UpdateMgr) ownerSerialize(pkt *packet.Packet, ack bool, done func()) bo
 		m.h.Emit(trace.EvUpdateSerialize, offset, pkt.Val, uint64(origin))
 		m.reflect(st, offset, pkt.Val, origin)
 		if ack {
-			//tgvet:allow shardlocal(HIB.Post takes no process: it queues on the board's event-driven transmit pump and never parks)
 			m.h.Post(&packet.Packet{Type: packet.WriteAck, Dst: pkt.Src})
 		}
 		done()

@@ -80,51 +80,7 @@ func New(cfg params.Config) *Cluster {
 	}
 	g := sim.NewGroup(cfg.Seed, shards)
 	nodeEng := func(i int) *sim.Engine { return g.Shard(i * shards / cfg.Nodes) }
-	// A switch runs on the shard of its first attached node (the star's
-	// single switch lands on shard 0).
-	swEng := func(s int) *sim.Engine {
-		switch cfg.Topology {
-		case "chain":
-			return nodeEng(s * cfg.ChainPerSwitch)
-		case "tree":
-			return nodeEng(topology.TreeAnchor(cfg.Nodes, cfg.TreeRadix, s))
-		case "torus2d", "torus3d":
-			return nodeEng(s) // one switch per node, co-located
-		case "fattree":
-			return nodeEng(topology.FatTreeAnchor(cfg.Nodes, s))
-		case "dragonfly", "dragonfly-val":
-			return nodeEng(topology.DragonflyAnchor(cfg.Nodes, s))
-		}
-		return g.Shard(0)
-	}
-	assign := topology.Assign{Node: nodeEng, Switch: swEng}
-
-	var net *topology.Network
-	switch cfg.Topology {
-	case "pair":
-		if cfg.Nodes != 2 {
-			panic("core: pair topology requires exactly 2 nodes")
-		}
-		net = topology.BuildPairOn(assign, cfg.Link)
-	case "star", "":
-		net = topology.BuildStarOn(assign, cfg.Nodes, cfg.Link, cfg.Switch)
-	case "chain":
-		net = topology.BuildChainOn(assign, cfg.Nodes, cfg.ChainPerSwitch, cfg.Link, cfg.Switch)
-	case "tree":
-		net = topology.BuildTreeOn(assign, cfg.Nodes, cfg.TreeRadix, cfg.Link, cfg.Switch)
-	case "torus2d":
-		net = topology.BuildTorusOn(assign, topology.TorusDims(cfg.Nodes, 2), cfg.Link, cfg.Switch)
-	case "torus3d":
-		net = topology.BuildTorusOn(assign, topology.TorusDims(cfg.Nodes, 3), cfg.Link, cfg.Switch)
-	case "fattree":
-		net = topology.BuildFatTreeOn(assign, cfg.Nodes, cfg.Link, cfg.Switch)
-	case "dragonfly":
-		net = topology.BuildDragonflyOn(assign, cfg.Nodes, false, cfg.Link, cfg.Switch)
-	case "dragonfly-val":
-		net = topology.BuildDragonflyOn(assign, cfg.Nodes, true, cfg.Link, cfg.Switch)
-	default:
-		panic(fmt.Sprintf("core: unknown topology %q", cfg.Topology))
-	}
+	net := topology.Build(cfg.Fabric(), nodeEng, cfg.Link, cfg.Switch)
 
 	c := &Cluster{
 		Eng:        g.Shard(0),

@@ -11,6 +11,7 @@ import (
 	"telegraphos/internal/osmodel"
 	"telegraphos/internal/params"
 	"telegraphos/internal/sim"
+	"telegraphos/internal/topology"
 )
 
 func twoNodes(t *testing.T) *Cluster {
@@ -440,20 +441,20 @@ func TestChainClusterEndToEnd(t *testing.T) {
 	}
 }
 
-// TestNewBuildsEveryTopology: every fabric params.Topologies names (the
+// TestNewBuildsEveryTopology: every fabric topology.Kinds names (the
 // list tgsim's -topology help and the config loader take) is one New
 // builds, and each one carries a remote store.
 func TestNewBuildsEveryTopology(t *testing.T) {
-	for _, name := range params.Topologies {
+	for _, name := range topology.Kinds {
 		nodes := 8
 		if name == "pair" {
 			nodes = 2
 		}
-		if err := params.CheckTopology(name, nodes); err != nil {
-			t.Fatal(err)
-		}
 		cfg := params.Default(nodes)
 		cfg.Topology = name
+		if err := cfg.Fabric().Check(); err != nil {
+			t.Fatal(err)
+		}
 		cfg.Sizing.MemBytes = 1 << 20
 		c := New(cfg)
 		dst := c.AllocShared(addrspace.NodeID(nodes-1), 8)

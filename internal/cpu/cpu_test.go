@@ -27,7 +27,7 @@ func newRig(t *testing.T) *rig {
 	cfg := params.Default(2)
 	cfg.Sizing.MemBytes = 1 << 20
 	eng := sim.NewEngine(1)
-	net := topology.BuildStar(eng, 2, cfg.Link, cfg.Switch)
+	net := topology.Build(cfg.Fabric(), func(int) *sim.Engine { return eng }, cfg.Link, cfg.Switch)
 	r := &rig{eng: eng}
 	for i := 0; i < 2; i++ {
 		id := addrspace.NodeID(i)

@@ -31,7 +31,8 @@ func E13SwitchLoad() *Result {
 	loads := []float64{0.1, 0.3, 0.5, 0.7, 0.9, 1.1}
 	for _, load := range loads {
 		eng := sim.NewEngine(41 + baseSeed)
-		net := topology.BuildStar(eng, nodes, params.DefaultLink(), switchfab.Config{RouteDelay: 100})
+		net := topology.Build(topology.Spec{Kind: "star", Nodes: nodes},
+			func(int) *sim.Engine { return eng }, params.DefaultLink(), switchfab.Config{RouteDelay: 100})
 		gap := sim.Time(float64(wirePerPkt) / load)
 
 		type key struct{ src, dst addrspace.NodeID }
@@ -56,13 +57,15 @@ func E13SwitchLoad() *Result {
 					// Open-loop latency: stamp the *intended* injection
 					// time, so source-side queueing under overload counts.
 					sendT[id] = start + sim.Time(i)*gap
-					net.Send(p, &packet.Packet{
+					sent := sim.NewCompletion(eng)
+					net.SendEv(&packet.Packet{
 						Type:  packet.WriteReq,
 						Src:   addrspace.NodeID(s),
 						Dst:   addrspace.NodeID(d),
 						ReqID: id,
 						Val:   uint64(i), // per-source sequence for order check
-					})
+					}, sent.Complete)
+					sent.Wait(p)
 					// Pace to the intended schedule (open-loop source).
 					if next := start + sim.Time(i+1)*gap; next > p.Now() {
 						p.Sleep(next - p.Now())
@@ -72,10 +75,13 @@ func E13SwitchLoad() *Result {
 		}
 		for dd := 0; dd < nodes; dd++ {
 			id := addrspace.NodeID(dd)
-			eng.SpawnDaemon(fmt.Sprintf("sink%d", dd), func(p *sim.Proc) {
+			net.SetNotify(id, packet.VCRequest, func() {
 				for {
-					pkt := net.Recv(p, id, packet.VCRequest)
-					lat.Add((p.Now() - sendT[pkt.ReqID]).Micros())
+					pkt, ok := net.TryRecv(id, packet.VCRequest)
+					if !ok {
+						return
+					}
+					lat.Add((eng.Now() - sendT[pkt.ReqID]).Micros())
 					k := key{pkt.Src, pkt.Dst}
 					if last, ok := lastSeq[k]; ok && pkt.Val <= last {
 						reorderAny = true

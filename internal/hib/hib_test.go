@@ -30,7 +30,7 @@ func newRig(t *testing.T, mutate func(*params.Config)) *rig {
 		mutate(&cfg)
 	}
 	eng := sim.NewEngine(cfg.Seed)
-	net := topology.BuildStar(eng, 2, cfg.Link, cfg.Switch)
+	net := topology.Build(cfg.Fabric(), func(int) *sim.Engine { return eng }, cfg.Link, cfg.Switch)
 	r := &rig{eng: eng, net: net}
 	for i := 0; i < 2; i++ {
 		id := addrspace.NodeID(i)

@@ -19,9 +19,9 @@
 // The link is an event-driven state machine, not a set of blocking
 // processes: SendEv reserves the wire timeline and calls back when the
 // packet has cleared it, and the receiver side hands arrivals to a
-// registered notify hook. The blocking Send/Recv wrappers remain for
-// process-style users (workload drivers, tests) but the switch and HIB
-// hot paths never park a coroutine per packet.
+// registered notify hook, which drains them with TryRecv. A process that
+// wants to block on a send waits on a sim.Completion that onClear
+// completes.
 package link
 
 import (
@@ -123,9 +123,8 @@ type rxItem struct {
 	pkt *packet.Packet
 }
 
-// Link is a unidirectional, lossless, in-order link. Senders call SendEv
-// (or the blocking Send wrapper); the receiving element drains it with
-// TryRecv under a notify hook (or the blocking Recv wrapper), which
+// Link is a unidirectional, lossless, in-order link. Senders call SendEv;
+// the receiving element drains it with TryRecv under a notify hook, which
 // returns the consumed buffer's credit to the sender one propagation
 // delay later over the reverse control channel.
 type Link struct {
@@ -153,10 +152,9 @@ type Link struct {
 	rxq    fifo[rxItem]
 	pushFn func() // prebound arrival handler
 
-	// Receiver state: arrived-but-unconsumed packets per VC, plus either
-	// blocked Recv callers or an event-driven consumer's notify hook.
+	// Receiver state: arrived-but-unconsumed packets per VC and the
+	// consumer's notify hook.
 	arrived [packet.NumVCs]fifo[*packet.Packet]
-	waiters [packet.NumVCs]fifo[*sim.Completion]
 	notify  [packet.NumVCs]func()
 
 	// Telemetry (sender side).
@@ -199,6 +197,9 @@ func NewCross(snd, rcv *sim.Engine, name string, cfg Config) *Link {
 // Name returns the link's diagnostic name.
 func (l *Link) Name() string { return l.name }
 
+// Ends reports the engines the link's sender and receiver halves run on.
+func (l *Link) Ends() (snd, rcv *sim.Engine) { return l.eng, l.reng }
+
 // Config returns the link's configuration.
 func (l *Link) Config() Config { return l.cfg }
 
@@ -212,8 +213,7 @@ func (l *Link) transferTime(pkt *packet.Packet) sim.Time {
 // packet waits for a receive-buffer credit on its VC (FIFO per VC), then
 // occupies the wire for its serialization time and is delivered to the
 // far end PropDelay later. onClear, if non-nil, runs on the sender engine
-// at the instant the packet clears the wire — the point at which the old
-// blocking Send returned — so callers chain onClear to launch their next
+// at the instant the packet clears the wire, so callers chain onClear to launch their next
 // packet and back-pressure propagates exactly as before. Per VC, packets
 // arrive in exactly the order sent — on a faulty link the ARQ sublayer
 // restores that order and delivers exactly once despite drops,
@@ -280,13 +280,9 @@ func (l *Link) creditArrive(vc packet.VC) {
 }
 
 // push hands an arrived packet to the receiver side: it joins the VC's
-// arrival queue and wakes a blocked Recv caller or fires the notify hook.
+// arrival queue and fires the notify hook.
 func (l *Link) push(vc packet.VC, pkt *packet.Packet) {
 	l.arrived[vc].push(pkt)
-	if l.waiters[vc].len() > 0 {
-		l.waiters[vc].pop().Complete()
-		return
-	}
 	if fn := l.notify[vc]; fn != nil {
 		fn()
 	}
@@ -296,30 +292,6 @@ func (l *Link) push(vc packet.VC, pkt *packet.Packet) {
 // event context) whenever a packet becomes available on vc. The consumer
 // drains with TryRecv; a notify with nothing consumed is harmless.
 func (l *Link) SetNotify(vc packet.VC, fn func()) { l.notify[vc] = fn }
-
-// Send is the blocking wrapper over SendEv: it parks the calling process
-// until the packet clears the wire. The calling process must run on the
-// link's sender engine.
-func (l *Link) Send(p *sim.Proc, pkt *packet.Packet) {
-	c := sim.NewCompletion(l.eng)
-	l.SendEv(pkt, c.Complete)
-	c.Wait(p)
-}
-
-// Recv removes the next arrived packet on vc, blocking the calling process
-// while none is available, and returns the buffer credit to the sender
-// over the reverse channel. The calling process must run on the link's
-// receiver engine.
-func (l *Link) Recv(p *sim.Proc, vc packet.VC) *packet.Packet {
-	for {
-		if pkt, ok := l.TryRecv(vc); ok {
-			return pkt
-		}
-		c := sim.NewCompletion(l.reng)
-		l.waiters[vc].push(c)
-		c.Wait(p)
-	}
-}
 
 // TryRecv removes an arrived packet on vc without blocking, returning the
 // consumed buffer's credit to the sender. It must be called from the

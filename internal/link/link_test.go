@@ -11,22 +11,42 @@ func testCfg() Config {
 	return Config{PropDelay: 10, WordTime: 30, BufPackets: 2}
 }
 
+// drain consumes every packet already queued on vc and, from then on,
+// every arrival, handing each to fn: the event-driven receiver the
+// switch and HIB use.
+func drain(l *Link, vc packet.VC, fn func(*packet.Packet)) {
+	consume := func() {
+		for pkt, ok := l.TryRecv(vc); ok; pkt, ok = l.TryRecv(vc) {
+			fn(pkt)
+		}
+	}
+	l.SetNotify(vc, consume)
+	consume()
+}
+
+// sendChain sends pkts back to back, each launched when the previous one
+// clears the wire, and calls done (if non-nil) when the last one has.
+func sendChain(l *Link, pkts []*packet.Packet, done func()) {
+	if len(pkts) == 0 {
+		if done != nil {
+			done()
+		}
+		return
+	}
+	l.SendEv(pkts[0], func() { sendChain(l, pkts[1:], done) })
+}
+
 func TestInOrderDelivery(t *testing.T) {
 	e := sim.NewEngine(1)
 	l := New(e, "t", testCfg())
 	const n = 20
 	var got []uint64
-	e.Spawn("sender", func(p *sim.Proc) {
-		for i := 0; i < n; i++ {
-			l.Send(p, &packet.Packet{Type: packet.WriteReq, Val: uint64(i)})
-		}
-	})
-	e.SpawnDaemon("receiver", func(p *sim.Proc) {
-		for {
-			pkt := l.Recv(p, packet.VCRequest)
-			got = append(got, pkt.Val)
-		}
-	})
+	// Every packet is offered at once: all but the first two wait for a
+	// credit, and must still leave in the order sent.
+	for i := 0; i < n; i++ {
+		l.SendEv(&packet.Packet{Type: packet.WriteReq, Val: uint64(i)}, nil)
+	}
+	drain(l, packet.VCRequest, func(pkt *packet.Packet) { got = append(got, pkt.Val) })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -44,13 +64,8 @@ func TestTransferTiming(t *testing.T) {
 	e := sim.NewEngine(1)
 	l := New(e, "t", testCfg())
 	var recvAt sim.Time
-	e.Spawn("sender", func(p *sim.Proc) {
-		l.Send(p, &packet.Packet{Type: packet.WriteReq}) // header only: 40 B = 5 words
-	})
-	e.Spawn("receiver", func(p *sim.Proc) {
-		l.Recv(p, packet.VCRequest)
-		recvAt = p.Now()
-	})
+	l.SendEv(&packet.Packet{Type: packet.WriteReq}, nil) // header only: 40 B = 5 words
+	drain(l, packet.VCRequest, func(*packet.Packet) { recvAt = e.Now() })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -64,18 +79,10 @@ func TestBackPressureBlocksSender(t *testing.T) {
 	e := sim.NewEngine(1)
 	l := New(e, "t", testCfg()) // 2 credits
 	var thirdSendDone sim.Time
-	e.Spawn("sender", func(p *sim.Proc) {
-		for i := 0; i < 3; i++ {
-			l.Send(p, &packet.Packet{Type: packet.WriteReq})
-		}
-		thirdSendDone = p.Now()
-	})
-	e.Spawn("receiver", func(p *sim.Proc) {
-		p.Sleep(10000) // hold buffers: no credits returned until t=10000
-		for i := 0; i < 3; i++ {
-			l.Recv(p, packet.VCRequest)
-		}
-	})
+	pkts := []*packet.Packet{{Type: packet.WriteReq}, {Type: packet.WriteReq}, {Type: packet.WriteReq}}
+	sendChain(l, pkts, func() { thirdSendDone = e.Now() })
+	// Hold buffers: no credits returned until t=10000.
+	e.At(10000, func() { drain(l, packet.VCRequest, func(*packet.Packet) {}) })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -89,22 +96,12 @@ func TestVCIsolation(t *testing.T) {
 	e := sim.NewEngine(1)
 	l := New(e, "t", testCfg())
 	var replyAt sim.Time
-	e.Spawn("sender", func(p *sim.Proc) {
-		for i := 0; i < 2; i++ { // fill request VC credits
-			l.Send(p, &packet.Packet{Type: packet.WriteReq})
-		}
-		l.Send(p, &packet.Packet{Type: packet.ReadReply}) // must still go through
-	})
-	e.Spawn("replyReceiver", func(p *sim.Proc) {
-		l.Recv(p, packet.VCReply)
-		replyAt = p.Now()
-	})
-	e.SpawnDaemon("requestDrainLater", func(p *sim.Proc) {
-		p.Sleep(1_000_000)
-		for {
-			l.Recv(p, packet.VCRequest)
-		}
-	})
+	// Two requests fill the request VC's credits; the reply must still
+	// go through.
+	pkts := []*packet.Packet{{Type: packet.WriteReq}, {Type: packet.WriteReq}, {Type: packet.ReadReply}}
+	sendChain(l, pkts, nil)
+	drain(l, packet.VCReply, func(*packet.Packet) { replyAt = e.Now() })
+	e.At(1_000_000, func() { drain(l, packet.VCRequest, func(*packet.Packet) {}) })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -120,16 +117,16 @@ func TestPipelinedThroughput(t *testing.T) {
 	l := New(e, "t", testCfg())
 	const n = 100
 	var done sim.Time
-	e.Spawn("sender", func(p *sim.Proc) {
-		for i := 0; i < n; i++ {
-			l.Send(p, &packet.Packet{Type: packet.WriteReq})
+	pkts := make([]*packet.Packet, n)
+	for i := range pkts {
+		pkts[i] = &packet.Packet{Type: packet.WriteReq}
+	}
+	sendChain(l, pkts, nil)
+	received := 0
+	drain(l, packet.VCRequest, func(*packet.Packet) {
+		if received++; received == n {
+			done = e.Now()
 		}
-	})
-	e.Spawn("receiver", func(p *sim.Proc) {
-		for i := 0; i < n; i++ {
-			l.Recv(p, packet.VCRequest)
-		}
-		done = p.Now()
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -147,9 +144,7 @@ func TestTryRecvAndCounters(t *testing.T) {
 	if _, ok := l.TryRecv(packet.VCRequest); ok {
 		t.Fatal("TryRecv on empty link succeeded")
 	}
-	e.Spawn("sender", func(p *sim.Proc) {
-		l.Send(p, &packet.Packet{Type: packet.WriteReq})
-	})
+	l.SendEv(&packet.Packet{Type: packet.WriteReq}, nil)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -51,13 +51,13 @@ func ReadConfig(r io.Reader) (Config, error) {
 		return Config{}, fmt.Errorf("params: unknown placement %q (hib|main)", fc.Placement)
 	}
 	if fc.Topology != "" {
-		if err := CheckTopology(fc.Topology, fc.Nodes); err != nil {
-			return Config{}, err
-		}
 		cfg.Topology = fc.Topology
 	}
 	if fc.ChainPerSwitch > 0 {
 		cfg.ChainPerSwitch = fc.ChainPerSwitch
+	}
+	if err := cfg.Fabric().Check(); err != nil {
+		return Config{}, err
 	}
 	if fc.Timing != nil {
 		cfg.Timing = *fc.Timing

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"telegraphos/internal/topology"
 )
 
 func TestReadConfigDefaultsAndOverrides(t *testing.T) {
@@ -57,6 +59,8 @@ func TestReadConfigErrors(t *testing.T) {
 		`{"nodes": 2, "placement": "floppy"}`,
 		`{"nodes": 2, "topology": "torus"}`,
 		`{"nodes": 4, "topology": "pair"}`,
+		`{"nodes": 2000, "topology": "dragonfly"}`, // beyond the largest dragonfly class
+		`{"nodes": 2000, "topology": "dragonfly-val"}`,
 		`{"nodes": 2, "bogus_field": 1}`, // unknown fields rejected
 		`{nodes: 2}`,                     // invalid JSON
 	}
@@ -74,9 +78,9 @@ func TestLoadConfigMissingFile(t *testing.T) {
 }
 
 // TestReadConfigTopologies: a config file may name every fabric in
-// Topologies.
+// topology.Kinds.
 func TestReadConfigTopologies(t *testing.T) {
-	for _, name := range Topologies {
+	for _, name := range topology.Kinds {
 		cfg, err := ReadConfig(strings.NewReader(fmt.Sprintf(`{"nodes": 2, "topology": %q}`, name)))
 		if err != nil || cfg.Topology != name {
 			t.Errorf("topology %q: got %q, %v", name, cfg.Topology, err)

@@ -26,14 +26,11 @@
 package params
 
 import (
-	"fmt"
-	"slices"
-	"strings"
-
 	"telegraphos/internal/addrspace"
 	"telegraphos/internal/link"
 	"telegraphos/internal/sim"
 	"telegraphos/internal/switchfab"
+	"telegraphos/internal/topology"
 )
 
 // Placement selects where locally-homed shared data lives (§2.2.1).
@@ -111,11 +108,8 @@ type Config struct {
 	Sizing    Sizing
 	Link      link.Config
 	Switch    switchfab.Config
-	// Topology selects the fabric, one of Topologies: "pair", "star",
-	// "chain", "tree", or one of the generated shapes — "torus2d",
-	// "torus3d" (k-ary n-cube with dimension-order routing and
-	// VC-dateline deadlock avoidance), "fattree" (up*/down*),
-	// "dragonfly" (minimal) or "dragonfly-val" (Valiant non-minimal).
+	// Topology selects the fabric, one of topology.Kinds (empty means
+	// "star"); see the topology package for the shapes.
 	Topology string
 	// ChainPerSwitch is the nodes-per-switch for the chain topology.
 	ChainPerSwitch int
@@ -133,20 +127,14 @@ type Config struct {
 	Shards int
 }
 
-// Topologies names every fabric core.New builds, in the order help
-// texts list them.
-var Topologies = []string{"pair", "star", "chain", "tree", "torus2d", "torus3d", "fattree", "dragonfly", "dragonfly-val"}
-
-// CheckTopology rejects a fabric name that is not one of Topologies, and
-// the pair fabric for any node count but two.
-func CheckTopology(name string, nodes int) error {
-	if !slices.Contains(Topologies, name) {
-		return fmt.Errorf("params: unknown topology %q (want one of %s)", name, strings.Join(Topologies, ", "))
+// Fabric describes the configured switch fabric; an empty Topology
+// means the star.
+func (c Config) Fabric() topology.Spec {
+	kind := c.Topology
+	if kind == "" {
+		kind = "star"
 	}
-	if name == "pair" && nodes != 2 {
-		return fmt.Errorf("params: the pair topology connects exactly 2 nodes, not %d", nodes)
-	}
-	return nil
+	return topology.Spec{Kind: kind, Nodes: c.Nodes, PerSwitch: c.ChainPerSwitch, Radix: c.TreeRadix}
 }
 
 // DefaultTiming returns the calibrated timing constants.

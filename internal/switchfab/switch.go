@@ -276,8 +276,7 @@ func (pp *portPipe) routeDone() {
 
 // xmit launches the oldest buffered packet on its output link; the next
 // launch happens from the wire-clear callback, so one packet occupies the
-// output stage at a time, just as the blocking Send serialized the old
-// xmit process.
+// output stage at a time.
 func (pp *portPipe) xmit() {
 	if pp.sending || len(pp.routed) == 0 {
 		return

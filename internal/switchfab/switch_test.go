@@ -36,15 +36,21 @@ func newHarness() *harness {
 	return h
 }
 
+// onArrive hands every request-VC packet that reaches the far end of l
+// to fn, draining l under its notify hook.
+func onArrive(l *link.Link, fn func(*packet.Packet)) {
+	l.SetNotify(packet.VCRequest, func() {
+		for pkt, ok := l.TryRecv(packet.VCRequest); ok; pkt, ok = l.TryRecv(packet.VCRequest) {
+			fn(pkt)
+		}
+	})
+}
+
 func TestForwardAndCount(t *testing.T) {
 	h := newHarness()
 	var got *packet.Packet
-	h.eng.Spawn("src", func(p *sim.Proc) {
-		h.to[0].Send(p, &packet.Packet{Type: packet.WriteReq, Src: 0, Dst: 1, Val: 5})
-	})
-	h.eng.Spawn("dst", func(p *sim.Proc) {
-		got = h.from[1].Recv(p, packet.VCRequest)
-	})
+	h.to[0].SendEv(&packet.Packet{Type: packet.WriteReq, Src: 0, Dst: 1, Val: 5}, nil)
+	onArrive(h.from[1], func(pkt *packet.Packet) { got = pkt })
 	if err := h.eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -65,16 +71,10 @@ func TestRouteDelayIsLatencyNotOccupancy(t *testing.T) {
 	// pipelined with transmission.
 	h := newHarness()
 	var arrivals []sim.Time
-	h.eng.Spawn("src", func(p *sim.Proc) {
-		h.to[0].Send(p, &packet.Packet{Type: packet.WriteReq, Dst: 1})
-		h.to[0].Send(p, &packet.Packet{Type: packet.WriteReq, Dst: 1})
+	h.to[0].SendEv(&packet.Packet{Type: packet.WriteReq, Dst: 1}, func() {
+		h.to[0].SendEv(&packet.Packet{Type: packet.WriteReq, Dst: 1}, nil)
 	})
-	h.eng.SpawnDaemon("dst", func(p *sim.Proc) {
-		for {
-			h.from[1].Recv(p, packet.VCRequest)
-			arrivals = append(arrivals, p.Now())
-		}
-	})
+	onArrive(h.from[1], func(*packet.Packet) { arrivals = append(arrivals, h.eng.Now()) })
 	if err := h.eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -110,12 +110,8 @@ func TestAttachAfterStartPanics(t *testing.T) {
 func TestStartIdempotent(t *testing.T) {
 	h := newHarness()
 	h.sw.Start() // second Start is a no-op
-	h.eng.Spawn("src", func(p *sim.Proc) {
-		h.to[0].Send(p, &packet.Packet{Type: packet.WriteReq, Dst: 1})
-	})
-	h.eng.Spawn("dst", func(p *sim.Proc) {
-		h.from[1].Recv(p, packet.VCRequest)
-	})
+	h.to[0].SendEv(&packet.Packet{Type: packet.WriteReq, Dst: 1}, nil)
+	onArrive(h.from[1], func(*packet.Packet) {})
 	if err := h.eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -129,12 +125,13 @@ func TestBackPressureThroughSwitch(t *testing.T) {
 	// total in-flight is bounded by the buffers, nothing is dropped.
 	h := newHarness()
 	sent := 0
-	h.eng.SpawnDaemon("src", func(p *sim.Proc) {
-		for i := 0; i < 100; i++ {
-			h.to[0].Send(p, &packet.Packet{Type: packet.WriteReq, Dst: 1})
-			sent++
+	var next func()
+	next = func() { // send the next packet once the previous one clears
+		if sent < 100 {
+			h.to[0].SendEv(&packet.Packet{Type: packet.WriteReq, Dst: 1}, func() { sent++; next() })
 		}
-	})
+	}
+	next()
 	if err := h.eng.RunUntil(1 * sim.Second); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 package topology
 
-// The generative routing/deadlock harness: every Build* shape, at
+// The generative routing/deadlock harness: every kind Build assembles, at
 // several sizes each, is checked for all-pairs reachability, route
 // minimality (or the class-minimal bound where BFS minimality is not
 // the contract), and channel-dependency-graph acyclicity per VC class —
@@ -24,7 +24,7 @@ type zooShape struct {
 	build   func(e *sim.Engine) *Network
 }
 
-// zoo enumerates every builder at three or more sizes, corner shapes
+// zoo enumerates every shape at three or more sizes, corner shapes
 // included (1-wide torus dimensions, the radix-2 fat-tree, partial
 // populations).
 func zoo() []zooShape {
@@ -39,7 +39,7 @@ func zoo() []zooShape {
 		}
 		shapes = append(shapes, zooShape{
 			name: name, nnodes: nn, minimal: true, bound: bound,
-			build: func(e *sim.Engine) *Network { return BuildTorus(e, dims, lcfg(), scfg()) },
+			build: func(e *sim.Engine) *Network { return buildTorusDims(e, dims, true) },
 		})
 	}
 	torus(4, 4)
@@ -54,30 +54,30 @@ func zoo() []zooShape {
 		nn := nn
 		shapes = append(shapes, zooShape{
 			name: "fattree-" + itoa(nn), nnodes: nn, minimal: true, bound: 5,
-			build: func(e *sim.Engine) *Network { return BuildFatTree(e, nn, lcfg(), scfg()) },
+			build: func(e *sim.Engine) *Network { return build(e, Spec{Kind: "fattree", Nodes: nn}) },
 		})
 	}
 	for _, nn := range []int{16, 48, 72, 96} { // 96 exercises the a=8,h=4 class
 		nn := nn
 		shapes = append(shapes, zooShape{
 			name: "dragonfly-" + itoa(nn), nnodes: nn, minimal: false, bound: 4,
-			build: func(e *sim.Engine) *Network { return BuildDragonfly(e, nn, false, lcfg(), scfg()) },
+			build: func(e *sim.Engine) *Network { return build(e, Spec{Kind: "dragonfly", Nodes: nn}) },
 		})
 		shapes = append(shapes, zooShape{
 			name: "dragonfly-val-" + itoa(nn), nnodes: nn, minimal: false, bound: 6,
-			build: func(e *sim.Engine) *Network { return BuildDragonfly(e, nn, true, lcfg(), scfg()) },
+			build: func(e *sim.Engine) *Network { return build(e, Spec{Kind: "dragonfly-val", Nodes: nn}) },
 		})
 	}
 	// The fixed shapes ride the same checkers.
 	shapes = append(shapes,
 		zooShape{name: "pair", nnodes: 2, minimal: true, bound: 0,
-			build: func(e *sim.Engine) *Network { return BuildPair(e, lcfg()) }},
+			build: func(e *sim.Engine) *Network { return build(e, Spec{Kind: "pair", Nodes: 2}) }},
 		zooShape{name: "star-4", nnodes: 4, minimal: true, bound: 1,
-			build: func(e *sim.Engine) *Network { return BuildStar(e, 4, lcfg(), scfg()) }},
+			build: func(e *sim.Engine) *Network { return build(e, Spec{Kind: "star", Nodes: 4}) }},
 		zooShape{name: "chain-6", nnodes: 6, minimal: true, bound: 3,
-			build: func(e *sim.Engine) *Network { return BuildChain(e, 6, 2, lcfg(), scfg()) }},
+			build: func(e *sim.Engine) *Network { return build(e, Spec{Kind: "chain", Nodes: 6, PerSwitch: 2}) }},
 		zooShape{name: "tree-16", nnodes: 16, minimal: true, bound: 5,
-			build: func(e *sim.Engine) *Network { return BuildTree(e, 16, 4, lcfg(), scfg()) }},
+			build: func(e *sim.Engine) *Network { return build(e, Spec{Kind: "tree", Nodes: 16, Radix: 4}) }},
 	)
 	return shapes
 }
@@ -144,7 +144,7 @@ func TestZooDeadlockFree(t *testing.T) {
 // so.
 func TestPlantedCycleDetected(t *testing.T) {
 	for _, dims := range [][]int{{4, 4}, {8}, {4, 4, 4}} {
-		n := BuildTorusNoDateline(sim.NewEngine(1), dims, lcfg(), scfg())
+		n := buildTorusDims(sim.NewEngine(1), dims, false)
 		if err := n.CheckAllPairs(); err != nil {
 			t.Fatalf("dims %v: routing itself must stay sound: %v", dims, err)
 		}
@@ -159,7 +159,7 @@ func TestPlantedCycleDetected(t *testing.T) {
 	// The protected torus over the same shapes is clean — the cycle
 	// really is the missing dateline, nothing else.
 	for _, dims := range [][]int{{4, 4}, {8}, {4, 4, 4}} {
-		n := BuildTorus(sim.NewEngine(1), dims, lcfg(), scfg())
+		n := buildTorusDims(sim.NewEngine(1), dims, true)
 		if err := n.CheckDeadlockFree(); err != nil {
 			t.Fatalf("dims %v: dateline torus reported cyclic: %v", dims, err)
 		}
@@ -170,7 +170,7 @@ func TestPlantedCycleDetected(t *testing.T) {
 // escapes to layer 1 exactly at the wrap hop, stays there for the rest
 // of the ring, and ejects at layer 0.
 func TestTorusDatelineLayers(t *testing.T) {
-	n := BuildTorus(sim.NewEngine(1), []int{8}, lcfg(), scfg())
+	n := buildTorusDims(sim.NewEngine(1), []int{8}, true)
 	hops, err := n.Walk(6, 1) // plus route 6->7->0->1 wraps at 7->0
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +202,7 @@ func TestTorusDatelineLayers(t *testing.T) {
 // packet that wrapped in X re-enters the Y ring at layer 0 (a sticky
 // layer across dimensions would resurrect the Y-ring cycle).
 func TestTorusDimensionTurnResetsLayer(t *testing.T) {
-	n := BuildTorus(sim.NewEngine(1), []int{4, 4}, lcfg(), scfg())
+	n := buildTorusDims(sim.NewEngine(1), []int{4, 4}, true)
 	// src (3,0) -> dst (0,2): X route 3->0 wraps (layer 1), then the Y
 	// ring must restart at layer 0.
 	hops, err := n.Walk(3, 8) // node 3 = (3,0); node 8 = (0,2)
@@ -234,8 +234,8 @@ func TestTorusDimensionTurnResetsLayer(t *testing.T) {
 func TestDragonflyClassMinimal(t *testing.T) {
 	for _, nn := range []int{16, 48, 96} {
 		_, a, _, _ := DragonflyShape(nn)
-		min := BuildDragonfly(sim.NewEngine(1), nn, false, lcfg(), scfg())
-		val := BuildDragonfly(sim.NewEngine(1), nn, true, lcfg(), scfg())
+		min := build(sim.NewEngine(1), Spec{Kind: "dragonfly", Nodes: nn})
+		val := build(sim.NewEngine(1), Spec{Kind: "dragonfly-val", Nodes: nn})
 		detoured := false
 		for s := 0; s < nn; s++ {
 			for d := 0; d < nn; d++ {
@@ -294,10 +294,10 @@ func TestSpanningTreeOnGeneratedShapes(t *testing.T) {
 		name  string
 		build func(e *sim.Engine) *Network
 	}{
-		{"torus", func(e *sim.Engine) *Network { return BuildTorus(e, []int{4, 4}, lcfg(), scfg()) }},
-		{"dragonfly", func(e *sim.Engine) *Network { return BuildDragonfly(e, 16, false, lcfg(), scfg()) }},
-		{"dragonfly-val", func(e *sim.Engine) *Network { return BuildDragonfly(e, 16, true, lcfg(), scfg()) }},
-		{"fattree", func(e *sim.Engine) *Network { return BuildFatTree(e, 16, lcfg(), scfg()) }},
+		{"torus", func(e *sim.Engine) *Network { return buildTorusDims(e, []int{4, 4}, true) }},
+		{"dragonfly", func(e *sim.Engine) *Network { return build(e, Spec{Kind: "dragonfly", Nodes: 16}) }},
+		{"dragonfly-val", func(e *sim.Engine) *Network { return build(e, Spec{Kind: "dragonfly-val", Nodes: 16}) }},
+		{"fattree", func(e *sim.Engine) *Network { return build(e, Spec{Kind: "fattree", Nodes: 16}) }},
 	}
 	for _, tc := range builds {
 		tc := tc

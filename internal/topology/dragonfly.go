@@ -16,45 +16,31 @@ import (
 	"fmt"
 
 	"telegraphos/internal/addrspace"
-	"telegraphos/internal/link"
-	"telegraphos/internal/sim"
 	"telegraphos/internal/switchfab"
 )
+
+// maxDragonflyNodes is the largest dragonfly: the a=8,h=4 class at its
+// full 33 groups of 32 hosts.
+const maxDragonflyNodes = (8*4 + 1) * 8 * 4
 
 // DragonflyShape solves the class parameters for nnodes hosts: the
 // a=4,h=2 class (p=2 hosts per router, 8 per group, up to 9 groups)
 // up to 72 nodes, then the doubled a=8,h=4 class (32 per group, up to
-// 33 groups) to 1056. At least two groups are always built so global
-// channels exist.
+// 33 groups) to maxDragonflyNodes. At least two groups are always built
+// so global channels exist.
 func DragonflyShape(nnodes int) (p, a, h, g int) {
-	if nnodes < 1 {
-		panic("topology: dragonfly needs at least one node")
+	if nnodes < 1 || nnodes > maxDragonflyNodes {
+		panic(fmt.Sprintf("topology: dragonfly supports 1 to %d nodes, not %d", maxDragonflyNodes, nnodes))
 	}
 	p, a, h = 2, 4, 2
 	if nnodes > (a*h+1)*a*p {
 		p, a, h = 4, 8, 4
-		if nnodes > (a*h+1)*a*p {
-			panic(fmt.Sprintf("topology: dragonfly supports at most %d nodes", (a*h+1)*a*p))
-		}
 	}
 	g = (nnodes + a*p - 1) / (a * p)
 	if g < 2 {
 		g = 2
 	}
 	return p, a, h, g
-}
-
-// DragonflyAnchor reports the first populated host of global router s
-// (group-major: router r of group G is switch G*a+r). Shard assigners
-// use it to co-locate each router with its hosts.
-func DragonflyAnchor(nnodes, s int) int {
-	p, a, _, _ := DragonflyShape(nnodes)
-	first := (s / a) * a * p // first host of the group
-	first += (s % a) * p     // first host of the router
-	if first >= nnodes {
-		return nnodes - 1
-	}
-	return first
 }
 
 // dragonflyInterGroup picks the Valiant intermediate group for
@@ -66,51 +52,18 @@ func dragonflyInterGroup(t, gt, g int) int {
 	return (gt + off) % g
 }
 
-// BuildDragonfly connects nnodes hosts as a dragonfly; valiant selects
-// the non-minimal two-phase routing.
-func BuildDragonfly(eng *sim.Engine, nnodes int, valiant bool, lcfg link.Config, scfg switchfab.Config) *Network {
-	return BuildDragonflyOn(SingleEngine(eng), nnodes, valiant, lcfg, scfg)
-}
-
-// BuildDragonflyOn is BuildDragonfly with an explicit engine
-// assignment; routers are numbered group-major (see DragonflyAnchor).
-func BuildDragonflyOn(a Assign, nnodes int, valiant bool, lcfg link.Config, scfg switchfab.Config) *Network {
+// dragonfly connects nnodes hosts as a dragonfly; valiant selects the
+// non-minimal two-phase routing. Routers are numbered group-major
+// (router r of group G is switch G*a+r), each placed with its first
+// host.
+func (b *builder) dragonfly(nnodes int, valiant bool) {
 	p, ra, h, g := DragonflyShape(nnodes)
 	nsw := g * ra
-
-	switches := make([]*switchfab.Switch, nsw)
-	for s := range switches {
-		switches[s] = switchfab.New(a.Switch(s), fmt.Sprintf("df.g%d.r%d", s/ra, s%ra), scfg)
+	for s := 0; s < nsw; s++ {
+		b.addSwitch(min(s*p, nnodes-1), fmt.Sprintf("df.g%d.r%d", s/ra, s%ra))
 	}
-	kind := "dragonfly"
-	if valiant {
-		kind = "dragonfly-val"
-	}
-	n := &Network{eng: a.Node(0), Switches: switches, kind: kind}
-
-	// Host ports.
-	hostPort := make([]int, nnodes)
 	for i := 0; i < nnodes; i++ {
-		s := i / p // global router index (group-major host numbering)
-		ne, se := a.Node(i), a.Switch(s)
-		up := link.NewCross(ne, se, fmt.Sprintf("n%d->%s", i, switches[s].Name()), lcfg)
-		down := link.NewCross(se, ne, fmt.Sprintf("%s->n%d", switches[s].Name(), i), lcfg)
-		hostPort[i] = switches[s].AttachPort(up, down)
-		n.recordNodePort(i, s, hostPort[i])
-		n.toNet = append(n.toNet, up)
-		n.fromNet = append(n.fromNet, down)
-		n.links = append(n.links, up, down)
-	}
-
-	trunk := func(s1, s2 int) (p1, p2 int) {
-		e1, e2 := a.Switch(s1), a.Switch(s2)
-		fwd := link.NewCross(e1, e2, fmt.Sprintf("%s->%s", switches[s1].Name(), switches[s2].Name()), lcfg)
-		rev := link.NewCross(e2, e1, fmt.Sprintf("%s->%s", switches[s2].Name(), switches[s1].Name()), lcfg)
-		p1 = switches[s1].AttachPort(rev, fwd)
-		p2 = switches[s2].AttachPort(fwd, rev)
-		n.recordTrunk(s1, p1, s2, p2)
-		n.links = append(n.links, fwd, rev)
-		return p1, p2
+		b.attachHost(i, i/p) // global router index (group-major host numbering)
 	}
 
 	// Local all-to-all inside each group.
@@ -124,7 +77,7 @@ func BuildDragonflyOn(a Assign, nnodes int, valiant bool, lcfg link.Config, scfg
 	for G := 0; G < g; G++ {
 		for r1 := 0; r1 < ra; r1++ {
 			for r2 := r1 + 1; r2 < ra; r2++ {
-				p1, p2 := trunk(G*ra+r1, G*ra+r2)
+				p1, p2 := b.addTrunk(G*ra+r1, G*ra+r2, "")
 				localPort[G*ra+r1][r2] = p1
 				localPort[G*ra+r2][r1] = p2
 			}
@@ -147,7 +100,7 @@ func BuildDragonflyOn(a Assign, nnodes int, valiant bool, lcfg link.Config, scfg
 				continue // the lower-numbered group built this trunk
 			}
 			cPeer := g - 2 - c
-			p1, p2 := trunk(G*ra+c/h, H*ra+cPeer/h)
+			p1, p2 := b.addTrunk(G*ra+c/h, H*ra+cPeer/h, "")
 			globalPort[G*ra+c/h][H] = p1
 			globalPort[H*ra+cPeer/h][G] = p2
 		}
@@ -174,7 +127,7 @@ func BuildDragonflyOn(a Assign, nnodes int, valiant bool, lcfg link.Config, scfg
 				act := switchfab.LayerKeep
 				switch {
 				case G == Gt && r == rt:
-					port, act = hostPort[t], switchfab.LayerEject
+					port, act = b.nodePort[t], switchfab.LayerEject
 				case G == Gt:
 					port = localPort[G*ra+r][rt]
 				case valiant && G != dragonflyInterGroup(t, Gt, g):
@@ -184,12 +137,8 @@ func BuildDragonflyOn(a Assign, nnodes int, valiant bool, lcfg link.Config, scfg
 				default:
 					port, act = towardGroup(G, r, Gt)
 				}
-				switches[G*ra+r].SetRouteAction(dst, port, act)
+				b.Switches[G*ra+r].SetRouteAction(dst, port, act)
 			}
 		}
 	}
-	for _, sw := range switches {
-		sw.Start()
-	}
-	return n
 }

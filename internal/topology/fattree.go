@@ -14,8 +14,6 @@ import (
 	"fmt"
 
 	"telegraphos/internal/addrspace"
-	"telegraphos/internal/link"
-	"telegraphos/internal/sim"
 	"telegraphos/internal/switchfab"
 )
 
@@ -32,81 +30,33 @@ func FatTreeK(nnodes int) int {
 	}
 }
 
-// FatTreeAnchor reports the first populated host below global switch s
-// of the fat-tree over nnodes hosts (edges, then aggregations, then
-// cores — see BuildFatTreeOn). Shard assigners use it to co-locate
-// each switch with its subtree.
-func FatTreeAnchor(nnodes, s int) int {
-	k := FatTreeK(nnodes)
-	perEdge, perPod := k/2, k*k/4
-	clamp := func(i int) int {
-		if i >= nnodes {
-			return nnodes - 1
-		}
-		return i
-	}
-	if s < k*(k/2) { // edge switch
-		p, e := s/(k/2), s%(k/2)
-		return clamp(p*perPod + e*perEdge)
-	}
-	s -= k * (k / 2)
-	if s < k*(k/2) { // aggregation switch
-		return clamp((s / (k / 2)) * perPod)
-	}
-	return 0 // core
-}
-
-// BuildFatTree connects nnodes hosts in the smallest k-ary fat-tree
-// that holds them, with deterministic up*/down* routing.
-func BuildFatTree(eng *sim.Engine, nnodes int, lcfg link.Config, scfg switchfab.Config) *Network {
-	return BuildFatTreeOn(SingleEngine(eng), nnodes, lcfg, scfg)
-}
-
-// BuildFatTreeOn is BuildFatTree with an explicit engine assignment;
-// switches are numbered edges, aggregations, cores (see FatTreeAnchor).
-func BuildFatTreeOn(a Assign, nnodes int, lcfg link.Config, scfg switchfab.Config) *Network {
+// fatTree connects nnodes hosts in the smallest k-ary fat-tree that
+// holds them, with deterministic up*/down* routing. Switches are numbered
+// edges, aggregations, cores; edge and aggregation switches are placed
+// with the first host below them, cores with node 0.
+func (b *builder) fatTree(nnodes int) {
 	k := FatTreeK(nnodes)
 	half := k / 2
 	perPod := half * half // hosts per pod
 	nEdge, nAgg, nCore := k*half, k*half, half*half
 	aggBase, coreBase := nEdge, nEdge+nAgg
 
-	switches := make([]*switchfab.Switch, nEdge+nAgg+nCore)
 	for p := 0; p < k; p++ {
 		for e := 0; e < half; e++ {
-			switches[p*half+e] = switchfab.New(a.Switch(p*half+e), fmt.Sprintf("ft.e%d.%d", p, e), scfg)
-			switches[aggBase+p*half+e] = switchfab.New(a.Switch(aggBase+p*half+e), fmt.Sprintf("ft.a%d.%d", p, e), scfg)
+			b.addSwitch(min(p*perPod+e*half, nnodes-1), fmt.Sprintf("ft.e%d.%d", p, e))
+		}
+	}
+	for p := 0; p < k; p++ {
+		for e := 0; e < half; e++ {
+			b.addSwitch(min(p*perPod, nnodes-1), fmt.Sprintf("ft.a%d.%d", p, e))
 		}
 	}
 	for c := 0; c < nCore; c++ {
-		switches[coreBase+c] = switchfab.New(a.Switch(coreBase+c), fmt.Sprintf("ft.c%d", c), scfg)
+		b.addSwitch(0, fmt.Sprintf("ft.c%d", c))
 	}
-	n := &Network{eng: a.Node(0), Switches: switches, kind: "fattree"}
-
-	// Host ports on the edge switches.
-	hostPort := make([]int, nnodes)
 	for i := 0; i < nnodes; i++ {
 		p, j := i/perPod, i%perPod
-		edge := p*half + j/half
-		ne, se := a.Node(i), a.Switch(edge)
-		up := link.NewCross(ne, se, fmt.Sprintf("n%d->%s", i, switches[edge].Name()), lcfg)
-		down := link.NewCross(se, ne, fmt.Sprintf("%s->n%d", switches[edge].Name(), i), lcfg)
-		hostPort[i] = switches[edge].AttachPort(up, down)
-		n.recordNodePort(i, edge, hostPort[i])
-		n.toNet = append(n.toNet, up)
-		n.fromNet = append(n.fromNet, down)
-		n.links = append(n.links, up, down)
-	}
-
-	trunk := func(s1, s2 int) (p1, p2 int) {
-		e1, e2 := a.Switch(s1), a.Switch(s2)
-		fwd := link.NewCross(e1, e2, fmt.Sprintf("%s->%s", switches[s1].Name(), switches[s2].Name()), lcfg)
-		rev := link.NewCross(e2, e1, fmt.Sprintf("%s->%s", switches[s2].Name(), switches[s1].Name()), lcfg)
-		p1 = switches[s1].AttachPort(rev, fwd)
-		p2 = switches[s2].AttachPort(fwd, rev)
-		n.recordTrunk(s1, p1, s2, p2)
-		n.links = append(n.links, fwd, rev)
-		return p1, p2
+		b.attachHost(i, p*half+j/half)
 	}
 
 	// Edge <-> aggregation inside each pod, then aggregation <-> core:
@@ -128,14 +78,14 @@ func BuildFatTreeOn(a Assign, nnodes int, lcfg link.Config, scfg switchfab.Confi
 	for p := 0; p < k; p++ {
 		for e := 0; e < half; e++ {
 			for ag := 0; ag < half; ag++ {
-				pe, pa := trunk(p*half+e, aggBase+p*half+ag)
+				pe, pa := b.addTrunk(p*half+e, aggBase+p*half+ag, "")
 				edgeUp[p*half+e][ag] = pe
 				aggDown[p*half+ag][e] = pa
 			}
 		}
 		for ag := 0; ag < half; ag++ {
 			for o := 0; o < half; o++ {
-				pa, pc := trunk(aggBase+p*half+ag, coreBase+ag*half+o)
+				pa, pc := b.addTrunk(aggBase+p*half+ag, coreBase+ag*half+o, "")
 				aggUp[p*half+ag][o] = pa
 				coreDown[ag*half+o][p] = pc
 			}
@@ -153,28 +103,24 @@ func BuildFatTreeOn(a Assign, nnodes int, lcfg link.Config, scfg switchfab.Confi
 			for e := 0; e < half; e++ {
 				edge := p*half + e
 				if edge == te {
-					switches[edge].SetRouteAction(dst, hostPort[t], switchfab.LayerEject)
+					b.Switches[edge].SetRouteAction(dst, b.nodePort[t], switchfab.LayerEject)
 				} else {
-					switches[edge].SetRoute(dst, edgeUp[edge][ta])
+					b.Switches[edge].SetRoute(dst, edgeUp[edge][ta])
 				}
 			}
 			for ag := 0; ag < half; ag++ {
 				agg := p*half + ag
 				if p == tp {
-					switches[aggBase+agg].SetRoute(dst, aggDown[agg][tj/half])
+					b.Switches[aggBase+agg].SetRoute(dst, aggDown[agg][tj/half])
 				} else {
-					switches[aggBase+agg].SetRoute(dst, aggUp[agg][to])
+					b.Switches[aggBase+agg].SetRoute(dst, aggUp[agg][to])
 				}
 			}
 		}
 		// Only core ta*half+to carries traffic to t, but every core
 		// knows the down pod so stray packets cannot be misrouted.
 		for c := 0; c < nCore; c++ {
-			switches[coreBase+c].SetRoute(dst, coreDown[c][tp])
+			b.Switches[coreBase+c].SetRoute(dst, coreDown[c][tp])
 		}
 	}
-	for _, sw := range switches {
-		sw.Start()
-	}
-	return n
 }

@@ -20,12 +20,12 @@ import (
 
 func FuzzRoute(f *testing.F) {
 	f.Add(uint8(0), uint8(3), uint8(3), uint8(0), uint16(0), uint16(15)) // 4x4 torus
-	f.Add(uint8(0), uint8(0), uint8(4), uint8(0), uint16(1), uint16(3)) // 1x5 torus: 1-wide dimension
-	f.Add(uint8(0), uint8(1), uint8(1), uint8(0), uint16(0), uint16(3)) // 2x2 torus: wrap == step
+	f.Add(uint8(0), uint8(0), uint8(4), uint8(0), uint16(1), uint16(3))  // 1x5 torus: 1-wide dimension
+	f.Add(uint8(0), uint8(1), uint8(1), uint8(0), uint16(0), uint16(3))  // 2x2 torus: wrap == step
 	f.Add(uint8(1), uint8(1), uint8(2), uint8(3), uint16(5), uint16(20)) // 2x3x4 torus
-	f.Add(uint8(2), uint8(1), uint8(0), uint8(0), uint16(0), uint16(1)) // radix-2 fat-tree
+	f.Add(uint8(2), uint8(1), uint8(0), uint8(0), uint16(0), uint16(1))  // radix-2 fat-tree
 	f.Add(uint8(2), uint8(39), uint8(0), uint8(0), uint16(11), uint16(38))
-	f.Add(uint8(3), uint8(8), uint8(0), uint8(0), uint16(0), uint16(8)) // dragonfly, partial group
+	f.Add(uint8(3), uint8(8), uint8(0), uint8(0), uint16(0), uint16(8))   // dragonfly, partial group
 	f.Add(uint8(3), uint8(39), uint8(0), uint8(1), uint16(3), uint16(38)) // valiant dragonfly
 
 	f.Fuzz(func(t *testing.T, kind, x, y, z uint8, srcRaw, dstRaw uint16) {
@@ -33,13 +33,17 @@ func FuzzRoute(f *testing.F) {
 		var n *Network
 		switch kind % 4 {
 		case 0:
-			n = BuildTorus(e, []int{1 + int(x)%8, 1 + int(y)%8}, lcfg(), scfg())
+			n = buildTorusDims(e, []int{1 + int(x)%8, 1 + int(y)%8}, true)
 		case 1:
-			n = BuildTorus(e, []int{1 + int(x)%4, 1 + int(y)%4, 1 + int(z)%4}, lcfg(), scfg())
+			n = buildTorusDims(e, []int{1 + int(x)%4, 1 + int(y)%4, 1 + int(z)%4}, true)
 		case 2:
-			n = BuildFatTree(e, 1+int(x)%40, lcfg(), scfg())
+			n = build(e, Spec{Kind: "fattree", Nodes: 1 + int(x)%40})
 		default:
-			n = BuildDragonfly(e, 1+int(x)%40, z&1 == 1, lcfg(), scfg())
+			kind := "dragonfly"
+			if z&1 == 1 {
+				kind = "dragonfly-val"
+			}
+			n = build(e, Spec{Kind: kind, Nodes: 1 + int(x)%40})
 		}
 		nn := n.NumNodes()
 		src := addrspace.NodeID(int(srcRaw) % nn)

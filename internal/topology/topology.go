@@ -1,22 +1,34 @@
 // Package topology assembles Telegraphos networks: node ports, switches,
 // and the links between them, with deterministic routing tables.
 //
-// Three builders are provided, mirroring the configurations the paper
-// discusses (Figure 1 shows workstations attached to switches that are
-// chained by ribbon cables):
+// Build is the one entry point; a Spec names one of nine fabrics (Kinds).
+// The first four mirror the configurations the paper discusses (Figure 1
+// shows workstations attached to switches that are chained by ribbon
+// cables):
 //
-//   - Pair: two nodes connected back-to-back (the §3.2 testbed);
-//   - Star: every node on one switch;
-//   - Chain: several switches in a line, k nodes per switch;
-//   - Tree: a radix-ary tree of switches, nodes at the leaves — the
+//   - pair: two nodes connected back-to-back (the §3.2 testbed);
+//   - star: every node on one switch;
+//   - chain: several switches in a line, k nodes per switch;
+//   - tree: a radix-ary tree of switches, nodes at the leaves — the
 //     natural fabric for in-network collectives at 64–1024 nodes.
 //
-// All produced topologies are cycle-free, so combined with the two
-// virtual channels of the link layer the fabric is deadlock-free.
+// The other five are generated shapes with cycles in their switch graph:
+//
+//   - torus2d, torus3d: k-ary n-cubes with dimension-order routing and
+//     VC-dateline escape (torus.go);
+//   - fattree: a k-ary folded Clos with up*/down* routing (fattree.go);
+//   - dragonfly, dragonfly-val: the Kim et al. dragonfly with minimal or
+//     Valiant routing (dragonfly.go).
+//
+// The paper's four shapes are cycle-free, so the two virtual channels of
+// the link layer make them deadlock-free; for the generated ones
+// CheckDeadlockFree (graph.go) proves it from the routing tables.
 package topology
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"telegraphos/internal/addrspace"
 	"telegraphos/internal/link"
@@ -25,19 +37,53 @@ import (
 	"telegraphos/internal/switchfab"
 )
 
-// Network is a built fabric. Node i injects packets with Send and drains
-// packets addressed to it with Recv.
+// Kinds names every fabric Build assembles, in the order help texts list
+// them.
+var Kinds = []string{"pair", "star", "chain", "tree", "torus2d", "torus3d", "fattree", "dragonfly", "dragonfly-val"}
+
+// Spec describes a fabric: its kind and size, plus the parameters only
+// some kinds read.
+type Spec struct {
+	Kind      string // one of Kinds
+	Nodes     int    // attached workstations
+	PerSwitch int    // chain: nodes per switch
+	Radix     int    // tree: switch fan-out
+}
+
+// Check rejects a spec Build cannot assemble: an unknown kind, fewer than
+// one node, a pair of other than two nodes, a chain with fewer than one
+// node per switch, a tree of radix below two, or a dragonfly larger than
+// its largest class.
+func (s Spec) Check() error {
+	switch {
+	case !slices.Contains(Kinds, s.Kind):
+		return fmt.Errorf("topology: unknown fabric %q (want one of %s)", s.Kind, strings.Join(Kinds, ", "))
+	case s.Nodes < 1:
+		return fmt.Errorf("topology: the %s fabric needs at least 1 node, not %d", s.Kind, s.Nodes)
+	case s.Kind == "pair" && s.Nodes != 2:
+		return fmt.Errorf("topology: the pair fabric connects exactly 2 nodes, not %d", s.Nodes)
+	case s.Kind == "chain" && s.PerSwitch < 1:
+		return fmt.Errorf("topology: the chain fabric needs at least 1 node per switch, not %d", s.PerSwitch)
+	case s.Kind == "tree" && s.Radix < 2:
+		return fmt.Errorf("topology: the tree fabric needs radix 2 or more, not %d", s.Radix)
+	case strings.HasPrefix(s.Kind, "dragonfly") && s.Nodes > maxDragonflyNodes:
+		return fmt.Errorf("topology: the %s fabric supports at most %d nodes, not %d", s.Kind, maxDragonflyNodes, s.Nodes)
+	}
+	return nil
+}
+
+// Network is a built fabric. Node i injects packets with SendEv and
+// drains packets addressed to it with TryRecv under a SetNotify hook.
 type Network struct {
-	eng      *sim.Engine
 	toNet    []*link.Link // per node: node -> fabric
 	fromNet  []*link.Link // per node: fabric -> node
 	links    []*link.Link // every distinct link in the fabric (incl. trunks)
 	Switches []*switchfab.Switch
 	kind     string
 
-	// Port adjacency, recorded by every builder: peers[s][p] names the
-	// far end of switch s's port p. nodeSw/nodePort locate each node's
-	// host port. The routing checkers (graph.go) and the spanning-tree
+	// Port adjacency, recorded as the builder attaches each port:
+	// peers[s][p] names the far end of switch s's port p. nodeSw/nodePort
+	// locate each node's host port. The routing checkers (graph.go) and the spanning-tree
 	// derivation walk this graph together with the switches' tables.
 	peers    [][]portPeer
 	nodeSw   []int
@@ -51,52 +97,11 @@ type portPeer struct {
 	sw, port int // peer switch and port when node < 0
 }
 
-// recordNodePort notes that switch s's port p is node i's host port.
-func (n *Network) recordNodePort(i, s, p int) {
-	for len(n.peers) <= s {
-		n.peers = append(n.peers, nil)
-	}
-	for len(n.peers[s]) <= p {
-		n.peers[s] = append(n.peers[s], portPeer{node: -1, sw: -1, port: -1})
-	}
-	n.peers[s][p] = portPeer{node: i, sw: -1, port: -1}
-	for len(n.nodeSw) <= i {
-		n.nodeSw = append(n.nodeSw, -1)
-		n.nodePort = append(n.nodePort, -1)
-	}
-	n.nodeSw[i] = s
-	n.nodePort[i] = p
-}
-
-// recordTrunk notes a bidirectional trunk between switch s1's port p1
-// and switch s2's port p2.
-func (n *Network) recordTrunk(s1, p1, s2, p2 int) {
-	for _, s := range []int{s1, s2} {
-		for len(n.peers) <= s {
-			n.peers = append(n.peers, nil)
-		}
-	}
-	for len(n.peers[s1]) <= p1 {
-		n.peers[s1] = append(n.peers[s1], portPeer{node: -1, sw: -1, port: -1})
-	}
-	for len(n.peers[s2]) <= p2 {
-		n.peers[s2] = append(n.peers[s2], portPeer{node: -1, sw: -1, port: -1})
-	}
-	n.peers[s1][p1] = portPeer{node: -1, sw: s2, port: p2}
-	n.peers[s2][p2] = portPeer{node: -1, sw: s1, port: p1}
-}
-
 // NumNodes reports the number of attached nodes.
 func (n *Network) NumNodes() int { return len(n.toNet) }
 
-// Kind names the topology ("pair", "star", "chain", "tree").
+// Kind names the fabric, one of Kinds.
 func (n *Network) Kind() string { return n.kind }
-
-// Send injects pkt into the fabric at its source node. It blocks the
-// calling process for injection-link credit and wire time.
-func (n *Network) Send(p *sim.Proc, pkt *packet.Packet) {
-	n.toNet[pkt.Src].Send(p, pkt)
-}
 
 // SendEv injects pkt at its source node from event context; onClear (may
 // be nil) runs when the packet clears the injection wire. See
@@ -109,12 +114,6 @@ func (n *Network) SendEv(pkt *packet.Packet, onClear func()) {
 // becomes available on vc; drain with TryRecv. See link.Link.SetNotify.
 func (n *Network) SetNotify(node addrspace.NodeID, vc packet.VC, fn func()) {
 	n.fromNet[node].SetNotify(vc, fn)
-}
-
-// Recv returns the next packet addressed to node on vc, blocking the
-// calling process until one arrives.
-func (n *Network) Recv(p *sim.Proc, node addrspace.NodeID, vc packet.VC) *packet.Packet {
-	return n.fromNet[node].Recv(p, vc)
 }
 
 // TryRecv returns an already-arrived packet for node on vc, if any.
@@ -163,144 +162,142 @@ func (n *Network) QueuedPackets() int {
 	return total
 }
 
-// Assign maps fabric elements to engines, so a topology can be spread
-// across the shards of a sim.Group: node i's link endpoints run on
-// Node(i), switch s's forwarding pipeline on Switch(s). Links whose two
+// builder assembles one fabric: it places each switch on the engine of
+// an anchor node and records every host port, trunk and link it wires.
+type builder struct {
+	*Network
+	place func(node int) *sim.Engine
+	lcfg  link.Config
+	scfg  switchfab.Config
+}
+
+// Build assembles the fabric spec describes. Node i's link endpoints run
+// on place(i), and every switch runs on the engine of an anchor node the
+// shape picks (its first attached host; see each shape). Links whose two
 // endpoints land on different engines become cross-shard links whose
-// propagation delay is the group's lookahead.
-type Assign struct {
-	Node   func(i int) *sim.Engine
-	Switch func(s int) *sim.Engine
+// propagation delay is the group's lookahead. Build panics if spec.Check
+// fails.
+func Build(spec Spec, place func(node int) *sim.Engine, lcfg link.Config, scfg switchfab.Config) *Network {
+	if err := spec.Check(); err != nil {
+		panic(err)
+	}
+	b := &builder{Network: &Network{kind: spec.Kind}, place: place, lcfg: lcfg, scfg: scfg}
+	switch spec.Kind {
+	case "pair":
+		b.pair()
+	case "star":
+		b.star(spec.Nodes)
+	case "chain":
+		b.chain(spec.Nodes, spec.PerSwitch)
+	case "tree":
+		b.tree(spec.Nodes, spec.Radix)
+	case "torus2d":
+		b.buildTorus(TorusDims(spec.Nodes, 2), true)
+	case "torus3d":
+		b.buildTorus(TorusDims(spec.Nodes, 3), true)
+	case "fattree":
+		b.fatTree(spec.Nodes)
+	default: // dragonfly, dragonfly-val
+		b.dragonfly(spec.Nodes, spec.Kind == "dragonfly-val")
+	}
+	for _, sw := range b.Switches {
+		sw.Start()
+	}
+	return b.Network
 }
 
-// SingleEngine places every node and switch on eng — the classic
-// sequential layout.
-func SingleEngine(eng *sim.Engine) Assign {
-	f := func(int) *sim.Engine { return eng }
-	return Assign{Node: f, Switch: f}
+// addSwitch creates the next switch on the engine of node anchor.
+func (b *builder) addSwitch(anchor int, name string) *switchfab.Switch {
+	sw := switchfab.New(b.place(anchor), name, b.scfg)
+	b.Switches = append(b.Switches, sw)
+	b.peers = append(b.peers, nil)
+	return sw
 }
 
-// BuildPair connects exactly two nodes back-to-back with one link in each
+// attachHost connects node i to switch s with an up and a down link and
+// returns the host port. Shapes attach nodes in order, 0 first.
+func (b *builder) attachHost(i, s int) int {
+	sw := b.Switches[s]
+	ne, se := b.place(i), sw.Engine()
+	up := link.NewCross(ne, se, fmt.Sprintf("n%d->%s", i, sw.Name()), b.lcfg)
+	down := link.NewCross(se, ne, fmt.Sprintf("%s->n%d", sw.Name(), i), b.lcfg)
+	port := sw.AttachPort(up, down)
+	b.peers[s] = append(b.peers[s], portPeer{node: i, sw: -1, port: -1})
+	b.nodeSw = append(b.nodeSw, s)
+	b.nodePort = append(b.nodePort, port)
+	b.toNet = append(b.toNet, up)
+	b.fromNet = append(b.fromNet, down)
+	b.links = append(b.links, up, down)
+	return port
+}
+
+// addTrunk connects switches s1 and s2 with a link each way, their names
+// suffixed by tag, and returns the port on each end.
+func (b *builder) addTrunk(s1, s2 int, tag string) (p1, p2 int) {
+	w1, w2 := b.Switches[s1], b.Switches[s2]
+	fwd := link.NewCross(w1.Engine(), w2.Engine(), w1.Name()+"->"+w2.Name()+tag, b.lcfg)
+	rev := link.NewCross(w2.Engine(), w1.Engine(), w2.Name()+"->"+w1.Name()+tag, b.lcfg)
+	p1 = w1.AttachPort(rev, fwd)
+	p2 = w2.AttachPort(fwd, rev)
+	b.peers[s1] = append(b.peers[s1], portPeer{node: -1, sw: s2, port: p2})
+	b.peers[s2] = append(b.peers[s2], portPeer{node: -1, sw: s1, port: p1})
+	b.links = append(b.links, fwd, rev)
+	return p1, p2
+}
+
+// pair connects exactly two nodes back-to-back with one link in each
 // direction and no switch.
-func BuildPair(eng *sim.Engine, lcfg link.Config) *Network {
-	return BuildPairOn(SingleEngine(eng), lcfg)
+func (b *builder) pair() {
+	e0, e1 := b.place(0), b.place(1)
+	ab := link.NewCross(e0, e1, "n0->n1", b.lcfg)
+	ba := link.NewCross(e1, e0, "n1->n0", b.lcfg)
+	b.toNet = []*link.Link{ab, ba}
+	b.fromNet = []*link.Link{ba, ab}
+	b.links = []*link.Link{ab, ba}
 }
 
-// BuildPairOn is BuildPair with an explicit engine assignment.
-func BuildPairOn(a Assign, lcfg link.Config) *Network {
-	e0, e1 := a.Node(0), a.Node(1)
-	ab := link.NewCross(e0, e1, "n0->n1", lcfg)
-	ba := link.NewCross(e1, e0, "n1->n0", lcfg)
-	return &Network{
-		eng:     e0,
-		toNet:   []*link.Link{ab, ba},
-		fromNet: []*link.Link{ba, ab},
-		links:   []*link.Link{ab, ba},
-		kind:    "pair",
-	}
-}
-
-// BuildStar attaches nnodes nodes to a single switch.
-func BuildStar(eng *sim.Engine, nnodes int, lcfg link.Config, scfg switchfab.Config) *Network {
-	return BuildStarOn(SingleEngine(eng), nnodes, lcfg, scfg)
-}
-
-// BuildStarOn is BuildStar with an explicit engine assignment.
-func BuildStarOn(a Assign, nnodes int, lcfg link.Config, scfg switchfab.Config) *Network {
-	if nnodes < 1 {
-		panic("topology: star needs at least one node")
-	}
-	swEng := a.Switch(0)
-	sw := switchfab.New(swEng, "sw0", scfg)
-	n := &Network{eng: a.Node(0), Switches: []*switchfab.Switch{sw}, kind: "star"}
+// star attaches every node to one switch, placed with node 0.
+func (b *builder) star(nnodes int) {
+	sw := b.addSwitch(0, "sw0")
 	for i := 0; i < nnodes; i++ {
-		ne := a.Node(i)
-		up := link.NewCross(ne, swEng, fmt.Sprintf("n%d->sw0", i), lcfg)
-		down := link.NewCross(swEng, ne, fmt.Sprintf("sw0->n%d", i), lcfg)
-		port := sw.AttachPort(up, down)
-		sw.SetRoute(addrspace.NodeID(i), port)
-		n.recordNodePort(i, 0, port)
-		n.toNet = append(n.toNet, up)
-		n.fromNet = append(n.fromNet, down)
-		n.links = append(n.links, up, down)
+		sw.SetRoute(addrspace.NodeID(i), b.attachHost(i, 0))
 	}
-	sw.Start()
-	return n
 }
 
-// BuildChain places nnodes nodes on a line of switches, perSwitch nodes
-// per switch, with bidirectional trunk links between adjacent switches.
-func BuildChain(eng *sim.Engine, nnodes, perSwitch int, lcfg link.Config, scfg switchfab.Config) *Network {
-	return BuildChainOn(SingleEngine(eng), nnodes, perSwitch, lcfg, scfg)
-}
-
-// BuildChainOn is BuildChain with an explicit engine assignment.
-func BuildChainOn(a Assign, nnodes, perSwitch int, lcfg link.Config, scfg switchfab.Config) *Network {
-	if nnodes < 1 || perSwitch < 1 {
-		panic("topology: chain needs nodes and perSwitch >= 1")
-	}
+// chain places the nodes on a line of switches, perSwitch nodes per
+// switch (each placed with its first node), with bidirectional trunks
+// between adjacent switches.
+func (b *builder) chain(nnodes, perSwitch int) {
 	nsw := (nnodes + perSwitch - 1) / perSwitch
-	switches := make([]*switchfab.Switch, nsw)
-	for s := range switches {
-		switches[s] = switchfab.New(a.Switch(s), fmt.Sprintf("sw%d", s), scfg)
+	for s := 0; s < nsw; s++ {
+		b.addSwitch(s*perSwitch, fmt.Sprintf("sw%d", s))
 	}
-	n := &Network{eng: a.Node(0), Switches: switches, kind: "chain"}
-
-	// Node ports.
-	nodePort := make([]int, nnodes) // port index of node i on its switch
 	for i := 0; i < nnodes; i++ {
-		s := i / perSwitch
-		ne, se := a.Node(i), a.Switch(s)
-		up := link.NewCross(ne, se, fmt.Sprintf("n%d->sw%d", i, s), lcfg)
-		down := link.NewCross(se, ne, fmt.Sprintf("sw%d->n%d", s, i), lcfg)
-		nodePort[i] = switches[s].AttachPort(up, down)
-		n.recordNodePort(i, s, nodePort[i])
-		n.toNet = append(n.toNet, up)
-		n.fromNet = append(n.fromNet, down)
-		n.links = append(n.links, up, down)
+		b.attachHost(i, i/perSwitch)
 	}
 
 	// Trunks between adjacent switches.
 	rightPort := make([]int, nsw) // port on switch s leading to s+1
 	leftPort := make([]int, nsw)  // port on switch s leading to s-1
 	for s := 0; s < nsw-1; s++ {
-		es, es1 := a.Switch(s), a.Switch(s+1)
-		lr := link.NewCross(es, es1, fmt.Sprintf("sw%d->sw%d", s, s+1), lcfg)
-		rl := link.NewCross(es1, es, fmt.Sprintf("sw%d->sw%d", s+1, s), lcfg)
-		rightPort[s] = switches[s].AttachPort(rl, lr)
-		leftPort[s+1] = switches[s+1].AttachPort(lr, rl)
-		n.recordTrunk(s, rightPort[s], s+1, leftPort[s+1])
-		n.links = append(n.links, lr, rl)
+		rightPort[s], leftPort[s+1] = b.addTrunk(s, s+1, "")
 	}
 
 	// Deterministic routing: local nodes to their port, everything else
 	// down the line toward the destination's switch.
-	for s := 0; s < nsw; s++ {
+	for s, sw := range b.Switches {
 		for i := 0; i < nnodes; i++ {
 			dstSw := i / perSwitch
 			switch {
 			case dstSw == s:
-				switches[s].SetRoute(addrspace.NodeID(i), nodePort[i])
+				sw.SetRoute(addrspace.NodeID(i), b.nodePort[i])
 			case dstSw > s:
-				switches[s].SetRoute(addrspace.NodeID(i), rightPort[s])
+				sw.SetRoute(addrspace.NodeID(i), rightPort[s])
 			default:
-				switches[s].SetRoute(addrspace.NodeID(i), leftPort[s])
+				sw.SetRoute(addrspace.NodeID(i), leftPort[s])
 			}
 		}
 	}
-	for _, sw := range switches {
-		sw.Start()
-	}
-	return n
-}
-
-// BuildTree places nnodes nodes at the leaves of a radix-ary tree of
-// switches: ceil(n/radix) leaf switches with radix nodes each, then
-// levels of ceil(prev/radix) switches until a single root switch. With
-// radix 4 a 1024-node fabric is 5 switch levels deep, so collective
-// traffic crosses O(log N) hops instead of the chain's O(N).
-func BuildTree(eng *sim.Engine, nnodes, radix int, lcfg link.Config, scfg switchfab.Config) *Network {
-	return BuildTreeOn(SingleEngine(eng), nnodes, radix, lcfg, scfg)
 }
 
 // treeLevels reports the per-level switch counts of a radix-ary tree
@@ -314,116 +311,58 @@ func treeLevels(nnodes, radix int) []int {
 	return counts
 }
 
-// TreeAnchor reports the first node covered by global switch s of a
-// radix-ary tree over nnodes nodes (level-major numbering: all leaf
-// switches first, then each upper level, root last). Shard assigners
-// use it to co-locate every switch with its subtree's first node.
-func TreeAnchor(nnodes, radix, s int) int {
-	if radix < 2 {
-		radix = 2
-	}
-	span := radix // nodes covered per switch at the current level
-	for _, cnt := range treeLevels(nnodes, radix) {
-		if s < cnt {
-			first := s * span
-			if first >= nnodes {
-				first = nnodes - 1
-			}
-			return first
+// tree places the nodes at the leaves of a radix-ary tree of switches:
+// ceil(n/radix) leaf switches with radix nodes each, then levels of
+// ceil(prev/radix) switches until a single root switch. With radix 4 a
+// 1024-node fabric is 5 switch levels deep, so collective traffic
+// crosses O(log N) hops instead of the chain's O(N). Switches are
+// numbered level-major (all leaves first, root last), and each is
+// placed with the first node of its subtree.
+func (b *builder) tree(nnodes, radix int) {
+	counts := treeLevels(nnodes, radix)
+	base := make([]int, len(counts)) // global switch index of (l, 0)
+	span := radix                    // nodes covered per switch at the current level
+	for l, cnt := range counts {
+		base[l] = len(b.Switches)
+		for i := 0; i < cnt; i++ {
+			b.addSwitch(min(i*span, nnodes-1), fmt.Sprintf("sw%d.%d", l, i))
 		}
-		s -= cnt
 		span *= radix
 	}
-	return 0
-}
-
-// BuildTreeOn is BuildTree with an explicit engine assignment; switch
-// engines are assigned level-major (see TreeAnchor).
-func BuildTreeOn(a Assign, nnodes, radix int, lcfg link.Config, scfg switchfab.Config) *Network {
-	if nnodes < 1 || radix < 2 {
-		panic("topology: tree needs nodes >= 1 and radix >= 2")
-	}
-	counts := treeLevels(nnodes, radix)
-	nlv := len(counts)
-
-	// Switches, level-major.
-	sws := make([][]*switchfab.Switch, nlv)
-	global := 0
-	for l := 0; l < nlv; l++ {
-		sws[l] = make([]*switchfab.Switch, counts[l])
-		for i := range sws[l] {
-			sws[l][i] = switchfab.New(a.Switch(global), fmt.Sprintf("sw%d.%d", l, i), scfg)
-			global++
-		}
-	}
-
-	n := &Network{eng: a.Node(0), kind: "tree"}
-	for l := 0; l < nlv; l++ {
-		n.Switches = append(n.Switches, sws[l]...)
-	}
-
-	// Node links to leaf switches.
-	nodePort := make([]int, nnodes)
 	for i := 0; i < nnodes; i++ {
-		s := i / radix
-		ne, se := a.Node(i), sws[0][s].Engine()
-		up := link.NewCross(ne, se, fmt.Sprintf("n%d->sw0.%d", i, s), lcfg)
-		down := link.NewCross(se, ne, fmt.Sprintf("sw0.%d->n%d", s, i), lcfg)
-		nodePort[i] = sws[0][s].AttachPort(up, down)
-		n.recordNodePort(i, s, nodePort[i])
-		n.toNet = append(n.toNet, up)
-		n.fromNet = append(n.fromNet, down)
-		n.links = append(n.links, up, down)
+		b.attachHost(i, i/radix)
 	}
 
 	// Trunks: child (l, c) to parent (l+1, c/radix).
-	upPort := make([][]int, nlv)   // child's port toward its parent
-	downPort := make([][]int, nlv) // parent's port toward child c, indexed by c
-	for l := 0; l < nlv; l++ {
-		upPort[l] = make([]int, counts[l])
-		downPort[l] = make([]int, counts[l])
-	}
-	levelBase := make([]int, nlv) // global switch index of (l, 0)
-	for l := 1; l < nlv; l++ {
-		levelBase[l] = levelBase[l-1] + counts[l-1]
-	}
-	for l := 0; l < nlv-1; l++ {
+	upPort := make([]int, len(b.Switches))   // switch's port toward its parent
+	downPort := make([]int, len(b.Switches)) // parent's port toward this switch
+	for l := 0; l < len(counts)-1; l++ {
 		for c := 0; c < counts[l]; c++ {
-			p := c / radix
-			ce, pe := sws[l][c].Engine(), sws[l+1][p].Engine()
-			cp := link.NewCross(ce, pe, fmt.Sprintf("sw%d.%d->sw%d.%d", l, c, l+1, p), lcfg)
-			pc := link.NewCross(pe, ce, fmt.Sprintf("sw%d.%d->sw%d.%d", l+1, p, l, c), lcfg)
-			upPort[l][c] = sws[l][c].AttachPort(pc, cp)
-			downPort[l][c] = sws[l+1][p].AttachPort(cp, pc)
-			n.recordTrunk(levelBase[l]+c, upPort[l][c], levelBase[l+1]+p, downPort[l][c])
-			n.links = append(n.links, cp, pc)
+			child := base[l] + c
+			upPort[child], downPort[child] = b.addTrunk(child, base[l+1]+c/radix, "")
 		}
 	}
 
 	// Deterministic routing: down toward the child subtree that covers
 	// the destination, else up toward the root.
-	span := radix // nodes covered per switch at the current level
-	for l := 0; l < nlv; l++ {
-		for s := 0; s < counts[l]; s++ {
+	span = radix
+	for l, cnt := range counts {
+		for s := 0; s < cnt; s++ {
+			sw := b.Switches[base[l]+s]
 			lo, hi := s*span, (s+1)*span
 			for i := 0; i < nnodes; i++ {
 				switch {
 				case i >= lo && i < hi && l == 0:
-					sws[l][s].SetRoute(addrspace.NodeID(i), nodePort[i])
+					sw.SetRoute(addrspace.NodeID(i), b.nodePort[i])
 				case i >= lo && i < hi:
-					child := i / (span / radix)
-					sws[l][s].SetRoute(addrspace.NodeID(i), downPort[l-1][child])
+					sw.SetRoute(addrspace.NodeID(i), downPort[base[l-1]+i/(span/radix)])
 				default:
-					sws[l][s].SetRoute(addrspace.NodeID(i), upPort[l][s])
+					sw.SetRoute(addrspace.NodeID(i), upPort[base[l]+s])
 				}
 			}
 		}
 		span *= radix
 	}
-	for _, sw := range n.Switches {
-		sw.Start()
-	}
-	return n
 }
 
 // SwitchTree pairs a switch with its role in one collective spanning

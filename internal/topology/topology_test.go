@@ -16,54 +16,78 @@ func lcfg() link.Config {
 }
 func scfg() switchfab.Config { return switchfab.Config{RouteDelay: 100} }
 
-// deliverAll sends packets (src,dst,val) and collects what each node receives.
+// build assembles spec with every node and switch on e.
+func build(e *sim.Engine, spec Spec) *Network {
+	return Build(spec, func(int) *sim.Engine { return e }, lcfg(), scfg())
+}
+
+// buildTorusDims assembles the torus over explicit dims on e, with or
+// without the dateline escape.
+func buildTorusDims(e *sim.Engine, dims []int, datelines bool) *Network {
+	b := &builder{Network: &Network{kind: fmt.Sprintf("torus%dd", len(dims))},
+		place: func(int) *sim.Engine { return e }, lcfg: lcfg(), scfg: scfg()}
+	b.buildTorus(dims, datelines)
+	for _, sw := range b.Switches {
+		sw.Start()
+	}
+	return b.Network
+}
+
+// sendChain injects pkts, which share a source node, back to back: each
+// is launched when the previous one clears the injection wire.
+func sendChain(n *Network, pkts []*packet.Packet) {
+	if len(pkts) > 0 {
+		n.SendEv(pkts[0], func() { sendChain(n, pkts[1:]) })
+	}
+}
+
+// onArrive hands every request-VC packet delivered to node to fn,
+// draining the node's delivery link under its notify hook.
+func onArrive(n *Network, node addrspace.NodeID, fn func(*packet.Packet)) {
+	n.SetNotify(node, packet.VCRequest, func() {
+		for pkt, ok := n.TryRecv(node, packet.VCRequest); ok; pkt, ok = n.TryRecv(node, packet.VCRequest) {
+			fn(pkt)
+		}
+	})
+}
+
+// runTraffic sends packets (src,dst,val), each source's in order, and
+// collects what each node receives.
 func runTraffic(t *testing.T, n *Network, e *sim.Engine, sends [][3]uint64) map[addrspace.NodeID][]uint64 {
 	t.Helper()
 	got := make(map[addrspace.NodeID][]uint64)
-	total := len(sends)
 	received := 0
-	perSrc := make(map[addrspace.NodeID][][3]uint64)
+	perSrc := make([][]*packet.Packet, n.NumNodes())
 	for _, s := range sends {
-		perSrc[addrspace.NodeID(s[0])] = append(perSrc[addrspace.NodeID(s[0])], s)
-	}
-	for src, list := range perSrc {
-		src, list := src, list
-		e.Spawn(fmt.Sprintf("src%d", src), func(p *sim.Proc) {
-			for _, s := range list {
-				n.Send(p, &packet.Packet{
-					Type: packet.WriteReq,
-					Src:  src,
-					Dst:  addrspace.NodeID(s[1]),
-					Val:  s[2],
-				})
-			}
+		perSrc[s[0]] = append(perSrc[s[0]], &packet.Packet{
+			Type: packet.WriteReq,
+			Src:  addrspace.NodeID(s[0]),
+			Dst:  addrspace.NodeID(s[1]),
+			Val:  s[2],
 		})
+	}
+	for _, list := range perSrc {
+		sendChain(n, list)
 	}
 	for i := 0; i < n.NumNodes(); i++ {
 		id := addrspace.NodeID(i)
-		e.SpawnDaemon(fmt.Sprintf("sink%d", i), func(p *sim.Proc) {
-			for {
-				pkt := n.Recv(p, id, packet.VCRequest)
-				got[id] = append(got[id], pkt.Val)
-				received++
-				if received == total {
-					e.Stop()
-				}
-			}
+		onArrive(n, id, func(pkt *packet.Packet) {
+			got[id] = append(got[id], pkt.Val)
+			received++
 		})
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if received != total {
-		t.Fatalf("delivered %d of %d packets", received, total)
+	if received != len(sends) {
+		t.Fatalf("delivered %d of %d packets", received, len(sends))
 	}
 	return got
 }
 
 func TestPairDelivery(t *testing.T) {
 	e := sim.NewEngine(1)
-	n := BuildPair(e, lcfg())
+	n := build(e, Spec{Kind: "pair", Nodes: 2})
 	if n.NumNodes() != 2 || n.Kind() != "pair" {
 		t.Fatalf("pair built wrong: %d nodes", n.NumNodes())
 	}
@@ -79,7 +103,7 @@ func TestPairDelivery(t *testing.T) {
 func TestStarDeliveryAllPairs(t *testing.T) {
 	e := sim.NewEngine(1)
 	const nn = 4
-	n := BuildStar(e, nn, lcfg(), scfg())
+	n := build(e, Spec{Kind: "star", Nodes: nn})
 	var sends [][3]uint64
 	val := uint64(100)
 	for s := 0; s < nn; s++ {
@@ -106,7 +130,7 @@ func TestStarDeliveryAllPairs(t *testing.T) {
 
 func TestStarInOrderPerPair(t *testing.T) {
 	e := sim.NewEngine(1)
-	n := BuildStar(e, 3, lcfg(), scfg())
+	n := build(e, Spec{Kind: "star", Nodes: 3})
 	var sends [][3]uint64
 	for i := 0; i < 50; i++ {
 		sends = append(sends, [3]uint64{0, 2, uint64(i)})
@@ -122,7 +146,7 @@ func TestStarInOrderPerPair(t *testing.T) {
 func TestChainMultiHop(t *testing.T) {
 	e := sim.NewEngine(1)
 	// 6 nodes, 2 per switch -> 3 switches; 0 and 5 are 3 switch hops apart.
-	n := BuildChain(e, 6, 2, lcfg(), scfg())
+	n := build(e, Spec{Kind: "chain", Nodes: 6, PerSwitch: 2})
 	if len(n.Switches) != 3 {
 		t.Fatalf("chain has %d switches, want 3", len(n.Switches))
 	}
@@ -147,7 +171,7 @@ func TestChainMultiHop(t *testing.T) {
 
 func TestChainInOrderAcrossHops(t *testing.T) {
 	e := sim.NewEngine(1)
-	n := BuildChain(e, 8, 2, lcfg(), scfg())
+	n := build(e, Spec{Kind: "chain", Nodes: 8, PerSwitch: 2})
 	var sends [][3]uint64
 	for i := 0; i < 100; i++ {
 		sends = append(sends, [3]uint64{0, 7, uint64(i)})
@@ -163,15 +187,10 @@ func TestChainInOrderAcrossHops(t *testing.T) {
 func TestChainLatencyGrowsWithHops(t *testing.T) {
 	measure := func(dst addrspace.NodeID) sim.Time {
 		e := sim.NewEngine(1)
-		n := BuildChain(e, 8, 2, lcfg(), scfg())
+		n := build(e, Spec{Kind: "chain", Nodes: 8, PerSwitch: 2})
 		var arrival sim.Time
-		e.Spawn("src", func(p *sim.Proc) {
-			n.Send(p, &packet.Packet{Type: packet.WriteReq, Src: 0, Dst: dst})
-		})
-		e.Spawn("sink", func(p *sim.Proc) {
-			n.Recv(p, dst, packet.VCRequest)
-			arrival = p.Now()
-		})
+		n.SendEv(&packet.Packet{Type: packet.WriteReq, Src: 0, Dst: dst}, nil)
+		onArrive(n, dst, func(*packet.Packet) { arrival = e.Now() })
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -197,11 +216,9 @@ func TestSwitchRouteValidation(t *testing.T) {
 
 func TestMisrouteCounted(t *testing.T) {
 	e := sim.NewEngine(1)
-	n := BuildStar(e, 2, lcfg(), scfg())
-	e.Spawn("src", func(p *sim.Proc) {
-		// Node 9 does not exist; the switch should count a misroute.
-		n.Send(p, &packet.Packet{Type: packet.WriteReq, Src: 0, Dst: 9})
-	})
+	n := build(e, Spec{Kind: "star", Nodes: 2})
+	// Node 9 does not exist; the switch should count a misroute.
+	n.SendEv(&packet.Packet{Type: packet.WriteReq, Src: 0, Dst: 9}, nil)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +229,7 @@ func TestMisrouteCounted(t *testing.T) {
 
 func TestNodeLinkAccessors(t *testing.T) {
 	e := sim.NewEngine(1)
-	n := BuildStar(e, 2, lcfg(), scfg())
+	n := build(e, Spec{Kind: "star", Nodes: 2})
 	if n.NodeEgress(0) == nil || n.NodeIngress(1) == nil {
 		t.Fatal("link accessors returned nil")
 	}

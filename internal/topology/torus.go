@@ -16,8 +16,6 @@ import (
 	"fmt"
 
 	"telegraphos/internal/addrspace"
-	"telegraphos/internal/link"
-	"telegraphos/internal/sim"
 	"telegraphos/internal/switchfab"
 )
 
@@ -59,36 +57,15 @@ func pow(b, e int) int {
 	return r
 }
 
-// BuildTorus connects prod(dims) nodes as a k-ary n-cube torus with
-// dimension-order routing and dateline VC escape.
-func BuildTorus(eng *sim.Engine, dims []int, lcfg link.Config, scfg switchfab.Config) *Network {
-	return BuildTorusOn(SingleEngine(eng), dims, lcfg, scfg)
-}
-
-// BuildTorusOn is BuildTorus with an explicit engine assignment; switch
-// i shares a shard with node i (one node per switch).
-func BuildTorusOn(a Assign, dims []int, lcfg link.Config, scfg switchfab.Config) *Network {
-	return buildTorus(a, dims, lcfg, scfg, true)
-}
-
-// BuildTorusNoDateline builds the same torus with the dateline escape
-// disabled — every ring hop keeps its layer, so any ring of >= 4
-// switches has a cyclic channel dependency. It exists solely as the
-// planted-cycle regression for CheckDeadlockFree and must never carry
-// real traffic.
-func BuildTorusNoDateline(eng *sim.Engine, dims []int, lcfg link.Config, scfg switchfab.Config) *Network {
-	return buildTorus(SingleEngine(eng), dims, lcfg, scfg, false)
-}
-
-func buildTorus(a Assign, dims []int, lcfg link.Config, scfg switchfab.Config, datelines bool) *Network {
-	if len(dims) < 1 {
-		panic("topology: torus needs at least one dimension")
-	}
+// buildTorus connects prod(dims) nodes as a k-ary n-cube torus with
+// dimension-order routing, one switch per node placed with its node.
+// With datelines false every ring hop keeps its layer, so any ring of
+// >= 4 switches has a cyclic channel dependency: that variant exists
+// solely as the planted-cycle regression for CheckDeadlockFree and must
+// never carry real traffic.
+func (b *builder) buildTorus(dims []int, datelines bool) {
 	nnodes := 1
 	for _, k := range dims {
-		if k < 1 {
-			panic("topology: torus dimensions must be >= 1")
-		}
 		nnodes *= k
 	}
 	stride := make([]int, len(dims))
@@ -99,23 +76,11 @@ func buildTorus(a Assign, dims []int, lcfg link.Config, scfg switchfab.Config, d
 	}
 	coordOf := func(id, d int) int { return id / stride[d] % dims[d] }
 
-	switches := make([]*switchfab.Switch, nnodes)
-	for i := range switches {
-		switches[i] = switchfab.New(a.Switch(i), fmt.Sprintf("sw%d", i), scfg)
-	}
-	n := &Network{eng: a.Node(0), Switches: switches, kind: fmt.Sprintf("torus%dd", len(dims))}
-
-	// Host ports.
-	hostPort := make([]int, nnodes)
 	for i := 0; i < nnodes; i++ {
-		ne, se := a.Node(i), a.Switch(i)
-		up := link.NewCross(ne, se, fmt.Sprintf("n%d->sw%d", i, i), lcfg)
-		down := link.NewCross(se, ne, fmt.Sprintf("sw%d->n%d", i, i), lcfg)
-		hostPort[i] = switches[i].AttachPort(up, down)
-		n.recordNodePort(i, i, hostPort[i])
-		n.toNet = append(n.toNet, up)
-		n.fromNet = append(n.fromNet, down)
-		n.links = append(n.links, up, down)
+		b.addSwitch(i, fmt.Sprintf("sw%d", i))
+	}
+	for i := 0; i < nnodes; i++ {
+		b.attachHost(i, i)
 	}
 
 	// Ring ports: per dimension with k >= 2, a plus port on every switch
@@ -142,24 +107,18 @@ func buildTorus(a Assign, dims []int, lcfg link.Config, scfg switchfab.Config, d
 			if c == k-1 {
 				j = i - (k-1)*stride[d] // wrap
 			}
-			ei, ej := a.Switch(i), a.Switch(j)
-			fwd := link.NewCross(ei, ej, fmt.Sprintf("sw%d->sw%d.d%d", i, j, d), lcfg)
-			rev := link.NewCross(ej, ei, fmt.Sprintf("sw%d->sw%d.d%d", j, i, d), lcfg)
-			pi := switches[i].AttachPort(rev, fwd)
-			pj := switches[j].AttachPort(fwd, rev)
+			pi, pj := b.addTrunk(i, j, fmt.Sprintf(".d%d", d))
 			plusPort[d][i] = pi
 			if k == 2 {
 				plusPort[d][j] = pj
 			} else {
 				minusPort[d][j] = pj
 			}
-			n.recordTrunk(i, pi, j, pj)
-			n.links = append(n.links, fwd, rev)
 		}
-		for i := 0; i < nnodes; i++ {
-			switches[i].SetPortDim(plusPort[d][i], d)
+		for i, sw := range b.Switches {
+			sw.SetPortDim(plusPort[d][i], d)
 			if minusPort[d][i] >= 0 {
-				switches[i].SetPortDim(minusPort[d][i], d)
+				sw.SetPortDim(minusPort[d][i], d)
 			}
 		}
 	}
@@ -167,7 +126,7 @@ func buildTorus(a Assign, dims []int, lcfg link.Config, scfg switchfab.Config, d
 	// Dimension-order routing with dateline escape.
 	for i := 0; i < nnodes; i++ {
 		for t := 0; t < nnodes; t++ {
-			port, act := hostPort[i], switchfab.LayerEject
+			port, act := b.nodePort[i], switchfab.LayerEject
 			for d, k := range dims {
 				c, tc := coordOf(i, d), coordOf(t, d)
 				if c == tc {
@@ -187,11 +146,7 @@ func buildTorus(a Assign, dims []int, lcfg link.Config, scfg switchfab.Config, d
 				}
 				break
 			}
-			switches[i].SetRouteAction(addrspace.NodeID(t), port, act)
+			b.Switches[i].SetRouteAction(addrspace.NodeID(t), port, act)
 		}
 	}
-	for _, sw := range switches {
-		sw.Start()
-	}
-	return n
 }

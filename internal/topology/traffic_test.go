@@ -17,43 +17,19 @@ import (
 	"telegraphos/internal/sim"
 )
 
-// trafficShape names a topology and how to build it over a shard group.
+// trafficShape names a generated topology and its spec.
 type trafficShape struct {
-	name   string
-	nnodes int
-	build  func(a Assign, lcfg link.Config) *Network
+	name string
+	spec Spec
 }
 
 func trafficShapes() []trafficShape {
 	return []trafficShape{
-		{"torus2d-16", 16, func(a Assign, lc link.Config) *Network {
-			return BuildTorusOn(a, []int{4, 4}, lc, scfg())
-		}},
-		{"torus3d-24", 24, func(a Assign, lc link.Config) *Network {
-			return BuildTorusOn(a, []int{2, 3, 4}, lc, scfg())
-		}},
-		{"fattree-16", 16, func(a Assign, lc link.Config) *Network {
-			return BuildFatTreeOn(a, 16, lc, scfg())
-		}},
-		{"dragonfly-16", 16, func(a Assign, lc link.Config) *Network {
-			return BuildDragonflyOn(a, 16, false, lc, scfg())
-		}},
-		{"dragonfly-val-16", 16, func(a Assign, lc link.Config) *Network {
-			return BuildDragonflyOn(a, 16, true, lc, scfg())
-		}},
-	}
-}
-
-// anchorOf maps each shape's global switch index to the node it should
-// share a shard with.
-func anchorOf(name string, nnodes int) func(s int) int {
-	switch name[:4] {
-	case "toru":
-		return func(s int) int { return s }
-	case "fatt":
-		return func(s int) int { return FatTreeAnchor(nnodes, s) }
-	default: // dragonfly
-		return func(s int) int { return DragonflyAnchor(nnodes, s) }
+		{"torus2d-16", Spec{Kind: "torus2d", Nodes: 16}}, // 4x4
+		{"torus3d-24", Spec{Kind: "torus3d", Nodes: 24}}, // 2x3x4
+		{"fattree-16", Spec{Kind: "fattree", Nodes: 16}},
+		{"dragonfly-16", Spec{Kind: "dragonfly", Nodes: 16}},
+		{"dragonfly-val-16", Spec{Kind: "dragonfly-val", Nodes: 16}},
 	}
 }
 
@@ -63,44 +39,26 @@ func anchorOf(name string, nnodes int) func(s int) int {
 func runPatternSharded(t *testing.T, sh trafficShape, shards int, faults *link.FaultPlan, sends [][3]uint64) uint64 {
 	t.Helper()
 	g := sim.NewGroup(1, shards)
-	nn := sh.nnodes
-	anchor := anchorOf(sh.name, nn)
-	a := Assign{
-		Node:   func(i int) *sim.Engine { return g.Shard(i * shards / nn) },
-		Switch: func(s int) *sim.Engine { return g.Shard(anchor(s) * shards / nn) },
-	}
+	nn := sh.spec.Nodes
 	lc := lcfg()
 	lc.Faults = faults
-	n := sh.build(a, lc)
+	n := Build(sh.spec, func(i int) *sim.Engine { return g.Shard(i * shards / nn) }, lc, scfg())
 
-	perSrc := make([][][3]uint64, nn)
+	perSrc := make([][]*packet.Packet, nn)
 	for _, s := range sends {
-		perSrc[s[0]] = append(perSrc[s[0]], s)
-	}
-	for i := 0; i < nn; i++ {
-		if len(perSrc[i]) == 0 {
-			continue
-		}
-		src, list := addrspace.NodeID(i), perSrc[i]
-		a.Node(i).Spawn("src", func(p *sim.Proc) {
-			for _, s := range list {
-				n.Send(p, &packet.Packet{Type: packet.WriteReq, Src: src, Dst: addrspace.NodeID(s[1]), Val: s[2]})
-			}
+		perSrc[s[0]] = append(perSrc[s[0]], &packet.Packet{
+			Type: packet.WriteReq, Src: addrspace.NodeID(s[0]), Dst: addrspace.NodeID(s[1]), Val: s[2],
 		})
+	}
+	for _, list := range perSrc {
+		sendChain(n, list)
 	}
 	got := make([][][2]uint64, nn) // per node, delivery order of (src, val)
 	for i := 0; i < nn; i++ {
 		id := addrspace.NodeID(i)
-		drain := func() {
-			for {
-				pkt, ok := n.TryRecv(id, packet.VCRequest)
-				if !ok {
-					return
-				}
-				got[id] = append(got[id], [2]uint64{uint64(pkt.Src), pkt.Val})
-			}
-		}
-		n.SetNotify(id, packet.VCRequest, drain)
+		onArrive(n, id, func(pkt *packet.Packet) {
+			got[id] = append(got[id], [2]uint64{uint64(pkt.Src), pkt.Val})
+		})
 	}
 	if err := g.Run(); err != nil {
 		t.Fatalf("%s x%d shards: %v", sh.name, shards, err)
@@ -197,7 +155,7 @@ func TestAdversarialTrafficShardInvariant(t *testing.T) {
 	for _, sh := range trafficShapes() {
 		sh := sh
 		t.Run(sh.name, func(t *testing.T) {
-			sends := adversarialSends(sh.nnodes)
+			sends := adversarialSends(sh.spec.Nodes)
 			base := runPatternSharded(t, sh, 1, chaosPlan(), sends)
 			for _, shards := range []int{2, 4} {
 				if got := runPatternSharded(t, sh, shards, chaosPlan(), sends); got != base {
@@ -215,7 +173,7 @@ func TestSaturationFaultFree(t *testing.T) {
 	for _, sh := range trafficShapes() {
 		sh := sh
 		t.Run(sh.name, func(t *testing.T) {
-			sends := adversarialSends(sh.nnodes)
+			sends := adversarialSends(sh.spec.Nodes)
 			base := runPatternSharded(t, sh, 1, nil, sends)
 			if got := runPatternSharded(t, sh, 2, nil, sends); got != base {
 				t.Fatalf("%s: fingerprint %#x on 2 shards, want %#x", sh.name, got, base)

@@ -32,22 +32,24 @@ func TestTreeLevels(t *testing.T) {
 }
 
 func TestTreeAnchor(t *testing.T) {
-	// 10 nodes, radix 3: leaf switches at nodes 0,3,6,9; level-1 at 0,9;
-	// root at 0.
+	// 10 nodes, radix 3, each node on its own shard: leaf switches sit
+	// with nodes 0,3,6,9; level-1 with 0,9; the root with 0.
+	g := sim.NewGroup(1, 10)
+	n := Build(Spec{Kind: "tree", Nodes: 10, Radix: 3}, g.Shard, lcfg(), scfg())
 	want := []int{0, 3, 6, 9, 0, 9, 0}
-	for s, w := range want {
-		if got := TreeAnchor(10, 3, s); got != w {
-			t.Errorf("TreeAnchor(10,3,%d) = %d, want %d", s, got, w)
-		}
+	if len(n.Switches) != len(want) {
+		t.Fatalf("switch count = %d, want %d", len(n.Switches), len(want))
 	}
-	if TreeAnchor(10, 3, 99) != 0 {
-		t.Error("out-of-range switch index should anchor at 0")
+	for s, w := range want {
+		if got := n.Switches[s].Engine().Shard(); got != w {
+			t.Errorf("switch %d (%s) on shard %d, want %d", s, n.Switches[s].Name(), got, w)
+		}
 	}
 }
 
 func TestTreeDelivery(t *testing.T) {
 	e := sim.NewEngine(1)
-	n := BuildTree(e, 10, 3, lcfg(), scfg())
+	n := build(e, Spec{Kind: "tree", Nodes: 10, Radix: 3})
 	if n.Kind() != "tree" || n.NumNodes() != 10 {
 		t.Fatalf("kind=%s nodes=%d", n.Kind(), n.NumNodes())
 	}
@@ -84,7 +86,7 @@ func TestTreeDelivery(t *testing.T) {
 
 func TestSpanningTreeStar(t *testing.T) {
 	e := sim.NewEngine(1)
-	n := BuildStar(e, 5, lcfg(), scfg())
+	n := build(e, Spec{Kind: "star", Nodes: 5})
 	parts := []addrspace.NodeID{0, 1, 2, 3, 4}
 	trees := n.SpanningTree(0, parts)
 	if len(trees) != 1 {
@@ -106,7 +108,7 @@ func TestSpanningTreeStar(t *testing.T) {
 
 func TestSpanningTreeChain(t *testing.T) {
 	e := sim.NewEngine(1)
-	n := BuildChain(e, 6, 2, lcfg(), scfg())
+	n := build(e, Spec{Kind: "chain", Nodes: 6, PerSwitch: 2})
 	parts := []addrspace.NodeID{0, 1, 2, 3, 4, 5}
 	trees := n.SpanningTree(2, parts) // root on the middle switch
 	if len(trees) != 3 {
@@ -124,7 +126,7 @@ func TestSpanningTreeChain(t *testing.T) {
 
 func TestSpanningTreeSubset(t *testing.T) {
 	e := sim.NewEngine(1)
-	n := BuildTree(e, 8, 2, lcfg(), scfg())
+	n := build(e, Spec{Kind: "tree", Nodes: 8, Radix: 2})
 	trees := n.SpanningTree(1, []addrspace.NodeID{1, 5, 7})
 	// Switches covering only non-participants must be omitted.
 	total := 0

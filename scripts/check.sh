@@ -10,6 +10,16 @@ go build ./...
 echo '== go vet ./...'
 go vet ./...
 
+# Formatting: every Go file must be gofmt-clean, bench/ included. The
+# analyzer fixtures under testdata are exempt: they are inputs, not code.
+echo '== gofmt -l'
+unformatted=$(gofmt -l . | grep -v '/testdata/' || true)
+if [ -n "$unformatted" ]; then
+	echo "gofmt: these files need formatting:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
+
 # Determinism & shard-safety lints: no effectful map-range iteration, no
 # blocking calls in event callbacks, no dropped event handles, no HIB
 # recorders that bypass the trace pipeline, no filesystem access outside

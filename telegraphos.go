@@ -90,7 +90,9 @@ func WithSeed(seed int64) Option { return func(c *Config) { c.Seed = seed } }
 // WithPlacement selects the Telegraphos I or II shared-data placement.
 func WithPlacement(p Placement) Option { return func(c *Config) { c.Placement = p } }
 
-// WithTopology selects the fabric: "pair", "star" (default) or "chain".
+// WithTopology selects the fabric: "pair", "star" (default), "chain",
+// "tree", "torus2d", "torus3d", "fattree", "dragonfly" or
+// "dragonfly-val".
 func WithTopology(kind string) Option { return func(c *Config) { c.Topology = kind } }
 
 // WithChainPerSwitch sets nodes per switch for the chain topology.
@@ -125,9 +127,6 @@ func NewCluster(opts ...Option) *Cluster {
 	cfg := params.Default(2)
 	for _, o := range opts {
 		o(&cfg)
-	}
-	if cfg.Nodes == 2 && cfg.Topology == "" {
-		cfg.Topology = "star"
 	}
 	return &Cluster{Cluster: core.New(cfg)}
 }
