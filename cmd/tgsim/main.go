@@ -50,25 +50,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	var cfg params.Config
-	if *configPath != "" {
-		var err error
-		cfg, err = params.LoadConfig(*configPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tgsim: %v\n", err)
-			os.Exit(1)
-		}
-	} else {
-		cfg = params.Default(*nodes)
-		cfg.Topology = *topo
-		cfg.ChainPerSwitch = *perSwitch
-		cfg.Seed = *seed
-		cfg.Sizing.MemBytes = 1 << 22
-		if *placement == "main" {
-			cfg.Placement = params.SharedInMain
-		}
-	}
-	if err := cfg.Fabric().Check(); err != nil {
+	cfg, err := machine(*configPath, *nodes, *perSwitch, *topo, *placement, *seed)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "tgsim: %v\n", err)
 		os.Exit(2)
 	}
@@ -94,6 +77,34 @@ func main() {
 	}
 
 	fmt.Print(c.Snapshot().Format())
+}
+
+// machine returns the machine to simulate: the one the -config file
+// describes when one is given, otherwise the one the machine flags do.
+// Every error is a usage error, the same whichever way the machine came:
+// a config file that cannot be read or parsed, or a fabric that cannot
+// be built.
+func machine(configPath string, nodes, perSwitch int, topo, placement string, seed int64) (params.Config, error) {
+	var cfg params.Config
+	if configPath != "" {
+		var err error
+		if cfg, err = params.LoadConfig(configPath); err != nil {
+			return params.Config{}, err
+		}
+	} else {
+		cfg = params.Default(nodes)
+		cfg.Topology = topo
+		cfg.ChainPerSwitch = perSwitch
+		cfg.Seed = seed
+		cfg.Sizing.MemBytes = 1 << 22
+		if placement == "main" {
+			cfg.Placement = params.SharedInMain
+		}
+	}
+	if err := cfg.Fabric().Check(); err != nil {
+		return params.Config{}, err
+	}
+	return cfg, nil
 }
 
 // checkCounts rejects the count flags no run can honour: fewer than one

@@ -102,10 +102,12 @@ func TestChanSendSameShardAllocs(t *testing.T) {
 	})
 }
 
-// TestChanSendCrossShardAllocs gates the cross-shard path end to end:
-// staging on the source, batched hand-off at the barrier, inbox absorb
-// and heap rebuild on the destination — a ping-pong between two shards
-// so every round crosses the barrier in both directions.
+// TestChanSendCrossShardAllocs gates the cross-shard path of a light
+// phase end to end: a ping-pong between two shards over 1 ns channels
+// runs in serial stretches, so every Send pushes straight into the other
+// shard's queue, lowers its head and cuts the sender's window, in both
+// directions. (TestGroupParallelRoundAllocs gates the staged path of
+// parallel rounds.)
 func TestChanSendCrossShardAllocs(t *testing.T) {
 	g := NewGroup(1, 2)
 	a, b := g.Shard(0), g.Shard(1)
@@ -121,8 +123,8 @@ func TestChanSendCrossShardAllocs(t *testing.T) {
 		ab.Send(1, pong)
 	}
 	pong = func() { ba.Send(1, ping) }
-	// Warm-up: the staging buffers, inboxes, and the group's round
-	// scratch all reach steady-state capacity.
+	// Warm-up: the queues, the slot pools and the group's round scratch
+	// all reach steady-state capacity.
 	rounds = 256
 	ab.Send(1, pong)
 	if err := g.Run(); err != nil {
@@ -138,47 +140,107 @@ func TestChanSendCrossShardAllocs(t *testing.T) {
 }
 
 // TestGroupParallelRoundAllocs gates the round workers: a 2-shard run
-// whose every round runs more than seqRoundWork items per shard, and so
-// goes to the workers, must allocate as much per Run at 512 rounds as at
-// 64. Starting the workers costs a few allocations per RunUntil, O(shards);
-// a round costs none.
+// whose rounds run far more than seqRoundWork items per shard, and so go
+// to the workers once the run's opening serial stretch has probed them
+// heavy, must allocate as much per Run at 256 rounds as at 64. Starting
+// the workers costs a few allocations per RunUntil, O(shards); a round,
+// with its staged cross-shard sends and their flush, costs none.
 func TestGroupParallelRoundAllocs(t *testing.T) {
 	const window = 100 // the lookahead each way, in ns: one round's width
+	const lanes = 4    // tick chains per shard, each ticking every nanosecond
 	g := NewGroup(1, 2)
-	NewChan(g.Shard(0), g.Shard(1), window)
-	NewChan(g.Shard(1), g.Shard(0), window)
-	// Each shard ticks every nanosecond, so a round runs window items
-	// on each shard.
-	left := make([]Time, 2)
-	ticks := make([]func(), 2)
-	for i := range ticks {
-		e := g.Shard(i)
-		ticks[i] = func() {
-			if left[i]--; left[i] > 0 {
-				e.Schedule(1, ticks[i])
+	cross := []*Chan{
+		NewChan(g.Shard(0), g.Shard(1), window),
+		NewChan(g.Shard(1), g.Shard(0), window),
+	}
+	// A round runs lanes*window items on each shard; every 16th tick of
+	// lane 0 also sends a message to the other shard.
+	left := make([]Time, 2*lanes)
+	ticks := make([]func(), 2*lanes)
+	recv := func() {}
+	for k := range ticks {
+		e, lane := g.Shard(k/lanes), k%lanes
+		ticks[k] = func() {
+			if lane == 0 && left[k]%16 == 0 {
+				cross[k/lanes].Send(window, recv)
+			}
+			if left[k]--; left[k] > 0 {
+				e.Schedule(1, ticks[k])
 			}
 		}
 	}
 	run := func(rounds int) func() {
 		return func() {
-			for i, f := range ticks {
-				left[i] = Time(rounds * window)
-				g.Shard(i).Schedule(1, f)
+			for k, f := range ticks {
+				left[k] = Time(rounds * window)
+				g.Shard(k/lanes).Schedule(1, f)
 			}
 			if err := g.Run(); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	run(512)() // warm the slot pools, the heaps and the worker slots
-	crit := g.CritPath()
-	short := testing.AllocsPerRun(20, run(64))
-	if g.CritPath()-crit < 20*64*window {
-		t.Fatalf("critical path grew %d items over 20 runs of 64 rounds: rounds did not go parallel", g.CritPath()-crit)
+	run(256)() // warm the slot pools, the heaps, the staging buffers and the worker slots
+	crit, epoch := g.CritPath(), g.bar.epoch.Load()
+	short := testing.AllocsPerRun(10, run(64))
+	if g.CritPath()-crit < 10*64*window {
+		t.Fatalf("critical path grew %d items over 10 runs of 64 rounds: rounds did not go parallel", g.CritPath()-crit)
 	}
-	long := testing.AllocsPerRun(20, run(512))
+	// Each run's opening stretch takes stretchWork items, about 20 of its
+	// rounds; the rest go to the workers. AllocsPerRun runs once more to
+	// warm up.
+	if n := g.bar.epoch.Load() - epoch; n < 11*32 {
+		t.Fatalf("%d worker epochs over 11 runs of 64 rounds: rounds did not go parallel", n)
+	}
+	long := testing.AllocsPerRun(10, run(256))
 	if short != long {
-		t.Errorf("%.0f allocs per run at 64 rounds, %.0f at 512: a parallel round allocates", short, long)
+		t.Errorf("%.0f allocs per run at 64 rounds, %.0f at 256: a parallel round allocates", short, long)
+	}
+}
+
+// TestGroupSerialAllocs gates the serial stretch: a 3-shard run on 1 ns
+// channels, light enough that it never leaves stretches and probe
+// rounds, with cross-shard sends that land before their destination's
+// head and a round hook installed, must allocate nothing per item once
+// warmed up.
+func TestGroupSerialAllocs(t *testing.T) {
+	const shards, hops = 3, 1024
+	g := NewGroup(1, shards)
+	next := make([]*Chan, shards)
+	for i := range next {
+		next[i] = NewChan(g.Shard(i), g.Shard((i+1)%shards), 1)
+	}
+	hooks := 0
+	g.SetRoundHook(64, func(Time) { hooks++ })
+	left := make([]int, shards)
+	fwd := make([]func(), shards)
+	for i := range fwd {
+		fwd[i] = func() {
+			// Every shard relays around the ring and ticks locally, so
+			// each shard's head trails the last message sent to it.
+			if left[i]--; left[i] > 0 {
+				next[i].Send(1, fwd[(i+1)%shards])
+				g.Shard(i).Schedule(2, func() {})
+			}
+		}
+	}
+	run := func() {
+		for i := range left {
+			left[i] = hops
+			g.Shard(i).Schedule(Time(i), fwd[i])
+		}
+		if err := g.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the slot pools, the queues and the round scratch
+	crit, exec, epoch := g.CritPath(), g.Executed(), g.bar.epoch.Load()
+	measureAllocs(t, "serial stretch", run)
+	if d := g.Executed() - exec; d < 100*hops || g.CritPath()-crit != d {
+		t.Fatalf("ran %d items with a critical path of %d: want every item in a serial stretch", d, g.CritPath()-crit)
+	}
+	if g.bar.epoch.Load() != epoch || hooks == 0 {
+		t.Fatalf("%d worker epochs, %d hook calls: want none and some", g.bar.epoch.Load()-epoch, hooks)
 	}
 }
 

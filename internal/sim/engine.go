@@ -103,6 +103,11 @@ type Engine struct {
 	executed   uint64 // events + messages executed
 	nextChanID uint64 // chan ids for standalone (group-less) engines
 
+	// horizon is the running window's exclusive bound (-1: none). A
+	// serial stretch's cross-shard Chan.Send lowers it when the message
+	// lands before the destination's head (see Group.stretch).
+	horizon Time
+
 	// live holds the unfinished non-daemon processes, in no particular
 	// order (see dropLive), for the stall report.
 	live []*Proc
@@ -115,9 +120,9 @@ type Engine struct {
 
 	// roundHook, when set, fires between work items every hookEvery
 	// executed items with the current safe watermark (see SetRoundHook).
-	// Only single-shard execution installs it: in a multi-shard group the
-	// watermark is a group-wide bound and the hook runs at the barrier
-	// instead (Group.SetRoundHook).
+	// A single-shard engine installs it for good; in a multi-shard group
+	// it is set only while a serial stretch runs, where it reports the
+	// group-wide watermark instead (Group.SetRoundHook).
 	roundHook func(safe Time)
 	hookEvery uint64
 	hookCount uint64
@@ -258,15 +263,17 @@ func (e *Engine) nextTime() (Time, bool) {
 // runWindow executes all work with timestamp < horizon (horizon < 0 means
 // unbounded) and <= deadline (deadline < 0 means unbounded), in queue
 // order: messages before events scheduled for the same instant. It stops
-// early on Stop or a recorded failure.
+// early on Stop or a recorded failure. The horizon is kept in e.horizon,
+// where a serial stretch's Chan.Send can lower it mid-window.
 func (e *Engine) runWindow(horizon, deadline Time) {
+	e.horizon = horizon
 	for !e.stopped && e.failure == nil {
 		ent, ok := e.peekEvent()
 		if !ok {
 			return
 		}
 		t := ent.at
-		if horizon >= 0 && t >= horizon {
+		if e.horizon >= 0 && t >= e.horizon {
 			return
 		}
 		if deadline >= 0 && t > deadline {
@@ -375,9 +382,10 @@ func stalled(engines ...*Engine) error {
 	return fmt.Errorf("%w (%d blocked: %s)", ErrStalled, len(ps), strings.Join(names, ", "))
 }
 
-// fail records a process panic; the engine loop notices it and aborts.
+// fail records a process panic, naming the process and its shard; the
+// engine loop notices it and aborts.
 func (e *Engine) fail(name string, v interface{}) {
 	if e.failure == nil {
-		e.failure = fmt.Errorf("sim: process %q panicked: %v", name, v)
+		e.failure = fmt.Errorf("sim: process %q on shard %d panicked: %v", name, e.shard, v)
 	}
 }

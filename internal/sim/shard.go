@@ -31,9 +31,19 @@
 // handed over as whole slices at the barrier, where each message drops
 // into its time bucket — one hand-off per pair per round, mirroring how
 // the paper's NIC-based barriers amortize synchronization over many
-// operations. Rounds that execute little work skip the workers entirely
-// and run their windows inline on the scheduler goroutine, so
-// fine-grained phases do not pay a barrier hand-off per round.
+// operations.
+//
+// A round pays for its barrier only when it runs enough work. After a
+// light round the group runs a serial stretch instead: the scheduler
+// goroutine alone advances the shard whose queue head is earliest, up to
+// the next-earliest head, and repeats, so every item runs in global time
+// order and no round or barrier is needed. Cross-shard sends go straight
+// into the destination queue; one that lands before the destination's
+// head lowers that head and the sender's running horizon, so the sender
+// stops before anything the message causes could reach back. After
+// stretchWork items the stretch ends with one ordinary round, the probe:
+// if it is heavy, parallel rounds resume. So narrow-lookahead phases run
+// at one shard's pace with no barrier cost, and wide ones in parallel.
 //
 // Determinism does not depend on the schedule: messages are ordered by
 // (time, channel id, channel sequence) — build-time identities — and at
@@ -64,23 +74,39 @@ type Group struct {
 	dist      [][]Time
 	distDirty bool
 
-	// Per-round scratch, reused across rounds to keep the barrier loop
-	// allocation-free.
-	next     []Time
+	// heads[i] is shard i's earliest queued work (infTime: none), read
+	// at every barrier. A serial stretch keeps it current as it runs:
+	// exact for every shard but the running one, which it refreshes
+	// after each window. Allocated once, with runnable reused, to keep
+	// the barrier loop allocation-free.
+	heads    []Time
 	runnable []window
 
-	// critPath accumulates, over all barrier rounds, the largest number
-	// of work items any single shard executed in that round: the length
-	// of the round-structured critical path. Executed()/CritPath() is the
-	// speedup an ideal machine (one core per shard, free barriers) would
-	// get from this decomposition — a hardware-independent measure of the
-	// parallelism the shard layout exposes.
+	// serial is set while a serial stretch runs, and running is the
+	// shard whose window it is in: Chan.Send then delivers cross-shard
+	// messages directly (see stretch).
+	serial  bool
+	running int
+
+	// critPath accumulates the length of the critical path in work
+	// items: for each barrier round, the largest number of items any
+	// single shard executed in it, and every item of a serial stretch.
+	// Executed()/CritPath() is the speedup an ideal machine (one core per
+	// shard, free barriers) would get from this schedule — a
+	// hardware-independent measure of the parallelism it exposes.
 	critPath uint64
 
 	// roundHook, when set, fires at every barrier boundary — after the
 	// flush, with no shard executing — with safe = the round's global
-	// lower bound on remaining work (see SetRoundHook).
-	roundHook func(safe Time)
+	// lower bound on remaining work, and within a serial stretch every
+	// hookEvery items, through serialHook (see SetRoundHook). serialHook
+	// is stretchWatermark, bound once in NewGroup because a method value
+	// allocates; hookCount carries the item count across the stretch's
+	// windows.
+	roundHook  func(safe Time)
+	serialHook func(now Time)
+	hookEvery  uint64
+	hookCount  uint64
 
 	// workers[i] runs shard i's window in parallel rounds; the scheduler
 	// goroutine runs the round's last window. The slots are built once;
@@ -134,8 +160,8 @@ const stopTask = ^uint64(0)
 // every spinYield polls so that GOMAXPROCS=1 still makes progress. A
 // worker that has polled spinPark times without a new round parks on
 // its wake channel: long enough to span the scheduler's barrier work
-// between back-to-back heavy rounds, short enough that a stretch of
-// light inline rounds does not keep a core spinning.
+// between back-to-back heavy rounds, short enough that a serial stretch
+// does not keep a core spinning.
 const (
 	spinYield = 32
 	spinPark  = 1 << 12
@@ -145,16 +171,23 @@ const (
 // still safe to add channel delays to without overflow).
 const infTime = Time(1) << 60
 
-// seqRoundWork is the adaptive-round threshold: when the previous round's
-// heaviest shard executed fewer work items than this, the next round runs
-// its windows inline on the scheduler goroutine instead of releasing the
-// round workers. Even with workers already spinning, a hand-off costs
-// cache-line transfers both ways and often a wake-up; a round this light
-// finishes faster than that, and fine-grained phases (lockstep barriers,
+// seqRoundWork is the adaptive-round threshold: when a round's heaviest
+// shard executed fewer work items than this, the group runs a serial
+// stretch next instead of another round. Even with workers already
+// spinning, a hand-off costs cache-line transfers both ways and often a
+// wake-up; a round this light finishes faster than that, and
+// fine-grained phases (request/reply round trips, lockstep barriers,
 // drain tails) hit this continuously. Releasing the workers for every
-// round instead roughly halved 2-shard torus-rpc throughput (EXPERIMENTS.md,
-// "Persistent round workers").
+// round instead roughly halved 2-shard torus-rpc throughput
+// (EXPERIMENTS.md, "Persistent round workers").
 const seqRoundWork = 64
+
+// stretchWork is the item budget of one serial stretch: after it, the
+// stretch ends with an ordinary round that probes whether the phase has
+// turned heavy enough for parallel rounds. Long enough to amortize the
+// probe, short enough that a heavy phase soon goes back to the workers
+// (EXPERIMENTS.md, "Serial stretches").
+const stretchWork = 1 << 14
 
 // NewGroup returns a group of `shards` engines. Shard i's random source
 // is seeded with seed+i; NewGroup(seed, 1) is equivalent to
@@ -165,7 +198,9 @@ func NewGroup(seed int64, shards int) *Group {
 	}
 	g := &Group{
 		engines: make([]*Engine, shards),
+		heads:   make([]Time, shards),
 	}
+	g.serialHook = g.stretchWatermark
 	for i := range g.engines {
 		e := NewEngine(seed + int64(i))
 		e.group = g
@@ -179,20 +214,23 @@ func NewGroup(seed int64, shards int) *Group {
 // SetRoundHook installs a safe-watermark hook: fn fires with a bound
 // safe such that every already-recorded event with timestamp < safe is
 // final (no shard will ever execute work, and therefore record trace
-// events, strictly before safe again). In a multi-shard group the hook
-// fires at each barrier boundary with the round's global next-work
-// bound; in a single-shard group it fires between work items every
-// `every` executed items with the engine's current time. Either way the
-// hook runs with no shard executing, so it may drain trace windows,
-// run online checkers, or checkpoint. The cadence is a deterministic
-// function of the run, never of host scheduling. Pass fn == nil to
-// remove the hook.
+// events, strictly before safe again). In a single-shard group it fires
+// between work items every `every` executed items with the engine's
+// current time. A multi-shard group keeps the same cadence while a
+// serial stretch runs, with safe = the earliest queued work of any
+// shard, and fires once more at each barrier boundary with the round's
+// global next-work bound. Either way the hook runs with no shard
+// executing, so it may drain trace windows, run online checkers, or
+// checkpoint. The cadence is a deterministic function of the run, never
+// of host scheduling. Pass fn == nil to remove the hook.
 func (g *Group) SetRoundHook(every uint64, fn func(safe Time)) {
 	if len(g.engines) == 1 {
 		g.engines[0].SetRoundHook(every, fn)
 		return
 	}
 	g.roundHook = fn
+	g.hookEvery = max(every, 1)
+	g.hookCount = 0
 }
 
 // Shards reports the number of engines in the group.
@@ -244,7 +282,9 @@ func (g *Group) Executed() uint64 {
 }
 
 // CritPath reports the accumulated critical-path length in work items
-// (see the field doc). For a single-shard group it equals Executed().
+// (see the field doc): a serial stretch adds every item it runs, a
+// barrier round its busiest shard's items. For a single-shard group it
+// equals Executed().
 func (g *Group) CritPath() uint64 {
 	if len(g.engines) == 1 {
 		return g.engines[0].executed
@@ -252,7 +292,8 @@ func (g *Group) CritPath() uint64 {
 	return g.critPath
 }
 
-// Stop halts every shard; Run returns at the end of the current round.
+// Stop halts every shard; Run returns at the end of the current round or
+// after the serial stretch's current item.
 func (g *Group) Stop() {
 	for _, e := range g.engines {
 		e.stopped = true
@@ -276,34 +317,25 @@ func (g *Group) RunUntil(deadline Time) error {
 	if g.distDirty || g.dist == nil {
 		g.rebuildDist()
 	}
-	if g.next == nil {
-		g.next = make([]Time, len(g.engines))
-	}
-	next := g.next
-	// Assume a light first round; the spawn decision self-corrects after
-	// one round either way.
-	var lastRoundMax uint64
+	heads := g.heads
+	// Start serial: a stretch costs nothing to enter, and its closing
+	// probe round finds out whether the run needs parallel rounds.
+	serial := true
 	for {
 		g.flush()
 		if err := g.failureOrStopped(); err != nil || g.anyStopped() {
 			return err
 		}
 		// Global lower bound on remaining work.
-		var globalNext Time
-		haveWork := false
+		globalNext := infTime
 		for i, e := range g.engines {
-			t, ok := e.nextTime()
-			if !ok {
-				next[i] = -1
-				continue
+			heads[i] = infTime
+			if t, ok := e.nextTime(); ok {
+				heads[i] = t
+				globalNext = min(globalNext, t)
 			}
-			next[i] = t
-			if !haveWork || t < globalNext {
-				globalNext = t
-			}
-			haveWork = true
 		}
-		if !haveWork || (deadline >= 0 && globalNext > deadline) {
+		if globalNext >= infTime || (deadline >= 0 && globalNext > deadline) {
 			break
 		}
 		if g.roundHook != nil {
@@ -314,47 +346,41 @@ func (g *Group) RunUntil(deadline Time) error {
 			// takes checkpoints.
 			g.roundHook(globalNext)
 		}
+		if serial {
+			g.stretch(deadline)
+			serial = false // the next round is the probe
+			continue
+		}
 		// Per-shard safe horizon from incoming channel lookahead.
 		runnable := g.runnable[:0]
 		for i, e := range g.engines {
-			if next[i] < 0 {
+			if heads[i] >= infTime {
 				continue // nothing queued; cross-shard sends arrive at a barrier
 			}
-			cap := g.horizon(i, next)
-			if cap >= 0 && next[i] >= cap {
+			cap := g.horizon(i)
+			if cap >= 0 && heads[i] >= cap {
 				continue // window is empty this round
 			}
-			if deadline >= 0 && next[i] > deadline {
+			if deadline >= 0 && heads[i] > deadline {
 				continue
 			}
-			runnable = append(runnable, window{e: e, cap: cap})
+			runnable = append(runnable, window{e: e, cap: cap, execBefore: e.executed})
 		}
 		g.runnable = runnable[:0]
 		if len(runnable) == 0 {
 			break // nothing runnable below the deadline
 		}
-		for i := range runnable {
-			runnable[i].execBefore = runnable[i].e.executed
-		}
-		if lastRoundMax < seqRoundWork || len(runnable) == 1 {
-			// Light round (or only one shard has work): run every window
-			// inline. Shards still execute in disjoint windows separated by
-			// the same barrier math, so the order within each shard — and
-			// therefore the trace — is identical to the parallel schedule.
-			for _, w := range runnable {
-				g.runShielded(w.e, w.cap, deadline)
-			}
+		if len(runnable) == 1 {
+			g.runShielded(runnable[0].e, runnable[0].cap, deadline)
 		} else {
 			g.runParallel(runnable, deadline)
 		}
 		var maxDelta uint64
 		for _, w := range runnable {
-			if d := w.e.executed - w.execBefore; d > maxDelta {
-				maxDelta = d
-			}
+			maxDelta = max(maxDelta, w.e.executed-w.execBefore)
 		}
 		g.critPath += maxDelta
-		lastRoundMax = maxDelta
+		serial = maxDelta < seqRoundWork
 	}
 	if err := g.failureOrStopped(); err != nil || g.anyStopped() {
 		return err
@@ -527,6 +553,98 @@ func (g *Group) runShielded(e *Engine, cap, deadline Time) {
 	e.runWindow(cap, deadline)
 }
 
+// stretch runs a serial stretch on this goroutine: it repeatedly takes
+// the shard whose queue head is earliest and runs its window up to and
+// including the next-earliest head, until stretchWork items have run,
+// no work is left at or before the deadline, or a shard stops or
+// fails. heads must be current on entry.
+//
+// Every item therefore runs at or after every item before it, so a
+// cross-shard message, which lands at least 1 ns after its send, can
+// never land behind its destination's clock: Chan.Send pushes it
+// straight into the destination queue. A message that lands before the
+// destination's head makes that the new head, and the sender's window
+// stops at it, so nothing the message causes can reach back into work
+// the sender has already run. Each shard still runs its own queue in
+// (at, key) order, so the trace is the one any round schedule gives.
+//
+// While the stretch runs, the round hook fires every hookEvery items
+// (stretchWatermark). A panic escaping a window is recorded as the
+// running shard's failure.
+func (g *Group) stretch(deadline Time) {
+	g.serial = true
+	if g.roundHook != nil {
+		for _, e := range g.engines {
+			e.roundHook, e.hookEvery = g.serialHook, g.hookEvery
+		}
+	}
+	defer func() {
+		g.serial = false
+		for _, e := range g.engines {
+			e.roundHook = nil
+		}
+		if r := recover(); r != nil {
+			g.engines[g.running].fail("event", r)
+		}
+	}()
+	heads := g.heads
+	var done uint64
+	for done < stretchWork {
+		run, first, second := -1, infTime, infTime
+		for i, h := range heads {
+			if h < first {
+				run, first, second = i, h, first
+			} else if h < second {
+				second = h
+			}
+		}
+		if run < 0 || (deadline >= 0 && first > deadline) {
+			break
+		}
+		horizon := Time(-1)
+		if second < infTime {
+			horizon = second + 1
+		}
+		e := g.engines[run]
+		g.running = run
+		e.hookCount = g.hookCount
+		before := e.executed
+		e.runWindow(horizon, deadline)
+		g.hookCount = e.hookCount
+		n := e.executed - before
+		done += n
+		g.critPath += n
+		heads[run] = infTime
+		if t, ok := e.nextTime(); ok {
+			heads[run] = t
+		}
+		if e.stopped || e.failure != nil {
+			break
+		}
+	}
+}
+
+// stretchWatermark is the round hook's entry within a serial stretch:
+// it fires the hook with safe = the earliest queued work of any shard,
+// or the running shard's clock when nothing is queued. The running
+// shard's own work starts at or after its clock, and every other
+// shard's at or after its cached head, so no shard will run work before
+// safe again.
+func (g *Group) stretchWatermark(now Time) {
+	safe := now
+	if t, ok := g.engines[g.running].nextTime(); ok {
+		safe = t
+	}
+	for i, h := range g.heads {
+		if i != g.running {
+			safe = min(safe, h)
+		}
+	}
+	if g.roundHook != nil {
+		g.roundHook(safe)
+	}
+}
+
 // window pairs a shard with its safe horizon for one round.
 type window struct {
 	e          *Engine
@@ -534,21 +652,20 @@ type window struct {
 	execBefore uint64
 }
 
-// horizon computes shard i's safe cap for this round: the earliest time
-// any other shard's queued work could cause a message to arrive at i,
-// over any channel path — including paths relayed through currently idle
-// shards (an idle shard reacts to what it receives, so its onward sends
-// are bounded by the instigator's time plus the path delay), and round
-// trips that come back to i itself. -1 means unbounded.
-func (g *Group) horizon(i int, next []Time) Time {
+// horizon computes shard i's safe cap for this round from the shards'
+// heads: the earliest time any shard's queued work could cause a message
+// to arrive at i, over any channel path — including paths relayed
+// through currently idle shards (an idle shard reacts to what it
+// receives, so its onward sends are bounded by the instigator's time
+// plus the path delay), and round trips that come back to i itself. -1
+// means unbounded.
+func (g *Group) horizon(i int) Time {
 	cap := infTime
-	for j := range g.engines {
-		if next[j] < 0 {
+	for j, h := range g.heads {
+		if h >= infTime {
 			continue // truly idle: nothing queued anywhere to react to
 		}
-		if d := g.dist[j][i]; next[j]+d < cap {
-			cap = next[j] + d
-		}
+		cap = min(cap, h+g.dist[j][i])
 	}
 	if cap >= infTime {
 		return -1
@@ -684,10 +801,10 @@ func (ch *Chan) MinDelay() Time { return ch.minDelay }
 // minimum delay). It must be called from the source engine's context —
 // an event, message, or process running on it — or during build.
 //
-// Same-shard sends go straight into the destination queue;
-// cross-shard sends are staged in the source engine's per-destination
-// buffer and handed over at the next barrier. Neither path allocates in
-// steady state.
+// Same-shard sends go straight into the destination queue, and so do
+// cross-shard sends made in a serial stretch; cross-shard sends made in
+// a round are staged in the source engine's per-destination buffer and
+// handed over at the next barrier. No path allocates in steady state.
 //
 //tgvet:noalloc
 func (ch *Chan) Send(delay Time, fn func()) {
@@ -697,12 +814,25 @@ func (ch *Chan) Send(delay Time, fn func()) {
 	if ch.seq >= 1<<msgSeqBits {
 		panic("sim: per-channel sequence overflowed the packed message key")
 	}
-	m := eqEnt{at: ch.src.now + delay, key: ch.id<<msgSeqBits | ch.seq, fn: fn}
+	src, dst := ch.src, ch.dst
+	m := eqEnt{at: src.now + delay, key: ch.id<<msgSeqBits | ch.seq, fn: fn}
 	ch.seq++
-	if ch.src.shard == ch.dst.shard || ch.src.group == nil {
-		ch.dst.queue.push(m)
-	} else {
-		src := ch.src
-		src.stage[ch.dst.shard] = append(src.stage[ch.dst.shard], m) //tgvet:allow noalloc(staging buffers grow to the high-water mark once and are reused every barrier)
+	g := src.group
+	switch {
+	case src == dst:
+		dst.queue.push(m)
+	case g.serial:
+		// A serial stretch delivers at once (see Group.stretch). The
+		// destination's work at m.at reaches back no earlier than
+		// m.at+1, so the sender runs on through m.at at most.
+		dst.queue.push(m)
+		if m.at < g.heads[dst.shard] {
+			g.heads[dst.shard] = m.at
+			if src.horizon < 0 || m.at < src.horizon-1 {
+				src.horizon = m.at + 1
+			}
+		}
+	default:
+		src.stage[dst.shard] = append(src.stage[dst.shard], m) //tgvet:allow noalloc(staging buffers grow to the high-water mark once and are reused every barrier)
 	}
 }

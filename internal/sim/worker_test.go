@@ -84,9 +84,11 @@ func TestGroupWorkersStopOnDrain(t *testing.T) {
 
 // TestGroupWorkersStopAtDeadline: every RunUntil that returns at its
 // deadline stops its workers, the next one starts them again, and the
-// sliced run still gives the 1-shard trace. At 8 shards the load leaves
-// some workers idle in every round, so a restarted worker must not take
-// the previous call's stop for a task of its own.
+// sliced run still gives the 1-shard trace. A full 1 µs slice runs
+// more than stretchWork items, so it goes from its opening serial
+// stretch to parallel rounds. At 8 shards the load leaves some workers idle in
+// every round, so a restarted worker must not take the previous call's
+// stop for a task of its own.
 func TestGroupWorkersStopAtDeadline(t *testing.T) {
 	want := oneShardTrace(t)
 	for _, shards := range []int{2, 8} {
@@ -97,7 +99,7 @@ func TestGroupWorkersStopAtDeadline(t *testing.T) {
 			if slices > 1000 {
 				t.Fatalf("%d shards: run did not drain in 1000 slices", shards)
 			}
-			if err := g.RunUntil(g.Now() + 200); err != nil {
+			if err := g.RunUntil(g.Now() + 1000); err != nil {
 				t.Fatalf("%d shards: %v", shards, err)
 			}
 			expectGoroutines(t, g, before)
@@ -108,13 +110,14 @@ func TestGroupWorkersStopAtDeadline(t *testing.T) {
 }
 
 // TestGroupWorkersStopOnStop: Stop from the round hook ends the run at
-// the barrier and stops the workers.
+// the barrier and stops the workers. The stop comes after the opening
+// serial stretch, once rounds have gone parallel.
 func TestGroupWorkersStopOnStop(t *testing.T) {
 	before := runtime.NumGoroutine()
 	g := NewGroup(5, 2)
 	w := newWorkerLoad(g)
 	g.SetRoundHook(0, func(safe Time) {
-		if safe >= 1000 {
+		if safe >= 2000 {
 			g.Stop()
 		}
 	})

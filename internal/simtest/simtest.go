@@ -336,10 +336,11 @@ type viewVA struct {
 	home int
 }
 
-// drainEvery is the single-shard drain cadence (executed work items
-// between drains); multi-shard groups drain at every barrier round.
-// Hashes and verdicts are cadence-invariant; this only bounds how much
-// a ring buffers between drains.
+// drainEvery is the drain cadence in executed work items between drains,
+// on a single shard and in a multi-shard group's serial stretches;
+// multi-shard groups also drain at every barrier round. Hashes and
+// verdicts are cadence-invariant; this only bounds how much a ring
+// buffers between drains.
 const drainEvery = 1024
 
 // attachStream wires the streaming trace pipeline into the built

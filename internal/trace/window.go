@@ -199,7 +199,8 @@ func (w *WindowedLog) siftDown(i int) {
 // canonical order, to the fingerprint, the spill writer, and every
 // sink; Advancer sinks are then notified of the watermark. The caller
 // promises no node will append an event with At < safe afterwards (the
-// sim layer derives safe from the barrier round's global bound).
+// sim layer's round hook supplies safe: a barrier round's global bound,
+// or a serial stretch's earliest queued work).
 // It returns the number of events delivered and the first spill error
 // encountered, if any.
 //

@@ -75,8 +75,10 @@ go run ./cmd/tgchaos -seeds 5 -checkpoint -window 1
 echo '== PDES throughput floor'
 go test ./internal/experiments -run '^$' -bench BenchmarkPDESThroughputFloor -benchtime 3x -count 1
 
-echo '== tgchaos 2-shard smoke'
+echo '== tgchaos 2- and 4-shard smoke'
 go run ./cmd/tgchaos -seeds 10 -shards 2
+# Four shards: serial stretches choose among more than two queue heads.
+go run ./cmd/tgchaos -seeds 10 -shards 4
 
 # In-network collective smoke (DESIGN.md §16): E15 runs the 64-node
 # in-fabric vs host-side barrier comparison and checks that a 64-node
