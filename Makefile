@@ -63,7 +63,6 @@ fuzz:
 	$(GO) test ./internal/sim -fuzz FuzzMsgQueue -fuzztime 10s
 	$(GO) test ./internal/sim -fuzz FuzzEventQueueDifferential -fuzztime 10s
 	$(GO) test ./internal/trace -fuzz FuzzSpill -fuzztime 10s
-	$(GO) test ./internal/trace -fuzz FuzzCheckpoint -fuzztime 10s
 	$(GO) test ./internal/packet -fuzz FuzzDecode -fuzztime 10s
 	$(GO) test ./internal/packet -fuzz FuzzEncodeDecode -fuzztime 10s
 	$(GO) test ./internal/addrspace -fuzz FuzzAddrRoundTrips -fuzztime 10s

@@ -13,10 +13,10 @@
 //	tgbench -pdes -out BENCH.json    # PDES node×shard scaling sweep
 //	                                 # (also records BENCH.floor, the CI
 //	                                 # throughput gate scripts/check.sh uses)
-//	tgbench -pdes -trace-window 4096 # sweep with the streaming trace
+//	tgbench -pdes -trace             # sweep with the streaming trace
 //	                                 # pipeline attached: reports the
 //	                                 # shard-invariant fingerprint and
-//	                                 # peak (window-bounded) residency
+//	                                 # peak trace residency
 //	tgbench -collscale               # paper-scale E15 barrier sweep:
 //	                                 # host-side vs in-fabric, 64-1024
 //	                                 # nodes (EXPERIMENTS.md table)
@@ -46,16 +46,16 @@ func main() {
 	collScale := flag.Bool("collscale", false, "run the paper-scale E15 barrier sweep (host-side vs in-fabric, 64-1024 nodes) instead of the experiments")
 	topo := flag.Bool("topo", false, "run the E16 topology-zoo sweep (fabrics × 16/64/256 nodes × 1/4 cores) instead of the experiments")
 	out := flag.String("out", "", "with -pdes or -topo: also write the sweep report as JSON to this file (-pdes adds the throughput floor as <file>.floor)")
-	traceWindow := flag.Int("trace-window", 0, "with -pdes: attach the streaming trace pipeline with this per-node ring capacity (0 = untraced); the report then includes the shard-invariant fingerprint and peak trace residency")
+	traced := flag.Bool("trace", false, "with -pdes: attach the streaming trace pipeline; the report then includes the shard-invariant fingerprint and peak trace residency")
 	flag.Parse()
 
-	if err := checkCounts(*shards, *traceWindow); err != nil {
+	if err := checkCounts(*shards); err != nil {
 		fmt.Fprintf(os.Stderr, "tgbench: %v\n", err)
 		os.Exit(2)
 	}
 	experiments.SetSeed(*seed)
 	experiments.SetShards(*shards)
-	experiments.SetTraceWindow(*traceWindow)
+	experiments.SetTraced(*traced)
 
 	if *collScale {
 		host, fabric := experiments.E15Scale([]int{64, 128, 256, 512, 1024}, 1)
@@ -166,14 +166,11 @@ func main() {
 	fmt.Printf("RESULT: all %d experiments match the paper's shape\n", len(results))
 }
 
-// checkCounts rejects the count flags no run can honour: fewer than one
-// shard, or a negative -trace-window.
-func checkCounts(shards, traceWindow int) error {
-	switch {
-	case shards < 1:
+// checkCounts rejects the count flag no run can honour: fewer than one
+// shard.
+func checkCounts(shards int) error {
+	if shards < 1 {
 		return fmt.Errorf("-shards %d: want 1 or more", shards)
-	case traceWindow < 0:
-		return fmt.Errorf("-trace-window %d: want 0 (untraced) or more", traceWindow)
 	}
 	return nil
 }

@@ -12,10 +12,9 @@
 //	tgchaos -clean             # fault-free control sweep
 //	tgchaos -broken            # sanity: the broken protocol must be caught
 //	tgchaos -shards 2          # sharded engine (hashes match -shards 1)
-//	tgchaos -window 512        # initial trace ring capacity per node
-//	tgchaos -checkpoint        # checkpoint/restore the trace state mid-run
-//	                           # and require the same final hash as an
-//	                           # uninterrupted run of the same seed
+//	tgchaos -spill s.tge       # page the merged stream to a TGE1 file
+//	                           # (sweeps write s.tge.<seed>); replay it
+//	                           # with `tgtrace events`
 //
 // Exit status 1 if any scenario violated an invariant, 2 on a bad flag.
 package main
@@ -39,12 +38,10 @@ func main() {
 	stop := flag.Bool("stop-on-fail", false, "stop at the first failing seed")
 	verbose := flag.Bool("v", false, "print every scenario, not just failures")
 	shards := flag.Int("shards", 1, "simulation shards (trace hashes are invariant to this)")
-	window := flag.Int("window", 0, "initial per-node ring capacity (0 = trace.DefaultWindow); rings double when a round outpaces it")
-	checkpoint := flag.Bool("checkpoint", false, "encode/decode/swap the trace state at a barrier mid-run and require the final hash to match an uninterrupted run")
 	opsPerNode := flag.Int("ops", 0, "override the per-node op count of every scenario (0 = scenario default)")
 	spill := flag.String("spill", "", "page the canonical merged stream to this TGE1 file (sweeps write <path>.<seed>); inspect with `tgtrace events`")
 	flag.Parse()
-	if err := checkCounts(*seeds, *window, *opsPerNode, *shards); err != nil {
+	if err := checkCounts(*seeds, *opsPerNode, *shards); err != nil {
 		fmt.Fprintf(os.Stderr, "tgchaos: %v\n", err)
 		os.Exit(2)
 	}
@@ -54,17 +51,12 @@ func main() {
 		lo, hi = *one, *one+1
 		*verbose = true
 	}
-	if *checkpoint && *opsPerNode == 0 {
-		// Scenarios must run long enough to cross a drain boundary with
-		// merged output, or there is no barrier to checkpoint at.
-		*opsPerNode = 150
-	}
 
 	failures := 0
 	for seed := lo; seed < hi; seed++ {
 		opts := simtest.Options{
 			NoFaults: *clean, BreakCoherence: *broken,
-			Shards: *shards, TraceWindow: *window, OpsPerNode: *opsPerNode,
+			Shards: *shards, OpsPerNode: *opsPerNode,
 		}
 		if *spill != "" {
 			opts.SpillPath = *spill
@@ -78,28 +70,6 @@ func main() {
 			os.Exit(1)
 		}
 		bad := res.Failed()
-		if *checkpoint {
-			// The checkpointed rerun must land on the identical trace.
-			copts := opts
-			copts.Checkpoint = true
-			copts.SpillPath = "" // don't clobber the base run's spill file
-			cp, err := simtest.Run(seed, copts)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "tgchaos: seed %d (checkpoint): %v\n", seed, err)
-				os.Exit(1)
-			}
-			switch {
-			case !cp.Checkpointed:
-				fmt.Printf("seed %d: checkpoint never triggered (run too short for a drain boundary?)\n", seed)
-				bad = true
-			case cp.TraceHash != res.TraceHash || cp.Events != res.Events || cp.SimTime != res.SimTime:
-				fmt.Printf("seed %d: CHECKPOINT DIVERGENCE restored run (hash %#016x, %d events, %v) != uninterrupted (hash %#016x, %d events, %v)\n",
-					seed, cp.TraceHash, cp.Events, cp.SimTime, res.TraceHash, res.Events, res.SimTime)
-				bad = true
-			case *verbose:
-				fmt.Printf("seed %d: checkpoint/restore reproduced hash %#016x\n", seed, cp.TraceHash)
-			}
-		}
 		if *verbose || bad {
 			fmt.Printf("%s  events=%d hash=%#016x time=%v peak-resident=%d\n",
 				res.Scenario.String(), res.Events, res.TraceHash, res.SimTime, res.PeakResident)
@@ -141,13 +111,11 @@ func main() {
 }
 
 // checkCounts rejects the count flags no sweep can honour: a negative
-// -seeds, -window or -ops, or fewer than one shard.
-func checkCounts(seeds int64, window, ops, shards int) error {
+// -seeds or -ops, or fewer than one shard.
+func checkCounts(seeds int64, ops, shards int) error {
 	switch {
 	case seeds < 0:
 		return fmt.Errorf("-seeds %d: want 0 or more", seeds)
-	case window < 0:
-		return fmt.Errorf("-window %d: want 0 (the default) or more", window)
 	case ops < 0:
 		return fmt.Errorf("-ops %d: want 0 (the scenario default) or more", ops)
 	case shards < 1:

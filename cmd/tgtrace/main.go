@@ -132,6 +132,9 @@ func gen(args []string) {
 	seed := fs.Int64("seed", 1, "seed")
 	out := fs.String("out", "trace.tgt", "output file")
 	fs.Parse(args)
+	if err := checkCounts(*n, *nodes, *words); err != nil {
+		usageErr(err)
+	}
 
 	var t []trace.Access
 	switch *kind {
@@ -175,6 +178,9 @@ func replay(args []string) {
 	fs.Parse(args)
 	if fs.NArg() != 1 {
 		usage()
+	}
+	if err := checkNodes(*nodes); err != nil {
+		usageErr(err)
 	}
 	t := load(fs.Arg(0))
 
@@ -238,6 +244,35 @@ func replay(args []string) {
 		}
 		fmt.Println()
 	}
+}
+
+// checkCounts rejects the gen count flags no trace can honour: a
+// negative -n, or fewer than one node or one word.
+func checkCounts(n, nodes, words int) error {
+	if err := checkNodes(nodes); err != nil {
+		return err
+	}
+	switch {
+	case n < 0:
+		return fmt.Errorf("-n %d: want 0 or more", n)
+	case words < 1:
+		return fmt.Errorf("-words %d: want 1 or more", words)
+	}
+	return nil
+}
+
+// checkNodes rejects a -nodes below one.
+func checkNodes(nodes int) error {
+	if nodes < 1 {
+		return fmt.Errorf("-nodes %d: want 1 or more", nodes)
+	}
+	return nil
+}
+
+// usageErr reports a bad flag value on one line and exits 2.
+func usageErr(err error) {
+	fmt.Fprintf(os.Stderr, "tgtrace: %v\n", err)
+	os.Exit(2)
 }
 
 func load(path string) []trace.Access {

@@ -53,6 +53,31 @@ func TestDumpEventsTablesEveryKey(t *testing.T) {
 	}
 }
 
+// TestCheckCounts: gen and replay reject counts that used to panic (a
+// zero node or word count, a negative access count); zero accesses is a
+// valid, empty trace.
+func TestCheckCounts(t *testing.T) {
+	for _, c := range []struct {
+		n, nodes, words int
+		ok              bool
+	}{
+		{10000, 4, 1024, true},
+		{0, 1, 1, true},
+		{10000, 0, 1024, false},
+		{-5, 4, 1024, false},
+		{10000, 4, 0, false},
+		{10000, -1, 1024, false},
+	} {
+		err := checkCounts(c.n, c.nodes, c.words)
+		if (err == nil) != c.ok {
+			t.Errorf("checkCounts(%d, %d, %d) = %v, want ok %v", c.n, c.nodes, c.words, err, c.ok)
+		}
+	}
+	if err := checkNodes(0); err == nil {
+		t.Error("checkNodes(0) accepted a node count of zero")
+	}
+}
+
 // hashLine renders the fingerprint of evs as dumpEvents prints it.
 func hashLine(evs []trace.Event) string {
 	l := trace.NewEventLog()

@@ -86,7 +86,7 @@ func NewUpdate(c *core.Cluster, mode CounterMode) *Update {
 			pages:    make(map[addrspace.PageNum]*upage),
 			cache:    NewCounterCache(n.Eng, capacity),
 			Counters: stats.NewCounterSet(),
-			log:      make(map[uint64][]Applied),
+			log:      make(map[uint64][]uint64),
 		}
 		n.HIB.SetCoherence(m)
 		u.mgrs = append(u.mgrs, m)
@@ -157,14 +157,8 @@ type UpdateMgr struct {
 
 	// log records the sequence of values applied to watched offsets
 	// (observer support for the consistency experiments).
-	log     map[uint64][]Applied
+	log     map[uint64][]uint64
 	watched map[uint64]bool
-}
-
-// Applied is one recorded application of a value to a watched offset.
-type Applied struct {
-	At  sim.Time
-	Val uint64
 }
 
 var _ hib.Coherence = (*UpdateMgr)(nil)
@@ -182,24 +176,12 @@ func (m *UpdateMgr) Watch(offset uint64) {
 
 // AppliedValues reports the recorded value sequence for offset.
 func (m *UpdateMgr) AppliedValues(offset uint64) []uint64 {
-	out := make([]uint64, len(m.log[offset]))
-	for i, a := range m.log[offset] {
-		out[i] = a.Val
-	}
-	return out
+	return append([]uint64(nil), m.log[offset]...)
 }
 
-// AppliedEvents reports the recorded (time, value) sequence for offset.
-func (m *UpdateMgr) AppliedEvents(offset uint64) []Applied {
-	return append([]Applied(nil), m.log[offset]...)
-}
-
-func (m *UpdateMgr) record(offset uint64, v uint64) {
+func (m *UpdateMgr) record(offset, v uint64) {
 	if m.watched != nil && m.watched[offset] {
-		// Stamp with this node's shard clock: record runs in the node's
-		// own execution context, which may not be shard 0's.
-		at := m.eng.Now()
-		m.log[offset] = append(m.log[offset], Applied{At: at, Val: v})
+		m.log[offset] = append(m.log[offset], v)
 	}
 }
 

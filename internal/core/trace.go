@@ -8,8 +8,9 @@ import (
 // DefaultDrainEvery is the drain cadence AttachTrace installs: how many
 // executed work items between window drains on a single shard, and in a
 // multi-shard group's serial stretches. A multi-shard group also drains
-// at every barrier round.
-const DefaultDrainEvery = 4096
+// at every barrier round. Hashes and verdicts are cadence-invariant;
+// this only bounds how much a ring buffers between drains.
+const DefaultDrainEvery = 1024
 
 // AttachTrace wires the streaming trace pipeline into the cluster:
 // every node's HIB records into its private ring of w, and the group's
@@ -18,9 +19,6 @@ const DefaultDrainEvery = 4096
 // in a multi-shard group's serial stretches, and at every barrier
 // boundary of a multi-shard group's rounds. Attach sinks to w
 // before or after; they see the canonical merged stream either way.
-//
-// Callers that need to interpose on the drain (checkpointing harnesses)
-// can re-install their own hook with c.Group.SetRoundHook afterwards.
 func (c *Cluster) AttachTrace(w *trace.WindowedLog) {
 	for i, n := range c.Nodes {
 		n.HIB.SetRecorder(w.Recorder(i))

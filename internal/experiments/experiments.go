@@ -42,24 +42,14 @@ func SetShards(n int) {
 // Shards reports the experiments' current shard count.
 func Shards() int { return shardCount }
 
-// traceWindow, when positive, attaches the streaming trace pipeline
-// (trace.WindowedLog with this per-node ring capacity) to the PDES sweep
-// clusters, so the sweep also measures recording overhead, the
-// shard-invariant fingerprint, and peak trace residency. Zero (the
-// default) runs the sweep untraced, exactly as before.
-var traceWindow = 0
+// traced attaches the streaming trace pipeline (core.AttachTrace) to
+// the PDES sweep clusters, so the sweep also measures recording
+// overhead, the shard-invariant fingerprint, and peak trace residency.
+// Off (the default) runs the sweep untraced.
+var traced bool
 
-// SetTraceWindow overrides the PDES sweep's trace window (0 disables
-// tracing).
-func SetTraceWindow(n int) {
-	if n < 0 {
-		n = 0
-	}
-	traceWindow = n
-}
-
-// TraceWindow reports the current PDES trace window (0 = untraced).
-func TraceWindow() int { return traceWindow }
+// SetTraced turns the PDES sweep's trace pipeline on or off.
+func SetTraced(on bool) { traced = on }
 
 // Row is one paper-vs-measured comparison line.
 type Row struct {

@@ -51,8 +51,8 @@ type PDESPoint struct {
 	// SpeedupCritPath is events/critical-path for this cell.
 	SpeedupCritPath float64 `json:"speedup_critical_path"`
 	// TraceHash and the residency fields are populated only when the
-	// sweep runs with a trace window (tgbench -trace-window); the hash is
-	// shard-invariant and TracePeak stays O(window), not O(TraceEvents).
+	// sweep runs traced (tgbench -trace); the hash is shard-invariant and
+	// TracePeak is bounded by the drain cadence, not by TraceEvents.
 	TraceHash   uint64 `json:"trace_hash,omitempty"`
 	TraceEvents uint64 `json:"trace_events,omitempty"`
 	TracePeak   int    `json:"trace_peak_resident,omitempty"`
@@ -95,8 +95,8 @@ type pdesTrace struct {
 func pdesRun(nodes, shards, ops int) (wall time.Duration, events, critPath uint64, simTime sim.Time, tr pdesTrace) {
 	c := pdesCluster(nodes, shards)
 	var w *trace.WindowedLog
-	if traceWindow > 0 {
-		w = trace.NewWindowedLog(nodes, traceWindow)
+	if traced {
+		w = trace.NewWindowedLog(nodes, 0)
 		c.AttachTrace(w)
 	}
 	group := c.Cfg.ChainPerSwitch

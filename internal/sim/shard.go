@@ -220,8 +220,8 @@ func NewGroup(seed int64, shards int) *Group {
 // serial stretch runs, with safe = the earliest queued work of any
 // shard, and fires once more at each barrier boundary with the round's
 // global next-work bound. Either way the hook runs with no shard
-// executing, so it may drain trace windows, run online checkers, or
-// checkpoint. The cadence is a deterministic function of the run, never
+// executing, so it may drain trace windows or run online checkers. The
+// cadence is a deterministic function of the run, never
 // of host scheduling. Pass fn == nil to remove the hook.
 func (g *Group) SetRoundHook(every uint64, fn func(safe Time)) {
 	if len(g.engines) == 1 {
@@ -342,8 +342,7 @@ func (g *Group) RunUntil(deadline Time) error {
 			// Barrier boundary: staged messages are flushed, no shard is
 			// executing, and every shard's next work is >= globalNext —
 			// so every recorded event with timestamp < globalNext is
-			// final. This is where the trace pipeline drains windows and
-			// takes checkpoints.
+			// final. This is where the trace pipeline drains windows.
 			g.roundHook(globalNext)
 		}
 		if serial {
@@ -792,9 +791,6 @@ func NewChan(src, dst *Engine, minDelay Time) *Chan {
 	}
 	return ch
 }
-
-// MinDelay reports the channel's lookahead.
-func (ch *Chan) MinDelay() Time { return ch.minDelay }
 
 // Send schedules fn to run on the destination engine delay nanoseconds
 // after the source engine's current time (clamped up to the channel's

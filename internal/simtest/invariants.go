@@ -106,6 +106,14 @@ func (h *harness) checkInvariants() []Violation {
 	return vs
 }
 
+// checkStalled reports what a run that did not quiesce still has in
+// flight, which says where it stuck, and the harness-level failures
+// (spill I/O). Its final state is not checkable, so nothing else is.
+func (h *harness) checkStalled(vs *[]Violation) {
+	h.checkDrain(vs)
+	*vs = append(*vs, h.extraVios...)
+}
+
 // checkLinearizable: the history reconstructed from the op-boundary
 // events, restricted to the single-copy words (the plain region and the
 // two atomic words), must be linearizable against the single-word object

@@ -29,7 +29,6 @@
 package simtest
 
 import (
-	"bytes"
 	"fmt"
 
 	"telegraphos/internal/addrspace"
@@ -59,17 +58,9 @@ type Options struct {
 	// SimBudget caps simulated time (default 10 s — far beyond any
 	// healthy scenario; hitting it is itself an invariant violation).
 	SimBudget sim.Time
-	// TraceWindow sets the per-node trace ring capacity (0 = default).
-	// Hashes and verdicts are invariant to it; only peak memory moves.
-	TraceWindow int
 	// OpsPerNode overrides the scenario's drawn program length when > 0
 	// (long bounded-memory runs without touching the seed mapping).
 	OpsPerNode int
-	// Checkpoint exercises the checkpoint/restore path mid-run: at the
-	// first drain with merged output the trace state is encoded, decoded,
-	// and swapped in for the original, and the run continues on the
-	// restored log. Hashes and verdicts must be unchanged.
-	Checkpoint bool
 	// SpillPath, when non-empty, pages the canonical merged stream to this
 	// TGE1 file as the windows drain (offline replay via `tgtrace events`).
 	SpillPath string
@@ -207,9 +198,6 @@ type Result struct {
 	// PeakWindow is the online checker's largest undecided per-location
 	// window.
 	PeakWindow int
-	// Checkpointed reports whether the checkpoint/restore exercise ran
-	// (Options.Checkpoint requested it and a drain boundary arrived).
-	Checkpointed bool
 	// Collective sums the per-switch collective/combining counters
 	// (nonzero only when the scenario drew FabricSync or Combining).
 	Collective switchfab.CollectiveStats
@@ -267,12 +255,14 @@ func run(seed int64, opts Options, tap trace.Sink) (*Result, *harness) {
 			Invariant: "quiescence",
 			Detail:    fmt.Sprintf("engine error: %v", err),
 		})
+		h.checkStalled(&res.Violations)
 	case h.c.Group.Pending() > 0 || h.c.Group.Alive() > 0:
 		res.Violations = append(res.Violations, Violation{
 			Invariant: "quiescence",
 			Detail: fmt.Sprintf("still active at the %v budget (%d events pending, %d programs blocked)",
 				budget, h.c.Group.Pending(), h.c.Group.Alive()),
 		})
+		h.checkStalled(&res.Violations)
 	default:
 		// Only a quiesced run has meaningful final state to check.
 		res.Violations = append(res.Violations, h.checkInvariants()...)
@@ -290,7 +280,6 @@ func run(seed int64, opts Options, tap trace.Sink) (*Result, *harness) {
 	res.Collective = collective.FabricStats(h.c.Net)
 	res.PeakResident = h.w.MaxResident()
 	res.PeakWindow = h.olz.Stats().PeakWindow
-	res.Checkpointed = h.checkpointed
 	return res, h
 }
 
@@ -307,8 +296,7 @@ type harness struct {
 	tap  trace.Sink         // extra sink from run, or nil
 	sp   *trace.SpillWriter // TGE1 spill, only under Options.SpillPath
 
-	checkpointed bool
-	extraVios    []Violation // harness-level failures (checkpoint I/O)
+	extraVios []Violation // harness-level failures (spill I/O)
 
 	// Region layout (virtual base addresses + home nodes).
 	cohVA   viewVA   // replicated page under the update protocol
@@ -336,24 +324,21 @@ type viewVA struct {
 	home int
 }
 
-// drainEvery is the drain cadence in executed work items between drains,
-// on a single shard and in a multi-shard group's serial stretches;
-// multi-shard groups also drain at every barrier round. Hashes and
-// verdicts are cadence-invariant; this only bounds how much a ring
-// buffers between drains.
-const drainEvery = 1024
-
 // attachStream wires the streaming trace pipeline into the built
-// cluster: per-node ring recorders, the invariant accumulator, the
-// online checker and the tap (if any) as sinks on the merged stream,
-// and a round hook that drains at every safe watermark. Called once at
-// the end of build.
+// cluster: the invariant accumulator, the online checker, the tap (if
+// any) and the spill (if requested) on the merged stream, then
+// core.AttachTrace for the per-node recorders and the drain hook.
+// Called once at the end of build.
 func (h *harness) attachStream() {
-	h.w = trace.NewWindowedLog(h.sc.Nodes, h.opts.TraceWindow)
+	h.w = trace.NewWindowedLog(h.sc.Nodes, 0)
 	h.acc = newStreamAcc(h)
 	h.olz = linearize.NewOnline()
 	h.olz.RestrictLocs(h.locs)
-	h.addSinks(h.w)
+	h.w.AddSink(h.acc)
+	h.w.AddSink(h.olz)
+	if h.tap != nil {
+		h.w.AddSink(h.tap)
+	}
 	if h.opts.SpillPath != "" {
 		sp, err := trace.NewFileSpill(h.opts.SpillPath)
 		if err != nil {
@@ -364,56 +349,5 @@ func (h *harness) attachStream() {
 			h.w.SetSpill(sp)
 		}
 	}
-	h.installRecorders()
-	h.c.Group.SetRoundHook(drainEvery, func(safe sim.Time) {
-		h.w.Drain(int64(safe))
-		if h.opts.Checkpoint && !h.checkpointed && h.w.Merged() > 0 {
-			h.exerciseCheckpoint()
-		}
-	})
-}
-
-// addSinks attaches the harness's sinks to w, in a fixed order.
-func (h *harness) addSinks(w *trace.WindowedLog) {
-	w.AddSink(h.acc)
-	w.AddSink(h.olz)
-	if h.tap != nil {
-		w.AddSink(h.tap)
-	}
-}
-
-// installRecorders (re)points every HIB at the current windowed log —
-// called again after a checkpoint restore swaps the log out.
-func (h *harness) installRecorders() {
-	for i, n := range h.c.Nodes {
-		n.HIB.SetRecorder(h.w.Recorder(i))
-	}
-}
-
-// exerciseCheckpoint round-trips the trace state through the TGC1
-// encoding mid-run and swaps the restored log in for the original: the
-// rest of the run — and the final hash, and every verdict — must be
-// indistinguishable from an uninterrupted one. Runs inside the round
-// hook, so no shard is executing and the watermark contract holds.
-func (h *harness) exerciseCheckpoint() {
-	h.checkpointed = true
-	var buf bytes.Buffer
-	if err := h.w.Checkpoint().Encode(&buf); err != nil {
-		h.extraVios = append(h.extraVios, Violation{
-			Invariant: "checkpoint", Detail: fmt.Sprintf("encode: %v", err)})
-		return
-	}
-	cp, err := trace.ReadCheckpoint(&buf)
-	if err != nil {
-		h.extraVios = append(h.extraVios, Violation{
-			Invariant: "checkpoint", Detail: fmt.Sprintf("decode: %v", err)})
-		return
-	}
-	w2 := trace.RestoreWindowedLog(cp, h.opts.TraceWindow)
-	h.addSinks(w2)
-	if h.sp != nil {
-		w2.SetSpill(h.sp) // the spill file continues where it left off
-	}
-	h.w = w2
-	h.installRecorders()
+	h.c.AttachTrace(h.w)
 }

@@ -2,10 +2,12 @@ package simtest
 
 import (
 	"flag"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 
+	"telegraphos/internal/sim"
 	"telegraphos/internal/trace"
 )
 
@@ -181,30 +183,31 @@ func TestStreamMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestCheckpointRestore proves the TGC1 state capture is complete: a run
-// whose trace state is encoded, decoded, and swapped mid-flight must end
-// with the same fingerprint, event count, and final time as an
-// uninterrupted run — on one shard and on several.
-func TestCheckpointRestore(t *testing.T) {
-	for _, seed := range []int64{0, 1, 2, 3, 7} {
-		for _, shards := range []int{1, 4} {
-			// Long enough that a drain boundary with merged output arrives
-			// before quiescence on every seed.
-			base := runSeed(t, seed, Options{Shards: shards, OpsPerNode: 150})
-			cp := runSeed(t, seed, Options{Shards: shards, OpsPerNode: 150, Checkpoint: true})
-			// A tap must follow the swap to the restored log.
-			log := trace.NewEventLog()
-			if tapped, _ := run(seed, Options{Shards: shards, OpsPerNode: 150, Checkpoint: true}, log); log.Hash() != tapped.TraceHash || log.Len() != tapped.Events {
-				t.Errorf("seed %d shards=%d: tap across the checkpoint saw (hash %#x, %d events), run (hash %#x, %d events)",
-					seed, shards, log.Hash(), log.Len(), tapped.TraceHash, tapped.Events)
-			}
-			if !cp.Checkpointed {
-				t.Errorf("seed %d shards=%d: checkpoint exercise never ran (no drain boundary with output?)", seed, shards)
-			}
-			if cp.TraceHash != base.TraceHash || cp.Events != base.Events || cp.SimTime != base.SimTime {
-				t.Errorf("seed %d shards=%d: checkpointed run (hash %#x, %d events, %v) != uninterrupted (hash %#x, %d events, %v)",
-					seed, shards, cp.TraceHash, cp.Events, cp.SimTime, base.TraceHash, base.Events, base.SimTime)
-			}
+// TestQuiescenceReportsInFlight: a run cut short by its simulated-time
+// budget reports, after the quiescence violation, what is still in
+// flight (outstanding operations, unacknowledged frames and so on), so a
+// stall report says where the run stuck, and a spill it could not write.
+func TestQuiescenceReportsInFlight(t *testing.T) {
+	spill := filepath.Join(t.TempDir(), "missing", "s.tge")
+	res, err := Run(0, Options{SimBudget: 5 * sim.Microsecond, SpillPath: spill})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Violations) == 0 || res.Violations[0].Invariant != "quiescence" {
+		t.Fatalf("violations %v: want a quiescence violation first", res.Violations)
+	}
+	var got []string
+	for _, v := range res.Violations[1:] {
+		got = append(got, v.String())
+	}
+	all := strings.Join(got, "\n")
+	for _, want := range []string{
+		"drain: node 0 still has 2 outstanding operations",
+		"drain: 5 link frames still unacknowledged",
+		"spill: create: ",
+	} {
+		if !strings.Contains(all, want) {
+			t.Errorf("in-flight report lacks %q; got:\n%s", want, all)
 		}
 	}
 }
@@ -214,7 +217,7 @@ func TestCheckpointRestore(t *testing.T) {
 // total event count (the windows drain as the run progresses), and the
 // online checker's undecided windows stay small too.
 func TestBoundedResidency(t *testing.T) {
-	res := runSeed(t, 0, Options{OpsPerNode: 600, TraceWindow: 512})
+	res := runSeed(t, 0, Options{OpsPerNode: 600})
 	if res.Events < 10000 {
 		t.Fatalf("long run produced only %d events; the residency bound would be vacuous", res.Events)
 	}

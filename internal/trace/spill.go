@@ -57,7 +57,6 @@ func decodeEvent(buf []byte) Event {
 type SpillWriter struct {
 	bw  *bufio.Writer
 	c   io.Closer
-	n   uint64
 	buf [spillRecSize]byte
 }
 
@@ -96,15 +95,9 @@ func (s *SpillWriter) Write(e Event) error {
 		return fmt.Errorf("trace: spill: node %d out of range [0, %d]", e.Node, int64(maxSpillNode))
 	}
 	encodeEvent(s.buf[:], e)
-	if _, err := s.bw.Write(s.buf[:]); err != nil {
-		return err
-	}
-	s.n++
-	return nil
+	_, err := s.bw.Write(s.buf[:])
+	return err
 }
-
-// Records reports the number of records written.
-func (s *SpillWriter) Records() uint64 { return s.n }
 
 // Flush forces buffered records to the underlying writer.
 func (s *SpillWriter) Flush() error { return s.bw.Flush() }

@@ -59,14 +59,21 @@ go test ./internal/sim -run 'Allocs$' -cpu 1,4 -count 1
 go test ./internal/trace -run 'Allocs$' -cpu 1,4 -count 1
 go test ./internal/link ./internal/hib -run 'Allocs$' -cpu 1,4 -count 1
 
-# Checkpoint/restore smoke through the CLI: a mid-run checkpoint/restore
-# with a small trace window must reproduce the uninterrupted run's final
-# trace hash (TestBoundedResidency and TestCheckpointRestore already ran
-# under `go test ./...`). The second run starts every ring at capacity
-# 1, so ring doubling and RestoreWindowedLog run from the smallest start.
-echo '== tgchaos checkpoint/restore smoke'
-go run ./cmd/tgchaos -seeds 5 -checkpoint -window 512
-go run ./cmd/tgchaos -seeds 5 -checkpoint -window 1
+# TGE1 spill round trip through the CLIs: a sharded chaos run pages its
+# merged stream to disk, and replaying the file offline must recompute
+# the run's trace hash.
+echo '== TGE1 spill round trip'
+spilldir=$(mktemp -d)
+run_hash=$(go run ./cmd/tgchaos -seed 3 -shards 2 -spill "$spilldir/s.tge" |
+	sed -n 's/.* hash=\(0x[0-9a-f]*\) .*/\1/p')
+file_hash=$(go run ./cmd/tgtrace events "$spilldir/s.tge" |
+	sed -n 's/^hash: *\(0x[0-9a-f]*\)$/\1/p')
+rm -rf "$spilldir"
+if [ -z "$run_hash" ] || [ "$run_hash" != "$file_hash" ]; then
+	echo "spill round trip: run hash '$run_hash', spill file hash '$file_hash'" >&2
+	exit 1
+fi
+echo "   hash $run_hash"
 
 # Throughput floor: a short single-shard PDES smoke must stay above the
 # floor recorded by `make bench` (BENCH_pdes.floor). The floor is scaled
