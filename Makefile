@@ -67,6 +67,7 @@ fuzz:
 	$(GO) test ./internal/packet -fuzz FuzzEncodeDecode -fuzztime 10s
 	$(GO) test ./internal/addrspace -fuzz FuzzAddrRoundTrips -fuzztime 10s
 	$(GO) test ./internal/linearize -fuzz FuzzLinearize -fuzztime 15s
+	$(GO) test ./internal/mem -fuzz FuzzMemoryDifferential -fuzztime 10s
 	$(GO) test ./internal/consistency -fuzz FuzzCoherent -fuzztime 15s
 	$(GO) test ./internal/switchfab -fuzz FuzzMergeSplit -fuzztime 10s
 	$(GO) test ./internal/topology -fuzz FuzzRoute -fuzztime 15s

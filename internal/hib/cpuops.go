@@ -83,7 +83,7 @@ func (h *HIB) CPUReadIssued(p *sim.Proc, lead sim.Time, pa addrspace.PAddr) uint
 // crosses the TurboChannel to the HIB memory; in Telegraphos II it is a
 // plain (cacheable) main-memory store that the HIB observes.
 func (h *HIB) localSharedWrite(p *sim.Proc, lead sim.Time, offset uint64, v uint64) {
-	*h.cLocalSharedWrite++
+	h.counts[cntLocalSharedWrite]++
 	g := addrspace.NewGAddr(h.node, offset)
 	seq := h.invokeOp(trace.BOpWrite, g, v)
 	if h.placement == params.SharedOnHIB {
@@ -108,7 +108,7 @@ func (h *HIB) localSharedWrite(p *sim.Proc, lead sim.Time, offset uint64, v uint
 
 // localSharedRead loads from this node's shared region.
 func (h *HIB) localSharedRead(p *sim.Proc, lead sim.Time, offset uint64) uint64 {
-	*h.cLocalSharedRead++
+	h.counts[cntLocalSharedRead]++
 	g := addrspace.NewGAddr(h.node, offset)
 	seq := h.invokeOp(trace.BOpRead, g, 0)
 	if h.placement == params.SharedOnHIB {
@@ -134,7 +134,7 @@ func (h *HIB) localSharedRead(p *sim.Proc, lead sim.Time, offset uint64) uint64 
 // remoteWrite latches the store and queues a WriteReq; the CPU continues
 // as soon as the latch completes (and a write-queue slot exists).
 func (h *HIB) remoteWrite(p *sim.Proc, lead sim.Time, pa addrspace.PAddr, v uint64) {
-	*h.cRemoteWrite++
+	h.counts[cntRemoteWrite]++
 	g, _ := addrspace.GAddrOfPA(h.node, pa)
 	// The boundary return marks the latch, not the effect: the history
 	// builder pairs this invoke with the write's apply event at the home
@@ -157,7 +157,7 @@ func (h *HIB) remoteWrite(p *sim.Proc, lead sim.Time, pa addrspace.PAddr, v uint
 // Sizing.MaxOutstandingRds reads are in flight ("in the current version of
 // Telegraphos there can be no more than one outstanding read operation").
 func (h *HIB) remoteRead(p *sim.Proc, lead sim.Time, pa addrspace.PAddr) uint64 {
-	*h.cRemoteRead++
+	h.counts[cntRemoteRead]++
 	g, _ := addrspace.GAddrOfPA(h.node, pa)
 	seq := h.invokeOp(trace.BOpRead, g, 0)
 	h.countAccess(addrspace.GPageOf(g, h.mem.PageSize()), false)
@@ -193,7 +193,7 @@ func (h *HIB) fanoutMulticast(p *sim.Proc, offset uint64, v uint64) {
 	}
 	inPage := offset % pageSize
 	for _, d := range dests {
-		*h.cMulticastWrite++
+		h.counts[cntMulticastWrite]++
 		h.AddOutstanding(1)
 		dst := d.Base(h.mem.PageSize()).Add(inPage)
 		pkt := &packet.Packet{

@@ -3,6 +3,7 @@ package hib
 import (
 	"telegraphos/internal/addrspace"
 	"telegraphos/internal/packet"
+	"telegraphos/internal/stats"
 	"telegraphos/internal/trace"
 )
 
@@ -13,32 +14,51 @@ type MsgSink func(pkt *packet.Packet)
 // SetMsgSink installs the MsgData delivery callback.
 func (h *HIB) SetMsgSink(fn MsgSink) { h.msgSink = fn }
 
-// Precomputed telemetry labels, indexed by packet type: New resolves
-// the rx/tx ones to counter cells, and handle counts a dropped packet
-// without building "unhandled-"+Type.String() per packet. atomicLabels,
-// indexed by atomic opcode, does the same for applyAtomic.
+// The board's fixed counters, slots of HIB.counts: a receive and a
+// transmit count per packet type (rx of type t at 2t, tx at 2t+1), then
+// the five per-operation counts. counterLabels names them in this
+// order, which is the order reports list them in.
+const (
+	cntLocalSharedWrite = 2*packet.NumTypes + iota
+	cntLocalSharedRead
+	cntRemoteWrite
+	cntRemoteRead
+	cntMulticastWrite
+	numCounters
+)
+
+// Precomputed telemetry labels: counterLabels for the fixed counters,
+// and, indexed by packet type, unhandledLabels, so handle counts a
+// dropped packet without building "unhandled-"+Type.String() per
+// packet. atomicLabels, indexed by atomic opcode, does the same for
+// applyAtomic.
 var (
-	rxLabels, txLabels, unhandledLabels [packet.NumTypes]string
-	atomicLabels                        [packet.CompareAndSwap + 1]string
+	counterLabels   *stats.CounterLabels
+	unhandledLabels [packet.NumTypes]string
+	atomicLabels    [packet.CompareAndSwap + 1]string
 )
 
 func init() {
+	names := make([]string, numCounters)
 	for t := 0; t < packet.NumTypes; t++ {
 		name := packet.Type(t).String()
-		rxLabels[t] = "rx-" + name
-		txLabels[t] = "tx-" + name
+		names[2*t] = "rx-" + name
+		names[2*t+1] = "tx-" + name
 		unhandledLabels[t] = "unhandled-" + name
 	}
+	copy(names[cntLocalSharedWrite:], []string{
+		"local-shared-write", "local-shared-read", "remote-write", "remote-read", "multicast-write",
+	})
+	counterLabels = stats.NewCounterLabels(names)
 	for op := range atomicLabels {
 		atomicLabels[op] = "atomic-" + packet.AtomicOp(op).String()
 	}
 }
 
-// countRx/countTx bump the per-type packet counters through their
-// pre-resolved cells (see HIB.rxCells).
-func (h *HIB) countRx(t packet.Type) { *h.rxCells[t]++ }
+// countRx/countTx bump the per-type packet counters.
+func (h *HIB) countRx(t packet.Type) { h.counts[2*int(t)]++ }
 
-func (h *HIB) countTx(t packet.Type) { *h.txCells[t]++ }
+func (h *HIB) countTx(t packet.Type) { h.counts[2*int(t)+1]++ }
 
 // nop is the done callback of loopback deliveries, which hold no
 // service pipeline.

@@ -158,15 +158,11 @@ type HIB struct {
 	// Counters is the HIB's telemetry (operation and packet counts).
 	Counters *stats.CounterSet
 
-	// Pre-resolved counter cells for the per-operation and per-packet hot
-	// paths: one map lookup at construction instead of one per event.
-	rxCells           [packet.NumTypes]*int64
-	txCells           [packet.NumTypes]*int64
-	cLocalSharedWrite *int64
-	cLocalSharedRead  *int64
-	cRemoteWrite      *int64
-	cRemoteRead       *int64
-	cMulticastWrite   *int64
+	// counts holds the fixed per-packet and per-operation counters,
+	// bound into Counters under the shared counterLabels (handlers.go):
+	// the hot paths bump an array slot, and building a board allocates
+	// no cell or map entry for them.
+	counts [numCounters]int64
 }
 
 // New builds the HIB for node and registers its transmit and receive
@@ -198,15 +194,7 @@ func New(eng *sim.Engine, node addrspace.NodeID, net *topology.Network, bus *tch
 			break
 		}
 	}
-	for t := packet.Type(0); int(t) < packet.NumTypes; t++ {
-		h.rxCells[t] = h.Counters.Cell(rxLabels[t])
-		h.txCells[t] = h.Counters.Cell(txLabels[t])
-	}
-	h.cLocalSharedWrite = h.Counters.Cell("local-shared-write")
-	h.cLocalSharedRead = h.Counters.Cell("local-shared-read")
-	h.cRemoteWrite = h.Counters.Cell("remote-write")
-	h.cRemoteRead = h.Counters.Cell("remote-read")
-	h.cMulticastWrite = h.Counters.Cell("multicast-write")
+	h.Counters.Bind(counterLabels, h.counts[:])
 	h.start()
 	return h
 }

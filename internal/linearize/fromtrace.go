@@ -45,6 +45,19 @@ type effectKey struct {
 	origin int
 }
 
+// A write awaits one of two effects: the EvWriteApply at its home node
+// (keyed by full GAddr) or the EvUpdateSerialize at the page owner
+// (keyed by bare offset). It waits in one FIFO per effect and key.
+const (
+	qApply = iota
+	qSerialize
+	numEffectQs
+)
+
+// effectQueue is one (effect, key) FIFO of open writes, linked through
+// brec.next so that queueing a write allocates nothing.
+type effectQueue struct{ head, tail *brec }
+
 // brec is one operation being assembled.
 type brec struct {
 	op       Op
@@ -56,7 +69,8 @@ type brec struct {
 	effAt    int64
 	isWrite  bool
 	needsEff bool // remote write: return alone does not complete it
-	ak, sk   effectKey
+	key      [numEffectQs]effectKey
+	next     [numEffectQs]*brec // successor in each effect queue
 }
 
 // histBuilder incrementally pairs events into operations. The moment an
@@ -66,11 +80,10 @@ type brec struct {
 // resolved leftovers — and emits those too (Pending where the effect
 // never arrived).
 type histBuilder struct {
-	open       map[pairKey]*brec
-	applyQ     map[effectKey][]*brec // open writes awaiting EvWriteApply
-	serializeQ map[effectKey][]*brec // open writes awaiting EvUpdateSerialize
-	fenceOpen  map[int]*brec
-	procSeq    map[int]uint64
+	open      map[pairKey]*brec
+	effectQ   [numEffectQs]map[effectKey]effectQueue // open writes awaiting each effect
+	fenceOpen map[int]*brec
+	procSeq   map[int]uint64
 
 	// invoke, when set, fires as each operation opens — word ops and
 	// fences alike (the Op has Inv/Proc/Kind/Loc/Arg populated; Res not
@@ -87,17 +100,31 @@ type histBuilder struct {
 	// compacted as records complete so streaming memory stays O(open).
 	live  []*brec
 	nDone int
+	// free holds done records the compaction dropped (streaming mode
+	// only); newRec reuses them. A done record is referenced by nothing
+	// else: open, fenceOpen and the effect queues let go of it before
+	// it completes.
+	free []*brec
 }
 
 func newHistBuilder(keepAll bool) *histBuilder {
 	return &histBuilder{
-		open:       make(map[pairKey]*brec),
-		applyQ:     make(map[effectKey][]*brec),
-		serializeQ: make(map[effectKey][]*brec),
-		fenceOpen:  make(map[int]*brec),
-		procSeq:    make(map[int]uint64),
-		keepAll:    keepAll,
+		open:      make(map[pairKey]*brec),
+		effectQ:   [numEffectQs]map[effectKey]effectQueue{make(map[effectKey]effectQueue), make(map[effectKey]effectQueue)},
+		fenceOpen: make(map[int]*brec),
+		procSeq:   make(map[int]uint64),
+		keepAll:   keepAll,
 	}
+}
+
+// newRec returns a zeroed record, reusing a recycled one if possible.
+func (b *histBuilder) newRec() *brec {
+	if n := len(b.free); n > 0 {
+		r := b.free[n-1]
+		b.free = b.free[:n-1]
+		return r
+	}
+	return new(brec)
 }
 
 func (b *histBuilder) track(r *brec) {
@@ -112,8 +139,8 @@ func (b *histBuilder) complete(r *brec) {
 	r.done = true
 	b.nDone++
 	if r.isWrite {
-		b.unqueue(b.applyQ, r.ak, r)
-		b.unqueue(b.serializeQ, r.sk, r)
+		b.unqueue(qApply, r)
+		b.unqueue(qSerialize, r)
 	}
 	if b.emit != nil {
 		b.emit(r.op, r.invSeq)
@@ -123,6 +150,9 @@ func (b *histBuilder) complete(r *brec) {
 		for _, lr := range b.live {
 			if !lr.done {
 				kept = append(kept, lr)
+			} else {
+				*lr = brec{}
+				b.free = append(b.free, lr)
 			}
 		}
 		for i := len(kept); i < len(b.live); i++ {
@@ -133,39 +163,71 @@ func (b *histBuilder) complete(r *brec) {
 	}
 }
 
-// unqueue drops a completed write from an effect queue so queue length
-// tracks in-flight writes, not history length.
-func (b *histBuilder) unqueue(q map[effectKey][]*brec, k effectKey, r *brec) {
-	s := q[k]
-	for i, x := range s {
-		if x == r {
-			s = append(s[:i], s[i+1:]...)
-			break
-		}
-	}
-	if len(s) == 0 {
-		delete(q, k)
+// enqueue appends an opening write to effect queue qi.
+func (b *histBuilder) enqueue(qi int, r *brec) {
+	q := b.effectQ[qi][r.key[qi]]
+	if q.tail == nil {
+		q.head = r
 	} else {
-		q[k] = s
+		q.tail.next[qi] = r
 	}
+	q.tail = r
+	b.effectQ[qi][r.key[qi]] = q
 }
 
-// pop consumes the oldest open write awaiting effect k (skipping any
-// that already matched — a second effect with the same key belongs to
-// the next write in invocation order).
-func (b *histBuilder) pop(q map[effectKey][]*brec, k effectKey) *brec {
-	for len(q[k]) > 0 {
-		r := q[k][0]
-		if len(q[k]) == 1 {
-			delete(q, k)
-		} else {
-			q[k] = q[k][1:]
-		}
-		if !r.effSeen {
-			return r
-		}
+// unqueue drops a completed write from effect queue qi so queue length
+// tracks in-flight writes, not history length.
+func (b *histBuilder) unqueue(qi int, r *brec) {
+	k := r.key[qi]
+	q, ok := b.effectQ[qi][k]
+	if !ok {
+		return
 	}
-	return nil
+	var prev *brec
+	for x := q.head; x != nil; prev, x = x, x.next[qi] {
+		if x != r {
+			continue
+		}
+		if prev == nil {
+			q.head = x.next[qi]
+		} else {
+			prev.next[qi] = x.next[qi]
+		}
+		if q.tail == x {
+			q.tail = prev
+		}
+		break
+	}
+	b.store(qi, k, q)
+}
+
+// pop consumes the oldest open write awaiting effect k on queue qi
+// (skipping any that already matched — a second effect with the same
+// key belongs to the next write in invocation order).
+func (b *histBuilder) pop(qi int, k effectKey) *brec {
+	q, ok := b.effectQ[qi][k]
+	if !ok {
+		return nil
+	}
+	var r *brec
+	for q.head != nil && r == nil {
+		if !q.head.effSeen {
+			r = q.head
+		}
+		q.head = q.head.next[qi]
+	}
+	b.store(qi, k, q)
+	return r
+}
+
+// store writes queue q back under key k of effect queue qi, dropping
+// the key once the queue is empty.
+func (b *histBuilder) store(qi int, k effectKey, q effectQueue) {
+	if q.head == nil {
+		delete(b.effectQ[qi], k)
+	} else {
+		b.effectQ[qi][k] = q
+	}
 }
 
 // feed consumes one event of the merged stream.
@@ -178,19 +240,21 @@ func (b *histBuilder) feed(e trace.Event) {
 		}
 		g := addrspace.GAddr(e.Addr)
 		b.procSeq[e.Node]++
-		r := &brec{op: Op{
+		r := b.newRec()
+		r.op = Op{
 			Proc: e.Node,
 			Kind: kindOfBoundary(bop),
 			Loc:  e.Addr,
 			Arg:  e.Val,
 			Inv:  e.At,
-		}, invSeq: b.procSeq[e.Node]}
+		}
+		r.invSeq = b.procSeq[e.Node]
 		if bop == trace.BOpWrite {
 			r.isWrite = true
-			r.ak = effectKey{addr: e.Addr, val: e.Val, origin: e.Node}
-			b.applyQ[r.ak] = append(b.applyQ[r.ak], r)
-			r.sk = effectKey{addr: g.Offset(), val: e.Val, origin: e.Node}
-			b.serializeQ[r.sk] = append(b.serializeQ[r.sk], r)
+			r.key[qApply] = effectKey{addr: e.Addr, val: e.Val, origin: e.Node}
+			b.enqueue(qApply, r)
+			r.key[qSerialize] = effectKey{addr: g.Offset(), val: e.Val, origin: e.Node}
+			b.enqueue(qSerialize, r)
 			// A write homed elsewhere is non-blocking: its return is the
 			// latch, not the effect.
 			r.needsEff = int(g.Node()) != e.Node
@@ -231,18 +295,16 @@ func (b *histBuilder) feed(e trace.Event) {
 		}
 
 	case trace.EvWriteApply:
-		b.effect(b.applyQ, effectKey{addr: e.Addr, val: e.Val, origin: int(e.Aux)}, e.At)
+		b.effect(qApply, effectKey{addr: e.Addr, val: e.Val, origin: int(e.Aux)}, e.At)
 
 	case trace.EvUpdateSerialize:
-		b.effect(b.serializeQ, effectKey{addr: e.Addr, val: e.Val, origin: int(e.Aux)}, e.At)
+		b.effect(qSerialize, effectKey{addr: e.Addr, val: e.Val, origin: int(e.Aux)}, e.At)
 
 	case trace.EvFenceStart:
 		b.procSeq[e.Node]++
-		r := &brec{op: Op{
-			Proc: e.Node,
-			Kind: Fence,
-			Inv:  e.At,
-		}, invSeq: b.procSeq[e.Node]}
+		r := b.newRec()
+		r.op = Op{Proc: e.Node, Kind: Fence, Inv: e.At}
+		r.invSeq = b.procSeq[e.Node]
 		b.track(r)
 		b.fenceOpen[e.Node] = r
 		if b.invoke != nil {
@@ -263,8 +325,8 @@ func (b *histBuilder) feed(e trace.Event) {
 
 // effect matches one apply/serialize event against the oldest awaiting
 // write.
-func (b *histBuilder) effect(q map[effectKey][]*brec, k effectKey, at int64) {
-	r := b.pop(q, k)
+func (b *histBuilder) effect(qi int, k effectKey, at int64) {
+	r := b.pop(qi, k)
 	if r == nil {
 		return
 	}
@@ -282,9 +344,13 @@ func (b *histBuilder) effect(q map[effectKey][]*brec, k effectKey, at int64) {
 // finish resolves every record still open at the end of the stream and
 // emits it. The resolution mirrors what the batch builder always did:
 // an observed effect ends the interval even with no return; a returned
-// local write ends at its latch; anything else is Pending.
+// local write ends at its latch; anything else is Pending. The records
+// are detached from live first, so complete cannot compact the slice
+// this loop walks.
 func (b *histBuilder) finish() {
-	for _, r := range b.live {
+	live := b.live
+	b.live = nil
+	for _, r := range live {
 		if r == nil || r.done {
 			continue
 		}
@@ -301,7 +367,6 @@ func (b *histBuilder) finish() {
 		}
 		b.complete(r)
 	}
-	b.live = nil
 }
 
 // FromTrace reconstructs a full operation history from a merged event

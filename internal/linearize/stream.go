@@ -1,7 +1,9 @@
 package linearize
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -259,11 +261,11 @@ func windowViolation(lc *locChecker) *Violation {
 // (ascending invocation, ties by process), so verdicts and messages are
 // deterministic.
 func canonSort(ops []Op) {
-	sort.SliceStable(ops, func(i, j int) bool {
-		if ops[i].Inv != ops[j].Inv {
-			return ops[i].Inv < ops[j].Inv
+	slices.SortStableFunc(ops, func(a, b Op) int {
+		if c := cmp.Compare(a.Inv, b.Inv); c != 0 {
+			return c
 		}
-		return ops[i].Proc < ops[j].Proc
+		return cmp.Compare(a.Proc, b.Proc)
 	})
 }
 
@@ -369,6 +371,10 @@ type onlineFence struct {
 	procs    map[int]*ofProc
 	procList []*ofProc
 	vios     []*Violation
+	// free holds retired fence records, which invoke overwrites and
+	// reuses. A retired fence is referenced by nothing: its proc's list
+	// has dropped it.
+	free []*ofFence
 }
 
 func newOnlineFence() *onlineFence {
@@ -398,7 +404,14 @@ func (fc *onlineFence) invoke(op Op, invSeq uint64) {
 	case Write:
 		fp.openWrites++
 	case Fence:
-		f := &ofFence{invSeq: invSeq, prePending: fp.openWrites, minPost: 1<<62 - 1, preMax: -1 << 62}
+		var f *ofFence
+		if n := len(fc.free); n > 0 {
+			f = fc.free[n-1]
+			fc.free = fc.free[:n-1]
+		} else {
+			f = new(ofFence)
+		}
+		*f = ofFence{invSeq: invSeq, prePending: fp.openWrites, minPost: 1<<62 - 1, preMax: -1 << 62}
 		if fp.hasDone {
 			f.preMax, f.preOp, f.hasPre = fp.maxDoneRes, fp.maxDoneOp, true
 		}
@@ -476,7 +489,8 @@ func (fc *onlineFence) fenceDone(fp *ofProc, op Op, invSeq uint64) {
 		if op.Pending {
 			// A fence that never completed is outside the contract (the
 			// batch checker skips it); drop its record.
-			fp.fences = append(fp.fences[:i], fp.fences[i+1:]...)
+			fp.fences = slices.Delete(fp.fences, i, i+1)
+			fc.free = append(fc.free, f)
 			return
 		}
 		f.completed = true
@@ -516,6 +530,7 @@ func (fc *onlineFence) advance(safe int64) {
 		kept := fp.fences[:0]
 		for _, f := range fp.fences {
 			if f.completed && f.prePending == 0 && safe > f.preMax {
+				fc.free = append(fc.free, f)
 				continue
 			}
 			kept = append(kept, f)

@@ -298,53 +298,69 @@ func TestOnlineFenceRetirement(t *testing.T) {
 // local/remote writes with delayed, reordered, or dropped applies,
 // reads echoing plausible (often wrong) values, atomics, fences with
 // occasionally wrong counters — must get the same verdict from the
-// online checker at every cadence as from the batch pipeline.
+// online checker at every cadence as from the batch pipeline. A second
+// arm lets half the remote writes take effect by the owner's update
+// serialization (coherent region) instead of an apply at the home, so
+// writes also complete while another effect queue still holds them.
 func TestOnlineRandomDifferential(t *testing.T) {
-	for seed := uint64(0); seed < 60; seed++ {
-		g := newSgen(4, 100+seed)
-		var applies []func()
-		var lastVals [2]uint64
-		for step := 0; step < 30; step++ {
-			node := g.intn(4)
-			off := uint64(8 + 8*g.intn(2))
-			w := off/8 - 1
-			switch g.intn(10) {
-			case 0, 1:
-				v := g.rng()%5 + 1
-				g.localWrite(node, off, v)
-				lastVals[w] = v
-			case 2, 3:
-				v := g.rng()%5 + 1
-				ap := g.remoteWrite(node, g.intn(4), off, v)
-				lastVals[w] = v
-				if g.intn(10) != 0 { // 10%: dropped apply (pending write)
-					applies = append(applies, ap)
-				}
-			case 4, 5, 6:
-				g.read(node, g.intn(4), off, lastVals[w]) // plausibly legal
-			case 7:
-				g.read(node, g.intn(4), off, g.rng()%4) // often illegal
-			case 8:
-				bops := []trace.BoundaryOp{trace.BOpFetchInc, trace.BOpFetchStore, trace.BOpCompareSwap}
-				g.atomic(node, g.intn(4), bops[g.intn(3)], off, g.rng()%4, g.rng()%4, g.rng()%4)
-			case 9:
-				g.fence(node, uint64(g.intn(3)&1)) // sometimes undrained
+	for _, coherent := range []bool{false, true} {
+		for seed := uint64(0); seed < 60; seed++ {
+			requireAgreement(t, randomStream(seed, coherent), nil, "random")
+			if t.Failed() {
+				t.Fatalf("seed %d (coherent %v) diverged", seed, coherent)
 			}
-			// Flush a delayed apply now and then, out of issue order.
-			if len(applies) > 0 && g.intn(3) == 0 {
-				i := g.intn(len(applies))
-				applies[i]()
-				applies = append(applies[:i], applies[i+1:]...)
-			}
-		}
-		for _, ap := range applies {
-			ap()
-		}
-		requireAgreement(t, g.evs, nil, "random")
-		if t.Failed() {
-			t.Fatalf("seed %d diverged", seed)
 		}
 	}
+}
+
+// randomStream generates TestOnlineRandomDifferential's program for
+// seed; with coherent, a remote write's effect is an apply at the home
+// or a serialization at the owner, by coin flip.
+func randomStream(seed uint64, coherent bool) []trace.Event {
+	g := newSgen(4, 100+seed)
+	var applies []func()
+	var lastVals [2]uint64
+	for step := 0; step < 30; step++ {
+		node := g.intn(4)
+		off := uint64(8 + 8*g.intn(2))
+		w := off/8 - 1
+		switch g.intn(10) {
+		case 0, 1:
+			v := g.rng()%5 + 1
+			g.localWrite(node, off, v)
+			lastVals[w] = v
+		case 2, 3:
+			v := g.rng()%5 + 1
+			home := g.intn(4)
+			ap := g.remoteWrite(node, home, off, v)
+			if coherent && g.intn(2) == 0 {
+				ap = func() { g.ev(home, trace.EvUpdateSerialize, off, v, uint64(node)) }
+			}
+			lastVals[w] = v
+			if g.intn(10) != 0 { // 10%: dropped apply (pending write)
+				applies = append(applies, ap)
+			}
+		case 4, 5, 6:
+			g.read(node, g.intn(4), off, lastVals[w]) // plausibly legal
+		case 7:
+			g.read(node, g.intn(4), off, g.rng()%4) // often illegal
+		case 8:
+			bops := []trace.BoundaryOp{trace.BOpFetchInc, trace.BOpFetchStore, trace.BOpCompareSwap}
+			g.atomic(node, g.intn(4), bops[g.intn(3)], off, g.rng()%4, g.rng()%4, g.rng()%4)
+		case 9:
+			g.fence(node, uint64(g.intn(3)&1)) // sometimes undrained
+		}
+		// Flush a delayed apply now and then, out of issue order.
+		if len(applies) > 0 && g.intn(3) == 0 {
+			i := g.intn(len(applies))
+			applies[i]()
+			applies = append(applies[:i], applies[i+1:]...)
+		}
+	}
+	for _, ap := range applies {
+		ap()
+	}
+	return g.evs
 }
 
 // TestOnlineIdempotentFinish: Finish twice is safe, and verdicts do not
@@ -374,5 +390,100 @@ func TestFromTraceSkipsPageIn(t *testing.T) {
 	}
 	if o := feedOnline(g.evs, 1, nil); o.Err() != nil {
 		t.Fatalf("page-in broke the online checker: %v", o.Err())
+	}
+}
+
+// TestOnlineFinishResolvesEveryOpenOp: Finish resolves every operation
+// still open at the end of the stream, however many there are. Twenty
+// reads that never return precede twenty remote writes that never take
+// effect and a fence after them; the fence's violation hinges on the
+// later writes, which Finish reaches only after resolving more than
+// half of its open records.
+func TestOnlineFinishResolvesEveryOpenOp(t *testing.T) {
+	g := newSgen(2, 14)
+	for i := 0; i < 20; i++ {
+		g.invoke(1, trace.BOpRead, g.gaddr(0, 16), 0)
+	}
+	for i := 0; i < 20; i++ {
+		g.remoteWrite(0, 1, 8, uint64(i+1)) // apply dropped
+	}
+	g.fence(0, 0)
+	requireAgreement(t, g.evs, nil, "open at end")
+	if o := feedOnline(g.evs, 0, nil); len(o.FenceViolations()) != 20 {
+		t.Fatalf("%d fence violations, want one per pending pre-fence write (20)", len(o.FenceViolations()))
+	}
+}
+
+// TestOnlineRecordAllocs: in steady state the online checker's history
+// builder and fence bookkeeping allocate nothing per operation —
+// operation and fence records are recycled and the effect queues are
+// intrusive lists. The stream mixes remote writes (invoke, return,
+// apply at the home), reads and fences over two nodes, with a watermark
+// after every round so fences retire. Location checking is restricted
+// away: deciding a window searches its linearizations, which allocates
+// per window by design and is not what this test pins.
+func TestOnlineRecordAllocs(t *testing.T) {
+	o := NewOnline()
+	o.RestrictLocs(map[uint64]bool{})
+	var at int64
+	var seq [2]uint64
+	ev := func(node int, kind trace.EventKind, addr, val, aux uint64) {
+		at++
+		o.Append(trace.Event{At: at, Node: node, Kind: kind, Addr: addr, Val: val, Aux: aux})
+	}
+	var v uint64
+	round := func() {
+		for node := 0; node < 2; node++ {
+			home := 1 - node
+			a := uint64(addrspace.NewGAddr(addrspace.NodeID(home), 8*(v%4)))
+			v++
+			seq[node]++
+			ev(node, trace.EvOpInvoke, a, v, trace.BoundaryAux(trace.BOpWrite, seq[node]))
+			ev(node, trace.EvOpReturn, a, 0, trace.BoundaryAux(trace.BOpWrite, seq[node]))
+			ev(home, trace.EvWriteApply, a, v, uint64(node))
+			seq[node]++
+			ev(node, trace.EvOpInvoke, a, 0, trace.BoundaryAux(trace.BOpRead, seq[node]))
+			ev(node, trace.EvOpReturn, a, v, trace.BoundaryAux(trace.BOpRead, seq[node]))
+			ev(node, trace.EvFenceStart, 0, 0, 0)
+			ev(node, trace.EvFenceEnd, 0, 0, 0)
+		}
+		o.Advance(at + 1)
+	}
+	for i := 0; i < 200; i++ { // warm maps, slices and free lists
+		round()
+	}
+	if a := testing.AllocsPerRun(500, round); a != 0 {
+		t.Fatalf("%v allocations per round of 6 operations, want 0", a)
+	}
+	o.Finish()
+	if err := o.Err(); err != nil {
+		t.Fatalf("healthy stream flagged: %v", err)
+	}
+	if got := o.Stats().Ops; got != 701*6 {
+		t.Fatalf("%d operations completed, want %d", got, 701*6)
+	}
+}
+
+// TestOnlineRecycledRecordLeavesNoQueue: a write that completes by one
+// effect must leave the other effect's queue before its record is
+// recycled. A coherent write completes by serialization while its apply
+// key is still queued; enough reads follow that its record is reused;
+// then a second write with the same apply key takes effect before a
+// fence. A stale queue entry would hand that apply to the reused record
+// and leave the second write pending, failing the fence.
+func TestOnlineRecycledRecordLeavesNoQueue(t *testing.T) {
+	g := newSgen(2, 15)
+	a := g.gaddr(1, 8)
+	s := g.invoke(0, trace.BOpWrite, a, 1)
+	g.ret(0, trace.BOpWrite, s, a, 0)
+	g.ev(1, trace.EvUpdateSerialize, 8, 1, 0)
+	for i := 0; i < 80; i++ {
+		g.read(1, 1, 16, 0)
+	}
+	g.remoteWrite(0, 1, 8, 1)()
+	g.fence(0, 0)
+	requireAgreement(t, g.evs, nil, "recycled")
+	if o := feedOnline(g.evs, 0, nil); o.Err() != nil {
+		t.Fatalf("healthy stream flagged: %v", o.Err())
 	}
 }

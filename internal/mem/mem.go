@@ -11,20 +11,34 @@ import (
 	"telegraphos/internal/addrspace"
 )
 
-// chunkWords sizes the lazily-allocated backing chunks: 8 KiB, one
-// default page (addrspace.DefaultPageSize). A fresh Memory allocates no
-// data storage: chunks materialize on first write and unwritten words
-// read as zero, so building a large cluster costs neither the allocation
-// nor the zeroing of memory the workload never touches, and a one-word
-// touch costs one page. It stays a constant so that load and store index
-// by shift and mask; with another page size a chunk holds several pages,
-// or a page spans several chunks.
-const chunkWords = 1 << 10
+// Node memory is a two-level sparse tree. The top index holds one
+// chunk pointer per chunkWords words (8 KiB of address space, one
+// default page, addrspace.DefaultPageSize); a chunk holds chunkLeaves
+// leaf pointers, and a leaf holds leafWords words (512 B). A fresh
+// Memory allocates only the top index: chunks and leaves materialize on
+// the first nonzero store into them, and unwritten words read as zero,
+// so building a large cluster costs neither the allocation nor the
+// zeroing of memory the workload never touches, a one-word touch costs
+// one chunk and one leaf, and a store of zero into a missing leaf
+// materializes nothing. The sizes stay constants so that load and store
+// index by shift and mask; the page size is independent of them.
+const (
+	leafShift   = 6
+	leafWords   = 1 << leafShift // 64 words, 512 B
+	chunkShift  = leafShift + 4
+	chunkLeaves = 1 << (chunkShift - leafShift) // 16 leaves
+	chunkWords  = 1 << chunkShift               // 1 024 words, 8 KiB
+)
+
+type (
+	leaf  [leafWords]uint64
+	chunk [chunkLeaves]*leaf
+)
 
 // Memory is a node-local physical memory of a fixed byte size.
 type Memory struct {
 	sizeWords int
-	chunks    [][]uint64
+	chunks    []*chunk
 	pageSize  int
 
 	reads  int64
@@ -43,7 +57,7 @@ func New(size, pageSize int) *Memory {
 	sizeWords := size / addrspace.WordSize
 	return &Memory{
 		sizeWords: sizeWords,
-		chunks:    make([][]uint64, (sizeWords+chunkWords-1)/chunkWords),
+		chunks:    make([]*chunk, (sizeWords+chunkWords-1)/chunkWords),
 		pageSize:  pageSize,
 	}
 }
@@ -72,21 +86,34 @@ func (m *Memory) index(off uint64) int {
 }
 
 func (m *Memory) load(i int) uint64 {
-	c := m.chunks[i/chunkWords]
+	c := m.chunks[i>>chunkShift]
 	if c == nil {
 		return 0
 	}
-	return c[i%chunkWords]
+	l := c[i>>leafShift&(chunkLeaves-1)]
+	if l == nil {
+		return 0
+	}
+	return l[i&(leafWords-1)]
 }
 
 func (m *Memory) store(i int, v uint64) {
-	ci := i / chunkWords
-	c := m.chunks[ci]
+	c := m.chunks[i>>chunkShift]
 	if c == nil {
-		c = make([]uint64, chunkWords)
-		m.chunks[ci] = c
+		if v == 0 {
+			return
+		}
+		c = new(chunk)
+		m.chunks[i>>chunkShift] = c
 	}
-	c[i%chunkWords] = v
+	l := &c[i>>leafShift&(chunkLeaves-1)]
+	if *l == nil {
+		if v == 0 {
+			return
+		}
+		*l = new(leaf)
+	}
+	(*l)[i&(leafWords-1)] = v
 }
 
 // ReadWord returns the word at byte offset off. It panics on unaligned or

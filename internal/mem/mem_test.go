@@ -91,29 +91,66 @@ func TestCounters(t *testing.T) {
 	}
 }
 
-// TestOneWordTouchAllocatesOnePage: a write into a fresh memory
-// materializes exactly one chunk, one default 8 KiB page of words, and
-// leaves the rest of a 2 MB node unallocated.
-func TestOneWordTouchAllocatesOnePage(t *testing.T) {
+// TestOneWordTouchAllocatesOneLeaf: a write into a fresh memory
+// materializes exactly one chunk holding exactly one 512 B leaf, and
+// leaves the rest of a 2 MB node unallocated; a store of zero into
+// fresh memory materializes nothing and allocates nothing.
+func TestOneWordTouchAllocatesOneLeaf(t *testing.T) {
 	m := New(2<<20, addrspace.DefaultPageSize)
 	if len(m.chunks) != 256 {
 		t.Fatalf("%d chunk slots for 2 MB, want 256", len(m.chunks))
 	}
-	m.WriteWord(3*addrspace.DefaultPageSize+40, 7)
-	var got []int
+	off := uint64(3*addrspace.DefaultPageSize + 8*200) // word 200 of page 3: leaf 3
+	m.WriteWord(off, 7)
+	var chunks, leaves []int
 	for i, c := range m.chunks {
-		if c != nil {
-			got = append(got, i)
-			if len(c) != 1024 {
-				t.Fatalf("chunk %d holds %d words, want 1024", i, len(c))
+		if c == nil {
+			continue
+		}
+		chunks = append(chunks, i)
+		for j, l := range c {
+			if l != nil {
+				leaves = append(leaves, j)
 			}
 		}
 	}
-	if len(got) != 1 || got[0] != 3 {
-		t.Fatalf("chunks %v materialized, want [3]", got)
+	if len(chunks) != 1 || chunks[0] != 3 || len(leaves) != 1 || leaves[0] != 3 {
+		t.Fatalf("chunks %v with leaves %v materialized, want chunk [3] with leaf [3]", chunks, leaves)
 	}
-	if m.ReadWord(3*addrspace.DefaultPageSize+40) != 7 {
+	if m.ReadWord(off) != 7 {
 		t.Fatal("word round trip failed")
+	}
+
+	fresh := New(2<<20, addrspace.DefaultPageSize)
+	zero := uint64(5*addrspace.DefaultPageSize + 8)
+	if a := testing.AllocsPerRun(100, func() { fresh.WriteWord(zero, 0) }); a != 0 {
+		t.Fatalf("zero store into fresh memory: %v allocations, want 0", a)
+	}
+	for i, c := range fresh.chunks {
+		if c != nil {
+			t.Fatalf("zero store materialized chunk %d", i)
+		}
+	}
+	// A zero store into a materialized leaf still clears the word.
+	m.WriteWord(off, 0)
+	if m.ReadWord(off) != 0 || m.Writes() != 2 {
+		t.Fatalf("zero store over 7: read %d, %d writes", m.ReadWord(off), m.Writes())
+	}
+}
+
+// TestWordAccessAllocs: word loads and stores allocate nothing once
+// their leaf exists, and loads of unwritten memory never allocate.
+func TestWordAccessAllocs(t *testing.T) {
+	m := New(1<<20, addrspace.DefaultPageSize)
+	m.WriteWord(64, 1)
+	var v uint64
+	a := testing.AllocsPerRun(100, func() {
+		v++
+		m.WriteWord(64+8*(v%64), v)
+		v += m.ReadWord(64) + m.ReadWord(1<<19)
+	})
+	if a != 0 {
+		t.Fatalf("%v allocations per word access, want 0", a)
 	}
 }
 
@@ -141,4 +178,86 @@ func TestPageRoundTripAcrossChunks(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzMemoryDifferential drives random word and page accesses, zero
+// stores included, against a flat []uint64 reference at page sizes 4, 8
+// and 16 KiB (smaller than, equal to and larger than a chunk): every
+// read must match the reference, and so must the Reads/Writes counts.
+func FuzzMemoryDifferential(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add([]byte{1, 2, 0x40, 0, 0, 3, 7, 0x10, 2, 0, 0x81, 2, 3, 0xc0, 0xff, 0xff, 1})
+	f.Add([]byte{2, 1, 0, 0, 3, 1, 0, 0, 0, 0x80, 0, 1, 0, 0, 5})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		const size = 64 << 10
+		for _, ps := range []int{4 << 10, 8 << 10, 16 << 10} {
+			m := New(size, ps)
+			ref := make([]uint64, size/addrspace.WordSize)
+			wpp := ps / addrspace.WordSize
+			var reads, writes int64
+			in := prog
+			next := func() byte {
+				if len(in) == 0 {
+					return 0
+				}
+				b := in[0]
+				in = in[1:]
+				return b
+			}
+			for len(in) > 0 {
+				op := next()
+				word := (int(next())<<8 | int(next())) % len(ref)
+				// Values: zero half the time, else a small or a wide one.
+				var v uint64
+				switch vb := next(); {
+				case vb&1 == 0:
+				case vb&2 == 0:
+					v = uint64(vb >> 2)
+				default:
+					v = uint64(vb)<<56 | uint64(word)
+				}
+				pn := addrspace.PageNum(word / wpp)
+				switch op % 4 {
+				case 0:
+					m.WriteWord(uint64(word*addrspace.WordSize), v)
+					ref[word] = v
+					writes++
+				case 1:
+					if got := m.ReadWord(uint64(word * addrspace.WordSize)); got != ref[word] {
+						t.Fatalf("page size %d: word %d = %#x, want %#x", ps, word, got, ref[word])
+					}
+					reads++
+				case 2:
+					// Every other word of the page gets v, the rest zero,
+					// so page writes clear as well as set.
+					data := make([]uint64, wpp)
+					for j := range data {
+						if j%2 == int(op>>2)%2 {
+							data[j] = v + uint64(j)*uint64(op>>3)
+						}
+					}
+					m.WritePage(pn, data)
+					copy(ref[int(pn)*wpp:], data)
+					writes += int64(wpp)
+				case 3:
+					got := m.ReadPage(pn)
+					for j, w := range got {
+						if w != ref[int(pn)*wpp+j] {
+							t.Fatalf("page size %d: page %d word %d = %#x, want %#x", ps, pn, j, w, ref[int(pn)*wpp+j])
+						}
+					}
+					reads += int64(wpp)
+				}
+			}
+			for i, w := range ref {
+				if got := m.ReadWord(uint64(i * addrspace.WordSize)); got != w {
+					t.Fatalf("page size %d: final word %d = %#x, want %#x", ps, i, got, w)
+				}
+			}
+			reads += int64(len(ref))
+			if m.Reads() != reads || m.Writes() != writes {
+				t.Fatalf("page size %d: counters %d/%d, want %d/%d", ps, m.Reads(), m.Writes(), reads, writes)
+			}
+		}
+	})
 }

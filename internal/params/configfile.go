@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 
+	"telegraphos/internal/addrspace"
 	"telegraphos/internal/sim"
 )
 
@@ -73,7 +74,33 @@ func ReadConfig(r io.Reader) (Config, error) {
 	if fc.SwitchRouteDelayNS > 0 {
 		cfg.Switch.RouteDelay = sim.Time(fc.SwitchRouteDelayNS)
 	}
+	if err := checkSizing(cfg.Sizing); err != nil {
+		return Config{}, err
+	}
+	if l := cfg.Link; l.PropDelay < 1 || l.WordTime < 1 || l.BufPackets < 1 {
+		return Config{}, fmt.Errorf("params: link needs prop_delay_ns >= 1, word_time_ns >= 1 and buf_packets >= 1, got %d, %d and %d",
+			l.PropDelay, l.WordTime, l.BufPackets)
+	}
 	return cfg, nil
+}
+
+// checkSizing rejects a sizing the node cannot be built or run from:
+// the page size must be a positive multiple of the word size, the
+// memory a positive multiple of the page size, and the MMU and the HIB
+// need at least one TLB entry, one Telegraphos context and one
+// write-queue slot (with none, every remote store waits forever).
+func checkSizing(s Sizing) error {
+	if s.PageSize <= 0 || s.PageSize%addrspace.WordSize != 0 {
+		return fmt.Errorf("params: sizing needs PageSize a positive multiple of %d bytes, got %d", addrspace.WordSize, s.PageSize)
+	}
+	if s.MemBytes <= 0 || s.MemBytes%s.PageSize != 0 {
+		return fmt.Errorf("params: sizing needs MemBytes a positive multiple of PageSize (%d), got %d", s.PageSize, s.MemBytes)
+	}
+	if s.TLBEntries < 1 || s.Contexts < 1 || s.HIBWriteQueue < 1 {
+		return fmt.Errorf("params: sizing needs TLBEntries, Contexts and HIBWriteQueue >= 1, got %d, %d and %d",
+			s.TLBEntries, s.Contexts, s.HIBWriteQueue)
+	}
+	return nil
 }
 
 // LoadConfig reads a JSON machine description from a file.

@@ -63,11 +63,41 @@ func TestReadConfigErrors(t *testing.T) {
 		`{"nodes": 2000, "topology": "dragonfly-val"}`,
 		`{"nodes": 2, "bogus_field": 1}`, // unknown fields rejected
 		`{nodes: 2}`,                     // invalid JSON
+		// Sizings the node memory, MMU or HIB cannot be built or run from.
+		`{"nodes": 4, "sizing": {}}`,
+		`{"nodes": 4, "sizing": {"MemBytes": 65536, "PageSize": 0, "TLBEntries": 8, "Contexts": 1, "HIBWriteQueue": 4}}`,
+		`{"nodes": 4, "sizing": {"MemBytes": 65536, "PageSize": 1000, "TLBEntries": 8, "Contexts": 1, "HIBWriteQueue": 4}}`,
+		`{"nodes": 4, "sizing": {"MemBytes": 0, "PageSize": 8192, "TLBEntries": 8, "Contexts": 1, "HIBWriteQueue": 4}}`,
+		`{"nodes": 4, "sizing": {"MemBytes": -8192, "PageSize": 8192, "TLBEntries": 8, "Contexts": 1, "HIBWriteQueue": 4}}`,
+		`{"nodes": 4, "sizing": {"MemBytes": 12288, "PageSize": 8192, "TLBEntries": 8, "Contexts": 1, "HIBWriteQueue": 4}}`,
+		`{"nodes": 4, "sizing": {"MemBytes": 65536, "PageSize": 8192, "TLBEntries": 0, "Contexts": 1, "HIBWriteQueue": 4}}`,
+		`{"nodes": 4, "sizing": {"MemBytes": 65536, "PageSize": 8192, "TLBEntries": 8, "Contexts": 0, "HIBWriteQueue": 4}}`,
+		`{"nodes": 4, "sizing": {"MemBytes": 65536, "PageSize": 8192, "TLBEntries": 8, "Contexts": 1, "HIBWriteQueue": 0}}`,
+		// Links with a delay or buffer below one.
+		`{"nodes": 2, "link": {"prop_delay_ns": -5, "word_time_ns": 140, "buf_packets": 4}}`,
+		`{"nodes": 2, "link": {"prop_delay_ns": 0, "word_time_ns": 140, "buf_packets": 4}}`,
+		`{"nodes": 2, "link": {"prop_delay_ns": 10, "word_time_ns": 0, "buf_packets": 4}}`,
+		`{"nodes": 2, "link": {"prop_delay_ns": 10, "word_time_ns": 140, "buf_packets": 0}}`,
+		`{"nodes": 2, "link": {}}`,
 	}
 	for _, in := range cases {
 		if _, err := ReadConfig(strings.NewReader(in)); err == nil {
 			t.Errorf("config %q accepted", in)
 		}
+	}
+}
+
+// TestReadConfigSmallSizing: the smallest sizing the checks accept and a
+// one-nanosecond, one-packet link are accepted as given.
+func TestReadConfigSmallSizing(t *testing.T) {
+	cfg, err := ReadConfig(strings.NewReader(`{"nodes": 2,
+		"sizing": {"MemBytes": 65536, "PageSize": 4096, "TLBEntries": 1, "Contexts": 1, "HIBWriteQueue": 1},
+		"link": {"prop_delay_ns": 1, "word_time_ns": 1, "buf_packets": 1}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Sizing.MemBytes != 65536 || cfg.Sizing.PageSize != 4096 || cfg.Link.PropDelay != 1 || cfg.Link.BufPackets != 1 {
+		t.Fatalf("sizing %+v link %+v", cfg.Sizing, cfg.Link)
 	}
 }
 

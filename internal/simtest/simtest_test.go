@@ -233,14 +233,16 @@ func TestBoundedResidency(t *testing.T) {
 // chaosAllocBudget is the ceiling on heap bytes allocated per program op
 // over TestChaosAllocBudget's sweep. It is a ratchet: lower it when a
 // change lowers allocation, and never raise it to make a change pass.
-// The trace rings start small, node memory materializes a page at a
-// time, the HIB services every packet with chained events instead of a
-// process, and the link FIFOs, ARQ windows and frame records reuse their
-// storage; about 2.19 KB per op remains (2.22 KB under -race). The
-// largest shares are node memory pages, the online history builder and
-// per-run set-up; HIB packets are not recycled here, because the sweep's
-// links are faulty.
-const chaosAllocBudget = 2370
+// The trace rings start small, node memory materializes 512 B leaves
+// on nonzero stores only, the online checker recycles its operation and
+// fence records, the HIB keeps its fixed counters in one array and
+// services every packet with chained events instead of a process, and
+// the link FIFOs, ARQ windows and frame records reuse their storage;
+// about 1.46 KB per op remains (1.48 KB under -race). The largest shares
+// are per-run set-up (links, fault injectors, switches, boards and
+// engines), HIB packets, which are not recycled here because the
+// sweep's links are faulty, and the trace rings.
+const chaosAllocBudget = 1550
 
 // TestChaosAllocBudget caps the allocation of a verification sweep —
 // seeds 0–9 at 60 ops per node on one shard, faults, trace rings and

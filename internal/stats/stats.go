@@ -164,15 +164,51 @@ func (h *Histogram) NumBuckets() int { return len(h.buckets) }
 func (h *Histogram) Outliers() (under, over int64) { return h.underflow, h.overflow }
 
 // CounterSet is an ordered collection of named int64 counters. Iteration
-// (Names) follows first-use order, so reports are stable.
+// (Names) follows first-use order, so reports are stable. A set may also
+// carry one bound block of fixed counters (see Bind), which come first.
 type CounterSet struct {
 	order  []string
 	counts map[string]*int64
+
+	fixed      *CounterLabels
+	fixedCells []int64
+}
+
+// CounterLabels is an immutable table of counter names, built once and
+// shared by every set a component binds its fixed counters into.
+type CounterLabels struct {
+	names []string
+	index map[string]int
+}
+
+// NewCounterLabels returns the label table for names, which must be
+// distinct.
+func NewCounterLabels(names []string) *CounterLabels {
+	l := &CounterLabels{names: names, index: make(map[string]int, len(names))}
+	for i, n := range names {
+		if _, dup := l.index[n]; dup {
+			panic(fmt.Sprintf("stats: duplicate counter label %q", n))
+		}
+		l.index[n] = i
+	}
+	return l
 }
 
 // NewCounterSet returns an empty counter set.
-func NewCounterSet() *CounterSet {
-	return &CounterSet{counts: make(map[string]*int64)}
+func NewCounterSet() *CounterSet { return &CounterSet{} }
+
+// Bind attaches a block of fixed counters: cells[i] is the counter
+// named by label i. The caller owns cells and bumps them directly, so a
+// component with a fixed set of counters neither allocates a cell per
+// counter nor grows the name map. Cell, Add, Inc and Get resolve the
+// block's names to its cells, and Names and String list the block in
+// label order ahead of the other counters, as if its counters had been
+// created first. Bind must precede every other use of the set.
+func (cs *CounterSet) Bind(labels *CounterLabels, cells []int64) {
+	if len(cells) != len(labels.names) || cs.fixed != nil || len(cs.order) != 0 {
+		panic("stats: Bind needs a fresh set and one cell per label")
+	}
+	cs.fixed, cs.fixedCells = labels, cells
 }
 
 // Cell returns the addressable cell behind counter name, creating it if
@@ -180,12 +216,22 @@ func NewCounterSet() *CounterSet {
 // through the pointer, skipping the per-event map lookup; a cell that is
 // never incremented stays invisible to Names/Get/String.
 func (cs *CounterSet) Cell(name string) *int64 {
-	c, ok := cs.counts[name]
-	if !ok {
-		c = new(int64)
-		cs.counts[name] = c
-		cs.order = append(cs.order, name)
+	// The map first: it never holds a bound name, and the names bumped
+	// by name at run time are the map's.
+	if c, ok := cs.counts[name]; ok {
+		return c
 	}
+	if cs.fixed != nil {
+		if i, ok := cs.fixed.index[name]; ok {
+			return &cs.fixedCells[i]
+		}
+	}
+	if cs.counts == nil {
+		cs.counts = make(map[string]*int64)
+	}
+	c := new(int64)
+	cs.counts[name] = c
+	cs.order = append(cs.order, name)
 	return c
 }
 
@@ -200,34 +246,47 @@ func (cs *CounterSet) Get(name string) int64 {
 	if c, ok := cs.counts[name]; ok {
 		return *c
 	}
+	if cs.fixed != nil {
+		if i, ok := cs.fixed.index[name]; ok {
+			return cs.fixedCells[i]
+		}
+	}
 	return 0
 }
 
-// Names lists nonzero counters in first-use order. Zero-valued cells are
+// each calls fn for every nonzero counter: the bound block in label
+// order, then the rest in first-use order. Zero-valued cells are
 // skipped so pre-resolved but untouched counters don't clutter reports.
-func (cs *CounterSet) Names() []string {
-	names := make([]string, 0, len(cs.order))
-	for _, n := range cs.order {
-		if *cs.counts[n] != 0 {
-			names = append(names, n)
+func (cs *CounterSet) each(fn func(name string, v int64)) {
+	for i, v := range cs.fixedCells {
+		if v != 0 {
+			fn(cs.fixed.names[i], v)
 		}
 	}
+	for _, n := range cs.order {
+		if v := *cs.counts[n]; v != 0 {
+			fn(n, v)
+		}
+	}
+}
+
+// Names lists nonzero counters in first-use order (the bound block
+// first).
+func (cs *CounterSet) Names() []string {
+	names := make([]string, 0, len(cs.order))
+	cs.each(func(n string, _ int64) { names = append(names, n) })
 	return names
 }
 
-// String renders "a=1 b=2 ..." in first-use order, skipping zero cells.
+// String renders "a=1 b=2 ..." in Names order.
 func (cs *CounterSet) String() string {
 	var b strings.Builder
-	for _, n := range cs.order {
-		v := *cs.counts[n]
-		if v == 0 {
-			continue
-		}
+	cs.each(func(n string, v int64) {
 		if b.Len() > 0 {
 			b.WriteByte(' ')
 		}
 		fmt.Fprintf(&b, "%s=%d", n, v)
-	}
+	})
 	return b.String()
 }
 

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -185,6 +186,54 @@ func TestCounterSet(t *testing.T) {
 	}
 	if got := cs.String(); got != "reads=2 writes=3" {
 		t.Fatalf("String = %q", got)
+	}
+}
+
+// TestCounterSetBind: a bound block of fixed counters reads and
+// renders exactly as if its counters had been created first through the
+// map: label order ahead of later counters, zero cells hidden, and Cell
+// resolving a fixed name to its cell rather than a new map entry.
+func TestCounterSetBind(t *testing.T) {
+	labels := NewCounterLabels([]string{"rx", "tx", "ops"})
+	var cells [3]int64
+	cs := NewCounterSet()
+	cs.Bind(labels, cells[:])
+	ref := NewCounterSet()
+	for _, n := range []string{"rx", "tx", "ops"} {
+		ref.Cell(n)
+	}
+	for _, c := range []*CounterSet{cs, ref} {
+		c.Inc("late")
+		c.Add("ops", 4)
+		c.Inc("rx")
+	}
+	cells[0]++ // bumped through the owner's array
+	*ref.Cell("rx")++
+	if got, want := cs.String(), ref.String(); got != want || got != "rx=2 ops=4 late=1" {
+		t.Fatalf("String = %q, map-only reference %q", got, want)
+	}
+	if got := fmt.Sprint(cs.Names()); got != "[rx ops late]" {
+		t.Fatalf("Names = %s", got)
+	}
+	if cs.Get("rx") != 2 || cs.Get("tx") != 0 || cs.Get("late") != 1 || cs.Get("absent") != 0 {
+		t.Fatalf("Get: rx %d tx %d late %d", cs.Get("rx"), cs.Get("tx"), cs.Get("late"))
+	}
+	if cs.Cell("tx") != &cells[1] || len(cs.counts) != 1 {
+		t.Fatalf("Cell(tx) not the bound cell, or map holds %d entries", len(cs.counts))
+	}
+	for name, fn := range map[string]func(){
+		"duplicate label": func() { NewCounterLabels([]string{"a", "a"}) },
+		"short block":     func() { NewCounterSet().Bind(labels, cells[:2]) },
+		"late bind":       func() { c := NewCounterSet(); c.Inc("x"); c.Bind(labels, cells[:]) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			fn()
+		}()
 	}
 }
 

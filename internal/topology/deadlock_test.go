@@ -384,3 +384,43 @@ func TestShapeSolvers(t *testing.T) {
 		t.Fatalf("TorusDims(64,3) = %v, want [4 4 4]", got)
 	}
 }
+
+// TestReplyRetraceCensus pins which fabrics route a reply around a
+// switch its request crossed, and for how many (source, home) pairs.
+// The torus and fat-tree routings are not reply-symmetric, which is
+// what strands combined fetch&add replies there; the other shapes
+// retrace every request.
+func TestReplyRetraceCensus(t *testing.T) {
+	cases := []struct {
+		spec          Spec
+		misses, pairs int
+	}{
+		{Spec{Kind: "torus2d", Nodes: 16}, 176, 240},
+		{Spec{Kind: "torus3d", Nodes: 27}, 540, 702},
+		{Spec{Kind: "fattree", Nodes: 16}, 160, 240},
+		{Spec{Kind: "star", Nodes: 16}, 0, 240},
+		{Spec{Kind: "chain", Nodes: 16, PerSwitch: 4}, 0, 240},
+		{Spec{Kind: "tree", Nodes: 16, Radix: 4}, 0, 240},
+		{Spec{Kind: "dragonfly", Nodes: 16}, 0, 240},
+		{Spec{Kind: "dragonfly-val", Nodes: 16}, 0, 240},
+		{Spec{Kind: "pair", Nodes: 2}, 0, 2},
+	}
+	for _, c := range cases {
+		n := build(sim.NewEngine(1), c.spec)
+		misses, pairs, first, err := n.retraceCensus()
+		if err != nil {
+			t.Fatalf("%s: %v", c.spec.Kind, err)
+		}
+		if misses != c.misses || pairs != c.pairs {
+			t.Errorf("%s: %d of %d pairs miss a request switch on the reply, want %d of %d",
+				c.spec.Kind, misses, pairs, c.misses, c.pairs)
+		}
+		err = n.CheckReplyRetraces()
+		switch {
+		case c.misses == 0 && err != nil:
+			t.Errorf("%s: %v", c.spec.Kind, err)
+		case c.misses != 0 && (err == nil || !strings.Contains(err.Error(), first)):
+			t.Errorf("%s: CheckReplyRetraces = %v, want the census's first miss %q", c.spec.Kind, err, first)
+		}
+	}
+}

@@ -156,6 +156,57 @@ func (n *Network) CheckBounded(limit int) error {
 	return nil
 }
 
+// CheckReplyRetraces verifies that replies retrace their requests: for
+// every ordered pair of distinct nodes (source, home), every switch on
+// the routed path source→home also lies on the path home→source.
+// In-fabric combining relies on it (switchfab/collective.go): the
+// switch that merges requests must see the reply in order to split it.
+// The error counts the pairs that break the property and names the
+// first.
+func (n *Network) CheckReplyRetraces() error {
+	misses, pairs, first, err := n.retraceCensus()
+	if err != nil || misses == 0 {
+		return err
+	}
+	return fmt.Errorf("topology: %d of %d (source, home) pairs on the %s fabric route the request through a switch the reply skips; first: %s",
+		misses, pairs, n.kind, first)
+}
+
+// retraceCensus walks every ordered pair of distinct nodes and counts
+// the pairs whose reply path misses a switch of the request path.
+func (n *Network) retraceCensus() (misses, pairs int, first string, err error) {
+	onReply := make([]int, len(n.Switches)) // pair stamp: switch is on the reply path
+	for s := 0; s < n.NumNodes(); s++ {
+		for d := 0; d < n.NumNodes(); d++ {
+			if s == d {
+				continue
+			}
+			pairs++
+			req, err := n.Walk(addrspace.NodeID(s), addrspace.NodeID(d))
+			if err != nil {
+				return 0, 0, "", err
+			}
+			rep, err := n.Walk(addrspace.NodeID(d), addrspace.NodeID(s))
+			if err != nil {
+				return 0, 0, "", err
+			}
+			for _, h := range rep {
+				onReply[h.Sw] = pairs
+			}
+			for _, h := range req {
+				if onReply[h.Sw] != pairs {
+					if misses == 0 {
+						first = fmt.Sprintf("%d->%d through switch %s", s, d, n.Switches[h.Sw].Name())
+					}
+					misses++
+					break
+				}
+			}
+		}
+	}
+	return misses, pairs, first, nil
+}
+
 // CheckDeadlockFree proves the fabric deadlock-free per VC class by the
 // Dally/Seitz theorem: it builds the channel-dependency graph — one
 // vertex per (directed wire, virtual channel), one edge per

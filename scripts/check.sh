@@ -54,10 +54,14 @@ go test ./internal/sim -run 'TestProc|TestGroup' -cpu 1,4 -count 1
 # the link FIFOs and ARQ window per packet, the HIB's remote read and
 # fetch&inc beyond the future the requester waits on, and the HIB's
 # offer of each received packet to an installed coherence protocol.
+# Node memory word accesses allocate nothing once their leaf exists (and
+# zero stores never do), and the online checker's history builder and
+# fence bookkeeping recycle their records.
 echo '== allocation budgets (-cpu 1,4)'
 go test ./internal/sim -run 'Allocs$' -cpu 1,4 -count 1
 go test ./internal/trace -run 'Allocs$' -cpu 1,4 -count 1
 go test ./internal/link ./internal/hib -run 'Allocs$' -cpu 1,4 -count 1
+go test ./internal/mem ./internal/linearize -run 'Allocs$' -cpu 1,4 -count 1
 
 # TGE1 spill round trip through the CLIs: a sharded chaos run pages its
 # merged stream to disk, and replaying the file offline must recompute
