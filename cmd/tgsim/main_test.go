@@ -54,7 +54,7 @@ func TestMachineUsageErrors(t *testing.T) {
 		"bad JSON":      write("bad.json", `{"nodes": `),
 		"unknown field": write("field.json", `{"nodes": 2, "color": "red"}`),
 		"bad topology":  write("topo.json", `{"nodes": 4, "topology": "bogus"}`),
-		"empty sizing":  write("sizing.json", `{"nodes": 4, "sizing": {}}`),
+		"zero sizing":   write("sizing.json", `{"nodes": 4, "sizing": {"HIBWriteQueue": 0}}`),
 		"negative link": write("link.json", `{"nodes": 4, "link": {"prop_delay_ns": -5, "word_time_ns": 140, "buf_packets": 4}}`),
 		"zero link":     write("zlink.json", `{"nodes": 4, "link": {"prop_delay_ns": 0, "word_time_ns": 0, "buf_packets": 0}}`),
 	} {

@@ -88,6 +88,9 @@ func NewUpdate(c *core.Cluster, mode CounterMode) *Update {
 			Counters: stats.NewCounterSet(),
 			log:      make(map[uint64][]uint64),
 		}
+		m.serFn = m.serialize
+		m.counterFn = m.counterDone
+		m.writeFn = m.writeDone
 		n.HIB.SetCoherence(m)
 		u.mgrs = append(u.mgrs, m)
 	}
@@ -159,6 +162,45 @@ type UpdateMgr struct {
 	// (observer support for the consistency experiments).
 	log     map[uint64][]uint64
 	watched map[uint64]bool
+
+	// The receive side's delayed stages, in the pattern of the HIB's
+	// applyq: every entry of one queue is scheduled the same delay
+	// ahead, and events fire in schedule order at equal deltas, so a
+	// FIFO plus one prebound handler per stage services each packet
+	// without a per-packet closure. serq holds updates awaiting the
+	// owner's MPM write, counterq reflections awaiting the counter
+	// update, and writeq reflections awaiting the conditional MPM write.
+	serq      []serItem
+	serFn     func()
+	counterq  []rxItem
+	counterFn func()
+	writeq    []rxItem
+	writeFn   func()
+}
+
+// rxItem is one claimed packet in a receive-side stage and the done
+// callback that releases the HIB's receive pipeline.
+type rxItem struct {
+	pkt  *packet.Packet
+	done func()
+}
+
+// serItem is one update awaiting serialization at the owner; ack marks
+// a writer that holds no replica and needs an explicit WriteAck.
+type serItem struct {
+	rxItem
+	st  *upage
+	ack bool
+}
+
+// pop removes and returns the head of q, keeping its backing array.
+func pop[T any](q *[]T) T {
+	x := (*q)[0]
+	n := copy(*q, (*q)[1:])
+	var zero T
+	(*q)[n] = zero
+	*q = (*q)[:n]
+	return x
 }
 
 var _ hib.Coherence = (*UpdateMgr)(nil)
@@ -214,13 +256,13 @@ func (m *UpdateMgr) LocalSharedWrite(p *sim.Proc, offset uint64, v uint64) bool 
 		p.Sleep(m.h.Timing().CounterOverhead)
 	}
 	m.h.AddOutstanding(1)
-	m.h.Post(&packet.Packet{
-		Type:   packet.UpdateFwd,
-		Dst:    st.owner,
-		Addr:   addrspace.NewGAddr(st.owner, offset),
-		Val:    v,
-		Origin: m.node,
-	})
+	pkt := m.h.NewPacket()
+	pkt.Type = packet.UpdateFwd
+	pkt.Dst = st.owner
+	pkt.Addr = addrspace.NewGAddr(st.owner, offset)
+	pkt.Val = v
+	pkt.Origin = m.node
+	m.h.Post(pkt)
 	return true
 }
 
@@ -244,13 +286,13 @@ func (m *UpdateMgr) reflect(st *upage, offset uint64, v uint64, origin addrspace
 		}
 		m.Counters.Inc("reflect")
 		m.h.AddOutstanding(1)
-		m.h.Post(&packet.Packet{
-			Type:   packet.ReflectedWrite,
-			Dst:    dst,
-			Addr:   addrspace.NewGAddr(dst, offset),
-			Val:    v,
-			Origin: origin,
-		})
+		pkt := m.h.NewPacket()
+		pkt.Type = packet.ReflectedWrite
+		pkt.Dst = dst
+		pkt.Addr = addrspace.NewGAddr(dst, offset)
+		pkt.Val = v
+		pkt.Origin = origin
+		m.h.Post(pkt)
 	}
 }
 
@@ -277,30 +319,45 @@ func (m *UpdateMgr) IncomingPacket(pkt *packet.Packet, done func()) bool {
 }
 
 // ownerSerialize applies an update at the owner, after the MPM write
-// time, multicasts the reflections and calls done. ack selects whether
-// the originating writer needs an explicit WriteAck (it does when it
-// holds no replica and thus receives no reflection).
+// time, multicasts the reflections and calls done (see serialize). ack
+// selects whether the originating writer needs an explicit WriteAck (it
+// does when it holds no replica and thus receives no reflection).
 func (m *UpdateMgr) ownerSerialize(pkt *packet.Packet, ack bool, done func()) bool {
-	offset := pkt.Addr.Offset()
-	st := m.pageOf(offset)
+	st := m.pageOf(pkt.Addr.Offset())
 	if st == nil || st.owner != m.node {
 		m.Counters.Inc("misdelivered-update")
 		return false
 	}
-	origin := pkt.Origin
-	//tgvet:allow eventdrop(MPM write delay always fires; the receive pipeline waits on done)
-	m.eng.Schedule(m.h.Timing().MPMWrite, func() {
-		m.h.Mem().WriteWord(offset, pkt.Val)
-		m.record(offset, pkt.Val)
-		m.Counters.Inc("owner-serialized")
-		m.h.Emit(trace.EvUpdateSerialize, offset, pkt.Val, uint64(origin))
-		m.reflect(st, offset, pkt.Val, origin)
-		if ack {
-			m.h.Post(&packet.Packet{Type: packet.WriteAck, Dst: pkt.Src})
-		}
-		done()
-	})
+	m.serq = append(m.serq, serItem{rxItem: rxItem{pkt: pkt, done: done}, st: st, ack: ack})
+	m.eng.Schedule(m.h.Timing().MPMWrite, m.serFn) //tgvet:allow eventdrop(MPM write delay always fires; the receive pipeline waits on done)
 	return true
+}
+
+// serialize completes the oldest update in serq once the owner's MPM
+// write time has passed: the write lands, the reflections go out, and
+// the consumed UpdateFwd or WriteReq returns to the board's pool.
+func (m *UpdateMgr) serialize() {
+	it := pop(&m.serq)
+	pkt := it.pkt
+	offset, v, origin, src := pkt.Addr.Offset(), pkt.Val, pkt.Origin, pkt.Src
+	m.h.FreePacket(pkt)
+	m.h.Mem().WriteWord(offset, v)
+	m.record(offset, v)
+	m.Counters.Inc("owner-serialized")
+	m.h.Emit(trace.EvUpdateSerialize, offset, v, uint64(origin))
+	m.reflect(it.st, offset, v, origin)
+	if it.ack {
+		m.ackTo(src)
+	}
+	it.done()
+}
+
+// ackTo sends a WriteAck from the board's pool to dst.
+func (m *UpdateMgr) ackTo(dst addrspace.NodeID) {
+	ack := m.h.NewPacket()
+	ack.Type = packet.WriteAck
+	ack.Dst = dst
+	m.h.Post(ack)
 }
 
 // debugReflect, when set by tests, observes every reflection decision.
@@ -312,8 +369,7 @@ var debugReflect func(m *UpdateMgr, pkt *packet.Packet, own bool)
 // With counters off (Telegraphos I) every reflection is applied — the
 // configuration whose anomalies experiment E5 demonstrates.
 func (m *UpdateMgr) applyReflected(pkt *packet.Packet, done func()) bool {
-	offset := pkt.Addr.Offset()
-	st := m.pageOf(offset)
+	st := m.pageOf(pkt.Addr.Offset())
 	if st == nil || !st.hasCopy {
 		m.Counters.Inc("misdelivered-reflect")
 		return false
@@ -325,21 +381,39 @@ func (m *UpdateMgr) applyReflected(pkt *packet.Packet, done func()) bool {
 	// before the delays would reopen exactly the §2.3.2 overwrite window
 	// the counters exist to close — a bug the joint consistency checker
 	// caught in an earlier version of this model.
-	write := func() {
-		//tgvet:allow eventdrop(MPM write delay always fires; the receive pipeline waits on done)
-		m.eng.Schedule(m.h.Timing().MPMWrite, func() { m.decideReflected(pkt, offset); done() })
-	}
+	it := rxItem{pkt: pkt, done: done}
 	if m.u.mode == CountersOff {
-		write()
+		m.queueWrite(it)
 		return true
 	}
-	m.eng.Schedule(m.h.Timing().CounterOverhead, write) //tgvet:allow eventdrop(counter update delay always fires; the receive pipeline waits on done)
+	m.counterq = append(m.counterq, it)
+	m.eng.Schedule(m.h.Timing().CounterOverhead, m.counterFn) //tgvet:allow eventdrop(counter update delay always fires; the receive pipeline waits on done)
 	return true
 }
 
-// decideReflected applies or ignores a reflection once its service
-// delays have passed, and acknowledges it.
-func (m *UpdateMgr) decideReflected(pkt *packet.Packet, offset uint64) {
+// counterDone moves the oldest reflection past its counter update to
+// the conditional memory write.
+func (m *UpdateMgr) counterDone() { m.queueWrite(pop(&m.counterq)) }
+
+// queueWrite schedules a reflection's conditional MPM write.
+func (m *UpdateMgr) queueWrite(it rxItem) {
+	m.writeq = append(m.writeq, it)
+	m.eng.Schedule(m.h.Timing().MPMWrite, m.writeFn) //tgvet:allow eventdrop(MPM write delay always fires; the receive pipeline waits on done)
+}
+
+// writeDone decides the oldest reflection once its service delays have
+// passed and releases the receive pipeline.
+func (m *UpdateMgr) writeDone() {
+	it := pop(&m.writeq)
+	m.decideReflected(it.pkt)
+	it.done()
+}
+
+// decideReflected applies or ignores a reflection, acknowledges it, and
+// returns the consumed packet to the board's pool — unless the test hook
+// debugReflect is set, which may keep the packet.
+func (m *UpdateMgr) decideReflected(pkt *packet.Packet) {
+	offset := pkt.Addr.Offset()
 	own := pkt.Origin == m.node
 	if debugReflect != nil {
 		debugReflect(m, pkt, own)
@@ -369,5 +443,9 @@ func (m *UpdateMgr) decideReflected(pkt *packet.Packet, offset uint64) {
 		m.h.AddOutstanding(-1)
 	}
 	// Acknowledge the owner's reflection so its FENCE covers delivery.
-	m.h.Post(&packet.Packet{Type: packet.WriteAck, Dst: pkt.Src})
+	src := pkt.Src
+	if debugReflect == nil {
+		m.h.FreePacket(pkt)
+	}
+	m.ackTo(src)
 }

@@ -90,6 +90,10 @@ func New(cfg params.Config) *Cluster {
 		privNext:   make([]uint64, cfg.Nodes),
 		sharedHome: make(map[addrspace.PageNum]addrspace.NodeID),
 	}
+	pools := make([]*hib.PacketPool, shards) // one per engine
+	for i := range pools {
+		pools[i] = new(hib.PacketPool)
+	}
 	cores := cfg.CoresPerNode
 	if cores < 1 {
 		cores = 1
@@ -101,7 +105,7 @@ func New(cfg params.Config) *Cluster {
 		nodeOS := osmodel.New(eng, id, cfg.Timing)
 		bus := tchan.New(eng)
 		mm := mmu.New(cfg.Sizing.PageSize, cfg.Sizing.TLBEntries, cfg.Timing.TLBMissCost)
-		h := hib.New(eng, id, net, bus, m, nodeOS, cfg)
+		h := hib.New(eng, id, net, bus, m, nodeOS, pools[i*shards/cfg.Nodes], cfg)
 		nd := &Node{ID: id, Eng: eng, HIB: h, OS: nodeOS, MMU: mm, Mem: m, Bus: bus}
 		for co := 0; co < cores; co++ {
 			pr := cpu.New(eng, id, mm, m, nodeOS, h, cfg.Timing)

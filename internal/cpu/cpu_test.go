@@ -34,7 +34,7 @@ func newRig(t *testing.T) *rig {
 		r.mem[i] = mem.New(cfg.Sizing.MemBytes, cfg.Sizing.PageSize)
 		os := osmodel.New(eng, id, cfg.Timing)
 		m := mmu.New(cfg.Sizing.PageSize, cfg.Sizing.TLBEntries, cfg.Timing.TLBMissCost)
-		h := hib.New(eng, id, net, tchan.New(eng), r.mem[i], os, cfg)
+		h := hib.New(eng, id, net, tchan.New(eng), r.mem[i], os, new(hib.PacketPool), cfg)
 		r.cpu[i] = New(eng, id, m, r.mem[i], os, h, cfg.Timing)
 		ctxID, err := h.AllocContext(42)
 		if err != nil {

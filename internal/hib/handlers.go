@@ -154,25 +154,8 @@ func (h *HIB) handle(pkt *packet.Packet, done func()) {
 		done()
 
 	case packet.CopyData:
-		//tgvet:allow eventdrop(burst-copy setup delay always fires; no cancel path exists)
-		h.eng.Schedule(h.timing.MPMWrite, func() { // burst setup
-			if len(pkt.Data) > 0 {
-				for j, w := range pkt.Data {
-					h.mem.WriteWord(pkt.Addr.Offset()+8*uint64(j), w)
-				}
-			} else {
-				h.mem.WriteWord(pkt.Addr.Offset(), pkt.Val)
-			}
-			h.Emit(trace.EvCopyApply, uint64(pkt.Addr), uint64(len(pkt.Data)), pkt.ReqID)
-			if pkt.Last {
-				if pkt.Origin == h.node {
-					h.AddOutstanding(-1)
-				} else {
-					h.ack(pkt.Origin)
-				}
-			}
-			done()
-		})
+		h.copyq = append(h.copyq, applyItem{pkt: pkt, done: done})
+		h.eng.Schedule(h.timing.MPMWrite, h.copyFn) //tgvet:allow eventdrop(burst-copy setup delay always fires; no cancel path exists)
 
 	default:
 		// UpdateFwd, ReflectedWrite, InvReq, RingUpdate belong to a
@@ -239,19 +222,23 @@ func (h *HIB) streamCopy(pkt *packet.Packet, done func()) {
 	}
 	burst = func() {
 		n := min(uint64(copyChunkWords), words-i)
-		data := make([]uint64, n)
+		out := h.newPacket()
+		data := out.Data[:0] // a recycled packet keeps its payload array
+		if uint64(cap(data)) < n {
+			data = make([]uint64, n)
+		}
+		data = data[:n]
 		for j := range data {
 			data[j] = h.mem.ReadWord(pkt.Addr.Offset() + 8*(i+uint64(j)))
 		}
-		h.reply(&packet.Packet{
-			Type:   packet.CopyData,
-			Dst:    pkt.Addr2.Node(),
-			Addr:   pkt.Addr2.Add(8 * i),
-			Data:   data,
-			Origin: pkt.Origin,
-			ReqID:  pkt.ReqID,
-			Last:   i+n == words,
-		})
+		out.Type = packet.CopyData
+		out.Dst = pkt.Addr2.Node()
+		out.Addr = pkt.Addr2.Add(8 * i)
+		out.Data = data
+		out.Origin = pkt.Origin
+		out.ReqID = pkt.ReqID
+		out.Last = i+n == words
+		h.reply(out)
 		i += n
 		next()
 	}

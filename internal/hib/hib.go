@@ -74,6 +74,50 @@ func popItem(q *[]applyItem) applyItem {
 	return it
 }
 
+// PacketPool recycles consumed packets: WriteReq/WriteAck, the
+// ReadReq/ReadReply and AtomicReq/AtomicReply pairs, CopyData bursts,
+// and the update protocol's UpdateFwd, ReflectedWrite and WriteAck
+// (HIB.NewPacket/FreePacket). The boards of one simulation engine share
+// one pool, so a packet consumed on one board serves the next send of
+// any board on that engine, whichever way the traffic flows; a pool is
+// engine-local state, touched only by that engine's events, so it is
+// race-free across shards.
+//
+// A packet is freed only by the board that consumed it. Nothing
+// upstream reads a delivered packet again: switches forward the pointer
+// and forget it, and a faulty link's ARQ sublayer holds it only as an
+// opaque token — a retransmission re-sends the pointer unread, and the
+// receiver discards any frame it has already delivered by sequence
+// number alone (link/fault.go). So recycling is safe on every fabric.
+// CombAddReq/CombAddReply are never freed: switches merge and split
+// them.
+type PacketPool struct {
+	free []*packet.Packet
+	// core.New allocates the pools of concurrently running shards side
+	// by side; the pad keeps each pool's slice header off the cache
+	// line its neighbour writes.
+	_ [64]byte
+}
+
+// get returns a zeroed packet, reusing a recycled one if possible.
+func (pp *PacketPool) get() *packet.Packet {
+	if n := len(pp.free); n > 0 {
+		pkt := pp.free[n-1]
+		pp.free = pp.free[:n-1]
+		return pkt
+	}
+	return new(packet.Packet)
+}
+
+// put recycles a fully-consumed packet. Callers must guarantee no
+// reference survives the call (trace events copy their fields). The
+// packet is zeroed but keeps its payload array's capacity, which the
+// copy engine's next burst reuses.
+func (pp *PacketPool) put(pkt *packet.Packet) {
+	*pkt = packet.Packet{Data: pkt.Data[:0]}
+	pp.free = append(pp.free, pkt)
+}
+
 // HIB is one node's host interface board.
 type HIB struct {
 	eng       *sim.Engine
@@ -89,11 +133,14 @@ type HIB struct {
 	// Transmit side: one unbounded FIFO and a pump per VC. The pump holds
 	// one packet on the injection wire at a time (SendEv + wire-clear
 	// callback), which serializes transmissions exactly as the old
-	// blocking sender process did.
-	outQ      [packet.NumVCs][]outItem
-	txBusy    [packet.NumVCs]bool
-	txCur     [packet.NumVCs]outItem
-	txClearFn [packet.NumVCs]func()
+	// blocking sender process did. Hosts inject and eject on escape
+	// layer 0 (packet.Channel), so the board serves only the two layer-0
+	// channels, indexed by message class; the higher layers exist inside
+	// the fabric only.
+	outQ      [packet.NumClasses][]outItem
+	txBusy    [packet.NumClasses]bool
+	txCur     [packet.NumClasses]outItem
+	txClearFn [packet.NumClasses]func()
 
 	// Receive side: one pump per VC, driven by link arrival
 	// notifications. Packets serialize through the board — HIBService,
@@ -102,10 +149,10 @@ type HIB struct {
 	// daemons enforced (the property that makes the home node a
 	// serialization point). Servicing is chained events throughout (see
 	// service).
-	rxBusy  [packet.NumVCs]bool
-	rxCur   [packet.NumVCs]*packet.Packet
-	rxSvcFn [packet.NumVCs]func()
-	rxDonFn [packet.NumVCs]func()
+	rxBusy  [packet.NumClasses]bool
+	rxCur   [packet.NumClasses]*packet.Packet
+	rxSvcFn [packet.NumClasses]func()
+	rxDonFn [packet.NumClasses]func()
 
 	// Pending memory accesses of WriteReq (applyq), ReadReq (readq) and
 	// AtomicReq (atomq) packets, each in MPM order: every access of one
@@ -118,17 +165,12 @@ type HIB struct {
 	readFn  func()
 	atomq   []applyItem
 	atomFn  func()
+	copyq   []applyItem // CopyData bursts, after the MPM write setup
+	copyFn  func()
 
-	// pktFree recycles consumed packets: WriteReq/WriteAck, and the
-	// ReadReq/ReadReply and AtomicReq/AtomicReply pairs. A packet is freed
-	// by the board that consumed it (always on that board's engine, so the
-	// list is race-free across shards) and reused for that board's own
-	// sends. CombAddReq/CombAddReply are never freed: switches merge and
-	// split them. Disabled (recycle=false) when any fabric link runs a
-	// fault plan: the ARQ sender window holds packet pointers until the
-	// frame is acknowledged, so recycling could corrupt a resend.
-	pktFree []*packet.Packet
-	recycle bool
+	// pool supplies every packet the board builds and takes back every
+	// packet it consumes (see PacketPool).
+	pool *PacketPool
 
 	cpuCredits *sim.Semaphore // bounds CPU-originated in-flight writes
 	readSlots  *sim.Semaphore // bounds outstanding remote reads
@@ -166,9 +208,9 @@ type HIB struct {
 }
 
 // New builds the HIB for node and registers its transmit and receive
-// pumps with the network.
+// pumps with the network. pool is the packet pool of eng's boards.
 func New(eng *sim.Engine, node addrspace.NodeID, net *topology.Network, bus *tchan.Bus,
-	m *mem.Memory, os *osmodel.OS, cfg params.Config) *HIB {
+	m *mem.Memory, os *osmodel.OS, pool *PacketPool, cfg params.Config) *HIB {
 	h := &HIB{
 		eng:          eng,
 		node:         node,
@@ -186,38 +228,27 @@ func New(eng *sim.Engine, node addrspace.NodeID, net *topology.Network, bus *tch
 		pageCounters: make(map[addrspace.GPage]*pageCounter),
 		multicast:    make(map[addrspace.PageNum][]addrspace.GPage),
 		Counters:     stats.NewCounterSet(),
-	}
-	h.recycle = true
-	for _, l := range net.Links() {
-		if l.Faulty() {
-			h.recycle = false
-			break
-		}
+		pool:         pool,
 	}
 	h.Counters.Bind(counterLabels, h.counts[:])
 	h.start()
 	return h
 }
 
-// newPacket returns a zeroed packet, reusing a recycled one if possible.
-func (h *HIB) newPacket() *packet.Packet {
-	if n := len(h.pktFree); n > 0 {
-		pkt := h.pktFree[n-1]
-		h.pktFree = h.pktFree[:n-1]
-		return pkt
-	}
-	return new(packet.Packet)
-}
+// newPacket returns a zeroed packet from the board's pool.
+func (h *HIB) newPacket() *packet.Packet { return h.pool.get() }
 
-// freePacket recycles a fully-consumed packet. Callers must guarantee no
-// reference survives the call (trace events copy their fields).
-func (h *HIB) freePacket(pkt *packet.Packet) {
-	if !h.recycle {
-		return
-	}
-	*pkt = packet.Packet{}
-	h.pktFree = append(h.pktFree, pkt)
-}
+// freePacket returns a fully-consumed packet to the board's pool.
+func (h *HIB) freePacket(pkt *packet.Packet) { h.pool.put(pkt) }
+
+// NewPacket returns a zeroed packet from the board's pool, for the sends
+// of an attached protocol layer.
+func (h *HIB) NewPacket() *packet.Packet { return h.newPacket() }
+
+// FreePacket returns a packet that an attached protocol layer consumed
+// to the board's pool (see PacketPool). No reference may survive the
+// call.
+func (h *HIB) FreePacket(pkt *packet.Packet) { h.freePacket(pkt) }
 
 // Node reports the node this HIB serves.
 func (h *HIB) Node() addrspace.NodeID { return h.node }
@@ -267,7 +298,7 @@ func (h *HIB) Outstanding() int { return h.outstanding }
 
 // start registers the board's event-driven pumps with the network.
 func (h *HIB) start() {
-	for vc := packet.VC(0); vc < packet.NumVCs; vc++ {
+	for vc := packet.VC(0); vc < packet.NumClasses; vc++ {
 		vc := vc
 		h.txClearFn[vc] = func() { h.txClear(vc) }
 		h.rxSvcFn[vc] = func() { h.rxService(vc) }
@@ -277,6 +308,7 @@ func (h *HIB) start() {
 	h.applyFn = h.applyWrite
 	h.readFn = h.serveRead
 	h.atomFn = h.serveAtomic
+	h.copyFn = h.applyCopy
 }
 
 // applyWrite completes the oldest in-flight WriteReq: the MPM write lands,
@@ -321,6 +353,31 @@ func (h *HIB) serveAtomic() {
 	rep.ReqID = req.ReqID
 	h.freePacket(req)
 	h.reply(rep)
+	it.done()
+}
+
+// applyCopy completes the oldest in-flight CopyData burst: its words
+// land in the MPM, and the stream's last burst signals completion to
+// the copy's origin.
+func (h *HIB) applyCopy() {
+	it := popItem(&h.copyq)
+	pkt := it.pkt
+	if len(pkt.Data) > 0 {
+		for j, w := range pkt.Data {
+			h.mem.WriteWord(pkt.Addr.Offset()+8*uint64(j), w)
+		}
+	} else {
+		h.mem.WriteWord(pkt.Addr.Offset(), pkt.Val)
+	}
+	h.Emit(trace.EvCopyApply, uint64(pkt.Addr), uint64(len(pkt.Data)), pkt.ReqID)
+	if pkt.Last {
+		if pkt.Origin == h.node {
+			h.AddOutstanding(-1)
+		} else {
+			h.ack(pkt.Origin)
+		}
+	}
+	h.freePacket(pkt)
 	it.done()
 }
 
@@ -433,7 +490,8 @@ func (h *HIB) AddOutstanding(delta int) {
 		for _, c := range h.fenceWaiters {
 			c.Complete()
 		}
-		h.fenceWaiters = nil
+		clear(h.fenceWaiters)
+		h.fenceWaiters = h.fenceWaiters[:0] // keep the array for the next fence
 	}
 }
 

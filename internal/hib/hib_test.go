@@ -36,7 +36,9 @@ func newRig(t *testing.T, mutate func(*params.Config)) *rig {
 		id := addrspace.NodeID(i)
 		r.mem[i] = mem.New(cfg.Sizing.MemBytes, cfg.Sizing.PageSize)
 		r.os[i] = osmodel.New(eng, id, cfg.Timing)
-		r.h[i] = New(eng, id, net, tchan.New(eng), r.mem[i], r.os[i], cfg)
+		// A pool per board, unlike core.New's pool per engine, so a test
+		// can see which board freed a packet.
+		r.h[i] = New(eng, id, net, tchan.New(eng), r.mem[i], r.os[i], new(PacketPool), cfg)
 	}
 	return r
 }

@@ -14,7 +14,7 @@ import (
 // remoteOpAllocs is the allocation count of one warmed remote load or
 // fetch&inc on a fault-free pair: the sim.Future the requester blocks on
 // and the waiter slot its Wait appends. Request and reply packets come
-// from the boards' pktFree lists, and every event on the datapath has a
+// from the boards' pools, and every event on the datapath has a
 // prebound handler. Lower it when a change lowers it; raising it needs a
 // reason.
 const remoteOpAllocs = 2
@@ -138,15 +138,16 @@ func TestCoherenceRxAllocs(t *testing.T) {
 }
 
 // TestReadAtomicPacketsRecycled checks where the consumed packets of a
-// remote read and a remote fetch&inc end up. On a fault-free pair the
-// home frees each request and the requester each reply, so both boards'
-// pktFree lists fill. With any faulty link, the ARQ window may still
-// hold the packets, so both lists stay empty.
+// remote read and a remote fetch&inc end up: the home frees each request
+// and the requester each reply, so both boards' pools fill, with
+// zeroed packets. That holds on a faulty pair too, whose drops and
+// duplicates leave freed packets' pointers in ARQ windows and in flight:
+// the ARQ never reads a packet again (link.TestARQNeverReadsDeliveredPacket).
 func TestReadAtomicPacketsRecycled(t *testing.T) {
 	for _, faulty := range []bool{false, true} {
 		r := newRig(t, func(cfg *params.Config) {
 			if faulty {
-				cfg.Link.Faults = &link.FaultPlan{Seed: 3, DropProb: 0.1}
+				cfg.Link.Faults = &link.FaultPlan{Seed: 2, DropProb: 0.3, DupProb: 0.3}
 			}
 		})
 		const key = 0x52
@@ -164,21 +165,22 @@ func TestReadAtomicPacketsRecycled(t *testing.T) {
 		if v != 41 || old != 41 || r.mem[1].ReadWord(0x80) != 42 {
 			t.Fatalf("faulty=%v: read %d, fetched %d, counter %d", faulty, v, old, r.mem[1].ReadWord(0x80))
 		}
-		// A reply is taken from the home's list right after its request
+		var fs link.FaultStats
+		for _, l := range r.net.Links() {
+			fs.Add(l.FaultStats())
+		}
+		if faulty && (fs.Retransmits == 0 || fs.Deduped == 0) {
+			t.Fatalf("faulty link: no retransmission or duplicate to recover from: %+v", fs)
+		}
+		// A reply is taken from the home's pool right after its request
 		// is freed, so the home keeps one packet and the requester gets
 		// one back per operation.
-		home, req := len(r.h[1].pktFree), len(r.h[0].pktFree)
-		if faulty {
-			if home != 0 || req != 0 {
-				t.Errorf("faulty link: pktFree home %d, requester %d; want both empty", home, req)
-			}
-			continue
-		}
+		home, req := len(r.h[1].pool.free), len(r.h[0].pool.free)
 		if home == 0 || req == 0 {
-			t.Errorf("fault-free pair: pktFree home %d, requester %d; want both non-empty", home, req)
+			t.Errorf("faulty=%v: pool home %d, requester %d; want both non-empty", faulty, home, req)
 		}
 		for _, h := range r.h {
-			for _, pkt := range h.pktFree {
+			for _, pkt := range h.pool.free {
 				if !reflect.DeepEqual(*pkt, packet.Packet{}) {
 					t.Errorf("node %v: recycled packet not zeroed: %+v", h.node, *pkt)
 				}

@@ -11,6 +11,16 @@
 // frames are retransmitted on a timer. This mirrors the fault-tolerant
 // link layers of NIC-based protocol work (e.g. APEnet+): the wire is
 // unreliable, the link presents reliability upward.
+//
+// The ARQ sublayer never reads a packet: to it a *packet.Packet is an
+// opaque token. The sender window keeps the pointer only to re-send it,
+// a retransmission copies the pointer unread, and the receiver discards
+// a frame whose sequence number it has already delivered without
+// touching the packet. So once a packet is delivered, its consumer owns
+// it outright — it may overwrite and re-send it at once while stale
+// copies of its frames are still in flight — which is what lets the
+// HIB's packet pool recycle on faulty fabrics
+// (TestARQNeverReadsDeliveredPacket pins it).
 package link
 
 import (
@@ -80,7 +90,7 @@ type frame struct {
 // minWindow is the initial size of a sender window or reorder buffer.
 // Both are power-of-two rings indexed by seq & mask that double on
 // demand, so the size only bounds the first allocation.
-const minWindow = 8
+const minWindow = 2
 
 // arqSlot is one sender-window entry: the frame awaiting acknowledgement
 // and its retransmission timer. Its retransmit callback is bound once,
@@ -158,8 +168,10 @@ type injector struct {
 	timeout sim.Time
 	same    bool // both halves on one engine: records and ackq in use
 
-	win [packet.NumVCs]sendWindow // sender side
-	rx  [packet.NumVCs]reorderBuf // receiver side
+	// Per-VC ARQ state, made on the VC's first frame: the escape
+	// layers above 0 carry traffic only on torus and dragonfly trunks.
+	win [packet.NumVCs]*sendWindow // sender side
+	rx  [packet.NumVCs]*reorderBuf // receiver side
 
 	xfree []*xmit       // idle frame records (same-engine only)
 	ackq  fifo[ackItem] // acks in flight (same-engine only)
@@ -196,7 +208,11 @@ func newInjector(l *Link, plan FaultPlan) *injector {
 // it is assigned the next sequence number, transmitted through the faulty
 // channel, and guarded by a retransmission timer until acknowledged.
 func (inj *injector) send(vc packet.VC, pkt *packet.Packet) {
-	w := &inj.win[vc]
+	w := inj.win[vc]
+	if w == nil {
+		w = &sendWindow{}
+		inj.win[vc] = w
+	}
 	if w.nextSeq-w.acked == uint64(len(w.slots)) {
 		inj.growWindow(vc)
 	}
@@ -209,7 +225,7 @@ func (inj *injector) send(vc packet.VC, pkt *packet.Packet) {
 // growWindow doubles vc's sender window, moving every live slot to its
 // place in the larger ring and making the slots that are new.
 func (inj *injector) growWindow(vc packet.VC) {
-	w := &inj.win[vc]
+	w := inj.win[vc]
 	n := max(2*len(w.slots), minWindow)
 	slots := make([]*arqSlot, n)
 	mask := uint64(n - 1)
@@ -288,7 +304,11 @@ func (inj *injector) retransmit(vc packet.VC, s *arqSlot) {
 // arrive is the receiver side: deduplicate, restore order, deliver, ack.
 // It runs on the receiver engine as a forward-channel message.
 func (inj *injector) arrive(vc packet.VC, f frame) {
-	r := &inj.rx[vc]
+	r := inj.rx[vc]
+	if r == nil {
+		r = &reorderBuf{}
+		inj.rx[vc] = r
+	}
 	switch {
 	case f.seq < r.expect:
 		inj.rstats.Deduped++ // already delivered: a wire dup or a spurious retransmit
@@ -359,7 +379,7 @@ func (inj *injector) ackHead() {
 // ack processes a cumulative acknowledgement: every frame below upTo is
 // released and its retransmission timer canceled.
 func (inj *injector) ack(vc packet.VC, upTo uint64) {
-	w := &inj.win[vc]
+	w := inj.win[vc]
 	for seq := w.acked; seq < upTo; seq++ {
 		s := w.slots[seq&w.mask]
 		s.f.pkt = nil
@@ -374,8 +394,10 @@ func (inj *injector) ack(vc packet.VC, upTo uint64) {
 // and quiescence checking).
 func (inj *injector) unacked() int {
 	n := 0
-	for vc := range inj.win {
-		n += int(inj.win[vc].nextSeq - inj.win[vc].acked)
+	for _, w := range inj.win {
+		if w != nil {
+			n += int(w.nextSeq - w.acked)
+		}
 	}
 	return n
 }

@@ -261,8 +261,122 @@ func TestCrossShardCleanLink(t *testing.T) {
 	if fmt.Sprint(got[0]) != fmt.Sprint(got[1]) {
 		t.Fatalf("cross-shard schedule differs:\n one: %v\n two: %v", got[0], got[1])
 	}
-	if x.Faulty() || x.Unacked() != 0 || x.FaultStats() != (FaultStats{}) {
+	if x.inj != nil || x.Unacked() != 0 || x.FaultStats() != (FaultStats{}) {
 		t.Fatal("fault-free link reports fault state")
+	}
+}
+
+// reuseRing drives a ring of faulty links the way the HIB's packet pool
+// does: each delivered packet is poisoned and at once re-sent, as the
+// next frame of the receiver's outgoing link (links[(i+1)%n] for a
+// delivery on links[i]), while the link that delivered it may still hold
+// the same pointer, unacknowledged, in its ARQ sender window.
+type reuseRing struct {
+	links []*Link
+	limit int        // frames per link
+	sent  []int      // per link: frames launched
+	got   [][]uint64 // per link: values delivered, in order
+}
+
+func newReuseRing(links []*Link, limit int) *reuseRing {
+	r := &reuseRing{links: links, limit: limit, sent: make([]int, len(links)), got: make([][]uint64, len(links))}
+	for i, l := range links {
+		i := i
+		l.SetNotify(packet.VCRequest, func() { r.recv(i) })
+	}
+	return r
+}
+
+// poison is what a delivered packet is overwritten with: every field
+// wrong, including its class and layer, so a link that read the packet
+// again would see another VC, another size and another value.
+var poison = packet.Packet{
+	Type: packet.CopyData, Src: 0xdead, Dst: 0xbeef, Addr: 0xbad, Addr2: 0xbad,
+	Val: 0xdeadbeef, Val2: 0xdeadbeef, Origin: 0xdead, ReqID: 0xdead, Len: 0xdead, Last: true, Layer: 2,
+	Data: []uint64{0xdead, 0xdead, 0xdead},
+}
+
+// send launches pkt as frame number r.sent[j] of links[j].
+func (r *reuseRing) send(j int, pkt *packet.Packet) {
+	if r.sent[j] >= r.limit {
+		return
+	}
+	pkt.Type, pkt.Layer, pkt.Data = packet.WriteReq, 0, nil
+	pkt.Val = uint64(r.sent[j])
+	r.sent[j]++
+	r.links[j].SendEv(pkt, nil)
+}
+
+// recv consumes links[i]'s arrivals: record, poison, re-send.
+func (r *reuseRing) recv(i int) {
+	for {
+		pkt, ok := r.links[i].TryRecv(packet.VCRequest)
+		if !ok {
+			return
+		}
+		r.got[i] = append(r.got[i], pkt.Val)
+		*pkt = poison
+		r.send((i+1)%len(r.links), pkt)
+	}
+}
+
+// TestARQNeverReadsDeliveredPacket pins the contract the HIB's packet
+// pool relies on: the ARQ sublayer treats a packet pointer as an opaque
+// token. A retransmission re-sends the pointer unread, and the receiver
+// discards an already-delivered frame by sequence number alone. Under
+// heavy drops, duplicates and reordering, every delivered packet is
+// poisoned and re-sent at once, so stale copies of its frames are still
+// in flight when its fields change. Each link must still deliver its
+// frames exactly once and in order. The arms run one link on one
+// engine, and a two-link loop on one engine and across two shards
+// (under -race, the shards must share no packet reads); the loop's
+// fault counters must not depend on the shard count.
+func TestARQNeverReadsDeliveredPacket(t *testing.T) {
+	const n, tokens = 600, 16
+	cfg := Config{PropDelay: 100, WordTime: 10, BufPackets: 8, Faults: chaos(9)}
+	var loopStats [2]FaultStats
+	for _, arm := range []struct {
+		name          string
+		links, shards int
+	}{{"one link", 1, 1}, {"loop, one engine", 2, 1}, {"loop, two shards", 2, 2}} {
+		g := sim.NewGroup(1, arm.shards)
+		eng := func(i int) *sim.Engine { return g.Shard(i % arm.shards) }
+		links := make([]*Link, arm.links)
+		for i := range links {
+			links[i] = NewCross(eng(i), eng(i+1), fmt.Sprintf("l%d", i), cfg)
+		}
+		r := newReuseRing(links, n)
+		for k := 0; k < tokens; k++ {
+			r.send(0, &packet.Packet{})
+		}
+		if err := g.Run(); err != nil {
+			t.Fatal(err)
+		}
+		var st FaultStats
+		for i, l := range links {
+			if len(r.got[i]) != n {
+				t.Fatalf("%s: link %d delivered %d frames, want %d", arm.name, i, len(r.got[i]), n)
+			}
+			for k, v := range r.got[i] {
+				if v != uint64(k) {
+					t.Fatalf("%s: link %d delivery %d carries frame %d", arm.name, i, k, v)
+				}
+			}
+			if u := l.Unacked(); u != 0 {
+				t.Fatalf("%s: link %d has %d frames unacknowledged at quiescence", arm.name, i, u)
+			}
+			st.Add(l.FaultStats())
+		}
+		if st.Retransmits == 0 || st.Deduped == 0 || st.Buffered == 0 {
+			t.Fatalf("%s: recovery paths not exercised: %+v", arm.name, st)
+		}
+		t.Logf("%s: %+v", arm.name, st)
+		if arm.links == 2 {
+			loopStats[arm.shards-1] = st
+		}
+	}
+	if loopStats[0] != loopStats[1] {
+		t.Fatalf("loop fault counters differ: one engine %+v, two shards %+v", loopStats[0], loopStats[1])
 	}
 }
 
@@ -283,8 +397,11 @@ func TestFaultPlanBasics(t *testing.T) {
 		t.Fatalf("Add/Total: %+v total %d", b, b.Total())
 	}
 	l := New(sim.NewEngine(1), "p", Config{PropDelay: 10, WordTime: 30, Faults: &FaultPlan{DropProb: 0.1}})
-	if !l.Faulty() || l.inj.plan.ReorderDelay != 2*sim.Microsecond || l.inj.timeout <= 0 {
-		t.Fatalf("plan defaults not applied: faulty %v, reorder delay %v, timeout %v", l.Faulty(), l.inj.plan.ReorderDelay, l.inj.timeout)
+	if l.inj == nil {
+		t.Fatal("an active plan built no injector")
+	}
+	if l.inj.plan.ReorderDelay != 2*sim.Microsecond || l.inj.timeout <= 0 {
+		t.Fatalf("plan defaults not applied: reorder delay %v, timeout %v", l.inj.plan.ReorderDelay, l.inj.timeout)
 	}
 	l = New(sim.NewEngine(1), "q", Config{Faults: &FaultPlan{DropProb: 0.1, RetryTimeout: 77}})
 	if l.inj.timeout != 77 {

@@ -347,9 +347,6 @@ func (l *Link) Unacked() int {
 	return l.inj.unacked()
 }
 
-// Faulty reports whether the link runs a fault plan.
-func (l *Link) Faulty() bool { return l.inj != nil }
-
 // String renders the link name and counters.
 func (l *Link) String() string {
 	return fmt.Sprintf("link %s: %d pkts, %d words, util %.1f%%", l.name, l.sentPackets, l.sentWords, 100*l.Utilization())

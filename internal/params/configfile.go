@@ -1,6 +1,7 @@
 package params
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,25 +11,46 @@ import (
 	"telegraphos/internal/sim"
 )
 
-// fileConfig is the JSON form of a Config. Times are nanoseconds.
+// fileConfig is the JSON form of a Config. Times are nanoseconds. The
+// timing, sizing and link blocks stay raw until the node count is known:
+// each is then decoded over the calibrated defaults (a Timing, a Sizing
+// and a fileLink), so a field a block omits keeps its default.
 type fileConfig struct {
-	Nodes          int     `json:"nodes"`
-	Seed           int64   `json:"seed"`
-	Placement      string  `json:"placement"` // "hib" or "main"
-	Topology       string  `json:"topology"`
-	ChainPerSwitch int     `json:"chain_per_switch,omitempty"`
-	Timing         *Timing `json:"timing,omitempty"`
-	Sizing         *Sizing `json:"sizing,omitempty"`
-	Link           *struct {
-		PropDelayNS int64 `json:"prop_delay_ns"`
-		WordTimeNS  int64 `json:"word_time_ns"`
-		BufPackets  int   `json:"buf_packets"`
-	} `json:"link,omitempty"`
-	SwitchRouteDelayNS int64 `json:"switch_route_delay_ns,omitempty"`
+	Nodes              int             `json:"nodes"`
+	Seed               int64           `json:"seed"`
+	Placement          string          `json:"placement"` // "hib" or "main"
+	Topology           string          `json:"topology"`
+	ChainPerSwitch     int             `json:"chain_per_switch,omitempty"`
+	Timing             json.RawMessage `json:"timing,omitempty"`
+	Sizing             json.RawMessage `json:"sizing,omitempty"`
+	Link               json.RawMessage `json:"link,omitempty"`
+	SwitchRouteDelayNS int64           `json:"switch_route_delay_ns,omitempty"`
+}
+
+// fileLink is the JSON form of the link block.
+type fileLink struct {
+	PropDelayNS int64 `json:"prop_delay_ns"`
+	WordTimeNS  int64 `json:"word_time_ns"`
+	BufPackets  int   `json:"buf_packets"`
+}
+
+// decodeOver decodes the config block raw (absent when nil) over *dst,
+// which holds the defaults, rejecting unknown fields.
+func decodeOver(block string, raw json.RawMessage, dst any) error {
+	if raw == nil {
+		return nil
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(dst); err != nil {
+		return fmt.Errorf("params: parsing config %s block: %w", block, err)
+	}
+	return nil
 }
 
 // ReadConfig parses a JSON machine description, filling unspecified
-// fields from the calibrated defaults.
+// fields from the calibrated defaults — inside the timing, sizing and
+// link blocks too, so a block need only name the fields it changes.
 func ReadConfig(r io.Reader) (Config, error) {
 	var fc fileConfig
 	dec := json.NewDecoder(r)
@@ -60,17 +82,19 @@ func ReadConfig(r io.Reader) (Config, error) {
 	if err := cfg.Fabric().Check(); err != nil {
 		return Config{}, err
 	}
-	if fc.Timing != nil {
-		cfg.Timing = *fc.Timing
+	if err := decodeOver("timing", fc.Timing, &cfg.Timing); err != nil {
+		return Config{}, err
 	}
-	if fc.Sizing != nil {
-		cfg.Sizing = *fc.Sizing
+	if err := decodeOver("sizing", fc.Sizing, &cfg.Sizing); err != nil {
+		return Config{}, err
 	}
-	if fc.Link != nil {
-		cfg.Link.PropDelay = sim.Time(fc.Link.PropDelayNS)
-		cfg.Link.WordTime = sim.Time(fc.Link.WordTimeNS)
-		cfg.Link.BufPackets = fc.Link.BufPackets
+	fl := fileLink{PropDelayNS: int64(cfg.Link.PropDelay), WordTimeNS: int64(cfg.Link.WordTime), BufPackets: cfg.Link.BufPackets}
+	if err := decodeOver("link", fc.Link, &fl); err != nil {
+		return Config{}, err
 	}
+	cfg.Link.PropDelay = sim.Time(fl.PropDelayNS)
+	cfg.Link.WordTime = sim.Time(fl.WordTimeNS)
+	cfg.Link.BufPackets = fl.BufPackets
 	if fc.SwitchRouteDelayNS > 0 {
 		cfg.Switch.RouteDelay = sim.Time(fc.SwitchRouteDelayNS)
 	}

@@ -64,7 +64,7 @@ func TestReadConfigErrors(t *testing.T) {
 		`{"nodes": 2, "bogus_field": 1}`, // unknown fields rejected
 		`{nodes: 2}`,                     // invalid JSON
 		// Sizings the node memory, MMU or HIB cannot be built or run from.
-		`{"nodes": 4, "sizing": {}}`,
+		`{"nodes": 4, "sizing": {"HIBWriteQueue": 0}}`,
 		`{"nodes": 4, "sizing": {"MemBytes": 65536, "PageSize": 0, "TLBEntries": 8, "Contexts": 1, "HIBWriteQueue": 4}}`,
 		`{"nodes": 4, "sizing": {"MemBytes": 65536, "PageSize": 1000, "TLBEntries": 8, "Contexts": 1, "HIBWriteQueue": 4}}`,
 		`{"nodes": 4, "sizing": {"MemBytes": 0, "PageSize": 8192, "TLBEntries": 8, "Contexts": 1, "HIBWriteQueue": 4}}`,
@@ -78,7 +78,12 @@ func TestReadConfigErrors(t *testing.T) {
 		`{"nodes": 2, "link": {"prop_delay_ns": 0, "word_time_ns": 140, "buf_packets": 4}}`,
 		`{"nodes": 2, "link": {"prop_delay_ns": 10, "word_time_ns": 0, "buf_packets": 4}}`,
 		`{"nodes": 2, "link": {"prop_delay_ns": 10, "word_time_ns": 140, "buf_packets": 0}}`,
-		`{"nodes": 2, "link": {}}`,
+		`{"nodes": 2, "link": {"buf_packets": 0}}`,
+		// Unknown fields inside a block.
+		`{"nodes": 2, "timing": {"CPUOps": 80}}`,
+		`{"nodes": 2, "sizing": {"Pages": 8}}`,
+		`{"nodes": 2, "link": {"prop_delay": 10}}`,
+		`{"nodes": 2, "timing": []}`,
 	}
 	for _, in := range cases {
 		if _, err := ReadConfig(strings.NewReader(in)); err == nil {
@@ -98,6 +103,47 @@ func TestReadConfigSmallSizing(t *testing.T) {
 	}
 	if cfg.Sizing.MemBytes != 65536 || cfg.Sizing.PageSize != 4096 || cfg.Link.PropDelay != 1 || cfg.Link.BufPackets != 1 {
 		t.Fatalf("sizing %+v link %+v", cfg.Sizing, cfg.Link)
+	}
+}
+
+// TestReadConfigPartialBlocks: a timing, sizing or link block changes
+// only the fields it names; the others keep the calibrated defaults, and
+// an empty block is the defaults.
+func TestReadConfigPartialBlocks(t *testing.T) {
+	def := Default(4)
+	cfg, err := ReadConfig(strings.NewReader(`{"nodes": 4,
+		"timing": {"CPUOp": 123, "MPMWrite": 456},
+		"sizing": {"HIBWriteQueue": 2},
+		"link": {"buf_packets": 9}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantT := def.Timing
+	wantT.CPUOp, wantT.MPMWrite = 123, 456
+	if cfg.Timing != wantT {
+		t.Errorf("timing %+v, want %+v", cfg.Timing, wantT)
+	}
+	wantS := def.Sizing
+	wantS.HIBWriteQueue = 2
+	if cfg.Sizing != wantS {
+		t.Errorf("sizing %+v, want %+v", cfg.Sizing, wantS)
+	}
+	wantL := def.Link
+	wantL.BufPackets = 9
+	if cfg.Link != wantL {
+		t.Errorf("link %+v, want %+v", cfg.Link, wantL)
+	}
+	for _, in := range []string{
+		`{"nodes": 4, "timing": {}, "sizing": {}, "link": {}}`,
+		`{"nodes": 4, "timing": null, "sizing": null, "link": null}`,
+	} {
+		cfg, err := ReadConfig(strings.NewReader(in))
+		if err != nil {
+			t.Fatalf("%s: %v", in, err)
+		}
+		if cfg.Timing != def.Timing || cfg.Sizing != def.Sizing || cfg.Link != def.Link {
+			t.Errorf("%s: timing, sizing or link differs from the defaults", in)
+		}
 	}
 }
 

@@ -259,9 +259,18 @@ func (h *harness) genProgram(i, plainHome, mcHome int) []op {
 		total += e.w
 	}
 
+	// The program is split into Barriers+1 segments of seg ops, with a
+	// global barrier at each boundary.
+	seg := 0
+	if sc.Barriers > 0 {
+		seg = max(sc.OpsPerNode/(sc.Barriers+1), 1)
+	}
 	var fsSeen []uint64
 	ops := make([]op, 0, sc.OpsPerNode+sc.Barriers)
 	for k := 0; k < sc.OpsPerNode; k++ {
+		if seg > 0 && k > 0 && k%seg == 0 && k/seg <= sc.Barriers {
+			ops = append(ops, op{kind: opBarrier})
+		}
 		pick := rng.Intn(total)
 		kind := weights[len(weights)-1].kind
 		for _, e := range weights {
@@ -300,23 +309,6 @@ func (h *harness) genProgram(i, plainHome, mcHome int) []op {
 			fsSeen = append(fsSeen, o.val)
 		}
 		ops = append(ops, o)
-	}
-
-	// Split the program into Barriers+1 segments with global barriers at
-	// the boundaries.
-	if sc.Barriers > 0 {
-		seg := len(ops) / (sc.Barriers + 1)
-		if seg == 0 {
-			seg = 1
-		}
-		withBars := make([]op, 0, len(ops)+sc.Barriers)
-		for k, o := range ops {
-			if k > 0 && k%seg == 0 && k/seg <= sc.Barriers {
-				withBars = append(withBars, op{kind: opBarrier})
-			}
-			withBars = append(withBars, o)
-		}
-		ops = withBars
 	}
 	return ops
 }

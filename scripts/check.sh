@@ -56,12 +56,14 @@ go test ./internal/sim -run 'TestProc|TestGroup' -cpu 1,4 -count 1
 # offer of each received packet to an installed coherence protocol.
 # Node memory word accesses allocate nothing once their leaf exists (and
 # zero stores never do), and the online checker's history builder and
-# fence bookkeeping recycle their records.
+# fence bookkeeping recycle their records. A replica store's update
+# round trip (UpdateFwd, ReflectedWrites, WriteAcks) takes its packets
+# from the boards' pool and runs on prebound handlers.
 echo '== allocation budgets (-cpu 1,4)'
 go test ./internal/sim -run 'Allocs$' -cpu 1,4 -count 1
 go test ./internal/trace -run 'Allocs$' -cpu 1,4 -count 1
 go test ./internal/link ./internal/hib -run 'Allocs$' -cpu 1,4 -count 1
-go test ./internal/mem ./internal/linearize -run 'Allocs$' -cpu 1,4 -count 1
+go test ./internal/mem ./internal/linearize ./internal/coherence -run 'Allocs$' -cpu 1,4 -count 1
 
 # TGE1 spill round trip through the CLIs: a sharded chaos run pages its
 # merged stream to disk, and replaying the file offline must recompute
