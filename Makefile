@@ -59,6 +59,7 @@ bench:
 # untrusted bytes. The two sim targets hunt for operation streams where
 # the engine's queue and its container/heap reference pop differently.
 # FuzzAllowAnnot feeds arbitrary //tgvet:allow comments to tgvet.
+# FuzzTLB checks the TLB against a map-based reference FIFO.
 fuzz:
 	$(GO) test ./internal/sim -fuzz FuzzMsgQueue -fuzztime 10s
 	$(GO) test ./internal/sim -fuzz FuzzEventQueueDifferential -fuzztime 10s
@@ -68,6 +69,7 @@ fuzz:
 	$(GO) test ./internal/addrspace -fuzz FuzzAddrRoundTrips -fuzztime 10s
 	$(GO) test ./internal/linearize -fuzz FuzzLinearize -fuzztime 15s
 	$(GO) test ./internal/mem -fuzz FuzzMemoryDifferential -fuzztime 10s
+	$(GO) test ./internal/mmu -fuzz FuzzTLB -fuzztime 10s
 	$(GO) test ./internal/consistency -fuzz FuzzCoherent -fuzztime 15s
 	$(GO) test ./internal/switchfab -fuzz FuzzMergeSplit -fuzztime 10s
 	$(GO) test ./internal/topology -fuzz FuzzRoute -fuzztime 15s

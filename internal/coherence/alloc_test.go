@@ -15,9 +15,9 @@ import (
 // needs a reason.
 const reflectionAllocs = 0
 
-// fenceAllocs is what the writer's own FENCE costs per store: the
-// completion it waits on and the waiter slot its Wait appends.
-const fenceAllocs = 2
+// fenceAllocs is what the writer's own FENCE costs per store: none, as
+// the board reuses one completion and its waiter array for every fence.
+const fenceAllocs = 0
 
 // TestReflectionAllocs pins the allocations of a warmed replica-store
 // round trip in every counter mode: the writer's UpdateFwd reaches the

@@ -360,9 +360,6 @@ func (m *UpdateMgr) ackTo(dst addrspace.NodeID) {
 	m.h.Post(ack)
 }
 
-// debugReflect, when set by tests, observes every reflection decision.
-var debugReflect func(m *UpdateMgr, pkt *packet.Packet, own bool)
-
 // applyReflected implements rules 2 and 3 at a replica: a reflection of
 // our own write decrements the counter and is ignored; any other
 // reflection is ignored while our counter is non-zero, applied otherwise.
@@ -410,14 +407,10 @@ func (m *UpdateMgr) writeDone() {
 }
 
 // decideReflected applies or ignores a reflection, acknowledges it, and
-// returns the consumed packet to the board's pool — unless the test hook
-// debugReflect is set, which may keep the packet.
+// returns the consumed packet to the board's pool.
 func (m *UpdateMgr) decideReflected(pkt *packet.Packet) {
 	offset := pkt.Addr.Offset()
 	own := pkt.Origin == m.node
-	if debugReflect != nil {
-		debugReflect(m, pkt, own)
-	}
 	switch {
 	case m.u.mode == CountersOff:
 		// Telegraphos I: apply unconditionally.
@@ -444,8 +437,6 @@ func (m *UpdateMgr) decideReflected(pkt *packet.Packet) {
 	}
 	// Acknowledge the owner's reflection so its FENCE covers delivery.
 	src := pkt.Src
-	if debugReflect == nil {
-		m.h.FreePacket(pkt)
-	}
+	m.h.FreePacket(pkt)
 	m.ackTo(src)
 }

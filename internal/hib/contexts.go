@@ -229,10 +229,7 @@ func (h *HIB) launchAtomic(p *sim.Proc, id int) uint64 {
 		h.returnOp(bop, seq, g, old)
 		return old
 	}
-	h.nextReqID++
-	rid := h.nextReqID
-	fut := sim.NewFuture[uint64](h.eng)
-	h.pendingReads[rid] = fut
+	rid, fut := h.newRequest()
 	req := h.newPacket()
 	req.Type = packet.AtomicReq
 	req.Src = h.node
@@ -251,7 +248,7 @@ func (h *HIB) launchAtomic(p *sim.Proc, id int) uint64 {
 		req.Val2 = 0
 	}
 	h.postCPU(p, req)
-	old := fut.Wait(p)
+	old := h.awaitReply(p, fut)
 	h.returnOp(bop, seq, g, old)
 	return old
 }

@@ -164,10 +164,7 @@ func (h *HIB) remoteRead(p *sim.Proc, lead sim.Time, pa addrspace.PAddr) uint64 
 	h.readSlots.Acquire(p)
 	// Issue + read-setup transaction + HIB service, in a single park.
 	h.bus.TransactAfter(p, lead, h.timing.TCReadSetup, h.timing.HIBService)
-	h.nextReqID++
-	id := h.nextReqID
-	fut := sim.NewFuture[uint64](h.eng)
-	h.pendingReads[id] = fut
+	id, fut := h.newRequest()
 	req := h.newPacket()
 	req.Type = packet.ReadReq
 	req.Src = h.node
@@ -175,7 +172,7 @@ func (h *HIB) remoteRead(p *sim.Proc, lead sim.Time, pa addrspace.PAddr) uint64 
 	req.Addr = g
 	req.ReqID = id
 	h.postCPU(p, req)
-	v := fut.Wait(p)
+	v := h.awaitReply(p, fut)
 	h.bus.Transact(p, h.timing.TCReadReply)
 	h.readSlots.Release()
 	h.returnOp(trace.BOpRead, seq, g, v)

@@ -175,11 +175,14 @@ type HIB struct {
 	cpuCredits *sim.Semaphore // bounds CPU-originated in-flight writes
 	readSlots  *sim.Semaphore // bounds outstanding remote reads
 
-	outstanding  int // outstanding remote operations (writes + copies)
-	fenceWaiters []*sim.Completion
+	outstanding int             // outstanding remote operations (writes + copies)
+	fence       *sim.Completion // FENCE waiters; completed and reset at every drain
 
+	// Blocking requests (reads, atomics) in flight by ID, and resolved
+	// futures kept for reuse (see newRequest).
 	nextReqID    uint64
 	pendingReads map[uint64]*sim.Future[uint64]
+	freeFutures  []*sim.Future[uint64]
 
 	// In-network collective state (see collops.go): group memberships
 	// and the combinable-fetch&add launch flag.
@@ -223,6 +226,7 @@ func New(eng *sim.Engine, node addrspace.NodeID, net *topology.Network, bus *tch
 		placement:    cfg.Placement,
 		cpuCredits:   sim.NewSemaphore(eng, cfg.Sizing.HIBWriteQueue),
 		readSlots:    sim.NewSemaphore(eng, max(cfg.Sizing.MaxOutstandingRds, 1)),
+		fence:        sim.NewCompletion(eng),
 		pendingReads: make(map[uint64]*sim.Future[uint64]),
 		contexts:     make([]tgContext, cfg.Sizing.Contexts),
 		pageCounters: make(map[addrspace.GPage]*pageCounter),
@@ -487,11 +491,8 @@ func (h *HIB) AddOutstanding(delta int) {
 		panic("hib: outstanding operation counter went negative")
 	}
 	if h.outstanding == 0 {
-		for _, c := range h.fenceWaiters {
-			c.Complete()
-		}
-		clear(h.fenceWaiters)
-		h.fenceWaiters = h.fenceWaiters[:0] // keep the array for the next fence
+		h.fence.Complete() // wakes the waiters in FIFO order
+		h.fence.Reset()
 	}
 }
 
@@ -514,8 +515,29 @@ func (h *HIB) Fence(p *sim.Proc) {
 // drains to zero, without recording a memory-barrier boundary event.
 func (h *HIB) WaitOutstanding(p *sim.Proc) {
 	if h.outstanding != 0 {
-		c := sim.NewCompletion(h.eng)
-		h.fenceWaiters = append(h.fenceWaiters, c)
-		c.Wait(p)
+		h.fence.Wait(p)
 	}
+}
+
+// newRequest assigns the next request ID and registers the future its
+// reply resolves, reusing a freed one when it can.
+func (h *HIB) newRequest() (uint64, *sim.Future[uint64]) {
+	h.nextReqID++
+	var fut *sim.Future[uint64]
+	if n := len(h.freeFutures); n > 0 {
+		fut = h.freeFutures[n-1]
+		h.freeFutures = h.freeFutures[:n-1]
+	} else {
+		fut = sim.NewFuture[uint64](h.eng)
+	}
+	h.pendingReads[h.nextReqID] = fut
+	return h.nextReqID, fut
+}
+
+// awaitReply blocks p until fut resolves, then keeps fut for reuse.
+func (h *HIB) awaitReply(p *sim.Proc, fut *sim.Future[uint64]) uint64 {
+	v := fut.Wait(p)
+	fut.Reset()
+	h.freeFutures = append(h.freeFutures, fut)
+	return v
 }

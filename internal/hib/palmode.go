@@ -83,10 +83,7 @@ func (h *HIB) palRead(p *sim.Proc, reg uint64) (uint64, bool) {
 		p.Sleep(h.timing.MPMRead + h.timing.MPMWrite)
 		return h.applyAtomic(op, g.Offset(), operand, 0), true
 	}
-	h.nextReqID++
-	rid := h.nextReqID
-	fut := sim.NewFuture[uint64](h.eng)
-	h.pendingReads[rid] = fut
+	rid, fut := h.newRequest()
 	h.postCPU(p, &packet.Packet{
 		Type:  packet.AtomicReq,
 		Src:   h.node,
@@ -96,7 +93,7 @@ func (h *HIB) palRead(p *sim.Proc, reg uint64) (uint64, bool) {
 		Op:    op,
 		ReqID: rid,
 	})
-	return fut.Wait(p), true
+	return h.awaitReply(p, fut), true
 }
 
 // palLatchAddress intercepts a data-space store while special mode is

@@ -12,12 +12,11 @@ import (
 )
 
 // remoteOpAllocs is the allocation count of one warmed remote load or
-// fetch&inc on a fault-free pair: the sim.Future the requester blocks on
-// and the waiter slot its Wait appends. Request and reply packets come
-// from the boards' pools, and every event on the datapath has a
-// prebound handler. Lower it when a change lowers it; raising it needs a
-// reason.
-const remoteOpAllocs = 2
+// fetch&inc on a fault-free pair: none. The board reuses the future the
+// requester blocks on, and its waiter array; request and reply packets
+// come from the boards' pools, and every event on the datapath has a
+// prebound handler. Raising it needs a reason.
+const remoteOpAllocs = 0
 
 // TestRemoteOpAllocs pins the allocations of a warmed remote Load and
 // FetchAndInc, measured inside one long-lived requester process.

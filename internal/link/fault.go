@@ -122,60 +122,54 @@ type reorderBuf struct {
 	expect uint64
 }
 
-// ackItem is a cumulative acknowledgement in flight on a same-engine
-// link's reverse channel (see injector.ackq).
-type ackItem struct {
-	vc   packet.VC
-	upTo uint64
-}
-
-// xmit is one frame attempt in flight on a same-engine link. Its run
-// method value is bound once; after delivery the record returns to the
-// injector's free list. A duplicated frame takes two records.
+// xmit is one frame attempt in flight, and then that arrival's ack. The
+// sender takes a record from its free list and sends it down the
+// forward channel; the receiver's arrive writes the cumulative ack into
+// the same record and sends it back on the reverse channel (every
+// arrival sends exactly one ack); the sender applies the ack and frees
+// the record. Each half touches a record only between its channel's
+// hand-offs, so records work across shards as on one engine. Both
+// handlers are bound once, when the record is made. A duplicated frame
+// takes two records; a dropped one takes none.
 type xmit struct {
-	inj *injector
-	vc  packet.VC
-	f   frame
-	run func()
+	inj      *injector
+	vc       packet.VC
+	f        frame
+	upTo     uint64 // the ack: every seq below it delivered
+	arriveFn func() // receiver half: inj.arrive(x)
+	ackFn    func() // sender half: apply the ack, free the record
 }
 
-// fire delivers the frame to the receiver half and recycles the record.
-func (x *xmit) fire() {
-	inj, vc, f := x.inj, x.vc, x.f
+// acked applies the record's acknowledgement on the sender engine and
+// returns the record to the free list.
+func (x *xmit) acked() {
+	inj := x.inj
+	inj.ack(x.vc, x.upTo)
 	x.f = frame{}
 	inj.xfree = append(inj.xfree, x)
-	inj.arrive(vc, f)
 }
 
 // injector is the per-link fault + ARQ state, split along the wire: the
 // sender half (sequence assignment, fault draws, retransmission timers)
 // runs on the link's sender engine, the receiver half (dedup, reorder
 // buffer, cumulative acks) on its receiver engine. Frames cross on the
-// link's forward channel and acks return on the reverse channel, so the
-// two halves never touch each other's state directly and the link may
-// span two shards.
-//
-// On a same-engine link the crossings are allocation-free: frames ride
-// recycled xmit records, and acks, which all travel PropDelay and so
-// arrive in send order, queue in ackq behind one prebound handler.
-// Credits share the reverse channel but never touch ackq. A cross-shard
-// link keeps a closure per crossing, because its two halves run
-// concurrently within a barrier round and could not share the records.
+// link's forward channel and acks return on the reverse channel, each
+// crossing in a recycled xmit record, so the two halves never touch
+// each other's state directly, the link may span two shards, and no
+// crossing allocates once the free list has grown to the traffic's
+// high-water mark.
 type injector struct {
 	l       *Link
 	rng     *sim.RNG // sender-side: all fault draws happen at transmit
 	plan    FaultPlan
 	timeout sim.Time
-	same    bool // both halves on one engine: records and ackq in use
 
 	// Per-VC ARQ state, made on the VC's first frame: the escape
 	// layers above 0 carry traffic only on torus and dragonfly trunks.
 	win [packet.NumVCs]*sendWindow // sender side
 	rx  [packet.NumVCs]*reorderBuf // receiver side
 
-	xfree []*xmit       // idle frame records (same-engine only)
-	ackq  fifo[ackItem] // acks in flight (same-engine only)
-	ackFn func()        // prebound ack-arrival handler
+	xfree []*xmit // sender-side: idle frame records
 
 	sstats FaultStats // sender-side counters (drops, dups, reorders, retransmits)
 	rstats FaultStats // receiver-side counters (dedup, reorder buffering)
@@ -187,7 +181,6 @@ func newInjector(l *Link, plan FaultPlan) *injector {
 		l:    l,
 		rng:  sim.ForkRNG(uint64(plan.Seed), "link/"+l.name),
 		plan: plan,
-		same: l.eng == l.reng,
 	}
 	if inj.plan.ReorderDelay == 0 {
 		inj.plan.ReorderDelay = 2 * sim.Microsecond
@@ -200,7 +193,6 @@ func newInjector(l *Link, plan FaultPlan) *injector {
 		inj.timeout = 4*(l.cfg.PropDelay+inj.plan.JitterMax+inj.plan.ReorderDelay) +
 			128*l.cfg.WordTime + 10*sim.Microsecond
 	}
-	inj.ackFn = inj.ackHead
 	return inj
 }
 
@@ -269,20 +261,17 @@ func (inj *injector) transmit(vc packet.VC, s *arqSlot) {
 
 // forward sends one copy of f to the receiver half, delay from now.
 func (inj *injector) forward(delay sim.Time, vc packet.VC, f frame) {
-	if !inj.same {
-		inj.l.fwd.Send(delay, func() { inj.arrive(vc, f) })
-		return
-	}
 	var x *xmit
 	if n := len(inj.xfree); n > 0 {
 		x = inj.xfree[n-1]
 		inj.xfree = inj.xfree[:n-1]
 	} else {
 		x = &xmit{inj: inj}
-		x.run = x.fire
+		x.arriveFn = func() { inj.arrive(x) }
+		x.ackFn = x.acked
 	}
 	x.vc, x.f = vc, f
-	inj.l.fwd.Send(delay, x.run)
+	inj.l.fwd.Send(delay, x.arriveFn)
 }
 
 // armTimer schedules a retransmission of s's frame unless it is acked
@@ -302,8 +291,10 @@ func (inj *injector) retransmit(vc packet.VC, s *arqSlot) {
 }
 
 // arrive is the receiver side: deduplicate, restore order, deliver, ack.
-// It runs on the receiver engine as a forward-channel message.
-func (inj *injector) arrive(vc packet.VC, f frame) {
+// It runs on the receiver engine as a forward-channel message and sends
+// x back as the ack.
+func (inj *injector) arrive(x *xmit) {
+	vc, f := x.vc, x.f
 	r := inj.rx[vc]
 	if r == nil {
 		r = &reorderBuf{}
@@ -338,13 +329,8 @@ func (inj *injector) arrive(vc packet.VC, f frame) {
 	}
 	// Cumulative acknowledgement travels the reverse control channel,
 	// modeled as a reliable signal with the link's propagation delay.
-	upTo := r.expect
-	if inj.same {
-		inj.ackq.push(ackItem{vc: vc, upTo: upTo})
-		inj.l.rev.Send(inj.l.cfg.PropDelay, inj.ackFn)
-		return
-	}
-	inj.l.rev.Send(inj.l.cfg.PropDelay, func() { inj.ack(vc, upTo) })
+	x.upTo = r.expect
+	inj.l.rev.Send(inj.l.cfg.PropDelay, x.ackFn)
 }
 
 // grow doubles the reorder buffer until early frame seq fits, moving
@@ -367,13 +353,6 @@ func (r *reorderBuf) grow(seq uint64) {
 // unchanged.
 func (inj *injector) deliver(vc packet.VC, pkt *packet.Packet) {
 	inj.l.push(vc, pkt)
-}
-
-// ackHead processes the oldest acknowledgement in flight on a
-// same-engine link.
-func (inj *injector) ackHead() {
-	a := inj.ackq.pop()
-	inj.ack(a.vc, a.upTo)
 }
 
 // ack processes a cumulative acknowledgement: every frame below upTo is

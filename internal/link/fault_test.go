@@ -85,9 +85,9 @@ func checkInOrder(t *testing.T, got []string, n int) {
 
 // TestSteadyTrafficAllocs pins the fault-free same-engine datapath at
 // zero allocations per packet: with a 1 µs wire about seven packets are
-// in flight, so the in-flight queue never drains, and the receiver
-// leaves two packets queued, so the arrival queue never drains either.
-// Both must reuse their arrays instead of growing them.
+// in flight, so the wire ring never empties, and the receiver leaves
+// two packets queued, so the arrival queue never drains either. Both
+// must reuse their arrays instead of growing them.
 func TestSteadyTrafficAllocs(t *testing.T) {
 	e := sim.NewEngine(1)
 	l := New(e, "steady", Config{PropDelay: 1000, WordTime: 30, BufPackets: 16})
@@ -102,8 +102,9 @@ func TestSteadyTrafficAllocs(t *testing.T) {
 		if err := e.RunUntil(e.Now() + 10_000); err != nil {
 			t.Fatal(err)
 		}
-		if l.rxq.len() == 0 || l.Queued(tr.vc) != tr.keep {
-			t.Fatalf("in flight %d, queued %d: the queues drained", l.rxq.len(), l.Queued(tr.vc))
+		inFlight := l.ring.sent[tr.vc] - l.ring.read[tr.vc]
+		if inFlight == 0 || l.Queued(tr.vc) != tr.keep {
+			t.Fatalf("in flight %d, queued %d: the queues drained", inFlight, l.Queued(tr.vc))
 		}
 	}); avg != 0 {
 		t.Errorf("%.2f allocs per 10 µs of traffic, want 0", avg)
@@ -111,14 +112,14 @@ func TestSteadyTrafficAllocs(t *testing.T) {
 	if tr.sent-sent < 100*50 {
 		t.Fatalf("only %d packets in the measured runs", tr.sent-sent)
 	}
-	if c := cap(l.rxq.buf); c > 16 {
-		t.Errorf("in-flight queue grew to %d slots for about 7 packets in flight", c)
+	if c := cap(l.ring.slots[tr.vc]); c > 16 {
+		t.Errorf("wire ring grew to %d slots for about 7 packets in flight", c)
 	}
 }
 
 // TestFaultyLinkAllocs pins a same-engine faulty link at zero
-// allocations per frame once its sender window, reorder buffer, frame
-// records and ack queue have grown to the traffic's high-water mark.
+// allocations per frame once its sender window, reorder buffer and frame
+// records have grown to the traffic's high-water mark.
 func TestFaultyLinkAllocs(t *testing.T) {
 	e := sim.NewEngine(1)
 	l := New(e, "faulty", Config{PropDelay: 100, WordTime: 10, BufPackets: 8, Faults: chaos(7)})
@@ -186,11 +187,32 @@ func TestARQWindowGrowth(t *testing.T) {
 	}
 }
 
+// warmCrossAllocs runs tr's endless traffic over a cross-shard link for
+// warm, then reports the allocations per further window of run time.
+func warmCrossAllocs(t *testing.T, g *sim.Group, tr *traffic, warm, window sim.Time) float64 {
+	t.Helper()
+	tr.send()
+	if err := g.RunUntil(warm); err != nil {
+		t.Fatal(err)
+	}
+	sent := tr.sent
+	avg := testing.AllocsPerRun(50, func() {
+		if err := g.RunUntil(g.Now() + window); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if tr.sent-sent < 50*10 {
+		t.Fatalf("only %d packets in the measured runs", tr.sent-sent)
+	}
+	return avg
+}
+
 // TestCrossShardFaultyLink runs a faulty link whose two halves sit on
-// different shards of a 2-shard group. That link keeps a closure per
-// frame and per ack, because the halves run concurrently within a
-// round; run under -race it checks they share no state. Its delivery
-// sequence and fault counters must match the same link on one engine.
+// different shards of a 2-shard group. Its frames and acks cross in the
+// same recycled records as on one engine; run under -race it checks the
+// halves hand them over through the channels and share no other state.
+// Its delivery sequence and fault counters must match the same link on
+// one engine, and once warmed it must cross without allocating.
 func TestCrossShardFaultyLink(t *testing.T) {
 	const n = 600
 	cfg := Config{PropDelay: 100, WordTime: 10, BufPackets: 8, Faults: chaos(5)}
@@ -205,9 +227,6 @@ func TestCrossShardFaultyLink(t *testing.T) {
 			e := sim.NewEngine(1)
 			l = New(e, "x", cfg)
 			run = e.Run
-		}
-		if l.inj.same == cross {
-			t.Fatalf("cross=%v: injector same-engine flag %v", cross, l.inj.same)
 		}
 		tr := newTraffic(l, n)
 		tr.rec = true
@@ -232,11 +251,17 @@ func TestCrossShardFaultyLink(t *testing.T) {
 	if oneStats.Total() == 0 {
 		t.Fatal("no faults injected")
 	}
+	g := sim.NewGroup(1, 2)
+	l := NewCross(g.Shard(0), g.Shard(1), "x", cfg)
+	if avg := warmCrossAllocs(t, g, newTraffic(l, -1), 20_000_000, 100_000); avg != 0 {
+		t.Errorf("warmed cross-shard faulty link: %.2f allocs per 100 µs, want 0", avg)
+	}
 }
 
 // TestCrossShardCleanLink: a fault-free link across two shards carries
-// each packet in its own closure and still delivers in order, on the
-// same schedule as the one-engine link.
+// its packets in the same wire ring as on one engine, delivers in order
+// on the same schedule as the one-engine link, and once warmed crosses
+// without allocating.
 func TestCrossShardCleanLink(t *testing.T) {
 	const n = 200
 	cfg := Config{PropDelay: 100, WordTime: 10, BufPackets: 4}
@@ -263,6 +288,13 @@ func TestCrossShardCleanLink(t *testing.T) {
 	}
 	if x.inj != nil || x.Unacked() != 0 || x.FaultStats() != (FaultStats{}) {
 		t.Fatal("fault-free link reports fault state")
+	}
+	g = sim.NewGroup(1, 2)
+	x = NewCross(g.Shard(0), g.Shard(1), "x", cfg)
+	tr := newTraffic(x, -1)
+	tr.keep = 2
+	if avg := warmCrossAllocs(t, g, tr, 100_000, 10_000); avg != 0 {
+		t.Errorf("warmed cross-shard clean link: %.2f allocs per 10 µs, want 0", avg)
 	}
 }
 

@@ -12,9 +12,13 @@
 // sender half (credits, wire timeline, ARQ sender) runs on the sending
 // engine, the receiver half (arrival queues, ARQ receiver) on the
 // receiving engine, and everything that crosses the wire — packets,
-// credits, ARQ acks — travels over sim.Chans whose minimum delay is the
-// propagation delay. That physical latency is exactly the lookahead the
-// sharded engine uses.
+// credits, ARQ frames and acks — travels over sim.Chans whose minimum
+// delay is the propagation delay. That physical latency is exactly the
+// lookahead the sharded engine uses. Each crossing sends a prebound
+// handler and leaves its payload in storage the link reuses — the wire
+// ring of a fault-free link, the ARQ's frame records of a faulty one —
+// so a link crossing allocates nothing in steady state, on one engine
+// or across two shards, just as sim.Chan.Send does not.
 //
 // The link is an event-driven state machine, not a set of blocking
 // processes: SendEv reserves the wire timeline and calls back when the
@@ -108,19 +112,22 @@ func (q *fifo[T]) pop() T {
 	return x
 }
 
-// rxItem is a packet in flight on a fault-free, same-engine wire. Per
-// link, fwd-channel deliveries happen in send order (constant propagation
-// delay, FIFO channel), so the sender appends here and the prebound
-// arrival handler pops the head — no per-packet delivery closure. The
-// queue is single-engine state only: on a cross-shard link the two
-// endpoints run concurrently within a barrier round, so those links keep
-// the per-packet closure (the packet travels inside the sim.Chan
-// message). Faulty links also bypass this queue: the ARQ injector
-// reorders frames, so each frame attempt travels in its own record
-// (xmit) or, across shards, its own closure.
-type rxItem struct {
-	vc  packet.VC
-	pkt *packet.Packet
+// wireRing carries a fault-free link's packets across the wire: per VC,
+// a ring of exactly BufPackets slots, the depth of the receiver's buffer.
+// The sender writes the tail at wire-clear and sends the VC's prebound
+// arrival handler down the forward channel; the handler reads the head.
+// Per VC, deliveries happen in send order (constant propagation delay,
+// FIFO channel), so head and tail need no tag. The ring is never
+// overrun: slot i is written again only by packet i+BufPackets, which
+// needs the credit that packet i's consumption returns, and a packet is
+// read at its arrival, before it can be consumed. On a cross-shard link
+// the credit's sim.Chan hand-off therefore orders the receiver's read
+// before the sender's rewrite, and the ring works on both layouts.
+type wireRing struct {
+	slots  [packet.NumVCs][]*packet.Packet
+	sent   [packet.NumVCs]int    // sender side: packets written per VC
+	read   [packet.NumVCs]int    // receiver side: packets read per VC
+	arrive [packet.NumVCs]func() // prebound per-VC arrival handlers
 }
 
 // Link is a unidirectional, lossless, in-order link. Senders call SendEv;
@@ -147,10 +154,9 @@ type Link struct {
 	wireq    fifo[wireItem]        // reserved wire slots, in clear order
 	clearFn  func()                // prebound wire-clear handler
 
-	// In-flight packets on a fault-free wire (see rxItem). The sender
-	// pushes at wire-clear time; the receiver-engine pushFn pops.
-	rxq    fifo[rxItem]
-	pushFn func() // prebound arrival handler
+	// In-flight packets on a fault-free wire (nil on a faulty link,
+	// whose frames travel in the injector's records).
+	ring *wireRing
 
 	// Receiver state: arrived-but-unconsumed packets per VC and the
 	// consumer's notify hook.
@@ -187,10 +193,22 @@ func NewCross(snd, rcv *sim.Engine, name string, cfg Config) *Link {
 		l.creditFn[vc] = func() { l.creditArrive(vc) }
 	}
 	l.clearFn = l.wireClear
-	l.pushFn = l.pushHead
 	if cfg.Faults.Active() {
 		l.inj = newInjector(l, *cfg.Faults)
+		return l
 	}
+	r, n := &wireRing{}, cfg.BufPackets
+	buf := make([]*packet.Packet, packet.NumVCs*n)
+	for vc := range r.slots {
+		r.slots[vc] = buf[vc*n : (vc+1)*n : (vc+1)*n]
+		r.arrive[vc] = func() {
+			slots := r.slots[vc]
+			pkt := slots[r.read[vc]%len(slots)]
+			r.read[vc]++
+			l.push(packet.VC(vc), pkt)
+		}
+	}
+	l.ring = r
 	return l
 }
 
@@ -248,25 +266,17 @@ func (l *Link) launch(vc packet.VC, pkt *packet.Packet, onClear func()) {
 // sender's onClear chain fires.
 func (l *Link) wireClear() {
 	w := l.wireq.pop()
-	switch {
-	case l.inj != nil:
+	if r := l.ring; r != nil {
+		slots := r.slots[w.vc]
+		slots[r.sent[w.vc]%len(slots)] = w.pkt
+		r.sent[w.vc]++
+		l.fwd.Send(l.cfg.PropDelay, r.arrive[w.vc])
+	} else {
 		l.inj.send(w.vc, w.pkt)
-	case l.eng == l.reng:
-		l.rxq.push(rxItem{vc: w.vc, pkt: w.pkt})
-		l.fwd.Send(l.cfg.PropDelay, l.pushFn)
-	default:
-		vc, pkt := w.vc, w.pkt
-		l.fwd.Send(l.cfg.PropDelay, func() { l.push(vc, pkt) })
 	}
 	if w.onClear != nil {
 		w.onClear()
 	}
-}
-
-// pushHead delivers the oldest in-flight packet on the receiver engine.
-func (l *Link) pushHead() {
-	it := l.rxq.pop()
-	l.push(it.vc, it.pkt)
 }
 
 // creditArrive runs on the sender engine when a consumed buffer's credit

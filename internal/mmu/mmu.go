@@ -13,6 +13,7 @@ package mmu
 
 import (
 	"fmt"
+	"slices"
 
 	"telegraphos/internal/addrspace"
 	"telegraphos/internal/sim"
@@ -166,16 +167,16 @@ func (as *AddressSpace) Translate(va addrspace.VAddr, access Access) (addrspace.
 // stays in the AddressSpace, so TLB hits see current protections while
 // misses pay MissCost.
 type TLB struct {
-	size    int
-	order   []addrspace.PageNum
-	present map[addrspace.PageNum]bool
-	hits    int64
-	misses  int64
+	size   int
+	order  []addrspace.PageNum // cached pages, oldest first; at most size
+	hits   int64
+	misses int64
 
 	// One-entry front cache: the last page that hit. Translation runs on
 	// every simulated memory access, and repeated accesses to one page are
-	// the common case, so this skips the map probe without changing hit or
-	// miss accounting. Cleared by Invalidate and Flush.
+	// the common case, so this skips the scan. Cleared by Invalidate and
+	// Flush but not by eviction, so an evicted page that was the last hit
+	// keeps hitting until another page hits (FuzzTLB's reference does too).
 	last      addrspace.PageNum
 	lastValid bool
 }
@@ -185,7 +186,7 @@ func NewTLB(size int) *TLB {
 	if size < 1 {
 		panic("mmu: TLB size must be >= 1")
 	}
-	return &TLB{size: size, present: make(map[addrspace.PageNum]bool)}
+	return &TLB{size: size}
 }
 
 // Lookup reports whether vp is cached, updating hit/miss counters.
@@ -194,7 +195,7 @@ func (t *TLB) Lookup(vp addrspace.PageNum) bool {
 		t.hits++
 		return true
 	}
-	if t.present[vp] {
+	if slices.Contains(t.order, vp) {
 		t.hits++
 		t.last = vp
 		t.lastValid = true
@@ -204,18 +205,16 @@ func (t *TLB) Lookup(vp addrspace.PageNum) bool {
 	return false
 }
 
-// Insert caches vp, evicting the oldest entry if full.
+// Insert caches vp, evicting the oldest entry if full. The FIFO shifts
+// within its array, so once it holds size pages it never allocates.
 func (t *TLB) Insert(vp addrspace.PageNum) {
-	if t.present[vp] {
+	if slices.Contains(t.order, vp) {
 		return
 	}
 	if len(t.order) >= t.size {
-		old := t.order[0]
-		t.order = t.order[1:]
-		delete(t.present, old)
+		t.order = slices.Delete(t.order, 0, 1)
 	}
 	t.order = append(t.order, vp)
-	t.present[vp] = true
 }
 
 // Invalidate drops vp from the cache (after Unmap/Protect).
@@ -223,22 +222,14 @@ func (t *TLB) Invalidate(vp addrspace.PageNum) {
 	if t.lastValid && vp == t.last {
 		t.lastValid = false
 	}
-	if !t.present[vp] {
-		return
-	}
-	delete(t.present, vp)
-	for i, p := range t.order {
-		if p == vp {
-			t.order = append(t.order[:i], t.order[i+1:]...)
-			break
-		}
+	if i := slices.Index(t.order, vp); i >= 0 {
+		t.order = slices.Delete(t.order, i, i+1)
 	}
 }
 
 // Flush empties the TLB (context switch).
 func (t *TLB) Flush() {
-	t.order = nil
-	t.present = make(map[addrspace.PageNum]bool)
+	t.order = t.order[:0]
 	t.lastValid = false
 }
 

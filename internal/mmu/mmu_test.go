@@ -217,3 +217,120 @@ func TestAccessAndReasonStrings(t *testing.T) {
 		t.Fatal("reason strings")
 	}
 }
+
+// refTLB is the map-and-slice FIFO the TLB replaced, kept as the
+// reference FuzzTLB compares it against. Like the TLB, it keeps the
+// last page that hit in a front cache that only Invalidate and Flush
+// clear, so that page still hits after FIFO eviction.
+type refTLB struct {
+	size         int
+	order        []addrspace.PageNum
+	present      map[addrspace.PageNum]bool
+	hits, misses int64
+	last         addrspace.PageNum
+	lastValid    bool
+}
+
+func (r *refTLB) lookup(vp addrspace.PageNum) bool {
+	if (r.lastValid && vp == r.last) || r.present[vp] {
+		r.hits++
+		r.last, r.lastValid = vp, true
+		return true
+	}
+	r.misses++
+	return false
+}
+
+func (r *refTLB) insert(vp addrspace.PageNum) {
+	if r.present[vp] {
+		return
+	}
+	if len(r.order) >= r.size {
+		delete(r.present, r.order[0])
+		r.order = r.order[1:]
+	}
+	r.order = append(r.order, vp)
+	r.present[vp] = true
+}
+
+func (r *refTLB) invalidate(vp addrspace.PageNum) {
+	if vp == r.last {
+		r.lastValid = false
+	}
+	if !r.present[vp] {
+		return
+	}
+	delete(r.present, vp)
+	for i, p := range r.order {
+		if p == vp {
+			r.order = append(r.order[:i], r.order[i+1:]...)
+			break
+		}
+	}
+}
+
+// FuzzTLB runs random Lookup/Insert/Invalidate/Flush streams on the TLB
+// and on a map-based reference FIFO: every lookup must agree, and so
+// must the hit and miss counters. Each op is two bytes: the kind and a
+// page among 24, so small TLBs both hit and evict.
+func FuzzTLB(f *testing.F) {
+	f.Add(uint8(2), []byte{1, 1, 1, 2, 1, 3, 0, 1, 0, 2, 2, 2, 0, 2, 3, 0, 0, 3})
+	f.Add(uint8(4), []byte{1, 5, 0, 5, 0, 5, 2, 5, 0, 5, 1, 6, 1, 7, 1, 8, 1, 9, 0, 6})
+	f.Add(uint8(1), []byte{1, 0, 0, 0, 1, 1, 0, 0, 0, 1})
+	f.Add(uint8(0), []byte("10001100")) // a page evicted while it is the front cache
+	f.Fuzz(func(t *testing.T, size uint8, prog []byte) {
+		n := int(size%8) + 1
+		tlb := NewTLB(n)
+		ref := &refTLB{size: n, present: map[addrspace.PageNum]bool{}}
+		for i := 0; i+1 < len(prog); i += 2 {
+			vp := addrspace.PageNum(prog[i+1] % 24)
+			switch prog[i] % 4 {
+			case 0:
+				if got, want := tlb.Lookup(vp), ref.lookup(vp); got != want {
+					t.Fatalf("op %d: Lookup(%d) = %v, reference %v", i/2, vp, got, want)
+				}
+			case 1:
+				tlb.Insert(vp)
+				ref.insert(vp)
+			case 2:
+				tlb.Invalidate(vp)
+				ref.invalidate(vp)
+			default:
+				tlb.Flush()
+				ref.order, ref.present, ref.lastValid = nil, map[addrspace.PageNum]bool{}, false
+			}
+			if tlb.Hits() != ref.hits || tlb.Misses() != ref.misses {
+				t.Fatalf("op %d: hits/misses %d/%d, reference %d/%d", i/2, tlb.Hits(), tlb.Misses(), ref.hits, ref.misses)
+			}
+		}
+	})
+}
+
+// TestTLBAllocs pins a full TLB's churn at zero allocations: misses
+// that evict, invalidations and flushes all reuse the FIFO's array.
+func TestTLBAllocs(t *testing.T) {
+	tlb := NewTLB(64)
+	churn := func() {
+		for i := 0; i < 200; i++ {
+			// 48 pages that fit, then 100 that evict them.
+			vp := addrspace.PageNum(i * 7 % 48)
+			if i >= 100 {
+				vp = addrspace.PageNum(i)
+			}
+			if !tlb.Lookup(vp) {
+				tlb.Insert(vp)
+			}
+			if i%50 == 0 {
+				tlb.Invalidate(vp)
+			}
+		}
+		tlb.Flush()
+	}
+	churn() // grow the FIFO to its 64 entries
+	if avg := testing.AllocsPerRun(100, churn); avg != 0 {
+		t.Errorf("%.2f allocs per 200 translations, want 0", avg)
+	}
+	if tlb.Misses() == 0 || tlb.Hits() == 0 {
+		t.Fatalf("churn did not both hit and miss: %d hits, %d misses", tlb.Hits(), tlb.Misses())
+	}
+}

@@ -28,8 +28,14 @@ func (c *Completion) Complete() {
 	for _, w := range c.waiters {
 		c.eng.Schedule(0, w.wakeFn)
 	}
-	c.waiters = nil
+	clear(c.waiters)
+	c.waiters = c.waiters[:0] // keep the array for the next use
 }
+
+// Reset makes a completed Completion incomplete again, for reuse by a
+// new wait. Its waiter array is kept, so a reused Completion waits
+// without allocating.
+func (c *Completion) Reset() { c.done = false }
 
 // Wait blocks p until the completion is done. If it is already done, Wait
 // returns immediately without yielding.
@@ -70,6 +76,10 @@ func (f *Future[T]) Wait(p *Proc) T {
 	f.c.Wait(p)
 	return f.val
 }
+
+// Reset makes a resolved future unresolved again, for reuse by a new
+// request (see Completion.Reset).
+func (f *Future[T]) Reset() { f.c.done, f.val = false, *new(T) }
 
 // Value returns the resolved value; it is only meaningful once Done.
 func (f *Future[T]) Value() T { return f.val }

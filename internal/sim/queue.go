@@ -1,5 +1,7 @@
 package sim
 
+import "slices"
+
 // Queue is a FIFO of T with optional bounded capacity, usable as a model
 // for hardware FIFOs (HIB write queues, link buffers, switch input queues).
 // Put blocks the calling process while the queue is full; Get blocks while
@@ -49,10 +51,15 @@ func (q *Queue[T]) TryPut(v T) bool {
 
 func (q *Queue[T]) push(v T) {
 	q.items = append(q.items, v)
-	if len(q.getters) > 0 {
-		w := q.getters[0]
-		q.getters = q.getters[1:]
-		q.eng.Schedule(0, w.wakeFn)
+	wakeFirst(q.eng, &q.getters)
+}
+
+// wakeFirst wakes the oldest process in the waiter FIFO ws, if any. The
+// FIFO shifts within its array, so a warmed waiter list never allocates.
+func wakeFirst(e *Engine, ws *[]*Proc) {
+	if len(*ws) > 0 {
+		e.Schedule(0, (*ws)[0].wakeFn)
+		*ws = slices.Delete(*ws, 0, 1)
 	}
 }
 
@@ -81,11 +88,7 @@ func (q *Queue[T]) pop() T {
 	var zero T
 	q.items[0] = zero
 	q.items = q.items[1:]
-	if len(q.putters) > 0 {
-		w := q.putters[0]
-		q.putters = q.putters[1:]
-		q.eng.Schedule(0, w.wakeFn)
-	}
+	wakeFirst(q.eng, &q.putters)
 	return v
 }
 
@@ -128,11 +131,7 @@ func (s *Semaphore) TryAcquire() bool {
 // to call from event context.
 func (s *Semaphore) Release() {
 	s.count++
-	if len(s.waiters) > 0 {
-		w := s.waiters[0]
-		s.waiters = s.waiters[1:]
-		s.eng.Schedule(0, w.wakeFn)
-	}
+	wakeFirst(s.eng, &s.waiters)
 }
 
 // Mutex is a binary lock for processes, used to serialize access to

@@ -238,12 +238,13 @@ func TestBoundedResidency(t *testing.T) {
 // fence records, the HIB keeps its fixed counters in one array and
 // services every packet with chained events instead of a process, the
 // boards of an engine share one packet pool that recycles on faulty
-// fabrics too, and the link FIFOs, ARQ windows and frame records reuse
-// their storage; about 1.14 KB per op remains (1.16 KB under -race).
-// The largest shares are per-run set-up (links, fault injectors,
-// switches, boards and engines), the generated programs and the trace
-// rings.
-const chaosAllocBudget = 1200
+// fabrics too, the link FIFOs, ARQ windows and frame records reuse
+// their storage, blocking waits reuse their futures and completions,
+// and switches build input pipes only for the layers their fabric
+// routes on; about 1.09 KB per op remains (1.11 KB under -race). The
+// largest shares are per-run set-up (links, fault injectors, switches,
+// boards and engines), the generated programs and the trace rings.
+const chaosAllocBudget = 1120
 
 // TestChaosAllocBudget caps the allocation of a verification sweep —
 // seeds 0–9 at 60 ops per node on one shard, faults, trace rings and

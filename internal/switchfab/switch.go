@@ -59,6 +59,7 @@ type Switch struct {
 	// ports, its layer is sticky.
 	portDim []int8
 	started bool
+	layers  int // escape layers with input pipes (see Start)
 
 	// coll is the in-network collective engine (nil unless a collective
 	// group or combining was enabled); see collective.go.
@@ -297,14 +298,22 @@ func (pp *portPipe) xmit() {
 }
 
 // Start wires up the forwarding pipelines: per input port and virtual
-// channel, a portPipe driven by arrival notifications.
-func (s *Switch) Start() {
+// channel of escape layers [0, layers), a portPipe driven by arrival
+// notifications. layers is the fabric's count: only fabrics whose trunks
+// rewrite layers (torus, dragonfly) need more than 1. An arrival on a
+// layer without pipes is a fabric bug and panics.
+func (s *Switch) Start(layers int) {
 	if s.started {
 		return
 	}
 	s.started = true
+	s.layers = layers
+	unbuilt := s.unbuilt
 	for port, in := range s.in {
-		for vc := packet.VC(0); vc < packet.NumVCs; vc++ {
+		for vc := packet.VC(layers * packet.NumClasses); vc < packet.NumVCs; vc++ {
+			in.SetNotify(vc, unbuilt)
+		}
+		for vc := packet.VC(0); vc < packet.VC(layers*packet.NumClasses); vc++ {
 			pp := &portPipe{sw: s, in: in, port: port, vc: vc}
 			pp.routeDoneFn = pp.routeDone
 			pp.intakeFn = pp.intake
@@ -314,6 +323,18 @@ func (s *Switch) Start() {
 				pp.xmit()
 			}
 			in.SetNotify(vc, pp.intakeFn)
+		}
+	}
+}
+
+// unbuilt is the notify hook of the layers Start built no pipes for: it
+// names the switch, port and VC of the stray arrival and panics.
+func (s *Switch) unbuilt() {
+	for port, in := range s.in {
+		for vc := packet.VC(s.layers * packet.NumClasses); vc < packet.NumVCs; vc++ {
+			if in.Queued(vc) > 0 {
+				panic(fmt.Sprintf("switchfab: %s: packet arrived on port %d, VC %d, but the fabric routes on %d escape layers", s.name, port, vc, s.layers))
+			}
 		}
 	}
 }

@@ -32,7 +32,7 @@ func newHarness() *harness {
 	}
 	sw.SetRoute(0, 0)
 	sw.SetRoute(1, 1)
-	sw.Start()
+	sw.Start(1)
 	return h
 }
 
@@ -109,7 +109,7 @@ func TestAttachAfterStartPanics(t *testing.T) {
 
 func TestStartIdempotent(t *testing.T) {
 	h := newHarness()
-	h.sw.Start() // second Start is a no-op
+	h.sw.Start(packet.NumLayers) // second Start is a no-op
 	h.to[0].SendEv(&packet.Packet{Type: packet.WriteReq, Dst: 1}, nil)
 	onArrive(h.from[1], func(*packet.Packet) {})
 	if err := h.eng.Run(); err != nil {
@@ -118,6 +118,23 @@ func TestStartIdempotent(t *testing.T) {
 	if h.sw.Forwarded() != 1 {
 		t.Fatal("duplicate Start broke forwarding (or duplicated it)")
 	}
+}
+
+// TestUnbuiltLayerPanics: a switch started with one escape layer has no
+// pipes above it, so a packet arriving on layer 1 is a fabric bug, and
+// the panic must name the switch, the port and the VC.
+func TestUnbuiltLayerPanics(t *testing.T) {
+	h := newHarness()
+	defer func() {
+		msg, _ := recover().(string)
+		want := "switchfab: sw: packet arrived on port 0, VC 2, but the fabric routes on 1 escape layers"
+		if msg != want {
+			t.Fatalf("panic %q, want %q", msg, want)
+		}
+	}()
+	h.to[0].SendEv(&packet.Packet{Type: packet.WriteReq, Dst: 1, Layer: 1}, nil)
+	_ = h.eng.Run()
+	t.Fatal("an arrival on an unbuilt layer did not panic")
 }
 
 func TestBackPressureThroughSwitch(t *testing.T) {

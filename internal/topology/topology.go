@@ -200,8 +200,13 @@ func Build(spec Spec, place func(node int) *sim.Engine, lcfg link.Config, scfg s
 	default: // dragonfly, dragonfly-val
 		b.dragonfly(spec.Nodes, spec.Kind == "dragonfly-val")
 	}
+	// Only torus and dragonfly trunks rewrite escape layers.
+	layers := 1
+	if strings.HasPrefix(spec.Kind, "torus") || strings.HasPrefix(spec.Kind, "dragonfly") {
+		layers = packet.NumLayers
+	}
 	for _, sw := range b.Switches {
-		sw.Start()
+		sw.Start(layers)
 	}
 	return b.Network
 }

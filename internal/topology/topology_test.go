@@ -28,7 +28,7 @@ func buildTorusDims(e *sim.Engine, dims []int, datelines bool) *Network {
 		place: func(int) *sim.Engine { return e }, lcfg: lcfg(), scfg: scfg()}
 	b.buildTorus(dims, datelines)
 	for _, sw := range b.Switches {
-		sw.Start()
+		sw.Start(packet.NumLayers)
 	}
 	return b.Network
 }

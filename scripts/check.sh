@@ -58,12 +58,18 @@ go test ./internal/sim -run 'TestProc|TestGroup' -cpu 1,4 -count 1
 # zero stores never do), and the online checker's history builder and
 # fence bookkeeping recycle their records. A replica store's update
 # round trip (UpdateFwd, ReflectedWrites, WriteAcks) takes its packets
-# from the boards' pool and runs on prebound handlers.
+# from the boards' pool and runs on prebound handlers. Link crossings
+# allocate nothing on one engine or across two shards, blocking waits
+# reuse their futures, completions and waiter arrays, and the TLB's
+# FIFO shifts within its array, so a whole cluster of blocking loads,
+# fetch&incs, posted stores and fences runs allocation-free once warmed,
+# at one shard and at two.
 echo '== allocation budgets (-cpu 1,4)'
 go test ./internal/sim -run 'Allocs$' -cpu 1,4 -count 1
 go test ./internal/trace -run 'Allocs$' -cpu 1,4 -count 1
 go test ./internal/link ./internal/hib -run 'Allocs$' -cpu 1,4 -count 1
 go test ./internal/mem ./internal/linearize ./internal/coherence -run 'Allocs$' -cpu 1,4 -count 1
+go test ./internal/core ./internal/mmu -run 'Allocs$' -cpu 1,4 -count 1
 
 # TGE1 spill round trip through the CLIs: a sharded chaos run pages its
 # merged stream to disk, and replaying the file offline must recompute
