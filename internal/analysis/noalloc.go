@@ -24,7 +24,8 @@ import (
 //   - go and defer statements;
 //   - calls to functions not themselves marked //tgvet:noalloc —
 //     including interface-method calls unless every module
-//     implementation is marked, and calls that leave the module.
+//     implementation is marked, and calls that leave the module,
+//     except into the standard library packages of noallocStdlib.
 //
 // The contract composes through the call graph, so a proof over
 // Schedule → pool.get → heap push covers paths no benchmark drives.
@@ -42,6 +43,14 @@ var noallocSafeBuiltins = map[string]bool{
 	"len": true, "cap": true, "copy": true, "delete": true, "clear": true,
 	"min": true, "max": true, "real": true, "imag": true, "complex": true,
 	"panic": true, "recover": true, "print": true, "println": true,
+}
+
+// noallocStdlib lists the standard library packages none of whose
+// functions allocate. The loader fakes the standard library as empty
+// packages, so their calls resolve to nothing the call graph could
+// prove; a call into one of these packages passes on this list alone.
+var noallocStdlib = map[string]bool{
+	"math/bits": true,
 }
 
 func runNoalloc(pass *Pass) {
@@ -190,8 +199,18 @@ func checkNoallocCall(pass *Pass, g *CallGraph, call *ast.CallExpr) {
 
 	checkBoxingArgs(pass, call)
 
+	pkgPath, name := qualifiedCallee(info, fun)
+	if noallocStdlib[pkgPath] {
+		return
+	}
+
 	obj := calleeOf(info, call)
 	fn, isFunc := obj.(*types.Func)
+	if !isFunc && pkgPath != "" {
+		// A faked standard library package declares nothing.
+		pass.Reportf(call.Pos(), "call to %s.%s in //tgvet:noalloc function leaves the analyzed module; cannot prove alloc-free", pkgPath, name)
+		return
+	}
 	if !isFunc {
 		pass.Reportf(call.Pos(), "dynamic call through a function value in //tgvet:noalloc function: the callee cannot be proven alloc-free; if the target is itself //tgvet:noalloc, annotate //tgvet:allow noalloc(reason)")
 		return
@@ -224,6 +243,23 @@ func checkNoallocCall(pass *Pass, g *CallGraph, call *ast.CallExpr) {
 	if !node.Noalloc {
 		pass.Reportf(call.Pos(), "call to %s in //tgvet:noalloc function: the callee is not marked //tgvet:noalloc (the contract is transitive)", key)
 	}
+}
+
+// qualifiedCallee splits a qualified callee pkg.F into pkg's import
+// path and F; it returns "" for any other callee.
+func qualifiedCallee(info *types.Info, fun ast.Expr) (pkgPath, name string) {
+	sel, ok := fun.(*ast.SelectorExpr)
+	if !ok {
+		return "", ""
+	}
+	id, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return "", ""
+	}
+	if pkg, ok := info.Uses[id].(*types.PkgName); ok {
+		return pkg.Imported().Path(), sel.Sel.Name
+	}
+	return "", ""
 }
 
 // checkBoxingArgs flags concrete values boxed into interface

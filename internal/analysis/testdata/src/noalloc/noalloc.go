@@ -4,7 +4,12 @@
 // reach the allocator — transitively through the call graph.
 package noalloc
 
-import "telegraphos/internal/sim"
+import (
+	"math/bits"
+	"strconv"
+
+	"telegraphos/internal/sim"
+)
 
 type ring struct {
 	buf  []int
@@ -141,6 +146,19 @@ func dynamic(fn func(int) int) int {
 //tgvet:noalloc
 func leaves(eng *sim.Engine) {
 	_ = eng.Now() // want `leaves the analyzed module`
+}
+
+// The standard library is not analyzed: only the allocation-free
+// packages on the allow-list pass.
+
+//tgvet:noalloc
+func lowest(x uint64) int {
+	return bits.TrailingZeros64(x) + bits.OnesCount64(x)
+}
+
+//tgvet:noalloc
+func itoa(n int) string {
+	return strconv.Itoa(n) // want `call to strconv.Itoa in //tgvet:noalloc function leaves the analyzed module`
 }
 
 // Variadic calls materialize their argument slice.

@@ -36,8 +36,10 @@ type CPU struct {
 	CtxID int
 	Key   uint64
 
-	// Counters is per-CPU telemetry.
-	Counters *stats.CounterSet
+	// Counters is per-CPU telemetry. The per-instruction counters bump
+	// through cells resolved on first use (stats.CounterSet.IncLazy).
+	Counters               *stats.CounterSet
+	loads, stores, atomics *int64
 }
 
 // New returns a CPU wired to its node's MMU, memory, OS, and HIB.
@@ -102,7 +104,7 @@ func (x *Ctx) translate(va addrspace.VAddr, access mmu.Access) addrspace.PAddr {
 // first bus reservation), so an uncontended access parks the process once
 // instead of twice; completion times are unchanged.
 func (x *Ctx) Load(va addrspace.VAddr) uint64 {
-	x.CPU.Counters.Inc("loads")
+	x.CPU.Counters.IncLazy(&x.CPU.loads, "loads")
 	pa := x.translate(va, mmu.AccessRead)
 	if pa.IsIO() {
 		return x.CPU.HIB.CPUReadIssued(x.P, x.CPU.timing.CPUOp, pa)
@@ -115,7 +117,7 @@ func (x *Ctx) Load(va addrspace.VAddr) uint64 {
 // releases the processor as soon as the HIB latches it. Issue cost is
 // folded into the access as in Load.
 func (x *Ctx) Store(va addrspace.VAddr, v uint64) {
-	x.CPU.Counters.Inc("stores")
+	x.CPU.Counters.IncLazy(&x.CPU.stores, "stores")
 	pa := x.translate(va, mmu.AccessWrite)
 	if pa.IsIO() {
 		x.CPU.HIB.CPUWriteIssued(x.P, x.CPU.timing.CPUOp, pa, v)
@@ -187,7 +189,7 @@ func (x *Ctx) shadowStore(va addrspace.VAddr, slot int) {
 // Telegraphos context, a shadow store communicating the physical address,
 // and a trigger read returning the fetched value.
 func (x *Ctx) atomic(op packet.AtomicOp, va addrspace.VAddr, v1, v2 uint64) uint64 {
-	x.CPU.Counters.Inc("atomics")
+	x.CPU.Counters.IncLazy(&x.CPU.atomics, "atomics")
 	id := x.CPU.CtxID
 	x.ioWrite(hib.CtxRegPA(id, hib.CtxRegOpcode), uint64(op))
 	x.ioWrite(hib.CtxRegPA(id, hib.CtxRegOperand1), v1)

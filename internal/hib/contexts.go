@@ -195,7 +195,7 @@ func (h *HIB) shadowStore(pa addrspace.PAddr, v uint64) {
 	}
 	c.addr[slot] = g
 	c.addrOK[slot] = true
-	h.Counters.Inc("shadow-store")
+	h.Counters.IncLazy(&h.shadowStores, "shadow-store")
 }
 
 func (h *HIB) rejectShadow() {
@@ -214,7 +214,7 @@ func (h *HIB) launchAtomic(p *sim.Proc, id int) uint64 {
 		h.os.RaiseInterrupt(osmodel.IntrProtection, 0)
 		return LaunchError
 	}
-	h.Counters.Inc("launch-atomic")
+	h.Counters.IncLazy(&h.launchAtomics, "launch-atomic")
 	g := c.addr[0]
 	c.addrOK[0] = false // the launch consumes the address argument
 	bop := boundaryOpOf(c.op)

@@ -192,7 +192,7 @@ func (h *HIB) applyAtomic(op packet.AtomicOp, offset uint64, val, val2 uint64) u
 		}
 	}
 	if int(op) < len(atomicLabels) {
-		h.Counters.Inc(atomicLabels[op])
+		h.Counters.IncLazy(&h.atomics[op], atomicLabels[op])
 	} else {
 		h.Counters.Inc("atomic-" + op.String())
 	}

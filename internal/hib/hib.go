@@ -208,6 +208,12 @@ type HIB struct {
 	// the hot paths bump an array slot, and building a board allocates
 	// no cell or map entry for them.
 	counts [numCounters]int64
+
+	// Cells of the unbound counters bumped once per operation, resolved
+	// on first bump (stats.CounterSet.IncLazy) so reports keep the
+	// counters' first-use order.
+	fences, shadowStores, launchAtomics *int64
+	atomics                             [len(atomicLabels)]*int64
 }
 
 // New builds the HIB for node and registers its transmit and receive
@@ -503,7 +509,7 @@ func (h *HIB) AddOutstanding(delta int) {
 // WaitOutstanding so internal waits are not mistaken for programmer
 // barriers.
 func (h *HIB) Fence(p *sim.Proc) {
-	h.Counters.Inc("fence")
+	h.Counters.IncLazy(&h.fences, "fence")
 	h.Emit(trace.EvFenceStart, 0, uint64(h.outstanding), 0)
 	h.WaitOutstanding(p)
 	// Val records the outstanding count at completion: zero in a correct

@@ -264,20 +264,20 @@ func (e *Engine) nextTime() (Time, bool) {
 // unbounded) and <= deadline (deadline < 0 means unbounded), in queue
 // order: messages before events scheduled for the same instant. It stops
 // early on Stop or a recorded failure. The horizon is kept in e.horizon,
-// where a serial stretch's Chan.Send can lower it mid-window.
-func (e *Engine) runWindow(horizon, deadline Time) {
+// where a serial stretch's Chan.Send can lower it mid-window. It returns
+// the time of the live head it stopped at, ok false when the queue is
+// empty, so a serial stretch need not peek again.
+func (e *Engine) runWindow(horizon, deadline Time) (Time, bool) {
 	e.horizon = horizon
-	for !e.stopped && e.failure == nil {
+	for {
 		ent, ok := e.peekEvent()
 		if !ok {
-			return
+			return 0, false
 		}
 		t := ent.at
-		if e.horizon >= 0 && t >= e.horizon {
-			return
-		}
-		if deadline >= 0 && t > deadline {
-			return
+		if e.stopped || e.failure != nil ||
+			(e.horizon >= 0 && t >= e.horizon) || (deadline >= 0 && t > deadline) {
+			return t, true
 		}
 		if t < e.now {
 			// A message flushed into this shard's past means the group
@@ -288,7 +288,7 @@ func (e *Engine) runWindow(horizon, deadline Time) {
 		e.now = t
 		e.executed++
 		// The one place the ring advances: to the time now takes.
-		e.queue.advance(t)
+		e.deadEvents -= e.queue.advance(t, &e.pool)
 		e.queue.pop()
 		if ent.slot == nil {
 			ent.fn()

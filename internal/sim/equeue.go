@@ -42,39 +42,83 @@ func msgBefore(a, b eqEnt) bool {
 	return a.key < b.key
 }
 
-// heap4 is the queue's far tier: a 4-ary min-heap of entries too far
-// ahead for the ring (mqueue.go). Pop order is exactly (at, key)
-// ascending. The four-child minimum scan runs over adjacent entries in
-// one or two cache lines.
+// heap4 is the queue's far tier: the entries too far ahead for the
+// ring (mqueue.go), popped in exactly (at, key) ascending order. Most
+// of them are timers with one constant timeout (ARQ retransmission
+// guards), pushed in the order they expire, so the tier keeps two
+// parts: a FIFO run of entries pushed in order, appended in O(1), and a
+// 4-ary min-heap for the pushes that order before the run's tail. peek
+// and pop take the lesser of the run's head and the heap's top. The
+// heap's four-child minimum scan runs over adjacent entries in one or
+// two cache lines.
 type heap4 struct {
-	a []eqEnt
+	a    []eqEnt // the 4-ary heap
+	run  []eqEnt // run[head:] in (at, key) order; run[:head] already popped
+	head int
 }
 
 func newHeap4() *heap4 { return &heap4{} }
 
 //tgvet:noalloc
-func (h *heap4) len() int { return len(h.a) }
+func (h *heap4) len() int { return len(h.a) + len(h.run) - h.head }
 
 //tgvet:noalloc
 func (h *heap4) push(e eqEnt) {
+	if n := len(h.run); n == h.head || !msgBefore(e, h.run[n-1]) {
+		h.pushRun(e)
+		return
+	}
 	h.a = append(h.a, e) //tgvet:allow noalloc(heap growth doubles the backing array; steady state reuses it)
 	h.up(len(h.a) - 1)
+}
+
+// pushRun appends e to the run, reusing its popped prefix before
+// growing.
+//
+//tgvet:noalloc
+func (h *heap4) pushRun(e eqEnt) {
+	if len(h.run) == cap(h.run) && h.head > 0 {
+		n := copy(h.run, h.run[h.head:])
+		clear(h.run[n:])
+		h.run, h.head = h.run[:n], 0
+	}
+	h.run = append(h.run, e) //tgvet:allow noalloc(the run grows to the workload's high-water mark once and reuses its array)
+}
+
+// fromRun reports whether the minimum entry is the run's head; the
+// tier must be non-empty.
+//
+//tgvet:noalloc
+func (h *heap4) fromRun() bool {
+	return h.head < len(h.run) && (len(h.a) == 0 || msgBefore(h.run[h.head], h.a[0]))
 }
 
 // peek returns the minimum entry without removing it.
 //
 //tgvet:noalloc
 func (h *heap4) peek() (eqEnt, bool) {
+	if h.fromRun() {
+		return h.run[h.head], true
+	}
 	if len(h.a) == 0 {
 		return eqEnt{}, false
 	}
 	return h.a[0], true
 }
 
-// pop removes and returns the minimum entry; the heap must be non-empty.
+// pop removes and returns the minimum entry; the tier must be
+// non-empty.
 //
 //tgvet:noalloc
 func (h *heap4) pop() eqEnt {
+	if h.fromRun() {
+		x := h.run[h.head]
+		h.run[h.head] = eqEnt{} // release the slot and callback pointers
+		if h.head++; h.head == len(h.run) {
+			h.run, h.head = h.run[:0], 0
+		}
+		return x
+	}
 	a := h.a
 	top := a[0]
 	n := len(a) - 1
@@ -133,10 +177,20 @@ func (h *heap4) down(i int) {
 }
 
 // compact removes every canceled event, recycling each dead slot into
-// pool.
+// pool. What stays of the run is still in order.
 //
 //tgvet:noalloc
 func (h *heap4) compact(pool *eventPool) {
+	run := h.run[:0]
+	for _, e := range h.run[h.head:] {
+		if e.slot != nil && e.slot.canceled {
+			pool.put(e.slot)
+		} else {
+			run = append(run, e) //tgvet:allow noalloc(append into the run's own prefix; capacity is already there by construction)
+		}
+	}
+	clear(h.run[len(run):])
+	h.run, h.head = run, 0
 	live := h.a[:0]
 	for _, e := range h.a {
 		if e.slot != nil && e.slot.canceled {

@@ -3,8 +3,10 @@ package sim
 // The queue's differential oracle: a container/heap-backed reference
 // queue, plus tests that drive it and the ring (msgQueue) with identical
 // operation sequences — random, adversarial ties, cancel-heavy, across
-// the ring-span boundary and many ring laps — and demand the identical
-// pop order, including (at, key) tie-breaks and post-compaction order.
+// the ring-span boundary, the occupancy bitmap's word boundaries and
+// many ring laps, with far-tier pushes in and out of order — and demand
+// the identical pop order, including (at, key) tie-breaks and
+// post-compaction order.
 
 import (
 	"container/heap"
@@ -44,6 +46,18 @@ func (q *refQueue) peek() (eqEnt, bool) {
 }
 func (q *refQueue) len() int { return len(q.h) }
 
+// remove takes out the event whose slot is s and reports whether it was
+// there.
+func (q *refQueue) remove(s *eventSlot) bool {
+	for i, e := range q.h {
+		if e.slot == s {
+			heap.Remove(&q.h, i)
+			return true
+		}
+	}
+	return false
+}
+
 // compact mirrors msgQueue.compact but hands each dead slot to free
 // without touching it. The differentials compact the reference first:
 // the ring recycles dead slots into a pool, which clears the canceled
@@ -77,11 +91,13 @@ type queuePair struct {
 	now   Time
 	seq   uint64
 	chSeq [4]uint64
-	slots []*eventSlot // every event pushed, for cancel
+	slots []*eventSlot        // every event pushed, for cancel
+	dead  map[*eventSlot]bool // every event canceled
+	pool  eventPool           // receives the slots advance drops
 }
 
 func newQueuePair(t *testing.T) *queuePair {
-	return &queuePair{t: t, q: newMsgQueue()}
+	return &queuePair{t: t, q: newMsgQueue(), dead: map[*eventSlot]bool{}}
 }
 
 func (p *queuePair) push(e eqEnt) {
@@ -136,6 +152,12 @@ func (p *queuePair) head() (eqEnt, bool) {
 
 // step runs the next live entry the way runWindow does: the clock takes
 // its time, the ring advances to it, and both queues pop it.
+//
+// advance drops the canceled events that leave the far tier and
+// recycles their slots, which clears the canceled flag the reference
+// reads from the same slot. So the reference drops exactly those
+// events too, each of which must have been canceled, and len compares
+// the two queues again at the next head.
 func (p *queuePair) step() bool {
 	p.t.Helper()
 	a, ok := p.head()
@@ -146,7 +168,18 @@ func (p *queuePair) step() bool {
 		p.t.Fatalf("entry at %d popped behind now=%d", a.at, p.now)
 	}
 	p.now = a.at
-	p.q.advance(p.now)
+	p.pool.free = p.pool.free[:0]
+	if n := p.q.advance(p.now, &p.pool); n != len(p.pool.free) {
+		p.t.Fatalf("now=%d: advance reported %d drops, recycled %d slots", p.now, n, len(p.pool.free))
+	}
+	for _, s := range p.pool.free {
+		if !p.dead[s] {
+			p.t.Fatalf("now=%d: advance dropped a live event", p.now)
+		}
+		if !p.ref.remove(s) {
+			p.t.Fatalf("now=%d: advance dropped an event the reference does not hold", p.now)
+		}
+	}
 	if x, y := p.q.pop(), p.ref.pop(); !sameEnt(x, a) || !sameEnt(y, a) {
 		p.t.Fatalf("now=%d: pop diverged: ring (at=%d key=%#x) vs ref (at=%d key=%#x), peeked (at=%d key=%#x)",
 			p.now, x.at, x.key, y.at, y.key, a.at, a.key)
@@ -175,7 +208,9 @@ func (p *queuePair) jump(t Time) {
 // an event that already left the queue is unaffected.
 func (p *queuePair) cancel(i int) {
 	if n := len(p.slots); n > 0 {
-		p.slots[n-1-i%n].canceled = true
+		s := p.slots[n-1-i%n]
+		s.canceled = true
+		p.dead[s] = true
 	}
 }
 
@@ -212,8 +247,12 @@ func (p *queuePair) drain() {
 //	0, 1: push an event v&15 ns after now (ties are common)
 //	2:    push a message on channel v&3, (v>>2)&7 ns after now
 //	3:    push an event (v even) or a message exactly at, one before or
-//	      one after the ring-span boundary cur+ringSpan
-//	4:    push a far-tier event 1 to 4 spans after now
+//	      one after a boundary: for u = v>>1, u%5 < 4 picks the u%5-th
+//	      occupancy-word boundary at or after cur (bucket 0, 64, 128 or
+//	      192 of the ring), u%5 == 4 the ring-span boundary cur+ringSpan;
+//	      (u/5)%3 picks one before, at or one after
+//	4:    push a far-tier event 1 to 4 spans after now (in the far run
+//	      when no later far push came before it, else in its heap)
 //	5:    step: run the next entry
 //	6:    compact (v == 0) or cancel the event pushed v before the latest
 //	7:    clock jump of v quarter spans (v = 0: run what is due now)
@@ -228,7 +267,13 @@ func runQueueOps(t *testing.T, ops []byte) {
 		case 2:
 			p.msg(p.now+(v>>2)&7, int(v&3))
 		case 3:
-			at := p.q.cur + ringSpan + v%3 - 1
+			u := v >> 1
+			at := p.q.cur + ringSpan
+			if k := u % 5; k < 4 {
+				const word = 64 * ringWidth
+				at = (p.q.cur+word-1)/word*word + k*word
+			}
+			at += (u/5)%3 - 1
 			if v%2 == 0 {
 				p.event(at)
 			} else {
@@ -304,12 +349,82 @@ func TestEventQueueDifferentialRandom(t *testing.T) {
 	}
 }
 
+// queueOp encodes one runQueueOps operation: op with argument v.
+func queueOp(op, v int) byte { return byte(v<<3 | op) }
+
+// boundaryOp encodes op 3: an event, or a message if msg, at off-1 ns
+// (off 0..2) around boundary k: 0..3 the occupancy-word boundaries at
+// or after cur, 4 the ring-span boundary.
+func boundaryOp(k, off int, msg bool) byte {
+	v := (k + 5*off) << 1
+	if msg {
+		v |= 1
+	}
+	return queueOp(3, v)
+}
+
+// queueEdgeStreams are fixed runQueueOps streams aimed at the
+// occupancy bitmap and the far run:
+//
+//   - words: a compact first empties the bucket at scan, so seek steps
+//     to the next one, a word away. Then each lap fills the buckets on
+//     both sides of every occupancy-word boundary (63/64, 127/128,
+//     191/192) and of the span boundary, cancels some (one lap
+//     compacts), and runs part of it; the jump between laps puts the
+//     next lap's boundaries across the ring's 255→0 wrap, and each pop
+//     that empties a bucket searches the bitmap across words;
+//   - far: far pushes in order (the run) and out of order (the heap),
+//     canceled and not, compacted once, drained by jumps that carry
+//     them into the ring and drop the canceled ones on the way.
+func queueEdgeStreams() map[string][]byte {
+	words := []byte{queueOp(0, 0), boundaryOp(1, 1, false), queueOp(6, 1), queueOp(6, 0), queueOp(5, 0)}
+	for lap := 0; lap < 4; lap++ {
+		for k := 0; k < 5; k++ {
+			for off := 0; off < 3; off++ {
+				words = append(words, boundaryOp(k, off, (k+off+lap)%2 == 1))
+			}
+		}
+		words = append(words, queueOp(6, 2), queueOp(6, 5), queueOp(6, 14))
+		if lap == 2 {
+			words = append(words, queueOp(6, 0)) // compact
+		}
+		for i := 0; i < 5+lap; i++ {
+			words = append(words, queueOp(5, 0))
+		}
+		// Jump 3/4 of a span and move the ring to the clock.
+		words = append(words, queueOp(7, 3), queueOp(0, 0), queueOp(5, 0))
+	}
+	var far []byte
+	for round := 0; round < 3; round++ {
+		far = append(far,
+			queueOp(4, 0), queueOp(4, 1), queueOp(4, 2), queueOp(4, 3), // in order
+			queueOp(4, 1), queueOp(4, 2|4<<2), queueOp(4, 0|7<<2), // out of order
+			queueOp(4, 3|7<<2), queueOp(0, 5), // in order again
+			queueOp(6, 1), queueOp(6, 3), queueOp(6, 6), // cancel far entries
+		)
+		if round == 1 {
+			far = append(far, queueOp(6, 0)) // compact both far parts
+		}
+		far = append(far, queueOp(7, 5), queueOp(4, 2), queueOp(6, 1), queueOp(7, 6), queueOp(5, 0))
+	}
+	return map[string][]byte{"words": words, "far": far}
+}
+
+// TestEventQueueDifferentialEdges runs queueEdgeStreams.
+func TestEventQueueDifferentialEdges(t *testing.T) {
+	for name, ops := range queueEdgeStreams() {
+		t.Run(name, func(t *testing.T) { runQueueOps(t, ops) })
+	}
+}
+
 // FuzzEventQueueDifferential lets the fuzzer hunt for an operation
 // stream (see runQueueOps) where the ring and the reference diverge.
 func FuzzEventQueueDifferential(f *testing.F) {
 	f.Add([]byte{0x00, 0x21, 0x42, 0x03, 0x64, 0x05, 0x86, 0xa7})
 	f.Add([]byte{0x10, 0x10, 0x10, 0x10, 0x04, 0x04, 0x04, 0x04})
 	f.Add([]byte{0x0c, 0x23, 0x1b, 0x08, 0x05, 0x3e, 0x06, 0x17, 0x05, 0x05, 0x3f, 0x01, 0x05})
+	f.Add(queueEdgeStreams()["words"])
+	f.Add(queueEdgeStreams()["far"])
 	f.Fuzz(runQueueOps)
 }
 

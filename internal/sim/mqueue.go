@@ -1,5 +1,7 @@
 package sim
 
+import "math/bits"
+
 // msgQueue is the engine's one work queue: scheduled events and Chan
 // messages alike, popped in (at, key) order (see eqEnt). It is a
 // calendar queue after Brown (CACM 1988): a fixed ring of time buckets
@@ -7,7 +9,7 @@ package sim
 // entries beyond the span. Each bucket keeps its entries sorted, so a
 // pop takes the first non-empty bucket's head.
 //
-// Two rules keep the ring correct:
+// Three rules keep the ring correct:
 //
 //   - cur never passes the engine's clock. It moves only in advance,
 //     which the engine calls where runWindow sets now to the head's
@@ -16,7 +18,14 @@ package sim
 //     earlier times would fall behind cur, outside the ring's span.
 //   - every far-tier entry lies at or beyond cur+ringSpan. advance
 //     moves the entries its new span covers into the ring, so a
-//     non-empty ring always holds the minimum.
+//     non-empty ring always holds the minimum. A canceled entry that
+//     leaves the far tier is dropped there and never enters the ring.
+//   - occ has a bit set for exactly the occupied buckets, by ring
+//     index, and while the ring is non-empty scan is the offset of the
+//     first occupied one (compact may leave scan short of it, never
+//     past it). insert lowers scan, and pop, when it empties the
+//     bucket at scan, finds the next occupied bucket in occ, so a
+//     sparse ring costs a pop no more than a dense one.
 //
 // Emptied buckets hand their arrays to one spare list, and the next
 // bucket to fill takes one from it, so the ring holds arrays only for
@@ -24,10 +33,11 @@ package sim
 // high-water mark is reached.
 type msgQueue struct {
 	ring  [ringBuckets]bucket
-	cur   Time   // start of the current bucket, a multiple of ringWidth
-	scan  int    // offset from cur's bucket; the buckets before it are empty
-	n     int    // entries in the ring
-	far   *heap4 // entries at or beyond cur+ringSpan
+	occ   [ringBuckets / 64]uint64 // bit i%64 of occ[i/64]: ring[i] is occupied
+	cur   Time                     // start of the current bucket, a multiple of ringWidth
+	scan  int                      // offset from cur's bucket of the first occupied bucket
+	n     int                      // entries in the ring
+	far   *heap4                   // entries at or beyond cur+ringSpan
 	spare [][]eqEnt
 }
 
@@ -61,11 +71,18 @@ func newMsgQueue() msgQueue { return msgQueue{far: newHeap4()} }
 //tgvet:noalloc
 func (q *msgQueue) len() int { return q.n + q.far.len() }
 
+// index returns the ring index of the bucket off buckets after cur's.
+//
+//tgvet:noalloc
+func (q *msgQueue) index(off int) int {
+	return int(q.cur>>ringShift+Time(off)) & ringMask
+}
+
 // bucketAt returns the bucket off buckets after cur's.
 //
 //tgvet:noalloc
 func (q *msgQueue) bucketAt(off int) *bucket {
-	return &q.ring[int(q.cur>>ringShift+Time(off))&ringMask]
+	return &q.ring[q.index(off)]
 }
 
 //tgvet:noalloc
@@ -89,21 +106,25 @@ func (q *msgQueue) push(x eqEnt) {
 //
 //tgvet:noalloc
 func (q *msgQueue) insert(off int, x eqEnt) {
-	if off < q.scan {
+	if q.n == 0 || off < q.scan {
 		q.scan = off
 	}
-	b := q.bucketAt(off)
+	i := q.index(off)
+	b := &q.ring[i]
 	if len(b.a) == cap(b.a) {
 		if b.head > 0 {
 			// Reuse the popped prefix before growing.
 			n := copy(b.a, b.a[b.head:])
 			clear(b.a[n:])
 			b.a, b.head = b.a[:n], 0
-		} else if b.a == nil && len(q.spare) > 0 {
-			last := len(q.spare) - 1
-			b.a = q.spare[last]
-			q.spare[last] = nil
-			q.spare = q.spare[:last]
+		} else if b.a == nil {
+			// An empty bucket holds no array: it is occupied from now.
+			q.occ[i>>6] |= 1 << (i & 63)
+			if last := len(q.spare) - 1; last >= 0 {
+				b.a = q.spare[last]
+				q.spare[last] = nil
+				q.spare = q.spare[:last]
+			}
 		}
 	}
 	a := append(b.a, x) //tgvet:allow noalloc(bucket arrays grow to the workload's high-water mark once and are recycled through the spare list)
@@ -126,7 +147,8 @@ func (q *msgQueue) insert(off int, x eqEnt) {
 }
 
 // seek moves scan to the first non-empty bucket and returns it; the
-// ring must be non-empty.
+// ring must be non-empty. Only a compact leaves scan short of it, so
+// the loop almost never steps; it stays this small to stay inlinable.
 //
 //tgvet:noalloc
 func (q *msgQueue) seek() *bucket {
@@ -161,23 +183,55 @@ func (q *msgQueue) pop() eqEnt {
 	x := b.a[b.head]
 	b.a[b.head] = eqEnt{} // release the slot and callback pointers
 	b.head++
+	q.n--
 	if b.head == len(b.a) {
 		q.spare = append(q.spare, b.a[:0]) //tgvet:allow noalloc(the spare list holds at most one array per bucket; its capacity is reached once)
 		b.a, b.head = nil, 0
+		i := q.index(q.scan)
+		w := q.occ[i>>6] &^ (1 << (i & 63))
+		q.occ[i>>6] = w
+		if q.n > 0 {
+			// The next occupied bucket is most often in the same word.
+			if m := w >> (i & 63); m != 0 {
+				q.scan += bits.TrailingZeros64(m)
+			} else {
+				q.scan = q.first(q.scan)
+			}
+		}
 	}
-	q.n--
 	return x
+}
+
+// first returns the offset of the first occupied bucket after off,
+// where off's occupancy word holds none at or after off's ring index:
+// it searches the following words circularly. The ring must hold an
+// entry after off. Every occupied bucket lies within the span ahead of
+// cur, so circular order from off is offset order.
+//
+//tgvet:noalloc
+func (q *msgQueue) first(off int) int {
+	base := int(q.cur >> ringShift)
+	w := ((base + off) & ringMask) >> 6
+	for k := 1; k <= len(q.occ); k++ {
+		w = (w + 1) % len(q.occ)
+		if m := q.occ[w]; m != 0 {
+			return (w<<6 + bits.TrailingZeros64(m) - base) & ringMask
+		}
+	}
+	panic("sim: msgQueue.first on an empty ring")
 }
 
 // advance moves cur up to t's bucket, where t is no later than the head
 // entry's time, and moves the far-tier entries the new span covers into
-// the ring.
+// the ring. A canceled event among them goes straight back to pool
+// instead; advance returns how many it dropped, which the caller takes
+// off its dead-event count.
 //
 //tgvet:noalloc
-func (q *msgQueue) advance(t Time) {
+func (q *msgQueue) advance(t Time, pool *eventPool) (dropped int) {
 	c := t &^ (ringWidth - 1)
 	if c <= q.cur {
-		return
+		return 0
 	}
 	if q.scan -= int((c - q.cur) >> ringShift); q.scan < 0 {
 		q.scan = 0
@@ -186,9 +240,14 @@ func (q *msgQueue) advance(t Time) {
 	for {
 		x, ok := q.far.peek()
 		if !ok || x.at >= c+ringSpan {
-			return
+			return dropped
 		}
 		q.far.pop()
+		if x.slot != nil && x.slot.canceled {
+			pool.put(x.slot)
+			dropped++
+			continue
+		}
 		q.insert(int((x.at-c)>>ringShift), x)
 	}
 }
@@ -227,6 +286,7 @@ func (q *msgQueue) compact(pool *eventPool) {
 		if len(live) == 0 {
 			q.spare = append(q.spare, live) //tgvet:allow noalloc(the spare list holds at most one array per bucket; its capacity is reached once)
 			b.a = nil
+			q.occ[i>>6] &^= 1 << (i & 63)
 		}
 	}
 	q.far.compact(pool)

@@ -10,9 +10,14 @@ package sim
 import "testing"
 
 // msgDelays are the delays an op byte picks from: ties at small
-// delays, a bucket's width, and both sides of the ring-span boundary
-// and the far tier beyond it.
-var msgDelays = [8]Time{0, 1, 2, 3, ringWidth, ringSpan - 1, ringSpan, 3 * ringSpan}
+// delays, a bucket's width, both sides of the first two occupancy-word
+// boundaries (buckets 63/64 and 127/128 from cur's), both sides of the
+// ring-span boundary, and the far tier beyond it.
+var msgDelays = [16]Time{
+	0, 1, 2, 3, ringWidth,
+	63 * ringWidth, 64*ringWidth - 1, 64 * ringWidth, 128*ringWidth - 1, 128 * ringWidth,
+	ringSpan - ringWidth, ringSpan - 1, ringSpan, ringSpan + 1, 2 * ringSpan, 3 * ringSpan,
+}
 
 // runMsgQueueOps interprets ops as an operation stream: got receives
 // batches through absorb, the reference receives every message through
@@ -26,18 +31,19 @@ var msgDelays = [8]Time{0, 1, 2, 3, ringWidth, ringSpan - 1, ringSpan, 3 * ringS
 //	   the ring advances to it, as in runWindow
 //	3: peek both and compare
 //
-// A message byte m carries at = now + msgDelays[m&7] and channel
-// m>>3&3; per-channel sequence numbers keep every key unique, as Chan
+// A message byte m carries at = now + msgDelays[m&15] and channel
+// m>>4&3; per-channel sequence numbers keep every key unique, as Chan
 // does.
 func runMsgQueueOps(t *testing.T, ops []byte) {
 	t.Helper()
 	got, want := newMsgQueue(), &refQueue{}
+	var pool eventPool // messages carry no slots: advance drops none
 	var now Time
 	var seq [4]uint64
 	msg := func(m byte) eqEnt {
-		ch := uint64(m >> 3 & 3)
+		ch := uint64(m >> 4 & 3)
 		seq[ch]++
-		return eqEnt{at: now + msgDelays[m&7], key: ch<<msgSeqBits | seq[ch]}
+		return eqEnt{at: now + msgDelays[m&15], key: ch<<msgSeqBits | seq[ch]}
 	}
 	same := func(op int, what string, a, b eqEnt) {
 		if a.at != b.at || a.key != b.key {
@@ -48,7 +54,7 @@ func runMsgQueueOps(t *testing.T, ops []byte) {
 	pop := func(op int, what string) {
 		m, _ := want.peek()
 		now = m.at
-		got.advance(now)
+		got.advance(now, &pool)
 		same(op, what, got.pop(), want.pop())
 	}
 	for i := 0; i < len(ops); i++ {
@@ -109,10 +115,35 @@ func TestMsgQueueAbsorbMatchesPush(t *testing.T) {
 	}
 }
 
+// msgWordStream is a runMsgQueueOps stream aimed at the occupancy
+// bitmap: each lap absorbs one message at every delay, so the ring has
+// buckets on both sides of two word boundaries and at its last bucket,
+// then pops and peeks them all, each emptied bucket's successor found
+// across words. One pop at a 63-bucket delay first moves cur's bucket
+// off a word boundary, so later laps also straddle the 255→0 wrap.
+func msgWordStream() []byte {
+	var ops []byte
+	for lap := 0; lap < 4; lap++ {
+		ops = append(ops, 1, byte(lap<<4|5), 2) // push at 63 buckets ahead, pop it
+		ops = append(ops, byte(len(msgDelays)<<2))
+		for d := range msgDelays {
+			ops = append(ops, byte(lap<<4|d))
+		}
+		for range msgDelays {
+			ops = append(ops, 3, 2)
+		}
+	}
+	return ops
+}
+
+// TestMsgQueueAbsorbWords runs msgWordStream.
+func TestMsgQueueAbsorbWords(t *testing.T) { runMsgQueueOps(t, msgWordStream()) }
+
 // FuzzMsgQueue lets the fuzzer hunt for an operation stream where the
 // absorbing queue and the reference pop in different orders.
 func FuzzMsgQueue(f *testing.F) {
 	f.Add([]byte{0x0c, 0x01, 0x09, 0x02, 0x00, 0x08, 0x0a, 0x11, 0x04, 0x03, 0x02, 0x02})
 	f.Add([]byte{0x10, 0x00, 0x00, 0x08, 0x08, 0x00, 0x14, 0x07, 0x0f, 0x01, 0x01, 0x00, 0x03, 0x02, 0x02, 0x02})
+	f.Add(msgWordStream())
 	f.Fuzz(runMsgQueueOps)
 }

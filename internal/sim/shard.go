@@ -608,14 +608,14 @@ func (g *Group) stretch(deadline Time) {
 		g.running = run
 		e.hookCount = g.hookCount
 		before := e.executed
-		e.runWindow(horizon, deadline)
+		next, ok := e.runWindow(horizon, deadline)
 		g.hookCount = e.hookCount
 		n := e.executed - before
 		done += n
 		g.critPath += n
 		heads[run] = infTime
-		if t, ok := e.nextTime(); ok {
-			heads[run] = t
+		if ok {
+			heads[run] = next
 		}
 		if e.stopped || e.failure != nil {
 			break

@@ -241,6 +241,23 @@ func (cs *CounterSet) Add(name string, delta int64) { *cs.Cell(name) += delta }
 // Inc increments counter name by one.
 func (cs *CounterSet) Inc(name string) { *cs.Cell(name)++ }
 
+// IncLazy increments counter name through *cell, resolving the cell
+// with Cell on the first bump: the counter takes the same place in
+// first-use order that Inc would give it, and every later bump skips
+// the name lookup. *cell must be nil or name's cell in cs.
+func (cs *CounterSet) IncLazy(cell **int64, name string) {
+	if *cell == nil {
+		cs.resolve(cell, name)
+	}
+	**cell++
+}
+
+// resolve is IncLazy's first bump, kept out of line so that IncLazy
+// inlines into its callers.
+//
+//go:noinline
+func (cs *CounterSet) resolve(cell **int64, name string) { *cell = cs.Cell(name) }
+
 // Get reports counter name's value (0 if absent).
 func (cs *CounterSet) Get(name string) int64 {
 	if c, ok := cs.counts[name]; ok {

@@ -189,6 +189,36 @@ func TestCounterSet(t *testing.T) {
 	}
 }
 
+// TestCounterSetIncLazy: bumps through lazily resolved cells render
+// exactly as bumps by name, first-use order included, bound block or
+// not.
+func TestCounterSetIncLazy(t *testing.T) {
+	labels := NewCounterLabels([]string{"rx"})
+	var fixed [1]int64
+	cs, ref := NewCounterSet(), NewCounterSet()
+	cs.Bind(labels, fixed[:])
+	ref.Cell("rx")
+	var late, early, rx *int64
+	for i := 0; i < 3; i++ {
+		cs.Inc("plain")
+		ref.Inc("plain")
+		if i > 0 {
+			cs.IncLazy(&late, "late")
+			ref.Inc("late")
+		}
+		cs.IncLazy(&early, "early")
+		ref.Inc("early")
+		cs.IncLazy(&rx, "rx")
+		ref.Inc("rx")
+	}
+	if got, want := cs.String(), ref.String(); got != want || got != "rx=3 plain=3 early=3 late=2" {
+		t.Fatalf("String = %q, by-name reference %q", got, want)
+	}
+	if rx != &fixed[0] || early != cs.Cell("early") {
+		t.Fatal("IncLazy resolved a cell other than Cell's")
+	}
+}
+
 // TestCounterSetBind: a bound block of fixed counters reads and
 // renders exactly as if its counters had been created first through the
 // map: label order ahead of later counters, zero cells hidden, and Cell

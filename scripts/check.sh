@@ -32,6 +32,20 @@ fi
 echo '== tgvet ./...'
 go run ./cmd/tgvet ./...
 
+# Inlining gate: the event queue's per-item helpers must stay inlinable.
+# seek runs on every peek and pop, bucketAt inside it, and heap4.peek on
+# every advance; an edit that pushes one over the inliner's budget fails
+# no test but costs the densest workloads several percent.
+echo '== inlining gate (internal/sim)'
+inl=$(go build -gcflags='telegraphos/internal/sim=-m' ./internal/sim 2>&1)
+for fn in '(*msgQueue).seek' '(*msgQueue).bucketAt' '(*heap4).peek'; do
+	if ! printf '%s\n' "$inl" | grep -qF "can inline $fn"; then
+		echo "inlining gate: $fn is no longer inlinable" >&2
+		exit 1
+	fi
+	echo "   $fn inlinable"
+done
+
 echo '== go test ./...'
 go test ./...
 
