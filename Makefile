@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet lint lint-fix-audit test race chaos litmus bench fuzz collectives
+.PHONY: check build vet lint lint-fix-audit unlinked test race chaos litmus bench fuzz collectives
 
 # Tier-1 verify: build + vet + tests + race detector.
 check:
@@ -22,6 +22,12 @@ lint:
 # sanctioned debt or vetting a new annotation.
 lint-fix-audit:
 	$(GO) run ./cmd/tgvet -audit ./...
+
+# Dead-code census: every non-test function that no binary (cmd/,
+# examples/, bench) links and that scripts/unlinked.keep does not list
+# with a reason. A report, not a gate, so check.sh does not run it.
+unlinked:
+	$(GO) run scripts/unlinked.go
 
 test:
 	$(GO) test ./...

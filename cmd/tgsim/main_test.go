@@ -50,13 +50,14 @@ func TestMachineUsageErrors(t *testing.T) {
 		t.Error("-nodes 2000 -topology dragonfly: accepted, want a usage error")
 	}
 	for name, path := range map[string]string{
-		"missing file":  filepath.Join(dir, "absent.json"),
-		"bad JSON":      write("bad.json", `{"nodes": `),
-		"unknown field": write("field.json", `{"nodes": 2, "color": "red"}`),
-		"bad topology":  write("topo.json", `{"nodes": 4, "topology": "bogus"}`),
-		"zero sizing":   write("sizing.json", `{"nodes": 4, "sizing": {"HIBWriteQueue": 0}}`),
-		"negative link": write("link.json", `{"nodes": 4, "link": {"prop_delay_ns": -5, "word_time_ns": 140, "buf_packets": 4}}`),
-		"zero link":     write("zlink.json", `{"nodes": 4, "link": {"prop_delay_ns": 0, "word_time_ns": 0, "buf_packets": 0}}`),
+		"missing file":    filepath.Join(dir, "absent.json"),
+		"bad JSON":        write("bad.json", `{"nodes": `),
+		"unknown field":   write("field.json", `{"nodes": 2, "color": "red"}`),
+		"bad topology":    write("topo.json", `{"nodes": 4, "topology": "bogus"}`),
+		"zero sizing":     write("sizing.json", `{"nodes": 4, "sizing": {"HIBWriteQueue": 0}}`),
+		"negative link":   write("link.json", `{"nodes": 4, "link": {"prop_delay_ns": -5, "word_time_ns": 140, "buf_packets": 4}}`),
+		"zero link":       write("zlink.json", `{"nodes": 4, "link": {"prop_delay_ns": 0, "word_time_ns": 0, "buf_packets": 0}}`),
+		"negative timing": write("timing.json", `{"nodes": 2, "timing": {"HIBService": -100000, "MPMRead": -100000}}`),
 	} {
 		if _, err := machine(path, 2, 4, "star", "hib", 1); err == nil {
 			t.Errorf("%s: accepted, want a usage error", name)

@@ -100,9 +100,6 @@ func NewModule(pkgs []*Package) *Module {
 	return &Module{pkgs: pkgs}
 }
 
-// Packages returns the module's packages in load order.
-func (m *Module) Packages() []*Package { return m.pkgs }
-
 // allowsFor returns pkg's parsed suppression set, cached. The
 // diagnostics for malformed annotations are reported by Check, not
 // here; this accessor exists for analyzers that must know about

@@ -254,7 +254,7 @@ func checkHandleUses(pass *Pass, stmt ast.Stmt, st *handleState) {
 			return true
 		}
 		pass.Reportf(id.Pos(),
-			"use of event handle %s after Cancel: the generation bump made it inert — it can never fire, Live() is false, and When() is 0; Schedule a fresh event and keep the new handle, or annotate //tgvet:allow handle(reason)",
+			"use of event handle %s after Cancel: the generation bump made it inert — it can never fire and Live() is false; Schedule a fresh event and keep the new handle, or annotate //tgvet:allow handle(reason)",
 			id.Name)
 		delete(st.canceled, id.Name) // one report per kill site is enough
 		return true

@@ -74,9 +74,6 @@ func NewLoader(dir string) (*Loader, error) {
 	}, nil
 }
 
-// Fset exposes the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // FindModuleRoot walks up from dir to the directory containing go.mod.
 func FindModuleRoot(dir string) (string, error) {
 	dir, err := filepath.Abs(dir)

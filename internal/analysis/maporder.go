@@ -26,13 +26,13 @@ var AnalyzerMapOrder = &Analyzer{
 var maporderSimEffects = map[string]string{
 	"Engine.Schedule": "schedules an event", "Engine.At": "schedules an event",
 	"Engine.Spawn": "spawns a process", "Engine.SpawnDaemon": "spawns a process",
-	"Chan.Send": "sends a cross-shard message",
-	"Queue.Put": "enqueues work", "Queue.TryPut": "enqueues work",
+	"Chan.Send":         "sends a cross-shard message",
+	"Queue.Put":         "enqueues work",
 	"Semaphore.Acquire": "blocks on the scheduler", "Semaphore.Release": "wakes a waiter",
 	"Mutex.Lock": "blocks on the scheduler", "Mutex.Unlock": "wakes a waiter",
 	"Completion.Complete": "wakes waiters", "Completion.Wait": "blocks on the scheduler",
 	"Future.Resolve": "wakes waiters", "Future.Wait": "blocks on the scheduler",
-	"Proc.Sleep": "yields to the scheduler", "Proc.Yield": "yields to the scheduler",
+	"Proc.Sleep": "yields to the scheduler",
 }
 
 // maporderEffects maps fully-qualified callees outside sim to what they

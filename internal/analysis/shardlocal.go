@@ -8,8 +8,8 @@ import (
 // mirroring the runtime assertions in internal/sim (Engine.checkSameShard
 // and the Proc hand-off discipline):
 //
-//  1. Blocking primitives — Queue.Get/Put, Semaphore.Acquire,
-//     Mutex.Lock, Completion.Wait, Future.Wait, Proc.Sleep/Yield, and
+//  1. Blocking primitives — Queue.Get, Semaphore.Acquire,
+//     Mutex.Lock, Completion.Wait, Future.Wait, Proc.Sleep, and
 //     the HIB's process-context operations — may only run in a
 //     process's own body. An event callback (a func literal handed to
 //     Engine.Schedule/Engine.At or shipped across shards with
@@ -31,14 +31,12 @@ var AnalyzerShardLocal = &Analyzer{
 
 // shardlocalBlocking are the methods that can park the calling process.
 var shardlocalBlocking = map[string]string{
-	"telegraphos/internal/sim.Queue.Put":           "Queue.Put",
 	"telegraphos/internal/sim.Queue.Get":           "Queue.Get",
 	"telegraphos/internal/sim.Semaphore.Acquire":   "Semaphore.Acquire",
 	"telegraphos/internal/sim.Mutex.Lock":          "Mutex.Lock",
 	"telegraphos/internal/sim.Completion.Wait":     "Completion.Wait",
 	"telegraphos/internal/sim.Future.Wait":         "Future.Wait",
 	"telegraphos/internal/sim.Proc.Sleep":          "Proc.Sleep",
-	"telegraphos/internal/sim.Proc.Yield":          "Proc.Yield",
 	"telegraphos/internal/hib.HIB.Fence":           "HIB.Fence",
 	"telegraphos/internal/hib.HIB.WaitOutstanding": "HIB.WaitOutstanding",
 }

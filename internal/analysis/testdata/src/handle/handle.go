@@ -9,10 +9,10 @@ import "telegraphos/internal/sim"
 
 // Rule 1: use-after-Cancel within a straight-line sequence.
 
-func useAfterCancel(eng *sim.Engine) sim.Time {
+func useAfterCancel(eng *sim.Engine) sim.Event {
 	ev := eng.Schedule(5, func() {})
 	ev.Cancel()
-	return ev.When() // want `use of event handle ev after Cancel`
+	return ev // want `use of event handle ev after Cancel`
 }
 
 func cancelThenLive(eng *sim.Engine) bool {
@@ -27,11 +27,11 @@ func cancelIsIdempotent(eng *sim.Engine) {
 	ev.Cancel() // double-Cancel is a documented no-op
 }
 
-func reassignRevives(eng *sim.Engine) sim.Time {
+func reassignRevives(eng *sim.Engine) sim.Event {
 	ev := eng.Schedule(5, func() {})
 	ev.Cancel()
 	ev = eng.Schedule(7, func() {})
-	return ev.When() // fresh handle: clean
+	return ev // fresh handle: clean
 }
 
 // Rule 2: overwriting a possibly-live handle leaks the first event.

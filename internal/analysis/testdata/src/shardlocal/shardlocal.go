@@ -7,7 +7,7 @@ import "telegraphos/internal/sim"
 
 func blockInEventCallback(eng *sim.Engine, q *sim.Queue[int], p *sim.Proc) {
 	eng.Schedule(5, func() {
-		q.Put(p, 1) // want "blocking Queue.Put inside an event callback"
+		q.Get(p) // want "blocking Queue.Get inside an event callback"
 	})
 }
 
@@ -23,10 +23,11 @@ func sleepInAtCallback(eng *sim.Engine, p *sim.Proc) {
 	})
 }
 
-// Non-blocking variants are legal in event context.
-func tryInEventCallback(eng *sim.Engine, q *sim.Queue[int], sem *sim.Semaphore) {
+// Non-blocking operations are legal in event context: the mailbox is
+// unbounded, so Put never parks.
+func putInEventCallback(eng *sim.Engine, q *sim.Queue[int], sem *sim.Semaphore, p *sim.Proc) {
 	eng.Schedule(5, func() {
-		q.TryPut(1)
+		q.Put(p, 1)
 		sem.Release()
 	})
 }

@@ -97,9 +97,6 @@ func NewUpdate(c *core.Cluster, mode CounterMode) *Update {
 	return u
 }
 
-// Mode reports the counter mode.
-func (u *Update) Mode() CounterMode { return u.mode }
-
 // Mgr returns node i's protocol manager (telemetry, logs).
 func (u *Update) Mgr(i int) *UpdateMgr { return u.mgrs[i] }
 

@@ -18,8 +18,6 @@
 package dsm
 
 import (
-	"fmt"
-
 	"telegraphos/internal/addrspace"
 	"telegraphos/internal/core"
 	"telegraphos/internal/mmu"
@@ -310,9 +308,4 @@ func contains(s []addrspace.NodeID, n addrspace.NodeID) bool {
 		}
 	}
 	return false
-}
-
-// String summarizes protocol activity.
-func (d *DSM) String() string {
-	return fmt.Sprintf("dsm: %s", d.Counters())
 }

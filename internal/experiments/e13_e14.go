@@ -5,7 +5,6 @@ import (
 
 	"telegraphos/internal/addrspace"
 	"telegraphos/internal/cpu"
-	"telegraphos/internal/link"
 	"telegraphos/internal/packet"
 	"telegraphos/internal/params"
 	"telegraphos/internal/sim"
@@ -169,9 +168,3 @@ func E14LaunchCost() *Result {
 		},
 	}
 }
-
-// Unused-import guards for shared helpers.
-var (
-	_ = link.DefaultConfig
-	_ = addrspace.WordSize
-)

@@ -8,7 +8,6 @@ import (
 	"telegraphos/internal/cpu"
 	"telegraphos/internal/gates"
 	"telegraphos/internal/params"
-	"telegraphos/internal/sim"
 	"telegraphos/internal/stats"
 )
 
@@ -168,6 +167,3 @@ func settle(c *core.Cluster) {
 		panic(err)
 	}
 }
-
-// usedFor silences structured-use warnings in sweep helpers.
-var _ = sim.Time(0)

@@ -23,9 +23,6 @@ var baseSeed int64 = 1
 // SetSeed overrides the base seed used by every experiment.
 func SetSeed(s int64) { baseSeed = s }
 
-// Seed reports the experiments' current base seed.
-func Seed() int64 { return baseSeed }
-
 // shardCount is the number of simulation shards every experiment cluster
 // runs on. Results are bit-identical for any value (clusters clamp it to
 // their node count); it only changes wall-clock time.
@@ -38,9 +35,6 @@ func SetShards(n int) {
 	}
 	shardCount = n
 }
-
-// Shards reports the experiments' current shard count.
-func Shards() int { return shardCount }
 
 // traced attaches the streaming trace pipeline (core.AttachTrace) to
 // the PDES sweep clusters, so the sweep also measures recording

@@ -52,13 +52,6 @@ type Config struct {
 	Faults *FaultPlan
 }
 
-// DefaultConfig reflects the Telegraphos I ribbon-cable links: roughly
-// 30 ns per word (≈ 266 MB/s), 10 ns propagation, and a 4-packet FIFO per
-// VC (the HIB has "2+2 Kb of synchronizing FIFOs", Table 1).
-func DefaultConfig() Config {
-	return Config{PropDelay: 10 * sim.Nanosecond, WordTime: 30 * sim.Nanosecond, BufPackets: 4}
-}
-
 // pendingSend is a packet waiting for a flow-control credit on its VC.
 type pendingSend struct {
 	pkt     *packet.Packet
@@ -323,9 +316,6 @@ func (l *Link) SentPackets() int64 { return l.sentPackets }
 
 // SentWords reports the total 8-byte words transmitted.
 func (l *Link) SentWords() int64 { return l.sentWords }
-
-// BusyTime reports cumulative wire occupancy (for utilization).
-func (l *Link) BusyTime() sim.Time { return l.busy }
 
 // Utilization reports busy time as a fraction of elapsed simulated time.
 func (l *Link) Utilization() float64 {

@@ -37,14 +37,6 @@ const (
 	Coherent
 )
 
-// String names the region.
-func (r Region) String() string {
-	if r == Plain {
-		return "plain"
-	}
-	return "coherent"
-}
-
 // OpCode enumerates litmus statement operations.
 type OpCode int
 

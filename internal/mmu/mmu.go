@@ -99,9 +99,6 @@ func NewAddressSpace(pageSize int) *AddressSpace {
 	return &AddressSpace{pageSize: pageSize, ptes: make(map[addrspace.PageNum]PTE)}
 }
 
-// PageSize reports the page size in bytes.
-func (as *AddressSpace) PageSize() int { return as.pageSize }
-
 func (as *AddressSpace) vpage(va addrspace.VAddr) addrspace.PageNum {
 	return addrspace.PageOf(uint64(va.Base()), as.pageSize)
 }
@@ -131,12 +128,6 @@ func (as *AddressSpace) Protect(va addrspace.VAddr, perm Perm) bool {
 	pte.Perm = perm
 	as.ptes[vp] = pte
 	return true
-}
-
-// Lookup returns the PTE for the page containing va.
-func (as *AddressSpace) Lookup(va addrspace.VAddr) (PTE, bool) {
-	pte, ok := as.ptes[as.vpage(va)]
-	return pte, ok
 }
 
 // Translate maps va to a physical address, enforcing protection. A shadow
@@ -174,9 +165,9 @@ type TLB struct {
 
 	// One-entry front cache: the last page that hit. Translation runs on
 	// every simulated memory access, and repeated accesses to one page are
-	// the common case, so this skips the scan. Cleared by Invalidate and
-	// Flush but not by eviction, so an evicted page that was the last hit
-	// keeps hitting until another page hits (FuzzTLB's reference does too).
+	// the common case, so this skips the scan. It only ever names a cached
+	// page: eviction, Invalidate and Flush clear it when they drop that
+	// page, so it changes no hit or miss.
 	last      addrspace.PageNum
 	lastValid bool
 }
@@ -212,6 +203,9 @@ func (t *TLB) Insert(vp addrspace.PageNum) {
 		return
 	}
 	if len(t.order) >= t.size {
+		if t.lastValid && t.order[0] == t.last {
+			t.lastValid = false
+		}
 		t.order = slices.Delete(t.order, 0, 1)
 	}
 	t.order = append(t.order, vp)

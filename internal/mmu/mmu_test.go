@@ -219,22 +219,19 @@ func TestAccessAndReasonStrings(t *testing.T) {
 }
 
 // refTLB is the map-and-slice FIFO the TLB replaced, kept as the
-// reference FuzzTLB compares it against. Like the TLB, it keeps the
-// last page that hit in a front cache that only Invalidate and Flush
-// clear, so that page still hits after FIFO eviction.
+// reference FuzzTLB compares it against. It has no front cache: a page
+// hits exactly while it is among the size most recently inserted pages
+// not since invalidated or flushed.
 type refTLB struct {
 	size         int
 	order        []addrspace.PageNum
 	present      map[addrspace.PageNum]bool
 	hits, misses int64
-	last         addrspace.PageNum
-	lastValid    bool
 }
 
 func (r *refTLB) lookup(vp addrspace.PageNum) bool {
-	if (r.lastValid && vp == r.last) || r.present[vp] {
+	if r.present[vp] {
 		r.hits++
-		r.last, r.lastValid = vp, true
 		return true
 	}
 	r.misses++
@@ -254,9 +251,6 @@ func (r *refTLB) insert(vp addrspace.PageNum) {
 }
 
 func (r *refTLB) invalidate(vp addrspace.PageNum) {
-	if vp == r.last {
-		r.lastValid = false
-	}
 	if !r.present[vp] {
 		return
 	}
@@ -297,7 +291,7 @@ func FuzzTLB(f *testing.F) {
 				ref.invalidate(vp)
 			default:
 				tlb.Flush()
-				ref.order, ref.present, ref.lastValid = nil, map[addrspace.PageNum]bool{}, false
+				ref.order, ref.present = nil, map[addrspace.PageNum]bool{}
 			}
 			if tlb.Hits() != ref.hits || tlb.Misses() != ref.misses {
 				t.Fatalf("op %d: hits/misses %d/%d, reference %d/%d", i/2, tlb.Hits(), tlb.Misses(), ref.hits, ref.misses)

@@ -68,7 +68,7 @@ func NewSystem(c *core.Cluster) *System {
 func (s *System) box(node addrspace.NodeID, port uint64) *sim.Queue[[]uint64] {
 	q, ok := s.boxes[node][port]
 	if !ok {
-		q = sim.NewQueue[[]uint64](s.c.EngineOf(int(node)), 0)
+		q = sim.NewQueue[[]uint64](s.c.EngineOf(int(node)))
 		s.boxes[node][port] = q
 	}
 	return q

@@ -26,14 +26,6 @@ const (
 	RemoteMemory
 )
 
-// String names the backend.
-func (b Backend) String() string {
-	if b == Disk {
-		return "disk"
-	}
-	return "remote-memory"
-}
-
 // Ref is one page reference of the workload.
 type Ref struct {
 	Page  int

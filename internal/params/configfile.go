@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"reflect"
 
 	"telegraphos/internal/addrspace"
 	"telegraphos/internal/sim"
@@ -98,6 +99,9 @@ func ReadConfig(r io.Reader) (Config, error) {
 	if fc.SwitchRouteDelayNS > 0 {
 		cfg.Switch.RouteDelay = sim.Time(fc.SwitchRouteDelayNS)
 	}
+	if err := checkTiming(cfg.Timing); err != nil {
+		return Config{}, err
+	}
 	if err := checkSizing(cfg.Sizing); err != nil {
 		return Config{}, err
 	}
@@ -106,6 +110,19 @@ func ReadConfig(r io.Reader) (Config, error) {
 			l.PropDelay, l.WordTime, l.BufPackets)
 	}
 	return cfg, nil
+}
+
+// checkTiming rejects a negative timing constant: every field is a
+// duration, and the engine clamps a negative delay to zero, so the run
+// would report latencies the configuration does not describe.
+func checkTiming(t Timing) error {
+	v := reflect.ValueOf(t)
+	for i := 0; i < v.NumField(); i++ {
+		if d := v.Field(i).Int(); d < 0 {
+			return fmt.Errorf("params: timing needs %s >= 0, got %d", v.Type().Field(i).Name, d)
+		}
+	}
+	return nil
 }
 
 // checkSizing rejects a sizing the node cannot be built or run from:

@@ -79,6 +79,9 @@ func TestReadConfigErrors(t *testing.T) {
 		`{"nodes": 2, "link": {"prop_delay_ns": 10, "word_time_ns": 0, "buf_packets": 4}}`,
 		`{"nodes": 2, "link": {"prop_delay_ns": 10, "word_time_ns": 140, "buf_packets": 0}}`,
 		`{"nodes": 2, "link": {"buf_packets": 0}}`,
+		// Negative timing constants.
+		`{"nodes": 2, "timing": {"HIBService": -100000, "MPMRead": -100000}}`,
+		`{"nodes": 2, "timing": {"CounterOverhead": -1}}`,
 		// Unknown fields inside a block.
 		`{"nodes": 2, "timing": {"CPUOps": 80}}`,
 		`{"nodes": 2, "sizing": {"Pages": 8}}`,

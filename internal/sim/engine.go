@@ -14,9 +14,8 @@ import (
 //
 // Handles are generation-checked: once the event fires, is canceled, or
 // its pooled slot is recycled, every outstanding handle becomes inert —
-// Cancel and When on a stale handle are no-ops, and a stale handle can
-// never touch (much less fire) an event that now occupies the recycled
-// slot.
+// Cancel on a stale handle is a no-op, and a stale handle can never
+// touch (much less fire) an event that now occupies the recycled slot.
 type Event struct {
 	slot *eventSlot
 	gen  uint32
@@ -47,17 +46,6 @@ func (ev Event) Cancel() {
 	s.fn = nil
 	s.eng.deadEvents++
 	s.eng.maybeCompact()
-}
-
-// When reports the simulated time at which the event is scheduled to
-// fire, or 0 if the handle is no longer live.
-//
-//tgvet:noalloc
-func (ev Event) When() Time {
-	if !ev.Live() {
-		return 0
-	}
-	return ev.slot.when
 }
 
 // msgSeqBits is the width of the per-channel sequence field in a
@@ -97,7 +85,6 @@ type Engine struct {
 	pool       eventPool
 	seq        uint64
 	rng        *RNG
-	stopped    bool
 	failure    error
 	deadEvents int    // canceled events still sitting in the queue
 	executed   uint64 // events + messages executed
@@ -156,10 +143,6 @@ func (e *Engine) Rand() *RNG { return e.rng }
 // standalone engine).
 func (e *Engine) Shard() int { return e.shard }
 
-// Group reports the Group the engine belongs to (nil for a standalone
-// engine built with NewEngine).
-func (e *Engine) Group() *Group { return e.group }
-
 // Executed reports the number of events and messages the engine has run.
 func (e *Engine) Executed() uint64 { return e.executed }
 
@@ -197,24 +180,16 @@ func (e *Engine) At(t Time, fn func()) Event {
 	}
 	e.seq++
 	s := e.pool.get(e)
-	s.when, s.fn = t, fn
+	s.fn = fn
 	e.queue.push(eqEnt{at: t, key: eventKey | e.seq, slot: s})
 	return Event{slot: s, gen: s.gen}
 }
-
-// Stop halts the engine: Run returns after the currently executing event
-// completes. Pending events remain queued. Stopping one shard stops the
-// whole Group at the end of the current round.
-func (e *Engine) Stop() { e.stopped = true }
 
 // Pending reports the number of live queued events and undelivered
 // messages. Canceled events are not counted.
 //
 //tgvet:noalloc
 func (e *Engine) Pending() int { return e.queue.len() - e.deadEvents }
-
-// Alive reports the number of non-daemon processes that have not finished.
-func (e *Engine) Alive() int { return len(e.live) }
 
 // dropLive removes a finished non-daemon process from e.live by moving
 // the last entry into its place.
@@ -263,10 +238,10 @@ func (e *Engine) nextTime() (Time, bool) {
 // runWindow executes all work with timestamp < horizon (horizon < 0 means
 // unbounded) and <= deadline (deadline < 0 means unbounded), in queue
 // order: messages before events scheduled for the same instant. It stops
-// early on Stop or a recorded failure. The horizon is kept in e.horizon,
-// where a serial stretch's Chan.Send can lower it mid-window. It returns
-// the time of the live head it stopped at, ok false when the queue is
-// empty, so a serial stretch need not peek again.
+// early on a recorded failure. The horizon is kept in e.horizon, where a
+// serial stretch's Chan.Send can lower it mid-window. It returns the
+// time of the live head it stopped at, ok false when the queue is empty,
+// so a serial stretch need not peek again.
 func (e *Engine) runWindow(horizon, deadline Time) (Time, bool) {
 	e.horizon = horizon
 	for {
@@ -275,7 +250,7 @@ func (e *Engine) runWindow(horizon, deadline Time) (Time, bool) {
 			return 0, false
 		}
 		t := ent.at
-		if e.stopped || e.failure != nil ||
+		if e.failure != nil ||
 			(e.horizon >= 0 && t >= e.horizon) || (deadline >= 0 && t > deadline) {
 			return t, true
 		}
@@ -328,10 +303,10 @@ func (e *Engine) SetRoundHook(every uint64, fn func(safe Time)) {
 	e.hookCount = 0
 }
 
-// Run executes events until the queue drains, Stop is called, or a process
-// panics. It returns nil on a clean drain with no blocked non-daemon
-// processes, ErrStalled if such processes remain blocked (deadlock), or an
-// error describing a process panic. If the engine belongs to a multi-shard
+// Run executes events until the queue drains or a process panics. It
+// returns nil on a clean drain with no blocked non-daemon processes,
+// ErrStalled if such processes remain blocked (deadlock), or an error
+// describing a process panic. If the engine belongs to a multi-shard
 // Group, Run drives the whole group.
 func (e *Engine) Run() error { return e.RunUntil(-1) }
 
@@ -344,13 +319,9 @@ func (e *Engine) RunUntil(deadline Time) error {
 	if e.group != nil && len(e.group.engines) > 1 {
 		return e.group.RunUntil(deadline)
 	}
-	e.stopped = false
 	e.runWindow(-1, deadline)
 	if e.failure != nil {
 		return e.failure
-	}
-	if e.stopped {
-		return nil
 	}
 	if deadline >= 0 {
 		if e.now < deadline {

@@ -112,7 +112,7 @@ func (p *queuePair) event(at Time) {
 		at = p.now
 	}
 	p.seq++
-	s := &eventSlot{when: at}
+	s := &eventSlot{}
 	p.slots = append(p.slots, s)
 	p.push(eqEnt{at: at, key: eventKey | p.seq, slot: s})
 }

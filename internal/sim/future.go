@@ -58,9 +58,6 @@ type Future[T any] struct {
 // NewFuture returns an unresolved future on e.
 func NewFuture[T any](e *Engine) *Future[T] { return &Future[T]{c: Completion{eng: e}} }
 
-// Done reports whether the future has been resolved.
-func (f *Future[T]) Done() bool { return f.c.done }
-
 // Resolve stores v and wakes all waiters. Resolving twice is a no-op (the
 // first value wins).
 func (f *Future[T]) Resolve(v T) {
@@ -80,6 +77,3 @@ func (f *Future[T]) Wait(p *Proc) T {
 // Reset makes a resolved future unresolved again, for reuse by a new
 // request (see Completion.Reset).
 func (f *Future[T]) Reset() { f.c.done, f.val = false, *new(T) }
-
-// Value returns the resolved value; it is only meaningful once Done.
-func (f *Future[T]) Value() T { return f.val }

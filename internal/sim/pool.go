@@ -17,7 +17,6 @@ package sim
 // eventSlot is the pooled storage behind one scheduled event.
 type eventSlot struct {
 	eng      *Engine
-	when     Time
 	fn       func()
 	gen      uint32
 	canceled bool

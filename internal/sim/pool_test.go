@@ -31,9 +31,6 @@ func TestStaleHandleAfterFireIsInert(t *testing.T) {
 	if ev1.Live() {
 		t.Fatal("stale handle reports live after its slot was recycled")
 	}
-	if w := ev1.When(); w != 0 {
-		t.Fatalf("stale When() = %d, want 0", w)
-	}
 	ev1.Cancel() // must NOT cancel ev2, which now owns the slot
 	if !ev2.Live() {
 		t.Fatal("stale Cancel() killed the new occupant of the recycled slot")
@@ -69,8 +66,8 @@ func TestCanceledThenRecycledNeverFires(t *testing.T) {
 	}
 	// Stale handle ops against the recycled slot: all inert.
 	ev.Cancel()
-	if w := ev.When(); w != 0 {
-		t.Fatalf("stale When() = %d, want 0", w)
+	if ev.Live() {
+		t.Fatal("stale handle reports live after its slot was recycled")
 	}
 	if !ev2.Live() {
 		t.Fatal("stale Cancel() reached the recycled slot")
@@ -86,15 +83,15 @@ func TestCanceledThenRecycledNeverFires(t *testing.T) {
 	}
 }
 
-// TestZeroEventInert: the zero Event is safe to Cancel/When/Live.
+// TestZeroEventInert: the zero Event is safe to Cancel and Live.
 func TestZeroEventInert(t *testing.T) {
 	var ev Event
 	if ev.Live() {
 		t.Fatal("zero Event reports live")
 	}
 	ev.Cancel()
-	if ev.When() != 0 {
-		t.Fatal("zero Event has a When")
+	if ev.Live() {
+		t.Fatal("zero Event live after Cancel")
 	}
 }
 

@@ -80,9 +80,6 @@ func (e *Engine) spawn(name string, fn func(*Proc), daemon bool) *Proc {
 	return p
 }
 
-// Engine returns the engine the process belongs to.
-func (p *Proc) Engine() *Engine { return p.eng }
-
 // Name returns the process's diagnostic name.
 func (p *Proc) Name() string { return p.name }
 
@@ -125,10 +122,6 @@ func (p *Proc) SleepUntil(t Time) {
 	p.eng.At(t, p.wakeFn) //tgvet:allow eventdrop(a sleep timer always fires: the process parks until this wake and holds no cancel path)
 	p.park()
 }
-
-// Yield lets every event already scheduled for the current instant run
-// before the process continues.
-func (p *Proc) Yield() { p.Sleep(0) }
 
 // Panicf aborts the simulation with a formatted process error.
 func (p *Proc) Panicf(format string, args ...interface{}) {

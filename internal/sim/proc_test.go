@@ -196,7 +196,7 @@ func TestFinishedProcessesLeaveNoGoroutine(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	expectGoroutines(t, e, before)
+	expectGoroutines(t, len(e.live), before)
 
 	before = runtime.NumGoroutine()
 	g := NewGroup(5, 2)
@@ -204,7 +204,7 @@ func TestFinishedProcessesLeaveNoGoroutine(t *testing.T) {
 	if err := g.Run(); err != nil {
 		t.Fatal(err)
 	}
-	expectGoroutines(t, g, before)
+	expectGoroutines(t, g.Alive(), before)
 }
 
 // TestPanicReportedByName: a body that panics after other processes

@@ -274,7 +274,7 @@ func TestGroupSerialMatchesOneShard(t *testing.T) {
 				t.Errorf("%s: %d items in serial stretches, %d in rounds; want both", what, serial, rounds)
 			}
 			wentParallel[shards] = wentParallel[shards] || l.g.bar.epoch.Load() > 0
-			expectGoroutines(t, l.g, before)
+			expectGoroutines(t, l.g.Alive(), before)
 		}
 	}
 	// A graph whose lookahead is much wider one way than the other can
@@ -287,10 +287,9 @@ func TestGroupSerialMatchesOneShard(t *testing.T) {
 	}
 }
 
-// TestGroupSerialStopAndDeadline: a run cut into deadline slices, or
-// stopped by its own items in serial stretches and in parallel rounds
-// and resumed, ends with the uninterrupted 1-shard logs and leaves no
-// round worker behind.
+// TestGroupSerialStopAndDeadline: a run cut into deadline slices, which
+// stop it in serial stretches and in parallel rounds, ends with the
+// uninterrupted 1-shard logs and leaves no round worker behind.
 func TestGroupSerialStopAndDeadline(t *testing.T) {
 	const seed = 4
 	want := serialBaseline(t, seed)
@@ -303,39 +302,12 @@ func TestGroupSerialStopAndDeadline(t *testing.T) {
 			if err := l.g.RunUntil(Time(slices+1) * 137); err != nil {
 				t.Fatalf("%d shards, slice %d: %v", shards, slices, err)
 			}
-			expectGoroutines(t, l.g, before)
+			expectGoroutines(t, l.g.Alive(), before)
 		}
 		if slices < serialEnd/137 {
 			t.Fatalf("%d shards: drained in %d slices, want at least %d", shards, slices, serialEnd/137)
 		}
 		l.check(t, fmt.Sprintf("%d shards in slices", shards), want)
-
-		l = newSerialLoad(NewGroup(1, shards), seed)
-		l.watch(5)
-		// Stops in a heavy phase (parallel rounds) and a light one
-		// (a serial stretch), from the shards at both ends.
-		stops := []struct {
-			station int
-			at      Time
-		}{{0, 60}, {serialStations - 1, 500}, {serialStations - 1, serialPhase + 30}, {0, serialPhase + 700}}
-		for _, s := range stops {
-			e := l.st[s.station].e
-			e.At(s.at, e.Stop)
-		}
-		runs := 0
-		for ; l.g.Pending() > 0; runs++ {
-			if runs > len(stops) {
-				t.Fatalf("%d shards: still pending after %d runs", shards, runs)
-			}
-			if err := l.g.Run(); err != nil {
-				t.Fatalf("%d shards, run %d: %v", shards, runs, err)
-			}
-			expectGoroutines(t, l.g, before)
-		}
-		if runs != len(stops)+1 {
-			t.Errorf("%d shards: drained in %d runs, want %d: a Stop did not end its run", shards, runs, len(stops)+1)
-		}
-		l.check(t, fmt.Sprintf("%d shards with stops", shards), want)
 	}
 }
 
@@ -358,7 +330,7 @@ func TestGroupSerialPanicNamesShard(t *testing.T) {
 				if err == nil || !strings.Contains(err.Error(), want) {
 					t.Fatalf("%d shards, station %d, t=%d: Run() = %v, want %q", shards, station, at, err, want)
 				}
-				expectGoroutines(t, l.g, before)
+				expectGoroutines(t, l.g.Alive(), before)
 			}
 		}
 	}

@@ -292,14 +292,6 @@ func (g *Group) CritPath() uint64 {
 	return g.critPath
 }
 
-// Stop halts every shard; Run returns at the end of the current round or
-// after the serial stretch's current item.
-func (g *Group) Stop() {
-	for _, e := range g.engines {
-		e.stopped = true
-	}
-}
-
 // Run drives the group until all shards drain (see Engine.Run).
 func (g *Group) Run() error { return g.RunUntil(-1) }
 
@@ -309,9 +301,6 @@ func (g *Group) Run() error { return g.RunUntil(-1) }
 func (g *Group) RunUntil(deadline Time) error {
 	if len(g.engines) == 1 {
 		return g.engines[0].RunUntil(deadline)
-	}
-	for _, e := range g.engines {
-		e.stopped = false
 	}
 	defer g.stopWorkers()
 	if g.distDirty || g.dist == nil {
@@ -323,7 +312,7 @@ func (g *Group) RunUntil(deadline Time) error {
 	serial := true
 	for {
 		g.flush()
-		if err := g.failureOrStopped(); err != nil || g.anyStopped() {
+		if err := g.failure(); err != nil {
 			return err
 		}
 		// Global lower bound on remaining work.
@@ -381,7 +370,7 @@ func (g *Group) RunUntil(deadline Time) error {
 		g.critPath += maxDelta
 		serial = maxDelta < seqRoundWork
 	}
-	if err := g.failureOrStopped(); err != nil || g.anyStopped() {
+	if err := g.failure(); err != nil {
 		return err
 	}
 	// Synchronize clocks: to the deadline if one was given, otherwise to
@@ -617,7 +606,7 @@ func (g *Group) stretch(deadline Time) {
 		if ok {
 			heads[run] = next
 		}
-		if e.stopped || e.failure != nil {
+		if e.failure != nil {
 			break
 		}
 	}
@@ -725,23 +714,14 @@ func (g *Group) flush() {
 	}
 }
 
-// failureOrStopped reports the lowest-shard failure, if any.
-func (g *Group) failureOrStopped() error {
+// failure reports the lowest-shard failure, if any.
+func (g *Group) failure() error {
 	for _, e := range g.engines {
 		if e.failure != nil {
 			return e.failure
 		}
 	}
 	return nil
-}
-
-func (g *Group) anyStopped() bool {
-	for _, e := range g.engines {
-		if e.stopped {
-			return true
-		}
-	}
-	return false
 }
 
 // Chan is a deterministic timestamped message channel between two

@@ -209,7 +209,7 @@ func TestGroupDeterministicAcrossShardCounts(t *testing.T) {
 // a build bug the engine must reject loudly rather than deadlock on.
 func TestCrossShardBlockingPanics(t *testing.T) {
 	g := NewGroup(1, 2)
-	q := NewQueue[int](g.Shard(1), 0)
+	q := NewQueue[int](g.Shard(1))
 	g.Shard(0).Spawn("offender", func(p *Proc) {
 		defer func() {
 			if recover() == nil {

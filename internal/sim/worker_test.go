@@ -13,16 +13,16 @@ import (
 // nothing. These tests run the heavy-round load of proc_test.go.
 
 // expectGoroutines fails the test unless the goroutine count falls back
-// to before, plus one for each of g's unfinished processes: a process is
-// a coroutine, which the runtime counts as a goroutine. g is a Group or
-// a standalone Engine. A goroutine still counts for a moment after its
-// last deferred call returns, until the runtime reaps it, so the check
-// polls for a while; a leaked worker or coroutine never goes away.
+// to before, plus one for each of the alive unfinished processes: a
+// process is a coroutine, which the runtime counts as a goroutine. A
+// goroutine still counts for a moment after its last deferred call
+// returns, until the runtime reaps it, so the check polls for a while;
+// a leaked worker or coroutine never goes away.
 // The count may end lower than before, when an earlier test's goroutine
 // was reaped in between.
-func expectGoroutines(t *testing.T, g interface{ Alive() int }, before int) {
+func expectGoroutines(t *testing.T, alive, before int) {
 	t.Helper()
-	want := before + g.Alive()
+	want := before + alive
 	limit := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > want && time.Now().Before(limit) {
 		runtime.Gosched()
@@ -77,7 +77,7 @@ func TestGroupWorkersStopOnDrain(t *testing.T) {
 	if err := g.Run(); err != nil {
 		t.Fatal(err)
 	}
-	expectGoroutines(t, g, before)
+	expectGoroutines(t, g.Alive(), before)
 	wentParallel(t, w)
 	sameTrace(t, w.trace(), want)
 }
@@ -102,32 +102,10 @@ func TestGroupWorkersStopAtDeadline(t *testing.T) {
 			if err := g.RunUntil(g.Now() + 1000); err != nil {
 				t.Fatalf("%d shards: %v", shards, err)
 			}
-			expectGoroutines(t, g, before)
+			expectGoroutines(t, g.Alive(), before)
 		}
 		wentParallel(t, w)
 		sameTrace(t, w.trace(), want)
-	}
-}
-
-// TestGroupWorkersStopOnStop: Stop from the round hook ends the run at
-// the barrier and stops the workers. The stop comes after the opening
-// serial stretch, once rounds have gone parallel.
-func TestGroupWorkersStopOnStop(t *testing.T) {
-	before := runtime.NumGoroutine()
-	g := NewGroup(5, 2)
-	w := newWorkerLoad(g)
-	g.SetRoundHook(0, func(safe Time) {
-		if safe >= 2000 {
-			g.Stop()
-		}
-	})
-	if err := g.Run(); err != nil {
-		t.Fatal(err)
-	}
-	expectGoroutines(t, g, before)
-	wentParallel(t, w)
-	if g.Pending() == 0 {
-		t.Fatal("run drained: Stop did not end it early")
 	}
 }
 
@@ -149,11 +127,11 @@ func TestGroupWorkersStopOnFailure(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), `"victim"`) {
 				t.Fatalf("Run() = %v, want the victim's failure", err)
 			}
-			expectGoroutines(t, g, before)
+			expectGoroutines(t, g.Alive(), before)
 			if again := g.RunUntil(g.Now() + 1000); again == nil || again.Error() != err.Error() {
 				t.Fatalf("second RunUntil = %v, want %v", again, err)
 			}
-			expectGoroutines(t, g, before)
+			expectGoroutines(t, g.Alive(), before)
 		})
 	}
 }
@@ -170,7 +148,7 @@ func TestGroupWorkersManyShards(t *testing.T) {
 		if err := g.Run(); err != nil {
 			t.Fatalf("%d shards: %v", shards, err)
 		}
-		expectGoroutines(t, g, before)
+		expectGoroutines(t, g.Alive(), before)
 		wentParallel(t, w)
 		sameTrace(t, w.trace(), want)
 	}
@@ -210,5 +188,5 @@ func TestGroupWorkerLateWake(t *testing.T) {
 		t.Fatalf("round ran %d events, want 1", runs)
 	}
 	g.stopWorkers()
-	expectGoroutines(t, g, before)
+	expectGoroutines(t, g.Alive(), before)
 }

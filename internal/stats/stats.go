@@ -1,6 +1,6 @@
 // Package stats provides the small measurement toolkit used by the
-// Telegraphos simulator: sample tallies with percentiles, fixed-width
-// histograms, named counter sets, and (x, y) series for parameter sweeps.
+// Telegraphos simulator: sample tallies with percentiles, named counter
+// sets, and (x, y) series for parameter sweeps.
 package stats
 
 import (
@@ -28,9 +28,6 @@ func (t *Tally) Add(v float64) {
 // N reports the number of samples.
 func (t *Tally) N() int { return len(t.samples) }
 
-// Sum reports the sum of all samples.
-func (t *Tally) Sum() float64 { return t.sum }
-
 // Mean reports the sample mean (0 for an empty tally).
 func (t *Tally) Mean() float64 {
 	if len(t.samples) == 0 {
@@ -55,21 +52,6 @@ func (t *Tally) Max() float64 {
 	}
 	t.ensureSorted()
 	return t.samples[len(t.samples)-1]
-}
-
-// StdDev reports the population standard deviation.
-func (t *Tally) StdDev() float64 {
-	n := len(t.samples)
-	if n == 0 {
-		return 0
-	}
-	mean := t.Mean()
-	var ss float64
-	for _, v := range t.samples {
-		d := v - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
 }
 
 // Percentile reports the p-th percentile (0 <= p <= 100) using
@@ -111,57 +93,6 @@ func (t *Tally) String() string {
 	return fmt.Sprintf("n=%d mean=%.3g min=%.3g p50=%.3g p99=%.3g max=%.3g",
 		t.N(), t.Mean(), t.Min(), t.Median(), t.Percentile(99), t.Max())
 }
-
-// Histogram counts samples in fixed-width buckets over [lo, hi); samples
-// outside the range land in under/overflow buckets.
-type Histogram struct {
-	lo, hi    float64
-	width     float64
-	buckets   []int64
-	underflow int64
-	overflow  int64
-	n         int64
-}
-
-// NewHistogram returns a histogram with nbuckets fixed-width buckets over
-// [lo, hi). It panics if the range is empty or nbuckets < 1.
-func NewHistogram(lo, hi float64, nbuckets int) *Histogram {
-	if hi <= lo || nbuckets < 1 {
-		panic("stats: invalid histogram range")
-	}
-	return &Histogram{lo: lo, hi: hi, width: (hi - lo) / float64(nbuckets), buckets: make([]int64, nbuckets)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(v float64) {
-	h.n++
-	switch {
-	case v < h.lo:
-		h.underflow++
-	case v >= h.hi:
-		h.overflow++
-	default:
-		i := int((v - h.lo) / h.width)
-		if i >= len(h.buckets) { // guard FP edge
-			i = len(h.buckets) - 1
-		}
-		h.buckets[i]++
-	}
-}
-
-// N reports the total sample count.
-func (h *Histogram) N() int64 { return h.n }
-
-// Bucket reports the count in bucket i and the bucket's [lo, hi) bounds.
-func (h *Histogram) Bucket(i int) (count int64, lo, hi float64) {
-	return h.buckets[i], h.lo + float64(i)*h.width, h.lo + float64(i+1)*h.width
-}
-
-// NumBuckets reports the number of fixed-width buckets.
-func (h *Histogram) NumBuckets() int { return len(h.buckets) }
-
-// Outliers reports the underflow and overflow counts.
-func (h *Histogram) Outliers() (under, over int64) { return h.underflow, h.overflow }
 
 // CounterSet is an ordered collection of named int64 counters. Iteration
 // (Names) follows first-use order, so reports are stable. A set may also

@@ -380,12 +380,7 @@ func (cs *collState) flush(key combKey, gen uint64) {
 		out = w.pkts[0]
 		out.Layer = 0 // absorbed and re-injected: fresh escape layer
 	} else {
-		m := &mergeRec{cons: make([]constituent, 0, len(w.pkts))}
-		var sum uint64
-		for _, p := range w.pkts {
-			m.cons = append(m.cons, constituent{src: p.Src, reqID: p.ReqID, offset: sum})
-			sum += p.Val
-		}
+		m, sum := merge(w.pkts)
 		cs.seq++
 		id := mergedBit | cs.swID<<48 | cs.seq&((1<<48)-1)
 		cs.merges[id] = m
@@ -408,11 +403,27 @@ func (cs *collState) flush(key combKey, gen uint64) {
 	})
 }
 
+// merge folds a window's fetch-and-adds in arrival order into one merge
+// record: each constituent's offset is the sum of the addends that
+// joined before it, and sum is the combined addend the home applies
+// once.
+func merge(pkts []*packet.Packet) (m *mergeRec, sum uint64) {
+	m = &mergeRec{cons: make([]constituent, 0, len(pkts))}
+	for _, p := range pkts {
+		m.cons = append(m.cons, constituent{src: p.Src, reqID: p.ReqID, offset: sum})
+		sum += p.Val
+	}
+	return m, sum
+}
+
+// reply is c's answer when the home returned base as the pre-add value
+// of the combined addend: exactly what c's fetch-and-add would have
+// returned had the constituents run one at a time in merge order
+// ("merge then split equals sequential").
+func (c constituent) reply(base uint64) uint64 { return base + c.offset }
+
 // decombine splits the reply to a merged request into per-constituent
-// replies. The home applied the combined addend atomically and returned
-// the pre-add value, so constituent i's answer is base + offset_i —
-// exactly what i sequential fetch-and-adds in merge order would have
-// returned ("merge then split equals sequential").
+// replies (see constituent.reply).
 func (cs *collState) decombine(m *mergeRec, pkt *packet.Packet) {
 	base, home, addr, hops := pkt.Val, pkt.Src, pkt.Addr, pkt.Hops
 	cons := m.cons
@@ -428,41 +439,10 @@ func (cs *collState) decombine(m *mergeRec, pkt *packet.Packet) {
 				Src:   home,
 				Dst:   c.src,
 				Addr:  addr,
-				Val:   base + c.offset,
+				Val:   c.reply(base),
 				ReqID: c.reqID,
 				Hops:  hops + 1,
 			}, nil)
 		}
 	})
-}
-
-// MergeSet is the pure combine/de-combine pairing logic, factored out
-// of the switch path so it can be property-tested and fuzzed in
-// isolation: Merge folds addends in arrival order exactly like flush,
-// Split distributes a base value exactly like decombine.
-type MergeSet struct {
-	offsets []uint64
-	sum     uint64
-}
-
-// Add folds one addend, returning this constituent's offset (the sum of
-// the addends that joined before it).
-func (ms *MergeSet) Add(val uint64) uint64 {
-	off := ms.sum
-	ms.offsets = append(ms.offsets, off)
-	ms.sum += val
-	return off
-}
-
-// Sum is the combined addend the home node applies once.
-func (ms *MergeSet) Sum() uint64 { return ms.sum }
-
-// Split distributes the home's single pre-add reply value across the
-// constituents, in merge order.
-func (ms *MergeSet) Split(base uint64) []uint64 {
-	out := make([]uint64, len(ms.offsets))
-	for i, off := range ms.offsets {
-		out[i] = base + off
-	}
-	return out
 }

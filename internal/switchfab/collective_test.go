@@ -3,34 +3,44 @@ package switchfab
 import (
 	"encoding/binary"
 	"testing"
+
+	"telegraphos/internal/addrspace"
+	"telegraphos/internal/packet"
 )
 
-func TestMergeSet(t *testing.T) {
-	var ms MergeSet
-	addends := []uint64{1, 1, 3, 0, 7}
-	wantOff := []uint64{0, 1, 2, 5, 5}
+// fais returns one combinable fetch-and-add per addend, each from its
+// own source, as a combine window holds them.
+func fais(addends []uint64) []*packet.Packet {
+	pkts := make([]*packet.Packet, len(addends))
 	for i, a := range addends {
-		if off := ms.Add(a); off != wantOff[i] {
-			t.Errorf("Add(%d) offset = %d, want %d", a, off, wantOff[i])
-		}
+		pkts[i] = &packet.Packet{Type: packet.CombAddReq, Src: addrspace.NodeID(i), ReqID: uint64(100 + i), Val: a}
 	}
-	if ms.Sum() != 12 {
-		t.Errorf("Sum = %d, want 12", ms.Sum())
+	return pkts
+}
+
+// TestMergeSet pins flush's merge arithmetic: prefix-sum offsets in
+// arrival order, one combined addend, and decombine's replies.
+func TestMergeSet(t *testing.T) {
+	addends := []uint64{1, 1, 3, 0, 7}
+	m, sum := merge(fais(addends))
+	if sum != 12 {
+		t.Errorf("sum = %d, want 12", sum)
 	}
-	got := ms.Split(100)
+	wantOff := []uint64{0, 1, 2, 5, 5}
 	want := []uint64{100, 101, 102, 105, 105}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Split(100) = %v, want %v", got, want)
-			break
+	for i, c := range m.cons {
+		if c.offset != wantOff[i] || c.src != addrspace.NodeID(i) || c.reqID != uint64(100+i) {
+			t.Errorf("constituent %d = %+v, want offset %d, src %d, reqID %d", i, c, wantOff[i], i, 100+i)
+		}
+		if got := c.reply(100); got != want[i] {
+			t.Errorf("constituent %d: reply(100) = %d, want %d", i, got, want[i])
 		}
 	}
 }
 
 func TestMergeSetEmpty(t *testing.T) {
-	var ms MergeSet
-	if ms.Sum() != 0 || len(ms.Split(5)) != 0 {
-		t.Error("empty merge set must carry no constituents")
+	if m, sum := merge(nil); sum != 0 || len(m.cons) != 0 {
+		t.Error("empty merge must carry no constituents")
 	}
 }
 
@@ -51,10 +61,7 @@ func FuzzMergeSplit(f *testing.F) {
 		if len(raw) > 0 && len(addends) < 64 {
 			addends = append(addends, uint64(raw[0]))
 		}
-		var ms MergeSet
-		for _, a := range addends {
-			ms.Add(a)
-		}
+		m, sum := merge(fais(addends))
 		// Sequential reference: apply the same FAAs one at a time.
 		counter := base
 		var seq []uint64
@@ -62,17 +69,16 @@ func FuzzMergeSplit(f *testing.F) {
 			seq = append(seq, counter)
 			counter += a
 		}
-		if base+ms.Sum() != counter {
-			t.Fatalf("merged sum: home ends at %d, sequential at %d", base+ms.Sum(), counter)
+		if base+sum != counter {
+			t.Fatalf("merged sum: home ends at %d, sequential at %d", base+sum, counter)
 		}
-		got := ms.Split(base)
-		if len(got) != len(seq) {
-			t.Fatalf("Split returned %d replies for %d constituents", len(got), len(seq))
+		if len(m.cons) != len(seq) {
+			t.Fatalf("merge recorded %d constituents for %d requests", len(m.cons), len(seq))
 		}
-		for i := range seq {
-			if got[i] != seq[i] {
+		for i, c := range m.cons {
+			if got := c.reply(base); got != seq[i] {
 				t.Fatalf("constituent %d: merged reply %d, sequential %d (addends %v, base %d)",
-					i, got[i], seq[i], addends, base)
+					i, got, seq[i], addends, base)
 			}
 		}
 	})

@@ -35,9 +35,6 @@ type Config struct {
 	RouteDelay sim.Time
 }
 
-// DefaultConfig reflects the Telegraphos I FPGA switch: ~100 ns per hop.
-func DefaultConfig() Config { return Config{RouteDelay: 100 * sim.Nanosecond} }
-
 // Switch is an input-queued packet switch. Attach port links with
 // AttachPort, install a routing table with SetRoute, then Start it.
 type Switch struct {
@@ -341,32 +338,6 @@ func (s *Switch) unbuilt() {
 
 // Forwarded reports the total packets forwarded.
 func (s *Switch) Forwarded() int64 { return s.forwarded }
-
-// FaultStats aggregates the fault-injection and ARQ-recovery counters of
-// every link attached to this switch (zero when no fault plan is active).
-func (s *Switch) FaultStats() link.FaultStats {
-	var fs link.FaultStats
-	for _, l := range s.in {
-		fs.Add(l.FaultStats())
-	}
-	for _, l := range s.out {
-		fs.Add(l.FaultStats())
-	}
-	return fs
-}
-
-// UnackedFrames reports ARQ frames still in flight on the switch's
-// attached links; a quiesced fabric must report zero.
-func (s *Switch) UnackedFrames() int {
-	n := 0
-	for _, l := range s.in {
-		n += l.Unacked()
-	}
-	for _, l := range s.out {
-		n += l.Unacked()
-	}
-	return n
-}
 
 // Misroutes reports packets dropped for lack of a route (should be zero in
 // any correctly built topology).

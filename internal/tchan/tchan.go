@@ -60,9 +60,6 @@ func (b *Bus) TransactAfter(p *sim.Proc, lead, cost, tail sim.Time) {
 // Transactions reports the cumulative transaction count.
 func (b *Bus) Transactions() int64 { return b.transactions }
 
-// BusyTime reports the cumulative bus occupancy.
-func (b *Bus) BusyTime() sim.Time { return b.busy }
-
 // Utilization reports occupancy as a fraction of elapsed simulated time.
 func (b *Bus) Utilization() float64 {
 	if b.eng.Now() == 0 {

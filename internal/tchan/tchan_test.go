@@ -37,8 +37,8 @@ func TestCounters(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if b.Transactions() != 1 || b.BusyTime() != 400 {
-		t.Fatalf("counters: %d transactions, busy %v", b.Transactions(), b.BusyTime())
+	if b.Transactions() != 1 || b.busy != 400 {
+		t.Fatalf("counters: %d transactions, busy %v", b.Transactions(), b.busy)
 	}
 	if u := b.Utilization(); u < 0.39 || u > 0.41 {
 		t.Fatalf("utilization = %g, want 0.4", u)

@@ -95,25 +95,6 @@ const (
 	BOpReduce
 )
 
-var boundaryNames = map[BoundaryOp]string{
-	BOpRead:        "read",
-	BOpWrite:       "write",
-	BOpFetchInc:    "fetch&inc",
-	BOpFetchStore:  "fetch&store",
-	BOpCompareSwap: "compare&swap",
-	BOpPageIn:      "page-in",
-	BOpBarrier:     "barrier",
-	BOpReduce:      "reduce",
-}
-
-// String names the boundary op.
-func (b BoundaryOp) String() string {
-	if s, ok := boundaryNames[b]; ok {
-		return s
-	}
-	return fmt.Sprintf("BoundaryOp(%d)", uint8(b))
-}
-
 // BoundaryAux packs a boundary op code and a per-node sequence number
 // into an event's Aux field. The sequence number pairs each EvOpReturn
 // (and EvOpArg) with its EvOpInvoke.

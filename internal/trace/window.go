@@ -111,9 +111,6 @@ func NewWindowedLog(nodes, window int) *WindowedLog {
 	return w
 }
 
-// Nodes reports the number of per-node rings.
-func (w *WindowedLog) Nodes() int { return len(w.win) }
-
 // Recorder returns node's append function (to install as an HIB
 // recorder). The returned function must only be called from node's own
 // shard context; it touches nothing shared with other nodes.

@@ -8,7 +8,6 @@ package tsync
 
 import (
 	"telegraphos/internal/addrspace"
-	"telegraphos/internal/collective"
 	"telegraphos/internal/core"
 	"telegraphos/internal/cpu"
 	"telegraphos/internal/sim"
@@ -36,15 +35,6 @@ func (l Lock) Acquire(ctx *cpu.Ctx) {
 		ctx.Compute(SpinBackoff)
 	}
 	ctx.Fence()
-}
-
-// TryAcquire attempts one compare-and-swap; it reports success.
-func (l Lock) TryAcquire(ctx *cpu.Ctx) bool {
-	if ctx.CompareAndSwap(l.VA, 1, 0) != 0 {
-		return false
-	}
-	ctx.Fence()
-	return true
 }
 
 // Release fences (so every write in the critical section is complete and
@@ -97,21 +87,4 @@ func (w *Waiter) Wait(ctx *cpu.Ctx) {
 	for ctx.Load(w.b.roundVA) < w.round {
 		ctx.Compute(SpinBackoff)
 	}
-}
-
-// FabricBarrier is the in-fabric (switch-resident) barrier, re-exported
-// as a drop-in for Barrier: same Participant/Wait usage, same embedded
-// fence, but arrivals combine inside the switches and one release
-// multicasts back, so latency scales with tree depth instead of with
-// the participant count (see internal/collective).
-type FabricBarrier = collective.Barrier
-
-// NewFabricBarrier builds an in-fabric barrier over every node of c
-// using m (a collective.Manager for the same cluster).
-func NewFabricBarrier(c *core.Cluster, m *collective.Manager) *FabricBarrier {
-	parts := make([]addrspace.NodeID, c.N())
-	for i := range parts {
-		parts[i] = addrspace.NodeID(i)
-	}
-	return m.NewBarrier(parts...)
 }

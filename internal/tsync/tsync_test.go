@@ -53,26 +53,6 @@ func TestLockMutualExclusion(t *testing.T) {
 	}
 }
 
-func TestTryAcquire(t *testing.T) {
-	c := cluster(2)
-	l := NewLock(c, 0)
-	var first, second bool
-	c.Spawn(0, "t", func(ctx *cpu.Ctx) {
-		first = l.TryAcquire(ctx)
-		second = l.TryAcquire(ctx)
-		l.Release(ctx)
-		if !l.TryAcquire(ctx) {
-			t.Error("TryAcquire after release failed")
-		}
-	})
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !first || second {
-		t.Fatalf("TryAcquire: first=%v second=%v, want true/false", first, second)
-	}
-}
-
 func TestBarrierRendezvous(t *testing.T) {
 	const n = 4
 	c := cluster(n)
@@ -130,13 +110,14 @@ func TestBarrierPublishesWrites(t *testing.T) {
 	}
 }
 
-// TestFabricBarrier exercises the drop-in in-fabric barrier through the
-// same rendezvous and publish scenarios as the host-side one.
+// TestFabricBarrier runs the in-fabric barrier (internal/collective),
+// a drop-in for Barrier with the same Participant/Wait usage and
+// embedded fence, through the host-side barrier's rendezvous and
+// publish scenarios.
 func TestFabricBarrier(t *testing.T) {
 	const n = 4
 	c := cluster(n)
-	m := collective.New(c)
-	b := NewFabricBarrier(c, m)
+	b := collective.New(c).NewBarrier(0, 1, 2, 3)
 	if b.N() != n {
 		t.Fatalf("fabric barrier N = %d, want %d", b.N(), n)
 	}

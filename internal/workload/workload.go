@@ -140,17 +140,3 @@ func Migratory(m Mem, words, iters int) uint64 {
 	}
 	return last
 }
-
-// HotWord hammers a small set of words from every node — the chaotic
-// concurrent-writer pattern that stresses the pending-write counters
-// (§2.3.4). writers is a bitmask-free convenience: every node writes.
-func HotWord(m Mem, words, accessesPerNode int, seed int64) {
-	state := uint64(seed) ^ uint64(m.Node()*0x9E3779B9)
-	for i := 0; i < accessesPerNode; i++ {
-		state = state*6364136223846793005 + 1442695040888963407
-		w := int(state>>33) % words
-		m.Store(w, state)
-		m.Compute(ComputeGrain)
-	}
-	m.Barrier()
-}

@@ -115,10 +115,3 @@ func TestMigratoryFinalValueDSM(t *testing.T) {
 		t.Errorf("final increment value = %d, want %d", last, iters)
 	}
 }
-
-func TestHotWordCompletesOnTG(t *testing.T) {
-	runTG(t, 3, 4, func(m Mem) uint64 {
-		HotWord(m, 4, 25, 42)
-		return 0
-	})
-}

@@ -172,3 +172,59 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestWithFaultPlanKeepsMemory: a two-node program run over links that
+// drop, duplicate and reorder frames ends with the same memory as a
+// clean run, because the link-level retransmission layer recovers every
+// fault; the fault counters show the plan was in force.
+func TestWithFaultPlanKeepsMemory(t *testing.T) {
+	const words = 32
+	run := func(opts ...tg.Option) ([]uint64, *tg.Cluster) {
+		c := tg.NewCluster(append([]tg.Option{tg.WithNodes(2), tg.WithSeed(3)}, opts...)...)
+		data := []tg.VAddr{c.AllocShared(0, 8*words), c.AllocShared(1, 8*words)}
+		counter := c.AllocShared(1, 8)
+		for n := 0; n < 2; n++ {
+			dst := data[1-n]
+			c.Spawn(n, "writer", func(ctx *tg.Ctx) {
+				for i := 0; i < words; i++ {
+					ctx.Store(dst+tg.VAddr(8*i), uint64(100*n+i))
+					ctx.FetchAndInc(counter)
+				}
+				ctx.Fence()
+			})
+		}
+		if err := c.Run(); err != nil {
+			t.Fatal(err)
+		}
+		var mem []uint64
+		c.Spawn(0, "reader", func(ctx *tg.Ctx) {
+			for _, base := range data {
+				for i := 0; i < words; i++ {
+					mem = append(mem, ctx.Load(base+tg.VAddr(8*i)))
+				}
+			}
+			mem = append(mem, ctx.Load(counter))
+		})
+		if err := c.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return mem, c
+	}
+	clean, _ := run()
+	faulty, c := run(tg.WithFaultPlan(tg.FaultPlan{Seed: 9, DropProb: 0.1, DupProb: 0.1, ReorderProb: 0.1}))
+	if len(clean) != len(faulty) {
+		t.Fatalf("read %d words clean, %d faulty", len(clean), len(faulty))
+	}
+	for i := range clean {
+		if clean[i] != faulty[i] {
+			t.Fatalf("word %d: %d under faults, %d clean", i, faulty[i], clean[i])
+		}
+	}
+	if got := clean[len(clean)-1]; got != 2*words {
+		t.Fatalf("counter = %d, want %d", got, 2*words)
+	}
+	fs := c.Net.FaultStats()
+	if fs.Dropped == 0 || fs.Duplicated == 0 || fs.Reordered == 0 || fs.Retransmits == 0 {
+		t.Fatalf("fault counters %+v: the plan injected too little", fs)
+	}
+}
