@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet lint lint-fix-audit unlinked test race chaos litmus bench fuzz collectives
+.PHONY: check build vet lint lint-fix-audit unlinked test race chaos litmus bench bench-smoke fuzz collectives
 
 # Tier-1 verify: build + vet + tests + race detector.
 check:
@@ -59,6 +59,15 @@ collectives:
 bench:
 	$(GO) run ./cmd/tgbench
 	$(GO) run ./cmd/tgbench -pdes -out BENCH_pdes.json
+
+# Benchmark smoke, outside tier-1: a short untraced pass of every
+# workload, then a short traced one; any non-zero exit fails it. Only
+# the traced pass runs the round probe and the layer drivers of
+# bench/drivers.go, so a change to sim's API or to its round hook can
+# fail here while every untraced run passes.
+bench-smoke:
+	sh bench/run.sh -trace 0 -seconds 2
+	sh bench/run.sh -trace 1 -seconds 2
 
 # Short fuzz pass over the wire-format, trace-file and address-space
 # targets; FuzzSpill (TGE1 reader) and FuzzDecode (packet decoder) take

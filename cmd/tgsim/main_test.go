@@ -58,6 +58,7 @@ func TestMachineUsageErrors(t *testing.T) {
 		"negative link":   write("link.json", `{"nodes": 4, "link": {"prop_delay_ns": -5, "word_time_ns": 140, "buf_packets": 4}}`),
 		"zero link":       write("zlink.json", `{"nodes": 4, "link": {"prop_delay_ns": 0, "word_time_ns": 0, "buf_packets": 0}}`),
 		"negative timing": write("timing.json", `{"nodes": 2, "timing": {"HIBService": -100000, "MPMRead": -100000}}`),
+		"negative route":  write("route.json", `{"nodes": 2, "switch_route_delay_ns": -500}`),
 	} {
 		if _, err := machine(path, 2, 4, "star", "hib", 1); err == nil {
 			t.Errorf("%s: accepted, want a usage error", name)

@@ -120,6 +120,42 @@ func TestLoaderImportCycle(t *testing.T) {
 	}
 }
 
+// TestLoaderHonoursBuildConstraints: files the go command would not
+// build are not part of a package. A directory holding two
+// //go:build ignore main programs (each one `go run`s alone) is no
+// package at all, and one beside a real package file leaves that
+// package as it is.
+func TestLoaderHonoursBuildConstraints(t *testing.T) {
+	prog := func(n string) string {
+		return "//go:build ignore\n\npackage main\n\nfunc main() { println(" + n + ") }\n"
+	}
+	root := writeModule(t, map[string]string{
+		"go.mod":         tinyGoMod,
+		"scripts/one.go": prog("1"),
+		"scripts/two.go": prog("2"),
+		"lib/lib.go":     "package lib\n\n// X is exported.\nvar X = 1\n",
+		"lib/gen.go":     prog("3"),
+	})
+	l, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirs, err := l.Walk(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{filepath.Join(root, "lib")}; len(dirs) != 1 || dirs[0] != want[0] {
+		t.Fatalf("Walk = %v, want %v: ignore-tagged programs make no package", dirs, want)
+	}
+	pkg, err := l.LoadDir(filepath.Join(root, "lib"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkg.Files) != 1 || pkg.Types.Name() != "lib" {
+		t.Fatalf("lib loaded %d files as package %q, want 1 file of package lib", len(pkg.Files), pkg.Types.Name())
+	}
+}
+
 func TestFindModuleRootFails(t *testing.T) {
 	if _, err := FindModuleRoot("/"); err == nil {
 		t.Error("want error outside any module")

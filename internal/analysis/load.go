@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -186,7 +187,10 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 	return pkg, nil
 }
 
-// goFilesIn lists the non-test Go files of dir, sorted.
+// goFilesIn lists the non-test Go files of dir that the go command
+// builds for this platform and toolchain, sorted: a file whose build
+// constraints exclude it, such as a //go:build ignore program, is not
+// part of the package.
 func goFilesIn(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -200,7 +204,13 @@ func goFilesIn(dir string) ([]string, error) {
 			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
 			continue
 		}
-		names = append(names, name)
+		ok, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			names = append(names, name)
+		}
 	}
 	sort.Strings(names)
 	return names, nil

@@ -71,34 +71,40 @@ var steadyLoads = []steadyLoad{
 	},
 }
 
+// startSteady builds sl's 16-node cluster at the given shard count and
+// spawns its programs; done reports the operations they have completed.
+func startSteady(sl steadyLoad, shards int) (c *Cluster, done func() int64) {
+	const nodes = 16
+	cfg := sl.cfg(nodes)
+	cfg.Sizing.MemBytes = 1 << 20
+	cfg.Shards = shards
+	c = New(cfg)
+	words := make([]addrspace.VAddr, nodes)
+	for h := range words {
+		words[h] = c.AllocShared(addrspace.NodeID(h), 16)
+	}
+	ops := make([]int64, nodes)
+	for i := range ops {
+		c.Spawn(i, fmt.Sprintf("steady%d", i), sl.prog(words, i, &ops[i]))
+	}
+	return c, func() (n int64) {
+		for _, o := range ops {
+			n += o
+		}
+		return n
+	}
+}
+
 // TestSteadyStateAllocs pins the whole machine's steady state at zero
 // allocations per operation, at one shard and at two: once its pools,
 // free lists, queues and waiter arrays have warmed, a further window of
 // simulated time allocates nothing — no packet, future, completion,
 // closure, link crossing, TLB entry or waiter slot.
 func TestSteadyStateAllocs(t *testing.T) {
-	const nodes = 16
 	for _, sl := range steadyLoads {
 		for _, shards := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/%d shards", sl.name, shards), func(t *testing.T) {
-				cfg := sl.cfg(nodes)
-				cfg.Sizing.MemBytes = 1 << 20
-				cfg.Shards = shards
-				c := New(cfg)
-				words := make([]addrspace.VAddr, nodes)
-				for h := range words {
-					words[h] = c.AllocShared(addrspace.NodeID(h), 16)
-				}
-				ops := make([]int64, nodes)
-				for i := range ops {
-					c.Spawn(i, fmt.Sprintf("steady%d", i), sl.prog(words, i, &ops[i]))
-				}
-				done := func() (n int64) {
-					for _, o := range ops {
-						n += o
-					}
-					return n
-				}
+				c, done := startSteady(sl, shards)
 				// Warm up until every queue has met its high-water mark
 				// (after 2 ms the chain's still grew a few times).
 				if err := c.RunUntil(10 * sim.Millisecond); err != nil {
@@ -121,6 +127,45 @@ func TestSteadyStateAllocs(t *testing.T) {
 				}
 				if n := after.Mallocs - before.Mallocs; n != 0 {
 					t.Errorf("%d allocations over %d ops (%.4f per op), want 0", n, measured, float64(n)/float64(measured))
+				}
+			})
+		}
+	}
+}
+
+// workBudgets caps the engine work items (events and messages executed,
+// sim.Group.Executed) per operation of each steady load in a window
+// after warm-up: the measured count plus about 2 %. Counts are exact
+// and host-independent, so they catch a change that adds queue items
+// per operation, which wall time on a shared host cannot resolve.
+// Ratchet a budget down when a change removes items.
+var workBudgets = map[string]float64{
+	"torus2d rpc":  32.4, // 31.83 measured; 38.11 when every wire clear was an event
+	"chain stores": 20.9, // 20.49 measured; 22.08 when every wire clear was an event
+}
+
+// TestWorkBudgets pins the work items per operation of the steady
+// loads at one shard and at two (the counts are shard-invariant).
+func TestWorkBudgets(t *testing.T) {
+	for _, sl := range steadyLoads {
+		for _, shards := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/%d shards", sl.name, shards), func(t *testing.T) {
+				c, done := startSteady(sl, shards)
+				if err := c.RunUntil(2 * sim.Millisecond); err != nil {
+					t.Fatal(err)
+				}
+				ops0, items0 := done(), c.Group.Executed()
+				if err := c.RunUntil(c.Group.Now() + 2*sim.Millisecond); err != nil {
+					t.Fatal(err)
+				}
+				n := done() - ops0
+				if n < 1000 {
+					t.Fatalf("only %d ops in the measured window", n)
+				}
+				per := float64(c.Group.Executed()-items0) / float64(n)
+				t.Logf("%.3f work items per op", per)
+				if budget := workBudgets[sl.name]; per > budget {
+					t.Errorf("%.3f work items per op, budget %.1f", per, budget)
 				}
 			})
 		}

@@ -26,6 +26,16 @@
 // registered notify hook, which drains them with TryRecv. A process that
 // wants to block on a send waits on a sim.Completion that onClear
 // completes.
+//
+// A packet's arrival time is fixed when it launches, so a fault-free
+// link sends the arrival then, and its wire clear is an event only when
+// a sender waits on it: a SendEv caller with a non-nil onClear, or a
+// Clear handle that Notify armed. launch reserves the clear's schedule
+// key (sim.Engine.Reserve) where an eager clear event would have taken
+// it, so a clear scheduled on demand runs exactly where the eager one
+// did and every other event keeps its order. A faulty link keeps its
+// clear event, because the ARQ draws the frame's faults and arms its
+// timer at the clear.
 package link
 
 import (
@@ -52,20 +62,68 @@ type Config struct {
 	Faults *FaultPlan
 }
 
-// pendingSend is a packet waiting for a flow-control credit on its VC.
+// pendingSend is a packet handed to the link, with what its sender
+// wants done at its wire clear: onClear for SendEv, the handle for
+// SendClear. It waits in the VC's sendq while the VC has no credit, and
+// on a faulty link in wireq from its launch until its clear event:
+// clear events fire in reservation order (the timeline is strictly
+// increasing), so a FIFO plus one prebound handler replaces a
+// per-packet closure.
 type pendingSend struct {
 	pkt     *packet.Packet
 	onClear func()
+	clear   *Clear
 }
 
-// wireItem is a packet whose wire slot is reserved but has not yet
-// cleared the wire. Wire-clear events fire in reservation order (the
-// timeline is strictly increasing), so a FIFO plus one prebound handler
-// replaces a per-packet closure.
-type wireItem struct {
-	vc      packet.VC
-	pkt     *packet.Packet
-	onClear func()
+// Clear is a sender's handle on the wire clear of the latest packet it
+// sent with SendClear, for a sender with work to do at a clear only
+// sometimes: the switch's output stage acts at a clear only when
+// another packet waits behind the one on the wire. Busy reports whether
+// that packet still waits for a credit or has not yet cleared the wire,
+// judged by sim.Engine.Passed at the clear's reserved key. Notify asks
+// for the handle's function to run at the clear. On a fault-free link
+// that makes the clear an event, at its reserved key; a faulty link's
+// clear event runs anyway and calls the function once Notify asked.
+// The zero Clear is idle; Init binds its function once.
+type Clear struct {
+	fn func()
+	l  *Link // the latest packet's link; nil once its clear has passed
+	// at and seq are the clear's time and reserved sequence number,
+	// set when the packet launches; seq is 0 until then.
+	at   sim.Time
+	seq  uint64
+	want bool // Notify asked for fn at the clear
+}
+
+// Init binds fn, which runs at a clear that Notify asked for. Bind it
+// once, when the handle is made: a method value allocates.
+func (c *Clear) Init(fn func()) { c.fn = fn }
+
+// Busy reports whether the handle's latest packet waits for a credit or
+// has not yet cleared the wire, as of the running work item.
+//
+//tgvet:noalloc
+func (c *Clear) Busy() bool {
+	if c.l != nil && c.seq != 0 && c.l.eng.Passed(c.at, c.seq) {
+		c.l = nil
+	}
+	return c.l != nil
+}
+
+// Notify asks for the handle's function to run, on the sender engine,
+// at the instant its packet clears the wire. Call it only while Busy;
+// a second call for the same packet does nothing. A packet still
+// waiting for a credit gets its clear event when it launches.
+//
+//tgvet:noalloc
+func (c *Clear) Notify() {
+	if c.want {
+		return
+	}
+	c.want = true
+	if c.seq != 0 && c.l.ring != nil {
+		c.l.eng.AtKey(c.at, c.seq, c.fn) //tgvet:allow eventdrop(the clear always fires; the handle stays busy until it does)
+	}
 }
 
 // fifo is a queue that reuses its backing array. pop advances a head
@@ -107,15 +165,17 @@ func (q *fifo[T]) pop() T {
 
 // wireRing carries a fault-free link's packets across the wire: per VC,
 // a ring of exactly BufPackets slots, the depth of the receiver's buffer.
-// The sender writes the tail at wire-clear and sends the VC's prebound
-// arrival handler down the forward channel; the handler reads the head.
-// Per VC, deliveries happen in send order (constant propagation delay,
-// FIFO channel), so head and tail need no tag. The ring is never
-// overrun: slot i is written again only by packet i+BufPackets, which
-// needs the credit that packet i's consumption returns, and a packet is
-// read at its arrival, before it can be consumed. On a cross-shard link
-// the credit's sim.Chan hand-off therefore orders the receiver's read
-// before the sender's rewrite, and the ring works on both layouts.
+// The sender writes the tail at launch and sends the VC's prebound
+// arrival handler down the forward channel, to run when the packet has
+// cleared the wire and crossed it; the handler reads the head. Per VC,
+// deliveries happen in send order (launches and clears are both in
+// wire order, and the channel is FIFO), so head and tail need no tag.
+// The ring is never overrun: slot i is written again only by packet
+// i+BufPackets, whose launch needs the credit that packet i's
+// consumption returns, and a packet is read at its arrival, before it
+// can be consumed. On a cross-shard link the credit's sim.Chan hand-off
+// therefore orders the receiver's read before the sender's rewrite, and
+// the ring works on both layouts.
 type wireRing struct {
 	slots  [packet.NumVCs][]*packet.Packet
 	sent   [packet.NumVCs]int    // sender side: packets written per VC
@@ -144,8 +204,11 @@ type Link struct {
 	sendq    [packet.NumVCs]fifo[pendingSend]
 	wireFree sim.Time
 	creditFn [packet.NumVCs]func() // prebound credit-arrival handlers
-	wireq    fifo[wireItem]        // reserved wire slots, in clear order
-	clearFn  func()                // prebound wire-clear handler
+
+	// A faulty link's reserved wire slots, in clear order, and its
+	// prebound wire-clear handler (unused on a fault-free link).
+	wireq   fifo[pendingSend]
+	clearFn func()
 
 	// In-flight packets on a fault-free wire (nil on a faulty link,
 	// whose frames travel in the injector's records).
@@ -185,9 +248,9 @@ func NewCross(snd, rcv *sim.Engine, name string, cfg Config) *Link {
 		l.credits[vc] = cfg.BufPackets
 		l.creditFn[vc] = func() { l.creditArrive(vc) }
 	}
-	l.clearFn = l.wireClear
 	if cfg.Faults.Active() {
 		l.inj = newInjector(l, *cfg.Faults)
+		l.clearFn = l.wireClear
 		return l
 	}
 	r, n := &wireRing{}, cfg.BufPackets
@@ -224,51 +287,82 @@ func (l *Link) transferTime(pkt *packet.Packet) sim.Time {
 // packet waits for a receive-buffer credit on its VC (FIFO per VC), then
 // occupies the wire for its serialization time and is delivered to the
 // far end PropDelay later. onClear, if non-nil, runs on the sender engine
-// at the instant the packet clears the wire, so callers chain onClear to launch their next
-// packet and back-pressure propagates exactly as before. Per VC, packets
+// at the instant the packet clears the wire, so callers chain onClear to
+// launch their next packet and back-pressure propagates. Per VC, packets
 // arrive in exactly the order sent — on a faulty link the ARQ sublayer
 // restores that order and delivers exactly once despite drops,
 // duplicates, and reordering on the wire.
 func (l *Link) SendEv(pkt *packet.Packet, onClear func()) {
-	vc := pkt.Channel()
+	l.send(pendingSend{pkt: pkt, onClear: onClear})
+}
+
+// SendClear transmits pkt as SendEv does, tracking its wire clear in c
+// instead of calling back: c is Busy from now until the packet clears
+// the wire, and Notify asks for the clear's callback. c must not be
+// Busy.
+func (l *Link) SendClear(pkt *packet.Packet, c *Clear) {
+	c.l, c.seq, c.want = l, 0, false
+	l.send(pendingSend{pkt: pkt, clear: c})
+}
+
+// send launches s at once if its VC has a credit and no queued packet,
+// and queues it otherwise.
+func (l *Link) send(s pendingSend) {
+	vc := s.pkt.Channel()
 	if l.credits[vc] > 0 && l.sendq[vc].len() == 0 {
-		l.launch(vc, pkt, onClear)
+		l.launch(vc, s)
 		return
 	}
-	l.sendq[vc].push(pendingSend{pkt: pkt, onClear: onClear})
+	l.sendq[vc].push(s)
 }
 
-// launch spends one credit and reserves the next wire slot for pkt.
-func (l *Link) launch(vc packet.VC, pkt *packet.Packet, onClear func()) {
+// launch spends one credit and reserves the next wire slot for s.pkt,
+// with the schedule key of its clear. A fault-free link sends the
+// arrival now, for the instant the packet will have cleared and crossed
+// the wire, and schedules the clear only for a sender that waits on it.
+func (l *Link) launch(vc packet.VC, s pendingSend) {
 	l.credits[vc]--
-	start := l.eng.Now()
-	if start < l.wireFree {
-		start = l.wireFree
-	}
-	t := l.transferTime(pkt)
-	l.wireFree = start + t
+	now := l.eng.Now()
+	t := l.transferTime(s.pkt)
+	l.wireFree = max(now, l.wireFree) + t
 	l.busy += t
 	l.sentPackets++
-	l.sentWords += int64((pkt.SizeBytes() + 7) / 8)
-	l.wireq.push(wireItem{vc: vc, pkt: pkt, onClear: onClear})
-	l.eng.At(l.wireFree, l.clearFn) //tgvet:allow eventdrop(wire-clear always fires; the queued wireItem is consumed by exactly this event)
+	l.sentWords += int64((s.pkt.SizeBytes() + 7) / 8)
+	seq := l.eng.Reserve()
+	onClear := s.onClear
+	if c := s.clear; c != nil {
+		c.at, c.seq = l.wireFree, seq
+		if c.want {
+			onClear = c.fn
+		}
+	}
+	r := l.ring
+	if r == nil {
+		l.wireq.push(s)
+		l.eng.AtKey(l.wireFree, seq, l.clearFn) //tgvet:allow eventdrop(wire-clear always fires; the queued entry is consumed by exactly this event)
+		return
+	}
+	slots := r.slots[vc]
+	slots[r.sent[vc]%len(slots)] = s.pkt
+	r.sent[vc]++
+	// The channel clamps a delay up to 1 ns, so a zero PropDelay crosses
+	// in 1 ns, as it did when the arrival was sent at the clear.
+	l.fwd.Send(l.wireFree-now+max(l.cfg.PropDelay, 1), r.arrive[vc])
+	if onClear != nil {
+		l.eng.AtKey(l.wireFree, seq, onClear) //tgvet:allow eventdrop(the sender's clear callback always fires)
+	}
 }
 
-// wireClear runs when the oldest reserved wire slot's packet finishes
-// serializing: the packet enters the wire proper (propagation), and the
-// sender's onClear chain fires.
+// wireClear runs on a faulty link when the oldest reserved wire slot's
+// packet finishes serializing: the ARQ sends the frame, and the sender's
+// clear callback, if any, fires.
 func (l *Link) wireClear() {
 	w := l.wireq.pop()
-	if r := l.ring; r != nil {
-		slots := r.slots[w.vc]
-		slots[r.sent[w.vc]%len(slots)] = w.pkt
-		r.sent[w.vc]++
-		l.fwd.Send(l.cfg.PropDelay, r.arrive[w.vc])
-	} else {
-		l.inj.send(w.vc, w.pkt)
-	}
+	l.inj.send(w.pkt.Channel(), w.pkt)
 	if w.onClear != nil {
 		w.onClear()
+	} else if c := w.clear; c != nil && c.want {
+		c.fn()
 	}
 }
 
@@ -277,8 +371,7 @@ func (l *Link) wireClear() {
 func (l *Link) creditArrive(vc packet.VC) {
 	l.credits[vc]++
 	if l.sendq[vc].len() > 0 {
-		s := l.sendq[vc].pop()
-		l.launch(vc, s.pkt, s.onClear)
+		l.launch(vc, l.sendq[vc].pop())
 	}
 }
 

@@ -1,6 +1,7 @@
 package link
 
 import (
+	"fmt"
 	"testing"
 
 	"telegraphos/internal/packet"
@@ -175,5 +176,107 @@ func TestDefaultConfigSane(t *testing.T) {
 	l := New(sim.NewEngine(1), "x", Config{})
 	if l.Config().BufPackets != 1 || l.Config().WordTime != 1 {
 		t.Fatalf("New did not clamp zero config: %+v", l.Config())
+	}
+}
+
+// TestClearSameInstantOrder: a Clear handle's packet clears at the key
+// its launch reserved. An event at the clear instant scheduled before
+// the launch still finds the handle busy, and the callback it asks for
+// with Notify runs between it and an event scheduled after the launch,
+// which finds the handle free: the order an eager clear event gave.
+func TestClearSameInstantOrder(t *testing.T) {
+	e := sim.NewEngine(1)
+	l := New(e, "t", testCfg())
+	var c Clear
+	var order []string
+	c.Init(func() { order = append(order, "clear") })
+	e.At(150, func() {
+		if !c.Busy() {
+			t.Error("an event keyed before the clear found the handle free")
+		}
+		c.Notify()
+		order = append(order, "before")
+	})
+	l.SendClear(&packet.Packet{Type: packet.WriteReq}, &c) // 5 words: clears at 150
+	e.At(150, func() {
+		if c.Busy() {
+			t.Error("an event keyed after the clear found the handle busy")
+		}
+		order = append(order, "after")
+	})
+	drain(l, packet.VCRequest, func(*packet.Packet) {})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(order); got != "[before clear after]" {
+		t.Fatalf("order %s, want [before clear after]", got)
+	}
+}
+
+// TestClearNotifyWhileQueued: Notify on a packet still waiting for a
+// credit schedules its clear when the packet launches, one transfer
+// time after the credit returns.
+func TestClearNotifyWhileQueued(t *testing.T) {
+	e := sim.NewEngine(1)
+	cfg := testCfg()
+	cfg.BufPackets = 1
+	l := New(e, "t", cfg)
+	var c Clear
+	clearAt := sim.Time(-1)
+	c.Init(func() { clearAt = e.Now() })
+	l.SendEv(&packet.Packet{Type: packet.WriteReq}, nil) // takes the one credit
+	l.SendClear(&packet.Packet{Type: packet.WriteReq}, &c)
+	if !c.Busy() {
+		t.Fatal("a packet waiting for a credit: handle not busy")
+	}
+	c.Notify()
+	drain(l, packet.VCRequest, func(*packet.Packet) {})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// The first packet arrives at 160, its credit is back at 170, and
+	// the second clears the wire 150 ns later.
+	if clearAt != 320 {
+		t.Fatalf("clear callback ran at %v, want 320ns", clearAt)
+	}
+	if c.Busy() {
+		t.Fatal("handle still busy after the run")
+	}
+}
+
+// TestClearEventsOnDemand: a fault-free link runs no event at a wire
+// clear nobody waits on, while a faulty link keeps its clear event (the
+// ARQ sends the frame there) and runs a Notify callback from it.
+func TestClearEventsOnDemand(t *testing.T) {
+	for _, faulty := range []bool{false, true} {
+		e := sim.NewEngine(1)
+		cfg := testCfg()
+		if faulty {
+			cfg.Faults = &FaultPlan{Seed: 1, DropProb: 1e-9}
+		}
+		l := New(e, "t", cfg)
+		var c Clear
+		clearAt := sim.Time(-1)
+		c.Init(func() { clearAt = e.Now() })
+		l.SendEv(&packet.Packet{Type: packet.WriteReq}, nil)
+		l.SendClear(&packet.Packet{Type: packet.WriteReq, Val: 1}, &c)
+		c.Notify()
+		// The first packet clears at 150 and arrives at 160.
+		if err := e.RunUntil(150); err != nil {
+			t.Fatal(err)
+		}
+		want := uint64(0)
+		if faulty {
+			want = 1
+		}
+		if got := e.Executed(); got != want {
+			t.Errorf("faulty=%v: %d items ran by the first clear, want %d", faulty, got, want)
+		}
+		if err := e.RunUntil(300); err != nil {
+			t.Fatal(err)
+		}
+		if clearAt != 300 {
+			t.Errorf("faulty=%v: clear callback ran at %v, want 300ns", faulty, clearAt)
+		}
 	}
 }

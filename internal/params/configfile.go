@@ -96,6 +96,9 @@ func ReadConfig(r io.Reader) (Config, error) {
 	cfg.Link.PropDelay = sim.Time(fl.PropDelayNS)
 	cfg.Link.WordTime = sim.Time(fl.WordTimeNS)
 	cfg.Link.BufPackets = fl.BufPackets
+	if fc.SwitchRouteDelayNS < 0 {
+		return Config{}, fmt.Errorf("params: switch_route_delay_ns needs >= 0, got %d", fc.SwitchRouteDelayNS)
+	}
 	if fc.SwitchRouteDelayNS > 0 {
 		cfg.Switch.RouteDelay = sim.Time(fc.SwitchRouteDelayNS)
 	}

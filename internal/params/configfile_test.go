@@ -79,6 +79,8 @@ func TestReadConfigErrors(t *testing.T) {
 		`{"nodes": 2, "link": {"prop_delay_ns": 10, "word_time_ns": 0, "buf_packets": 4}}`,
 		`{"nodes": 2, "link": {"prop_delay_ns": 10, "word_time_ns": 140, "buf_packets": 0}}`,
 		`{"nodes": 2, "link": {"buf_packets": 0}}`,
+		// A negative switch route delay.
+		`{"nodes": 2, "switch_route_delay_ns": -500}`,
 		// Negative timing constants.
 		`{"nodes": 2, "timing": {"HIBService": -100000, "MPMRead": -100000}}`,
 		`{"nodes": 2, "timing": {"CounterOverhead": -1}}`,

@@ -249,8 +249,8 @@ func TestGroupSerialAllocs(t *testing.T) {
 // µs ahead (the benchmark's queue driver), running across many ring
 // laps must allocate nothing per event, and the whole run's allocation
 // must stay O(depth). Buckets fill and empty every lap; their arrays
-// are recycled through the spare list, not kept one per bucket, which
-// would hold all 256 of them grown.
+// are recycled as spares, not kept one per bucket, which would hold
+// all 256 of them grown.
 func TestQueueRingAllocs(t *testing.T) {
 	const depth = 610
 	var before, after runtime.MemStats

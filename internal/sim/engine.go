@@ -90,6 +90,10 @@ type Engine struct {
 	executed   uint64 // events + messages executed
 	nextChanID uint64 // chan ids for standalone (group-less) engines
 
+	// runKey is the key of the item running at now, or ^0 between
+	// windows, when everything at now has run (see Passed).
+	runKey uint64
+
 	// horizon is the running window's exclusive bound (-1: none). A
 	// serial stretch's cross-shard Chan.Send lowers it when the message
 	// lands before the destination's head (see Group.stretch).
@@ -175,14 +179,46 @@ func (e *Engine) Schedule(delay Time, fn func()) Event {
 //
 //tgvet:noalloc
 func (e *Engine) At(t Time, fn func()) Event {
+	e.seq++
+	return e.AtKey(t, e.seq, fn)
+}
+
+// Reserve takes the next schedule sequence number without scheduling
+// anything. An event that AtKey later schedules with it runs where one
+// that At scheduled now would have, and every At in between keeps the
+// number it would have had.
+//
+//tgvet:noalloc
+func (e *Engine) Reserve() uint64 {
+	e.seq++
+	return e.seq
+}
+
+// AtKey arranges for fn to run at absolute time t (clamped to now) with
+// seq, a sequence number taken earlier by Reserve, as its tie-break
+// among events at t. Each reserved number may be scheduled once.
+//
+//tgvet:noalloc
+func (e *Engine) AtKey(t Time, seq uint64, fn func()) Event {
 	if t < e.now {
 		t = e.now
 	}
-	e.seq++
 	s := e.pool.get(e)
 	s.fn = fn
-	e.queue.push(eqEnt{at: t, key: eventKey | e.seq, slot: s})
+	e.queue.push(eqEnt{at: t, key: eventKey | seq, slot: s})
 	return Event{slot: s, gen: s.gen}
+}
+
+// Passed reports whether an event at t with sequence number seq would
+// already have run: t is before now, or at now and its key orders at or
+// before the running item's. Between windows, and so after RunUntil
+// returns, everything at now has run. A sender that reserves a key and
+// schedules the event only on demand asks Passed where it would
+// otherwise have waited for the event.
+//
+//tgvet:noalloc
+func (e *Engine) Passed(t Time, seq uint64) bool {
+	return t < e.now || t == e.now && eventKey|seq <= e.runKey
 }
 
 // Pending reports the number of live queued events and undelivered
@@ -241,17 +277,20 @@ func (e *Engine) nextTime() (Time, bool) {
 // early on a recorded failure. The horizon is kept in e.horizon, where a
 // serial stretch's Chan.Send can lower it mid-window. It returns the
 // time of the live head it stopped at, ok false when the queue is empty,
-// so a serial stretch need not peek again.
+// so a serial stretch need not peek again. It records each item's key in
+// runKey as the item runs, and ^0 when it returns (see Passed).
 func (e *Engine) runWindow(horizon, deadline Time) (Time, bool) {
 	e.horizon = horizon
 	for {
 		ent, ok := e.peekEvent()
 		if !ok {
+			e.runKey = ^uint64(0)
 			return 0, false
 		}
 		t := ent.at
 		if e.failure != nil ||
 			(e.horizon >= 0 && t >= e.horizon) || (deadline >= 0 && t > deadline) {
+			e.runKey = ^uint64(0)
 			return t, true
 		}
 		if t < e.now {
@@ -261,6 +300,7 @@ func (e *Engine) runWindow(horizon, deadline Time) (Time, bool) {
 			panic(fmt.Sprintf("sim: causality violation on shard %d: work at t=%d behind now=%d", e.shard, t, e.now))
 		}
 		e.now = t
+		e.runKey = ent.key
 		e.executed++
 		// The one place the ring advances: to the time now takes.
 		e.deadEvents -= e.queue.advance(t, &e.pool)

@@ -351,3 +351,58 @@ func TestYieldRunsPendingEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReserveAtKeyOrder: an event scheduled with AtKey at a number
+// Reserve took runs where an At called at the reservation would have,
+// ahead of later same-instant events, and the events scheduled between
+// keep their own numbers.
+func TestReserveAtKeyOrder(t *testing.T) {
+	e := NewEngine(1)
+	var order []string
+	at := func(s string) func() { return func() { order = append(order, s) } }
+	e.At(10, at("before"))
+	seq := e.Reserve()
+	e.At(10, at("after"))
+	e.At(5, func() { e.AtKey(10, seq, at("reserved")) })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(order, " "); got != "before reserved after" {
+		t.Fatalf("order %q, want \"before reserved after\"", got)
+	}
+}
+
+// TestPassed: Passed judges an event key against the running item's.
+// At an event's own instant, earlier-scheduled events and the event
+// itself have passed and later ones have not; a message runs ahead of
+// every event at its instant, so none has passed for it; and after
+// RunUntil returns, everything at now has.
+func TestPassed(t *testing.T) {
+	e := NewEngine(1)
+	early, mid, self := e.Reserve(), e.Reserve(), e.Reserve()
+	check := func(who string, t0 Time, seq uint64, want bool) {
+		t.Helper()
+		if got := e.Passed(t0, seq); got != want {
+			t.Errorf("%s: Passed(%d, %d) = %v at now %d, want %v", who, t0, seq, got, e.Now(), want)
+		}
+	}
+	e.AtKey(20, self, func() {
+		check("event", 20, early, true)
+		check("event", 20, self, true)
+		check("event", 20, self+1, false)
+		check("event", 19, self+1, true)
+		check("event", 21, early, false)
+	})
+	ch := NewChan(e, e, 20)
+	e.At(0, func() {
+		ch.Send(20, func() {
+			check("message", 20, early, false)
+			check("message", 19, mid, true)
+		})
+	})
+	if err := e.RunUntil(20); err != nil {
+		t.Fatal(err)
+	}
+	check("after RunUntil", 20, e.Reserve(), true)
+	check("after RunUntil", 21, early, false)
+}

@@ -27,18 +27,72 @@ import "math/bits"
 //     bucket at scan, finds the next occupied bucket in occ, so a
 //     sparse ring costs a pop no more than a dense one.
 //
-// Emptied buckets hand their arrays to one spare list, and the next
-// bucket to fill takes one from it, so the ring holds arrays only for
-// its occupied buckets and stops allocating once the workload's
-// high-water mark is reached.
+// Emptied buckets file their arrays as spares by size class, so the
+// ring holds arrays only for its occupied buckets. A bucket that starts
+// to fill takes the smallest spare (a new array, if there is none,
+// starts at minBucketCap entries), and one that fills its array trades
+// it for the next larger spare before it grows one. So a large array
+// waits for a dense bucket instead of idling under a sparse one, and
+// the ring stops allocating once the workload's high-water mark is
+// reached: the most buckets at each density at once. Taking whichever
+// array was emptied last instead let a small array land in a dense
+// bucket and grow long after warm-up, and made every bucket that ever
+// turned dense pay a whole chain of doublings.
 type msgQueue struct {
-	ring  [ringBuckets]bucket
-	occ   [ringBuckets / 64]uint64 // bit i%64 of occ[i/64]: ring[i] is occupied
-	cur   Time                     // start of the current bucket, a multiple of ringWidth
-	scan  int                      // offset from cur's bucket of the first occupied bucket
-	n     int                      // entries in the ring
-	far   *heap4                   // entries at or beyond cur+ringSpan
-	spare [][]eqEnt
+	ring      [ringBuckets]bucket
+	occ       [ringBuckets / 64]uint64 // bit i%64 of occ[i/64]: ring[i] is occupied
+	cur       Time                     // start of the current bucket, a multiple of ringWidth
+	scan      int                      // offset from cur's bucket of the first occupied bucket
+	n         int                      // entries in the ring
+	far       *heap4                   // entries at or beyond cur+ringSpan
+	spare     [spareClasses][][]eqEnt  // spare arrays by class (see spareClass)
+	spareMask uint32                   // bit k: spare[k] is non-empty
+}
+
+// Bucket arrays come in size classes: class k holds capacities in
+// [2^(k-1), 2^k), and the last class every larger one too. A new array
+// starts at minBucketCap entries: every array of campus-write and
+// torus-rpc grows past four, so the three doublings below it only cost
+// allocations.
+const (
+	spareClasses = 16
+	minBucketCap = 4
+)
+
+// spareClass returns the size class of an array of capacity c.
+//
+//tgvet:noalloc
+func spareClass(c int) int { return min(bits.Len(uint(c)), spareClasses-1) }
+
+// putSpare files an emptied array, which holds no entries, under its
+// size class.
+//
+//tgvet:noalloc
+func (q *msgQueue) putSpare(a []eqEnt) {
+	k := spareClass(cap(a))
+	q.spare[k] = append(q.spare[k], a[:0]) //tgvet:allow noalloc(each class holds at most the arrays of its high-water count of buckets; its capacity is reached once)
+	q.spareMask |= 1 << k
+}
+
+// takeSpare removes and returns a spare array of the smallest class at
+// or above k, or nil if there is none.
+//
+//tgvet:noalloc
+func (q *msgQueue) takeSpare(k int) []eqEnt {
+	m := q.spareMask >> k << k
+	if m == 0 {
+		return nil
+	}
+	k = bits.TrailingZeros32(m)
+	s := q.spare[k]
+	last := len(s) - 1
+	a := s[last]
+	s[last] = nil
+	q.spare[k] = s[:last]
+	if last == 0 {
+		q.spareMask &^= 1 << k
+	}
+	return a
 }
 
 // bucket is one ring slot: a[head:] are its entries in (at, key) order,
@@ -120,14 +174,18 @@ func (q *msgQueue) insert(off int, x eqEnt) {
 		} else if b.a == nil {
 			// An empty bucket holds no array: it is occupied from now.
 			q.occ[i>>6] |= 1 << (i & 63)
-			if last := len(q.spare) - 1; last >= 0 {
-				b.a = q.spare[last]
-				q.spare[last] = nil
-				q.spare = q.spare[:last]
+			if b.a = q.takeSpare(0); b.a == nil {
+				b.a = make([]eqEnt, 0, minBucketCap) //tgvet:allow noalloc(a new bucket array, made only while the ring's count of occupied buckets reaches a new high)
 			}
+		} else if a := q.takeSpare(spareClass(cap(b.a)) + 1); a != nil {
+			// Trade up: a larger class means a larger capacity.
+			a = append(a, b.a...) //tgvet:allow noalloc(the spare array is larger than b.a, so the copy fits)
+			clear(b.a)
+			q.putSpare(b.a)
+			b.a = a
 		}
 	}
-	a := append(b.a, x) //tgvet:allow noalloc(bucket arrays grow to the workload's high-water mark once and are recycled through the spare list)
+	a := append(b.a, x) //tgvet:allow noalloc(bucket arrays grow to the workload's high-water mark once and are recycled as spares)
 	if n := len(a) - 1; n > b.head && msgBefore(x, a[n-1]) {
 		// x belongs before the first entry of a[head:n] it orders ahead of.
 		lo, hi := b.head, n-1
@@ -185,7 +243,7 @@ func (q *msgQueue) pop() eqEnt {
 	b.head++
 	q.n--
 	if b.head == len(b.a) {
-		q.spare = append(q.spare, b.a[:0]) //tgvet:allow noalloc(the spare list holds at most one array per bucket; its capacity is reached once)
+		q.putSpare(b.a)
 		b.a, b.head = nil, 0
 		i := q.index(q.scan)
 		w := q.occ[i>>6] &^ (1 << (i & 63))
@@ -284,7 +342,7 @@ func (q *msgQueue) compact(pool *eventPool) {
 		clear(b.a[len(live):])
 		b.a, b.head = live, 0
 		if len(live) == 0 {
-			q.spare = append(q.spare, live) //tgvet:allow noalloc(the spare list holds at most one array per bucket; its capacity is reached once)
+			q.putSpare(live)
 			b.a = nil
 			q.occ[i>>6] &^= 1 << (i & 63)
 		}

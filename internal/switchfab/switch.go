@@ -56,13 +56,14 @@ type Switch struct {
 	// ports, its layer is sticky.
 	portDim []int8
 	started bool
-	layers  int // escape layers with input pipes (see Start)
+	layers  int        // escape layers with input pipes (see Start)
+	pipes   []portPipe // per (input port, VC): the forwarding pipelines
 
 	// coll is the in-network collective engine (nil unless a collective
 	// group or combining was enabled); see collective.go.
 	coll *collState
 
-	forwarded int64
+	forwarded int64 // packets launched on an output link
 	misroutes int64
 }
 
@@ -209,24 +210,30 @@ const internalBufPackets = 4
 // virtual channel) pair: a route stage and an output (xmit) stage joined
 // by a small bounded buffer, exactly the two-stage structure the old
 // coroutine pair modeled, but driven by link arrival notifications and
-// wire-clear callbacks instead of parked processes. Packets on one input
-// VC traverse both stages strictly in arrival order, which preserves
+// wire clears instead of parked processes. Packets on one input VC
+// traverse both stages strictly in arrival order, which preserves
 // per-source-destination ordering, and the route stage overlaps with the
 // previous packet's transmission, so RouteDelay adds latency without
 // costing throughput — as in the real pipelined switch [16].
+//
+// The output stage holds one packet from its launch until it clears the
+// wire, tracked by the clear handle. The stage asks for the clear event
+// only while routed packets wait behind that packet; otherwise nothing
+// happens at the clear, and the next routeDone finds the stage free by
+// asking the handle whether the clear has passed.
 type portPipe struct {
-	sw   *Switch
-	in   *link.Link
-	port int // input port index (for dimension-aware layer rewrites)
-	vc   packet.VC
+	sw      *Switch
+	in      *link.Link
+	port    int32 // input port index (for dimension-aware layer rewrites)
+	vc      packet.VC
+	nrouted uint8 // packets in routed
 
-	routed  []*packet.Packet // route->xmit buffer, cap internalBufPackets
-	held    *packet.Packet   // routed but stalled on a full buffer
-	current *packet.Packet   // packet in the route stage
-	sending bool             // xmit stage waiting for its wire-clear
+	routed  [internalBufPackets]*packet.Packet // route->xmit buffer: routed[:nrouted]
+	held    *packet.Packet                     // routed but stalled on a full buffer
+	current *packet.Packet                     // packet in the route stage
+	clear   link.Clear                         // the output stage's packet, until it clears
 
 	routeDoneFn func() // prebound stage-completion callbacks
-	clearFn     func()
 	intakeFn    func()
 }
 
@@ -262,8 +269,9 @@ func (pp *portPipe) intake() {
 func (pp *portPipe) routeDone() {
 	pkt := pp.current
 	pp.current = nil
-	if len(pp.routed) < internalBufPackets {
-		pp.routed = append(pp.routed, pkt)
+	if pp.nrouted < internalBufPackets {
+		pp.routed[pp.nrouted] = pkt
+		pp.nrouted++
 		pp.xmit()
 		pp.intake()
 	} else {
@@ -272,26 +280,34 @@ func (pp *portPipe) routeDone() {
 	}
 }
 
-// xmit launches the oldest buffered packet on its output link; the next
-// launch happens from the wire-clear callback, so one packet occupies the
-// output stage at a time.
+// xmit launches the oldest buffered packet on its output link once the
+// previous one has cleared the wire, so one packet occupies the output
+// stage at a time. While a routed packet waits behind the one on the
+// wire, the handle's clear event runs xmit again.
 func (pp *portPipe) xmit() {
-	if pp.sending || len(pp.routed) == 0 {
+	if pp.nrouted == 0 {
+		return
+	}
+	if pp.clear.Busy() {
+		pp.clear.Notify()
 		return
 	}
 	pkt := pp.routed[0]
-	copy(pp.routed, pp.routed[1:])
-	pp.routed[len(pp.routed)-1] = nil
-	pp.routed = pp.routed[:len(pp.routed)-1]
-	if pp.held != nil {
-		pp.routed = append(pp.routed, pp.held)
+	n := copy(pp.routed[:], pp.routed[1:pp.nrouted])
+	pp.routed[n] = pp.held // nil unless a packet was held
+	if pp.held == nil {
+		pp.nrouted--
+	} else {
 		pp.held = nil
 		pp.intake()
 	}
-	pp.sending = true
 	port := int(pp.sw.routes[pkt.Dst])
-	pkt.Layer = pp.sw.nextLayer(pp.port, port, pkt.Layer, pkt.Dst)
-	pp.sw.out[port].SendEv(pkt, pp.clearFn)
+	pkt.Layer = pp.sw.nextLayer(int(pp.port), port, pkt.Layer, pkt.Dst)
+	pp.sw.forwarded++
+	pp.sw.out[port].SendClear(pkt, &pp.clear)
+	if pp.nrouted > 0 {
+		pp.clear.Notify()
+	}
 }
 
 // Start wires up the forwarding pipelines: per input port and virtual
@@ -306,19 +322,18 @@ func (s *Switch) Start(layers int) {
 	s.started = true
 	s.layers = layers
 	unbuilt := s.unbuilt
+	vcs := layers * packet.NumClasses
+	s.pipes = make([]portPipe, len(s.in)*vcs)
 	for port, in := range s.in {
-		for vc := packet.VC(layers * packet.NumClasses); vc < packet.NumVCs; vc++ {
+		for vc := packet.VC(vcs); vc < packet.NumVCs; vc++ {
 			in.SetNotify(vc, unbuilt)
 		}
-		for vc := packet.VC(0); vc < packet.VC(layers*packet.NumClasses); vc++ {
-			pp := &portPipe{sw: s, in: in, port: port, vc: vc}
+		for vc := packet.VC(0); vc < packet.VC(vcs); vc++ {
+			pp := &s.pipes[port*vcs+int(vc)]
+			*pp = portPipe{sw: s, in: in, port: int32(port), vc: vc}
 			pp.routeDoneFn = pp.routeDone
 			pp.intakeFn = pp.intake
-			pp.clearFn = func() {
-				s.forwarded++
-				pp.sending = false
-				pp.xmit()
-			}
+			pp.clear.Init(pp.xmit)
 			in.SetNotify(vc, pp.intakeFn)
 		}
 	}
@@ -336,8 +351,17 @@ func (s *Switch) unbuilt() {
 	}
 }
 
-// Forwarded reports the total packets forwarded.
-func (s *Switch) Forwarded() int64 { return s.forwarded }
+// Forwarded reports the total packets forwarded: launched on an output
+// link and cleared from its wire as of the running work item.
+func (s *Switch) Forwarded() int64 {
+	n := s.forwarded
+	for i := range s.pipes {
+		if s.pipes[i].clear.Busy() {
+			n--
+		}
+	}
+	return n
+}
 
 // Misroutes reports packets dropped for lack of a route (should be zero in
 // any correctly built topology).

@@ -77,13 +77,15 @@ go test ./internal/sim -run 'TestProc|TestGroup' -cpu 1,4 -count 1
 # reuse their futures, completions and waiter arrays, and the TLB's
 # FIFO shifts within its array, so a whole cluster of blocking loads,
 # fetch&incs, posted stores and fences runs allocation-free once warmed,
-# at one shard and at two.
-echo '== allocation budgets (-cpu 1,4)'
+# at one shard and at two. A switch forwards without allocating, also
+# when its output stage asks for wire-clear events. The same clusters
+# also stay within their work budgets: engine work items per operation.
+echo '== allocation and work budgets (-cpu 1,4)'
 go test ./internal/sim -run 'Allocs$' -cpu 1,4 -count 1
 go test ./internal/trace -run 'Allocs$' -cpu 1,4 -count 1
-go test ./internal/link ./internal/hib -run 'Allocs$' -cpu 1,4 -count 1
+go test ./internal/link ./internal/hib ./internal/switchfab -run 'Allocs$' -cpu 1,4 -count 1
 go test ./internal/mem ./internal/linearize ./internal/coherence -run 'Allocs$' -cpu 1,4 -count 1
-go test ./internal/core ./internal/mmu -run 'Allocs$' -cpu 1,4 -count 1
+go test ./internal/core ./internal/mmu -run 'Allocs$|WorkBudgets$' -cpu 1,4 -count 1
 
 # TGE1 spill round trip through the CLIs: a sharded chaos run pages its
 # merged stream to disk, and replaying the file offline must recompute

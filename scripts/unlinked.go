@@ -82,7 +82,6 @@ func main() {
 
 	keep := readKeep(filepath.Join(root, "scripts", "unlinked.keep"))
 	var keys []string
-	//tgvet:allow maporder(keys are sorted by sort.Strings below before use)
 	for k, f := range decls {
 		if (f.bin == "" && !all[f.sym]) || (f.bin != "" && !linked[f.bin][f.sym]) {
 			keys = append(keys, k)
@@ -103,7 +102,6 @@ func main() {
 		fmt.Printf("%-60s %s (%d lines)\n", k, f.pos, f.lines)
 	}
 	var stale []string
-	//tgvet:allow maporder(stale is sorted by sort.Strings below before use)
 	for k := range keep {
 		if !dead[k] {
 			stale = append(stale, k)
