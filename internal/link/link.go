@@ -36,6 +36,19 @@
 // did and every other event keeps its order. A faulty link keeps its
 // clear event, because the ARQ draws the frame's faults and arms its
 // timer at the clear.
+//
+// Credits return the same way on a fault-free link whose two ends share
+// an engine: TryRecv reserves the credit message's time and queue key
+// (sim.Chan.Reserve), and the credit becomes a message, at that key,
+// only while a packet waits for it in the VC's send queue. Otherwise it
+// is owed: a sender finding its queue empty first counts every owed
+// credit whose message would already have run, and if the packet must
+// still wait, sends the rest as messages. Each credit keeps its own time
+// and key, none is merged with another, so the sender sees exactly the
+// credits an eager message per credit would have given it. A faulty
+// link sends every credit, since its ARQ shares the reverse channel,
+// and so does a link between two shards, whose sender cannot judge from
+// its own clock whether a credit message has passed.
 package link
 
 import (
@@ -176,17 +189,34 @@ func (q *fifo[T]) pop() T {
 // can be consumed. On a cross-shard link the credit's sim.Chan hand-off
 // therefore orders the receiver's read before the sender's rewrite, and
 // the ring works on both layouts.
+//
+// On a link whose two ends share an engine, owed holds per VC the
+// credits TryRecv returned without a message, oldest first, in the
+// BufPackets slots from vc*BufPackets: a VC never owes more credits than
+// its buffer holds. owedIn and owedOut count the credits filed and
+// settled per VC. owed is nil on a cross-shard link.
 type wireRing struct {
-	slots  [packet.NumVCs][]*packet.Packet
-	sent   [packet.NumVCs]int    // sender side: packets written per VC
-	read   [packet.NumVCs]int    // receiver side: packets read per VC
-	arrive [packet.NumVCs]func() // prebound per-VC arrival handlers
+	slots   [packet.NumVCs][]*packet.Packet
+	sent    [packet.NumVCs]int    // sender side: packets written per VC
+	read    [packet.NumVCs]int    // receiver side: packets read per VC
+	arrive  [packet.NumVCs]func() // prebound per-VC arrival handlers
+	owed    []credit
+	owedIn  [packet.NumVCs]int
+	owedOut [packet.NumVCs]int
+}
+
+// credit is an owed credit: the time and queue key its message reserved
+// on the reverse channel.
+type credit struct {
+	at  sim.Time
+	key uint64
 }
 
 // Link is a unidirectional, lossless, in-order link. Senders call SendEv;
 // the receiving element drains it with TryRecv under a notify hook, which
 // returns the consumed buffer's credit to the sender one propagation
-// delay later over the reverse control channel.
+// delay later over the reverse control channel (or, on one engine, owes
+// it until the sender needs it).
 type Link struct {
 	name string
 	eng  *sim.Engine // sender-side engine
@@ -254,6 +284,9 @@ func NewCross(snd, rcv *sim.Engine, name string, cfg Config) *Link {
 		return l
 	}
 	r, n := &wireRing{}, cfg.BufPackets
+	if snd == rcv {
+		r.owed = make([]credit, packet.NumVCs*n)
+	}
 	buf := make([]*packet.Packet, packet.NumVCs*n)
 	for vc := range r.slots {
 		r.slots[vc] = buf[vc*n : (vc+1)*n : (vc+1)*n]
@@ -306,14 +339,46 @@ func (l *Link) SendClear(pkt *packet.Packet, c *Clear) {
 }
 
 // send launches s at once if its VC has a credit and no queued packet,
-// and queues it otherwise.
+// and queues it otherwise. On a link that owes credits, an empty queue
+// is first settled.
 func (l *Link) send(s pendingSend) {
 	vc := s.pkt.Channel()
-	if l.credits[vc] > 0 && l.sendq[vc].len() == 0 {
-		l.launch(vc, s)
-		return
+	if l.sendq[vc].len() == 0 {
+		if l.ring != nil && l.ring.owed != nil {
+			l.settle(vc)
+		}
+		if l.credits[vc] > 0 {
+			l.launch(vc, s)
+			return
+		}
 	}
 	l.sendq[vc].push(s)
+}
+
+// settle brings vc's credits up to date for a sender that found its
+// queue empty: each owed credit whose message would already have run
+// counts now, as its message would have counted it. If the VC still has
+// no credit, the packet is about to wait, so every credit still owed
+// becomes its message, at its reserved key, and launches the packet
+// where an eager credit would have. Owed credits pass in filing order:
+// their times and keys both grow.
+func (l *Link) settle(vc packet.VC) {
+	r := l.ring
+	owed := r.owed[int(vc)*l.cfg.BufPackets:][:l.cfg.BufPackets]
+	for ; r.owedOut[vc] < r.owedIn[vc]; r.owedOut[vc]++ {
+		c := owed[r.owedOut[vc]%len(owed)]
+		if !l.rev.Passed(c.at, c.key) {
+			break
+		}
+		l.credits[vc]++
+	}
+	if l.credits[vc] > 0 {
+		return
+	}
+	for ; r.owedOut[vc] < r.owedIn[vc]; r.owedOut[vc]++ {
+		c := owed[r.owedOut[vc]%len(owed)]
+		l.rev.SendKey(c.at, c.key, l.creditFn[vc])
+	}
 }
 
 // launch spends one credit and reserves the next wire slot for s.pkt,
@@ -390,14 +455,30 @@ func (l *Link) push(vc packet.VC, pkt *packet.Packet) {
 func (l *Link) SetNotify(vc packet.VC, fn func()) { l.notify[vc] = fn }
 
 // TryRecv removes an arrived packet on vc without blocking, returning the
-// consumed buffer's credit to the sender. It must be called from the
-// receiver engine's context.
+// consumed buffer's credit to the sender one propagation delay later. It
+// must be called from the receiver engine's context. The credit is a
+// message on the reverse channel, except on a fault-free link whose two
+// ends share an engine while no packet waits on vc: there TryRecv
+// reserves the message's key and files the credit as owed, for the
+// sender to count or send when it next finds its queue empty (settle).
 func (l *Link) TryRecv(vc packet.VC) (*packet.Packet, bool) {
 	if l.arrived[vc].len() == 0 {
 		return nil, false
 	}
 	pkt := l.arrived[vc].pop()
-	l.rev.Send(l.cfg.PropDelay, l.creditFn[vc])
+	r := l.ring
+	if r == nil || r.owed == nil {
+		l.rev.Send(l.cfg.PropDelay, l.creditFn[vc])
+		return pkt, true
+	}
+	at, key := l.rev.Reserve(l.cfg.PropDelay)
+	if l.sendq[vc].len() > 0 {
+		l.rev.SendKey(at, key, l.creditFn[vc])
+		return pkt, true
+	}
+	n := l.cfg.BufPackets
+	r.owed[int(vc)*n+r.owedIn[vc]%n] = credit{at, key}
+	r.owedIn[vc]++
 	return pkt, true
 }
 

@@ -280,3 +280,117 @@ func TestClearEventsOnDemand(t *testing.T) {
 		}
 	}
 }
+
+// creditLog is what each half of a link saw in a creditTraffic run, in
+// its own engine's order: the sender's wire clears, the receiver's
+// arrivals and consumptions, each as "what vc val @time".
+type creditLog struct {
+	snd, rcv []string
+	now      sim.Time
+}
+
+// creditTraffic runs random traffic over a fault-free link with a small
+// buffer: a sender offering packets on two VCs at random gaps, and a
+// receiver that consumes each arrival after a random lag, so credits
+// run out and packets wait. The two RNGs are each drawn on one half
+// only, so the draws do not depend on the layout.
+func creditTraffic(snd, rcv *sim.Engine, seed uint64, run func() error, now func() sim.Time) (creditLog, error) {
+	var lg creditLog
+	cfg := Config{PropDelay: 40, WordTime: 2, BufPackets: 3}
+	l := NewCross(snd, rcv, "t", cfg)
+	srng, rrng := sim.NewRNG(seed), sim.NewRNG(seed^0x5eed)
+	types := []packet.Type{packet.WriteReq, packet.ReadReply}
+	left := 300
+	var offer func()
+	offer = func() {
+		for k := 1 + srng.Intn(3); k > 0 && left > 0; k-- {
+			pkt := &packet.Packet{Type: types[srng.Intn(2)], Val: uint64(left)}
+			var onClear func()
+			if srng.Bool(0.5) {
+				tag := fmt.Sprintf("clear %d %d", pkt.Channel(), pkt.Val)
+				onClear = func() { lg.snd = append(lg.snd, fmt.Sprintf("%s @%d", tag, snd.Now())) }
+			}
+			l.SendEv(pkt, onClear)
+			left--
+		}
+		if left > 0 {
+			snd.Schedule(srng.Duration(60), offer)
+		}
+	}
+	snd.At(0, offer)
+	for _, vc := range []packet.VC{packet.VCRequest, packet.VCReply} {
+		consume := func() {
+			pkt, _ := l.TryRecv(vc)
+			lg.rcv = append(lg.rcv, fmt.Sprintf("consume %d %d @%d", vc, pkt.Val, rcv.Now()))
+		}
+		l.SetNotify(vc, func() {
+			lg.rcv = append(lg.rcv, fmt.Sprintf("arrive %d @%d", vc, rcv.Now()))
+			rcv.Schedule(rrng.Duration(120), consume)
+		})
+	}
+	err := run()
+	lg.now = now()
+	return lg, err
+}
+
+// TestCreditsLayoutInvariant: credits returned on demand change no
+// timing. The same random traffic runs with both ends on one engine,
+// standalone and as one shard of two, where TryRecv owes its credits
+// until a sender waits, and with the ends on two shards, where every
+// credit is a message: every wire clear, arrival and consumption, and
+// the drained clock, must be the same.
+func TestCreditsLayoutInvariant(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		g := sim.NewGroup(1, 2)
+		want, err := creditTraffic(g.Shard(0), g.Shard(1), seed, g.Run, g.Now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.Elided() != 0 {
+			t.Fatalf("seed %d: %d credits elided across two shards, want 0", seed, g.Elided())
+		}
+		eager := g.Executed()
+		e := sim.NewEngine(1)
+		one, err := creditTraffic(e, e, seed, e.Run, e.Now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g1 := sim.NewGroup(1, 2)
+		shard, err := creditTraffic(g1.Shard(1), g1.Shard(1), seed, g1.Run, g1.Now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g1.Elided() == 0 || g1.Executed()+g1.Elided() != eager {
+			t.Fatalf("seed %d: one shard of two ran %d items and elided %d; two shards ran %d",
+				seed, g1.Executed(), g1.Elided(), eager)
+		}
+		for _, got := range []struct {
+			layout string
+			lg     creditLog
+		}{{"one engine", one}, {"one shard of two", shard}} {
+			if d := firstDiff(got.lg.snd, want.snd); d != "" {
+				t.Fatalf("seed %d: %s, sender: %s", seed, got.layout, d)
+			}
+			if d := firstDiff(got.lg.rcv, want.rcv); d != "" {
+				t.Fatalf("seed %d: %s, receiver: %s", seed, got.layout, d)
+			}
+			if got.lg.now != want.now {
+				t.Fatalf("seed %d: %s drained at %d, two shards at %d", seed, got.layout, got.lg.now, want.now)
+			}
+		}
+	}
+}
+
+// firstDiff describes the first entry where got and want differ, or
+// returns "" if they are equal.
+func firstDiff(got, want []string) string {
+	for i := range min(len(got), len(want)) {
+		if got[i] != want[i] {
+			return fmt.Sprintf("entry %d is %q, two shards have %q", i, got[i], want[i])
+		}
+	}
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d entries, two shards have %d", len(got), len(want))
+	}
+	return ""
+}

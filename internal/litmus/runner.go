@@ -305,7 +305,7 @@ func run(t *Test, cfg Config, tap trace.Sink) (*RunResult, *linearize.Online) {
 	case err != nil:
 		res.Violations = append(res.Violations, fmt.Sprintf("quiescence: engine error: %v", err))
 		return res, olz
-	case c.Group.Pending() > 0 || c.Group.Alive() > 0:
+	case !c.Group.Idle() || c.Group.Alive() > 0:
 		res.Violations = append(res.Violations,
 			fmt.Sprintf("quiescence: still active at the %v budget", budget))
 		return res, olz

@@ -142,9 +142,10 @@ func TestChanSendCrossShardAllocs(t *testing.T) {
 // TestGroupParallelRoundAllocs gates the round workers: a 2-shard run
 // whose rounds run far more than seqRoundWork items per shard, and so go
 // to the workers once the run's opening serial stretch has probed them
-// heavy, must allocate as much per Run at 256 rounds as at 64. Starting
-// the workers costs a few allocations per RunUntil, O(shards); a round,
-// with its staged cross-shard sends and their flush, costs none.
+// heavy, must allocate exactly as much over ten Runs of 256 rounds as
+// over ten of 64. Starting the workers costs a few allocations per
+// RunUntil, O(shards); a round, with its staged cross-shard sends and
+// their flush, costs none.
 func TestGroupParallelRoundAllocs(t *testing.T) {
 	const window = 100 // the lookahead each way, in ns: one round's width
 	const lanes = 4    // tick chains per shard, each ticking every nanosecond
@@ -180,21 +181,36 @@ func TestGroupParallelRoundAllocs(t *testing.T) {
 			}
 		}
 	}
-	run(256)() // warm the slot pools, the heaps, the staging buffers and the worker slots
+	// Count allocations exactly, on one OS thread as
+	// testing.AllocsPerRun does; its integer division by the runs would
+	// let up to 9 allocations per batch pass unseen.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	batch := func(rounds int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range 10 {
+			run(rounds)()
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	// Warm the slot pools, the queues' spare bucket arrays, the staging
+	// buffers, the worker slots and the runtime's goroutine records: a
+	// few of them still grow in the first ten runs.
+	batch(256)
+	batch(64)
 	crit, epoch := g.CritPath(), g.bar.epoch.Load()
-	short := testing.AllocsPerRun(10, run(64))
+	short := batch(64)
 	if g.CritPath()-crit < 10*64*window {
 		t.Fatalf("critical path grew %d items over 10 runs of 64 rounds: rounds did not go parallel", g.CritPath()-crit)
 	}
 	// Each run's opening stretch takes stretchWork items, about 20 of its
-	// rounds; the rest go to the workers. AllocsPerRun runs once more to
-	// warm up.
-	if n := g.bar.epoch.Load() - epoch; n < 11*32 {
-		t.Fatalf("%d worker epochs over 11 runs of 64 rounds: rounds did not go parallel", n)
+	// rounds; the rest go to the workers.
+	if n := g.bar.epoch.Load() - epoch; n < 10*32 {
+		t.Fatalf("%d worker epochs over 10 runs of 64 rounds: rounds did not go parallel", n)
 	}
-	long := testing.AllocsPerRun(10, run(256))
-	if short != long {
-		t.Errorf("%.0f allocs per run at 64 rounds, %.0f at 256: a parallel round allocates", short, long)
+	if long := batch(256); short != long {
+		t.Errorf("%d allocations over 10 runs of 64 rounds, %d over 10 of 256: a parallel round allocates", short, long)
 	}
 }
 

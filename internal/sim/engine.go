@@ -94,6 +94,14 @@ type Engine struct {
 	// windows, when everything at now has run (see Passed).
 	runKey uint64
 
+	// tail is the latest time of a message key Chan.Reserve took on
+	// this engine, sent or not, and elided counts the reserved keys not
+	// (yet) sent. A drained run's clock ends at tail if that is later
+	// than its last item: the message that was never sent would have
+	// been that item.
+	tail   Time
+	elided uint64
+
 	// horizon is the running window's exclusive bound (-1: none). A
 	// serial stretch's cross-shard Chan.Send lowers it when the message
 	// lands before the destination's head (see Group.stretch).
@@ -217,9 +225,19 @@ func (e *Engine) AtKey(t Time, seq uint64, fn func()) Event {
 // otherwise have waited for the event.
 //
 //tgvet:noalloc
-func (e *Engine) Passed(t Time, seq uint64) bool {
-	return t < e.now || t == e.now && eventKey|seq <= e.runKey
+func (e *Engine) Passed(t Time, seq uint64) bool { return e.passed(t, eventKey|seq) }
+
+// passed reports whether a queue item at t with key, event or message,
+// would already have run (see Passed).
+//
+//tgvet:noalloc
+func (e *Engine) passed(t Time, key uint64) bool {
+	return t < e.now || t == e.now && key <= e.runKey
 }
+
+// idle reports whether nothing is left to run after now: no live queued
+// item, and no reserved message (Chan.Reserve) due later.
+func (e *Engine) idle() bool { return e.Pending() == 0 && e.tail <= e.now }
 
 // Pending reports the number of live queued events and undelivered
 // messages. Canceled events are not counted.
@@ -352,8 +370,10 @@ func (e *Engine) Run() error { return e.RunUntil(-1) }
 
 // RunUntil executes events with timestamps <= deadline (deadline < 0 means
 // no deadline). On return without error the clock equals the deadline if
-// one was given and events remained, otherwise the time of the last event.
-// If the engine belongs to a multi-shard Group, RunUntil drives the whole
+// one was given, otherwise the time of the last event, or of the latest
+// reserved message (Chan.Reserve) if that is later: a drained run ends
+// where it would have if every reserved message had been sent. If the
+// engine belongs to a multi-shard Group, RunUntil drives the whole
 // group.
 func (e *Engine) RunUntil(deadline Time) error {
 	if e.group != nil && len(e.group.engines) > 1 {
@@ -363,11 +383,11 @@ func (e *Engine) RunUntil(deadline Time) error {
 	if e.failure != nil {
 		return e.failure
 	}
-	if deadline >= 0 {
-		if e.now < deadline {
-			e.now = deadline
-		}
-		if e.Pending() > 0 {
+	if deadline < 0 {
+		e.now = max(e.now, e.tail)
+	} else {
+		e.now = max(e.now, deadline)
+		if !e.idle() {
 			return nil // stopped at the deadline, not drained
 		}
 	}

@@ -179,8 +179,11 @@ const infTime = Time(1) << 60
 // fine-grained phases (request/reply round trips, lockstep barriers,
 // drain tails) hit this continuously. Releasing the workers for every
 // round instead roughly halved 2-shard torus-rpc throughput
-// (EXPERIMENTS.md, "Persistent round workers").
-const seqRoundWork = 64
+// (EXPERIMENTS.md, "Persistent round workers"). 48 is 64 scaled by the
+// three quarters of items per operation left once credits on
+// same-engine links stopped being queue items (EXPERIMENTS.md, "Credits
+// on demand"): a lower figure kept the same phases parallel.
+const seqRoundWork = 48
 
 // stretchWork is the item budget of one serial stretch: after it, the
 // stretch ends with an ordinary round that probes whether the phase has
@@ -263,6 +266,24 @@ func (g *Group) Pending() int {
 	return n
 }
 
+// Idle reports whether the group has nothing left to run after its
+// clock: no live queued or staged work, and no reserved message
+// (Chan.Reserve) due later than its shard's clock. After RunUntil
+// returns at a deadline, Idle is what a drained run leaves.
+func (g *Group) Idle() bool {
+	for _, e := range g.engines {
+		if !e.idle() {
+			return false
+		}
+		for _, batch := range e.stage {
+			if len(batch) > 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // Alive reports unfinished non-daemon processes across all shards.
 func (g *Group) Alive() int {
 	n := 0
@@ -277,6 +298,18 @@ func (g *Group) Executed() uint64 {
 	var n uint64
 	for _, e := range g.engines {
 		n += e.executed
+	}
+	return n
+}
+
+// Elided reports the messages whose keys Chan.Reserve took and that were
+// not (yet) sent, across all shards. Once a run has drained, each is an
+// item the run would have executed had every credit been sent eagerly,
+// so Executed()+Elided() is the same at every shard count.
+func (g *Group) Elided() uint64 {
+	var n uint64
+	for _, e := range g.engines {
+		n += e.elided
 	}
 	return n
 }
@@ -358,6 +391,9 @@ func (g *Group) RunUntil(deadline Time) error {
 		if len(runnable) == 0 {
 			break // nothing runnable below the deadline
 		}
+		if len(runnable) > 1 {
+			runnable = commonCap(runnable, heads)
+		}
 		if len(runnable) == 1 {
 			g.runShielded(runnable[0].e, runnable[0].cap, deadline)
 		} else {
@@ -374,17 +410,22 @@ func (g *Group) RunUntil(deadline Time) error {
 		return err
 	}
 	// Synchronize clocks: to the deadline if one was given, otherwise to
-	// the group-wide time of the last executed work.
+	// the group-wide time of the last executed work, or of the latest
+	// reserved message if that is later (see Engine.RunUntil).
 	sync := g.Now()
 	if deadline >= 0 {
 		sync = deadline
+	} else {
+		for _, e := range g.engines {
+			sync = max(sync, e.tail)
+		}
 	}
 	for _, e := range g.engines {
 		if e.now < sync {
 			e.now = sync
 		}
 	}
-	if deadline >= 0 && g.Pending() > 0 {
+	if deadline >= 0 && !g.Idle() {
 		return nil // stopped at the deadline, not drained
 	}
 	return stalled(g.engines...)
@@ -633,6 +674,38 @@ func (g *Group) stretchWatermark(now Time) {
 	}
 }
 
+// commonCap gives every window of a round with more than one runnable
+// shard the lowest of their caps, YAWNS's global window, and drops the
+// shards whose head is at or past it, so no worker is released for an
+// empty window. The shard holding the global head keeps its window:
+// every cap is at least the global head plus the smallest channel
+// delay. Per-shard caps let two shards whose heads are out of phase run
+// unequal windows round after round, each reaching a lookahead past
+// the other's head, so the busier one sets every round's length; one
+// cap brings both heads to it and the rounds back into phase.
+//
+//tgvet:noalloc
+func commonCap(runnable []window, heads []Time) []window {
+	common := Time(-1)
+	for _, w := range runnable {
+		if w.cap >= 0 && (common < 0 || w.cap < common) {
+			common = w.cap
+		}
+	}
+	if common < 0 {
+		return runnable
+	}
+	n := 0
+	for _, w := range runnable {
+		if heads[w.e.shard] < common {
+			w.cap = common
+			runnable[n] = w
+			n++
+		}
+	}
+	return runnable[:n]
+}
+
 // window pairs a shard with its safe horizon for one round.
 type window struct {
 	e          *Engine
@@ -784,15 +857,9 @@ func NewChan(src, dst *Engine, minDelay Time) *Chan {
 //
 //tgvet:noalloc
 func (ch *Chan) Send(delay Time, fn func()) {
-	if delay < ch.minDelay {
-		delay = ch.minDelay
-	}
-	if ch.seq >= 1<<msgSeqBits {
-		panic("sim: per-channel sequence overflowed the packed message key")
-	}
+	at, key := ch.stamp(delay)
 	src, dst := ch.src, ch.dst
-	m := eqEnt{at: src.now + delay, key: ch.id<<msgSeqBits | ch.seq, fn: fn}
-	ch.seq++
+	m := eqEnt{at: at, key: key, fn: fn}
 	g := src.group
 	switch {
 	case src == dst:
@@ -812,3 +879,57 @@ func (ch *Chan) Send(delay Time, fn func()) {
 		src.stage[dst.shard] = append(src.stage[dst.shard], m) //tgvet:allow noalloc(staging buffers grow to the high-water mark once and are reused every barrier)
 	}
 }
+
+// stamp takes the time and queue key of a message sent now with delay
+// (clamped up to the channel's minimum delay).
+//
+//tgvet:noalloc
+func (ch *Chan) stamp(delay Time) (Time, uint64) {
+	if delay < ch.minDelay {
+		delay = ch.minDelay
+	}
+	if ch.seq >= 1<<msgSeqBits {
+		panic("sim: per-channel sequence overflowed the packed message key")
+	}
+	key := ch.id<<msgSeqBits | ch.seq
+	ch.seq++
+	return ch.src.now + delay, key
+}
+
+// Reserve takes the time and queue key a Send with delay would give a
+// message now, without sending anything: SendKey sends the message
+// later, only if something needs it to run, and every later Send keeps
+// the key it would have had. A message that is never sent still counts
+// where a run ends (Engine.RunUntil) and in Group.Elided. Only a
+// channel whose two ends are one engine may reserve: the receiver half
+// must be able to tell, from its own clock, whether the message has
+// passed (Passed).
+//
+//tgvet:noalloc
+func (ch *Chan) Reserve(delay Time) (Time, uint64) {
+	if ch.src != ch.dst {
+		panic("sim: Reserve on a Chan between two engines")
+	}
+	at, key := ch.stamp(delay)
+	e := ch.src
+	e.tail = max(e.tail, at)
+	e.elided++
+	return at, key
+}
+
+// SendKey sends fn as the message Reserve took at and key for. It runs
+// exactly where Send at the reservation would have run it. Send each
+// reserved key at most once, and only before it has Passed.
+//
+//tgvet:noalloc
+func (ch *Chan) SendKey(at Time, key uint64, fn func()) {
+	ch.dst.elided--
+	ch.dst.queue.push(eqEnt{at: at, key: key, fn: fn})
+}
+
+// Passed reports whether the message Reserve took at and key for would
+// already have run, as of the item running on the channel's engine (see
+// Engine.Passed).
+//
+//tgvet:noalloc
+func (ch *Chan) Passed(at Time, key uint64) bool { return ch.dst.passed(at, key) }

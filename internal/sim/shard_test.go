@@ -304,3 +304,128 @@ func TestNewChanIDBound(t *testing.T) {
 	NewChan(e, e, 1)
 	mustPanic("standalone", func() { NewChan(e, e, 1) })
 }
+
+// TestReserveDrainedClock: a message whose key Chan.Reserve took and
+// that is never sent still sets where a drained run ends, on a
+// standalone engine and in a 2-shard group (on every shard), as the
+// message would have if it had been sent; a run stopped at a deadline
+// before it is not drained; and Elided counts it.
+func TestReserveDrainedClock(t *testing.T) {
+	e := NewEngine(1)
+	ch := NewChan(e, e, 5)
+	e.At(10, func() { ch.Reserve(50) })
+	e.At(20, func() {})
+	if err := e.RunUntil(40); err != nil {
+		t.Fatal(err)
+	}
+	if e.Now() != 40 || e.idle() {
+		t.Fatalf("engine at the deadline before the reserved message: now %d, idle %v; want 40, not idle", e.Now(), e.idle())
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if e.Now() != 60 || e.Executed() != 2 {
+		t.Fatalf("engine drained at %d after %d items, want 60 after 2", e.Now(), e.Executed())
+	}
+
+	g := NewGroup(1, 2)
+	NewChan(g.Shard(0), g.Shard(1), 5)
+	ch = NewChan(g.Shard(1), g.Shard(1), 5)
+	g.Shard(1).At(10, func() { ch.Reserve(50) })
+	g.Shard(0).At(20, func() {})
+	if err := g.RunUntil(40); err != nil {
+		t.Fatal(err)
+	}
+	if g.Idle() {
+		t.Fatal("group idle at a deadline before the reserved message")
+	}
+	if err := g.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if now := g.Shard(i).Now(); now != 60 {
+			t.Errorf("shard %d drained at %d, want 60", i, now)
+		}
+	}
+	if g.Elided() != 1 || !g.Idle() {
+		t.Fatalf("Elided %d, Idle %v after the drain; want 1 and true", g.Elided(), g.Idle())
+	}
+}
+
+// TestChanSendKeyOrder: a message sent with SendKey runs where a Send at
+// its reservation would have run it, ahead of a same-instant message
+// sent later on the channel; Passed judges its key against the running
+// item; and a sent key no longer counts as elided.
+func TestChanSendKeyOrder(t *testing.T) {
+	g := NewGroup(1, 1)
+	e := g.Shard(0)
+	ch := NewChan(e, e, 5)
+	var order []string
+	var at Time
+	var key uint64
+	e.At(10, func() {
+		at, key = ch.Reserve(20)
+		ch.Send(20, func() {
+			if !ch.Passed(at, key) {
+				t.Error("the reserved message has not passed for a message keyed after it")
+			}
+			order = append(order, "sent")
+		})
+	})
+	e.At(25, func() {
+		if ch.Passed(at, key) {
+			t.Error("the reserved message passed before its time")
+		}
+		ch.SendKey(at, key, func() { order = append(order, "reserved") })
+	})
+	if err := g.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(order, " "); got != "reserved sent" || g.Elided() != 0 || e.Now() != 30 {
+		t.Fatalf("order %q, Elided %d, now %d; want \"reserved sent\", 0, 30", got, g.Elided(), e.Now())
+	}
+}
+
+// TestGroupCommonCap: two independent, identical loads on two shards,
+// the second starting 300 ns after the first, must run balanced
+// rounds. Each load pauses once, so the shards' queue heads fall out of
+// phase in the rounds that follow; with a cap of its own per shard,
+// each window would reach a lookahead past the other's head, and one
+// shard would run the longer window round after round. One cap per
+// round brings the heads back into phase, so the critical path stays
+// near half the items: the opening serial stretch and the 300 ns the
+// second load runs alone add about a twentieth.
+func TestGroupCommonCap(t *testing.T) {
+	const window = 100 // the lookahead each way, in ns
+	const lanes = 4    // tick chains per shard, each ticking every nanosecond
+	const end, pauseAt, pause, shift = 20000, 3000, 120, 300
+	g := NewGroup(1, 2)
+	NewChan(g.Shard(0), g.Shard(1), window)
+	NewChan(g.Shard(1), g.Shard(0), window)
+	for s := 0; s < 2; s++ {
+		e, off := g.Shard(s), Time(s*shift)
+		for l := 0; l < lanes; l++ {
+			var tick func()
+			tick = func() {
+				next := e.Now() + 1
+				if next == pauseAt+off {
+					next += pause
+				}
+				if next < end+off {
+					e.At(next, tick)
+				}
+			}
+			e.At(1+off, tick)
+		}
+	}
+	epoch := g.bar.epoch.Load()
+	if err := g.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if g.bar.epoch.Load() == epoch {
+		t.Fatal("no parallel round ran")
+	}
+	if ratio := float64(g.CritPath()) / float64(g.Executed()); ratio > 0.6 {
+		t.Fatalf("critical path %d of %d items (%.3f), want at most 0.6", g.CritPath(), g.Executed(), ratio)
+	}
+}
